@@ -243,10 +243,19 @@ def _resolve_dirichlet(spec: dict, scenario: Scenario) -> dict:
     return spec
 
 
+def _dirichlet_data(scenario: Scenario, mesh: Mesh):
+    """The scenario's Dirichlet data at the mesh vertices; a bad spec is a ConfigError."""
+    try:
+        return evaluate_data_spec(_resolve_dirichlet(scenario.dirichlet, scenario),
+                                  mesh.vertices)
+    except ValueError as exc:
+        raise ConfigError(f"dirichlet: {exc}") from exc
+
+
 def run_scenario(scenario: Scenario) -> RunResult:
     """Solve a scenario and run its checks in memory."""
     mesh = build_mesh(scenario.domain)
-    data = evaluate_data_spec(_resolve_dirichlet(scenario.dirichlet, scenario), mesh.vertices)
+    data = _dirichlet_data(scenario, mesh)
     solution, solve_report = solve(scenario.integrand, mesh, data, scenario.solver)
     result = RunResult(scenario, mesh, solution, solve_report, None)
     if not solve_report.converged:
@@ -514,8 +523,7 @@ def main(argv=None) -> int:
             out = Path(args.out)
             out.mkdir(parents=True, exist_ok=True)
             mesh = build_mesh(scenario.domain)
-            data = evaluate_data_spec(_resolve_dirichlet(scenario.dirichlet, scenario),
-                                      mesh.vertices)
+            data = _dirichlet_data(scenario, mesh)
             solution, report = solve(scenario.integrand, mesh, data, scenario.solver)
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)

@@ -15,7 +15,6 @@ import csv
 import warnings
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -267,20 +266,32 @@ def half_ball_vertices(mesh: Mesh, x0: np.ndarray, r: float) -> np.ndarray:
     return idx
 
 
-@lru_cache(maxsize=64)
-def vertex_stencils(mesh: Mesh) -> list[np.ndarray]:
-    """Two-ring vertex neighborhoods (including the vertex), per vertex."""
-    ring1: list[set[int]] = [set() for _ in range(mesh.num_vertices)]
-    for cell in mesh.cells:
-        for a in cell:
-            ring1[a].update(int(v) for v in cell)
-    out = []
-    for v in range(mesh.num_vertices):
-        stencil: set[int] = set()
-        for u in ring1[v]:
-            stencil.update(ring1[u])
-        out.append(np.fromiter(sorted(stencil), dtype=np.int64))
-    return out
+# One-ring grid-index offsets of the structured triangulation: the axis
+# neighbours plus, in 2d, the (1, 1) diagonal every square is split along.
+_RING1 = {
+    1: ((0,), (1,), (-1,)),
+    2: ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)),
+}
+
+
+def vertex_stencils(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Two-ring vertex neighbourhoods (including the vertex) from grid indices.
+
+    Returns ``(offsets, ids, in_grid)``: ``offsets`` is the fixed ``(k, n)``
+    list of grid-index offsets of a full two-ring; ``ids[v, s]`` is the vertex
+    at offset ``s`` from vertex ``v`` and is meaningful only where
+    ``in_grid[v, s]``.  On a box every intermediate one-ring vertex of an
+    in-grid two-ring vertex lies in the grid too, so the in-grid offsets are
+    exactly the two-ring of the triangulation.
+    """
+    ring1 = np.array(_RING1[mesh.n])
+    offsets = np.unique((ring1[:, None, :] + ring1[None, :, :]).reshape(-1, mesh.n), axis=0)
+    counts = np.array(mesh.divisions) + 1
+    index = np.stack(np.unravel_index(np.arange(mesh.num_vertices), counts), axis=1)
+    target = index[:, None, :] + offsets[None, :, :]
+    in_grid = np.all((target >= 0) & (target < counts), axis=2)
+    ids = np.ravel_multi_index(tuple(np.moveaxis(target, 2, 0)), counts, mode="clip")
+    return offsets, ids, in_grid
 
 
 def write_mesh_csv(mesh: Mesh, vertices_path, cells_path) -> None:

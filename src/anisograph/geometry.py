@@ -160,19 +160,24 @@ class GraphGeometry:
 
 
 def _fit_vertex_quadratics(mesh: Mesh, values: np.ndarray):
-    """Weighted quadratic LS fit on the two-ring of every vertex."""
+    """Weighted quadratic LS fit on the two-ring of every vertex.
+
+    On the structured grid a two-ring is fixed, up to rounding in the vertex
+    coordinates, by which of its offsets fall inside the grid.  Vertices are
+    grouped by that offset pattern, and each group is fitted with one
+    weighted pseudo-inverse built from its first vertex's stencil.
+    """
     n = mesh.n
     ncoef = 1 + n + n * (n + 1) // 2
-    stencils = vertex_stencils(mesh)
+    _, ids, in_grid = vertex_stencils(mesh)
     nv = mesh.num_vertices
-    grad = np.zeros((nv, n))
-    hess = np.zeros((nv, n, n))
+    coef = np.zeros((nv, ncoef))
     ok = np.zeros(nv, dtype=bool)
     sigma = 2.0 * mesh.h
-    for v in range(nv):
-        idx = stencils[v]
-        if idx.size < ncoef:
-            continue
+    key = in_grid.astype(np.int64) @ (1 << np.arange(in_grid.shape[1], dtype=np.int64))
+    _, first, pattern = np.unique(key, return_index=True, return_inverse=True)
+    for p, v in enumerate(first):
+        idx = ids[v, in_grid[v]]
         dx = mesh.vertices[idx] - mesh.vertices[v]
         if n == 1:
             cols = np.stack([np.ones(idx.size), dx[:, 0], 0.5 * dx[:, 0] ** 2], axis=1)
@@ -189,15 +194,18 @@ def _fit_vertex_quadratics(mesh: Mesh, values: np.ndarray):
                 axis=1,
             )
         w = np.exp(-np.sum(dx * dx, axis=1) / (sigma * sigma))
-        coef, _, rank, sv = np.linalg.lstsq(cols * w[:, None], values[idx] * w, rcond=None)
+        a = cols * w[:, None]
+        left, sv, right = np.linalg.svd(a, full_matrices=False)
+        # the rank np.linalg.lstsq reports with its default rcond
+        rank = int(np.count_nonzero(sv > np.finfo(float).eps * max(a.shape) * sv[0]))
         if rank < ncoef or sv[-1] <= 1e-10 * sv[0]:
             continue
-        ok[v] = True
-        grad[v] = coef[1 : 1 + n]
-        if n == 1:
-            hess[v, 0, 0] = coef[2]
-        else:
-            hess[v] = [[coef[3], coef[4]], [coef[4], coef[5]]]
+        members = np.flatnonzero(pattern == p)
+        pinv = (right.T / sv) @ (left.T * w)
+        coef[members] = values[ids[members][:, in_grid[v]]] @ pinv.T
+        ok[members] = True
+    grad = coef[:, 1 : 1 + n].copy()
+    hess = coef[:, [2] if n == 1 else [3, 4, 4, 5]].reshape(nv, n, n)
     return grad, hess, ok
 
 

@@ -16,17 +16,15 @@ Built-in families:
 * ``pnorm``      -- a regularized p-norm, smoothed so it stays ``C^2`` on
   coordinate hyperplanes.
 
-All derivative formulas are analytic; the centered finite-difference helpers
-at the bottom exist only so tests can cross-validate them and must never be
-used in a solver path.  Instances are immutable and safe to share across
-threads; every method is a pure function of its arguments.
+All derivative formulas are analytic.  Instances are immutable and safe to
+share across threads; every method is a pure function of its arguments.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -34,8 +32,6 @@ __all__ = [
     "EllipticIntegrand",
     "IntegrandBounds",
     "sphere_points",
-    "fd_gradient",
-    "fd_hessian",
 ]
 
 _GOLDEN_FRAC = (math.sqrt(5.0) - 1.0) / 2.0
@@ -162,8 +158,8 @@ class EllipticIntegrand:
         _check_dim(dim)
         if not p > 1.0:
             raise ValueError("pnorm exponent must exceed 1")
-        if eps < 0.0:
-            raise ValueError("pnorm regularization must be nonnegative")
+        if not eps > 0.0:
+            raise ValueError("pnorm regularization must be positive")
         return EllipticIntegrand(kind="pnorm", dim=dim, p=float(p), eps=float(eps))
 
     # -- ambient calculus ---------------------------------------------------
@@ -437,38 +433,3 @@ class EllipticIntegrand:
 def _check_dim(dim: int) -> None:
     if dim < 2:
         raise ValueError("ambient dimension must be at least 2")
-
-
-# -- finite-difference cross-checks (test utilities only) ---------------------
-
-
-def fd_gradient(fn: Callable[[np.ndarray], float], z: np.ndarray, step: Optional[float] = None) -> np.ndarray:
-    """Centered finite-difference gradient; for cross-validation in tests only."""
-    z = np.asarray(z, dtype=float)
-    h = step if step is not None else 1e-6 * max(np.linalg.norm(z), 1.0)
-    out = np.zeros_like(z)
-    for i in range(z.size):
-        e = np.zeros_like(z)
-        e[i] = h
-        out[i] = (fn(z + e) - fn(z - e)) / (2.0 * h)
-    return out
-
-
-def fd_hessian(fn: Callable[[np.ndarray], float], z: np.ndarray, step: Optional[float] = None) -> np.ndarray:
-    """Centered finite-difference Hessian; for cross-validation in tests only."""
-    z = np.asarray(z, dtype=float)
-    h = step if step is not None else 1e-5 * max(np.linalg.norm(z), 1.0)
-    d = z.size
-    out = np.zeros((d, d))
-    f0 = fn(z)
-    for i in range(d):
-        ei = np.zeros(d)
-        ei[i] = h
-        out[i, i] = (fn(z + ei) - 2.0 * f0 + fn(z - ei)) / (h * h)
-        for j in range(i + 1, d):
-            ej = np.zeros(d)
-            ej[j] = h
-            out[i, j] = out[j, i] = (
-                fn(z + ei + ej) - fn(z + ei - ej) - fn(z - ei + ej) + fn(z - ei - ej)
-            ) / (4.0 * h * h)
-    return out

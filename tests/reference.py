@@ -1,0 +1,106 @@
+"""Slow reference implementations the tests cross-check the package against.
+
+None of these may be used in a solver or geometry path: they are plain loops
+kept for their obviousness, not their speed.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Optional
+
+import numpy as np
+
+
+# -- finite differences ----------------------------------------------------------
+
+
+def fd_gradient(fn: Callable[[np.ndarray], float], z: np.ndarray, step: Optional[float] = None) -> np.ndarray:
+    """Centered finite-difference gradient."""
+    z = np.asarray(z, dtype=float)
+    h = step if step is not None else 1e-6 * max(np.linalg.norm(z), 1.0)
+    out = np.zeros_like(z)
+    for i in range(z.size):
+        e = np.zeros_like(z)
+        e[i] = h
+        out[i] = (fn(z + e) - fn(z - e)) / (2.0 * h)
+    return out
+
+
+def fd_hessian(fn: Callable[[np.ndarray], float], z: np.ndarray, step: Optional[float] = None) -> np.ndarray:
+    """Centered finite-difference Hessian."""
+    z = np.asarray(z, dtype=float)
+    h = step if step is not None else 1e-5 * max(np.linalg.norm(z), 1.0)
+    d = z.size
+    out = np.zeros((d, d))
+    f0 = fn(z)
+    for i in range(d):
+        ei = np.zeros(d)
+        ei[i] = h
+        out[i, i] = (fn(z + ei) - 2.0 * f0 + fn(z - ei)) / (h * h)
+        for j in range(i + 1, d):
+            ej = np.zeros(d)
+            ej[j] = h
+            out[i, j] = out[j, i] = (
+                fn(z + ei + ej) - fn(z + ei - ej) - fn(z - ei + ej) + fn(z - ei - ej)
+            ) / (4.0 * h * h)
+    return out
+
+
+# -- two-ring stencils and per-vertex quadratic fits -----------------------------
+
+
+def two_ring_stencils(mesh) -> list[np.ndarray]:
+    """Two-ring vertex neighbourhoods (including the vertex) built from the cells."""
+    ring1: list[set[int]] = [set() for _ in range(mesh.num_vertices)]
+    for cell in mesh.cells:
+        for a in cell:
+            ring1[a].update(int(v) for v in cell)
+    out = []
+    for v in range(mesh.num_vertices):
+        stencil: set[int] = set()
+        for u in ring1[v]:
+            stencil.update(ring1[u])
+        out.append(np.fromiter(sorted(stencil), dtype=np.int64))
+    return out
+
+
+def fit_vertex_quadratics(mesh, values: np.ndarray):
+    """Weighted quadratic fit on each vertex's two-ring, one ``lstsq`` per vertex."""
+    n = mesh.n
+    ncoef = 1 + n + n * (n + 1) // 2
+    stencils = two_ring_stencils(mesh)
+    nv = mesh.num_vertices
+    grad = np.zeros((nv, n))
+    hess = np.zeros((nv, n, n))
+    ok = np.zeros(nv, dtype=bool)
+    sigma = 2.0 * mesh.h
+    for v in range(nv):
+        idx = stencils[v]
+        if idx.size < ncoef:
+            continue
+        dx = mesh.vertices[idx] - mesh.vertices[v]
+        if n == 1:
+            cols = np.stack([np.ones(idx.size), dx[:, 0], 0.5 * dx[:, 0] ** 2], axis=1)
+        else:
+            cols = np.stack(
+                [
+                    np.ones(idx.size),
+                    dx[:, 0],
+                    dx[:, 1],
+                    0.5 * dx[:, 0] ** 2,
+                    dx[:, 0] * dx[:, 1],
+                    0.5 * dx[:, 1] ** 2,
+                ],
+                axis=1,
+            )
+        w = np.exp(-np.sum(dx * dx, axis=1) / (sigma * sigma))
+        coef, _, rank, sv = np.linalg.lstsq(cols * w[:, None], values[idx] * w, rcond=None)
+        if rank < ncoef or sv[-1] <= 1e-10 * sv[0]:
+            continue
+        ok[v] = True
+        grad[v] = coef[1 : 1 + n]
+        if n == 1:
+            hess[v, 0, 0] = coef[2]
+        else:
+            hess[v] = [[coef[3], coef[4]], [coef[4], coef[5]]]
+    return grad, hess, ok

@@ -139,6 +139,14 @@ def test_run_exit_2_on_invalid_theta(tmp_path):
     assert run(path, tmp_path / "out") == 2
 
 
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_malformed_dirichlet_spec_exits_2(tmp_path, command, capsys):
+    path = write_scenario(tmp_path, minimal_scenario(
+        dirichlet={"type": "bump", "center": [0.0, 0.0], "radius": -1.0}))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "config error: dirichlet: bump radius must be positive" in capsys.readouterr().err
+
+
 def test_run_exit_3_on_nonconvergence(tmp_path):
     payload = minimal_scenario(
         dirichlet={"type": "sine", "amplitude": 0.4, "kx": 3.0, "ky": math.pi,

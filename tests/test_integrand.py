@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from anisograph import EllipticIntegrand, sphere_points
-from anisograph.integrand import fd_gradient, fd_hessian
+from reference import fd_gradient, fd_hessian
 
 
 def builtin_integrands(dim=3):
@@ -305,6 +305,11 @@ def test_pnorm_validation():
         EllipticIntegrand.pnorm(1.0, 3)
     with pytest.raises(ValueError):
         EllipticIntegrand.pnorm(3.0, 3, eps=-0.1)
+    # eps = 0 leaves hess_f NaN at y = 0 for p < 4: not uniformly elliptic
+    with pytest.raises(ValueError):
+        EllipticIntegrand.pnorm(3.0, 3, eps=0.0)
+    with pytest.raises(ValueError):
+        EllipticIntegrand.from_descriptor({"kind": "pnorm", "p": 3.0, "eps": 0.0})
 
 
 def test_zero_vector_rejected():
@@ -312,3 +317,34 @@ def test_zero_vector_rejected():
     for op in (I.eval_F, I.grad_F, I.hess_F):
         with pytest.raises(ValueError):
             op(np.zeros(3))
+
+
+def _spd_matrix(seed, shift):
+    m = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(3, 3))
+    return m @ m.T + shift * np.eye(3)
+
+
+every_constructor = st.one_of(
+    st.just(EllipticIntegrand.euclidean(3)),
+    st.floats(min_value=0.05, max_value=math.pi - 0.05).map(
+        lambda theta: EllipticIntegrand.capillary(theta, 3)),
+    st.builds(_spd_matrix, st.integers(min_value=0, max_value=10_000),
+              st.floats(min_value=0.05, max_value=2.0)).map(EllipticIntegrand.ellipsoid),
+    st.builds(lambda p, eps: EllipticIntegrand.pnorm(p, 3, eps),
+              st.floats(min_value=1.1, max_value=8.0),
+              st.floats(min_value=1e-3, max_value=1.0)),
+)
+
+bounded_gradients = st.one_of(
+    st.just((0.0, 0.0)),
+    st.tuples(st.floats(min_value=-10.0, max_value=10.0),
+              st.floats(min_value=-10.0, max_value=10.0)),
+)
+
+
+@given(every_constructor, bounded_gradients)
+def test_hess_f_finite_and_spd_on_bounded_gradients(integrand, y):
+    hess = integrand.hess_f(np.array(y))
+    assert np.all(np.isfinite(hess))
+    np.testing.assert_allclose(hess, hess.T, rtol=1e-12, atol=1e-12)
+    assert np.linalg.eigvalsh(hess).min() > 0.0
