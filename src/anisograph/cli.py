@@ -445,10 +445,14 @@ def sweep(scenario_path, axis: str, values, out_dir) -> int:
             return run_scenario(sc)
 
     results: list[Optional[RunResult]] = [None] * len(variants)
-    with concurrent.futures.ThreadPoolExecutor(workers) as pool:
-        futures = {pool.submit(quiet_run, sc): i for i, sc in enumerate(variants)}
-        for fut in concurrent.futures.as_completed(futures):
-            results[futures[fut]] = fut.result()
+    try:
+        with concurrent.futures.ThreadPoolExecutor(workers) as pool:
+            futures = {pool.submit(quiet_run, sc): i for i, sc in enumerate(variants)}
+            for fut in concurrent.futures.as_completed(futures):
+                results[futures[fut]] = fut.result()
+    except ConfigError as exc:  # e.g. a malformed Dirichlet spec, found per mesh
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
     check_names = sorted({rep.check_name for res in results for rep in res.reports})
     out = Path(out_dir)

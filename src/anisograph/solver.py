@@ -10,8 +10,12 @@ unconstrained, so stationarity of E encodes the natural boundary condition
 ``<Df(Du), e1> = 0`` weakly with no boundary assembly at all.  Since the
 Lagrangian Hessian is SPD for bounded gradients, the energy is convex and a
 backtracking Newton iteration converges globally with a nonincreasing energy
-trace.  Per-cell assembly uses a deterministic reduction (scipy's COO
-duplicate summation), and solves on different meshes are independent.
+trace.  Once the energy change of a trial step is at rounding level, the
+line search judges the step by the decrease of the residual norm instead, so
+Newton stops at its rounding floor rather than stalling there.  The Hessian's
+CSC sparsity pattern is built once per solve; each step sums the per-cell
+blocks into it with a deterministic reduction (``np.bincount``), and solves on
+different meshes are independent.
 """
 
 from __future__ import annotations
@@ -83,10 +87,13 @@ class SolveReport:
     converged: bool = False
 
 
+def _energy(integrand: EllipticIntegrand, mesh: Mesh, values: np.ndarray) -> float:
+    return float(np.dot(mesh.cell_measures, integrand.eval_f(mesh.cell_gradients(values))))
+
+
 def energy(integrand: EllipticIntegrand, u: GraphFunction) -> float:
     """Discrete anisotropic area of the graph (exact for PL interpolants)."""
-    grads = u.cell_gradients()
-    return float(np.dot(u.mesh.cell_measures, integrand.eval_f(grads)))
+    return _energy(integrand, u.mesh, u.values)
 
 
 def _raw_gradient(integrand: EllipticIntegrand, mesh: Mesh, values: np.ndarray) -> np.ndarray:
@@ -109,21 +116,41 @@ def energy_gradient(integrand: EllipticIntegrand, u: GraphFunction) -> np.ndarra
     return g
 
 
+@dataclass(frozen=True)
+class _HessianPattern:
+    """Free-free CSC sparsity of the Hessian; fixed by the mesh and its Dirichlet set."""
+
+    keep: np.ndarray  # per-cell (i, j) block entries that couple two free vertices
+    slot: np.ndarray  # CSC data position of each kept entry
+    indices: np.ndarray
+    indptr: np.ndarray
+    nfree: int
+
+
+def _hessian_pattern(mesh: Mesh, free_pos: np.ndarray) -> _HessianPattern:
+    m = mesh.n + 1
+    rows = free_pos[np.repeat(mesh.cells, m, axis=1).ravel()]
+    cols = free_pos[np.tile(mesh.cells, (1, m)).ravel()]
+    keep = (rows >= 0) & (cols >= 0)
+    nfree = int(free_pos.max()) + 1
+    # column-major keys: sorted unique keys are the CSC order, rows sorted per column
+    keys, slot = np.unique(cols[keep] * nfree + rows[keep], return_inverse=True)
+    counts = np.bincount(keys // nfree, minlength=nfree)
+    indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.intc)
+    return _HessianPattern(keep, slot, (keys % nfree).astype(np.intc), indptr, nfree)
+
+
 def _assemble_hessian(
-    integrand: EllipticIntegrand, mesh: Mesh, values: np.ndarray, free_pos: np.ndarray
+    integrand: EllipticIntegrand, mesh: Mesh, values: np.ndarray, pattern: _HessianPattern
 ) -> sps.csc_matrix:
     grads = mesh.cell_gradients(values)
     d2f = integrand.hess_f(grads)
     hc = np.einsum("c,cim,cmn,cjn->cij", mesh.cell_measures, mesh.grad_lambda, d2f,
-                   mesh.grad_lambda)
-    m = mesh.n + 1
-    rows = free_pos[np.repeat(mesh.cells, m, axis=1).ravel()]
-    cols = free_pos[np.tile(mesh.cells, (1, m)).ravel()]
-    vals = hc.reshape(-1)
-    keep = (rows >= 0) & (cols >= 0)
-    nfree = int(free_pos.max()) + 1
-    mat = sps.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(nfree, nfree))
-    return mat.tocsc()
+                   mesh.grad_lambda, optimize=True)
+    data = np.bincount(pattern.slot, weights=hc.reshape(-1)[pattern.keep],
+                       minlength=pattern.indices.size)
+    return sps.csc_matrix((data, pattern.indices, pattern.indptr),
+                          shape=(pattern.nfree, pattern.nfree))
 
 
 def wall_flux_residuals(integrand: EllipticIntegrand, u: GraphFunction) -> np.ndarray:
@@ -171,10 +198,10 @@ def solve(
     free_pos = np.full(mesh.num_vertices, -1, dtype=np.int64)
     free_pos[free_idx] = np.arange(free_idx.size)
 
-    def total_energy(vals: np.ndarray) -> float:
-        return float(np.dot(mesh.cell_measures, integrand.eval_f(mesh.cell_gradients(vals))))
-
-    e_cur = total_energy(values)
+    pattern = _hessian_pattern(mesh, free_pos)
+    e_cur = _energy(integrand, mesh, values)
+    # an energy change this small is rounding: it cannot rank two trials
+    e_floor = 16.0 * np.finfo(float).eps
     trace = [e_cur]
     converged = False
     res_norm = np.inf
@@ -187,8 +214,8 @@ def solve(
         if res_norm <= config.tol_residual:
             converged = True
             break
-        hess = _assemble_hessian(integrand, mesh, values, free_pos)
-        step = spsolve(hess, -res)
+        hess = _assemble_hessian(integrand, mesh, values, pattern)
+        step = spsolve(hess, -res, permc_spec="MMD_AT_PLUS_A")
         if not np.all(np.isfinite(step)):
             raise RuntimeError("Newton system is singular or badly scaled")
         lin_res = np.linalg.norm(hess @ step + res) / max(res_norm, 1e-300)
@@ -200,10 +227,16 @@ def solve(
         for _bt in range(60):
             trial = values.copy()
             trial[free_idx] += t * step
-            e_trial = total_energy(trial)
+            e_trial = _energy(integrand, mesh, trial)
             if e_trial <= e_cur + config.ls_decrease * t * slope:
                 accepted = True
                 break
+            if abs(e_trial - e_cur) <= e_floor * abs(e_cur):
+                # energy stalled: accept on a sufficient decrease of the residual norm
+                res_trial = float(np.linalg.norm(_raw_gradient(integrand, mesh, trial)[free_idx]))
+                if res_trial <= (1.0 - config.ls_decrease * t) * res_norm:
+                    accepted = True
+                    break
             t *= config.ls_shrink
         if not accepted and e_trial >= e_cur:
             # rounding floor: no step can lower the energy any further

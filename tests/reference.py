@@ -9,6 +9,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 import numpy as np
+import scipy.sparse as sps
 
 
 # -- finite differences ----------------------------------------------------------
@@ -104,3 +105,25 @@ def fit_vertex_quadratics(mesh, values: np.ndarray):
         else:
             hess[v] = [[coef[3], coef[4]], [coef[4], coef[5]]]
     return grad, hess, ok
+
+
+# -- Newton Hessian assembly -----------------------------------------------------
+
+
+def assemble_hessian_coo(integrand, mesh, values: np.ndarray, free_pos: np.ndarray) -> sps.csc_matrix:
+    """Free-free Hessian of the discrete energy, built as COO and converted to CSC.
+
+    ``free_pos`` maps each vertex to its free index, or -1 for a Dirichlet vertex.
+    """
+    grads = mesh.cell_gradients(values)
+    d2f = integrand.hess_f(grads)
+    hc = np.einsum("c,cim,cmn,cjn->cij", mesh.cell_measures, mesh.grad_lambda, d2f,
+                   mesh.grad_lambda)
+    m = mesh.n + 1
+    rows = free_pos[np.repeat(mesh.cells, m, axis=1).ravel()]
+    cols = free_pos[np.tile(mesh.cells, (1, m)).ravel()]
+    vals = hc.reshape(-1)
+    keep = (rows >= 0) & (cols >= 0)
+    nfree = int(free_pos.max()) + 1
+    mat = sps.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(nfree, nfree))
+    return mat.tocsc()

@@ -256,6 +256,15 @@ def test_sweep_theta_on_non_capillary_exit_2(tmp_path):
     assert sweep(path, "theta", [1.0], tmp_path / "out") == 2
 
 
+def test_sweep_malformed_dirichlet_spec_exits_2(tmp_path, capsys):
+    raw = json.loads(bundled_scenario_path("capillary_theta_sweep").read_text())
+    raw["domain"]["resolution"] = 1 / 8
+    raw["dirichlet"] = {"type": "bump", "radius": -1}
+    path = write_scenario(tmp_path, raw)
+    assert sweep(path, "theta", [0.8, 1.2], tmp_path / "out") == 2
+    assert "config error: dirichlet: bump radius must be positive" in capsys.readouterr().err
+
+
 def test_sweep_respects_thread_cap(tmp_path, monkeypatch):
     monkeypatch.setenv("ANISO_THREADS", "1")
     path = write_scenario(tmp_path, minimal_scenario())

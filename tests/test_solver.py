@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from anisograph import (
     EllipticIntegrand,
@@ -17,6 +17,10 @@ from anisograph import (
     solve,
     wall_flux_residuals,
 )
+from anisograph.boundary_data import evaluate_data_spec
+from anisograph.solver import _assemble_hessian, _hessian_pattern
+from conftest import CURVED_DATA_SPEC
+from reference import assemble_hessian_coo
 
 
 def unit_mesh(resolution=1 / 16):
@@ -166,14 +170,28 @@ def test_energy_trace_nonincreasing():
 
 
 @given(shift=st.floats(-5.0, 5.0))
+@example(shift=4.461276561336788)  # stalled at the rounding floor for 50 iterations
 @settings(max_examples=10)
 def test_solution_shift_invariance(shift):
     mesh = unit_mesh(1 / 8)
     I = EllipticIntegrand.capillary(1.2, 3)
     data = np.sin(2 * mesh.vertices[:, 0]) * np.cos(mesh.vertices[:, 1])
-    u0, _ = solve(I, mesh, data)
-    u1, _ = solve(I, mesh, data + shift)
+    u0, rep0 = solve(I, mesh, data)
+    u1, rep1 = solve(I, mesh, data + shift)
+    assert rep0.converged and rep1.converged
     assert np.abs(u1.values - (u0.values + shift)).max() <= 1e-9
+
+
+def test_hard_capillary_solve_stops_at_rounding_floor():
+    # theta = 0.5 on corner-incompatible sine data: the energy change reaches
+    # rounding level while the residual is still above tol_residual
+    mesh = unit_mesh(1 / 64)
+    data = evaluate_data_spec(CURVED_DATA_SPEC, mesh.vertices)
+    _, rep = solve(EllipticIntegrand.capillary(0.5, 3), mesh, data)
+    assert rep.converged
+    assert rep.iterations <= 12
+    trace = rep.energy_trace
+    assert sum(a == b for a, b in zip(trace, trace[1:])) <= 1
 
 
 def test_max_iter_exhaustion_reports_not_raises():
@@ -206,6 +224,36 @@ def test_dimension_mismatch_rejected():
     mesh = unit_mesh(1 / 8)
     with pytest.raises(ValueError):
         solve(EllipticIntegrand.euclidean(2), mesh, np.zeros(mesh.num_vertices))
+
+
+# -- Hessian assembly on a fixed sparsity pattern ------------------------------------
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [
+        HalfDomain(1, depth=1.0, resolution=1 / 3),
+        HalfDomain(1, depth=1.0, resolution=1 / 7),
+        HalfDomain(2, depth=1.0, width=0.875, resolution=1 / 4),  # 4 x 7 cells
+        HalfDomain(2, depth=1.0, width=0.6, resolution=1 / 4),  # dx != dy
+    ],
+    ids=["1d_nx3", "1d_nx7", "2d_4x7", "2d_dx_ne_dy"],
+)
+def test_fixed_pattern_hessian_matches_coo_assembly(domain):
+    mesh = build_mesh(domain)
+    rng = np.random.default_rng(5)
+    values = 0.4 * rng.normal(size=mesh.num_vertices)
+    free = mesh.vertex_tags != Tag.DIRICHLET
+    free_pos = np.full(mesh.num_vertices, -1, dtype=np.int64)
+    free_pos[free] = np.arange(free.sum())
+    integrand = EllipticIntegrand.capillary(0.7, mesh.n + 1)
+    got = _assemble_hessian(integrand, mesh, values, _hessian_pattern(mesh, free_pos))
+    ref = assemble_hessian_coo(integrand, mesh, values, free_pos)
+    ref.sort_indices()
+    assert got.shape == ref.shape
+    assert np.array_equal(got.indptr, ref.indptr)
+    assert np.array_equal(got.indices, ref.indices)
+    assert np.abs(got.data - ref.data).max() <= 1e-14 * np.abs(ref.data).max()
 
 
 # -- equation residual -------------------------------------------------------------
