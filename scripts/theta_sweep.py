@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Contact-angle sweep: fit the gradient-bound constants across angles.
 
-For each capillary angle, solves the free-boundary problem whose Dirichlet
-data is the wall-compatible affine profile plus a fixed curved perturbation,
-collects (log|Du|, oscillation/radius) probe records, and fits the smallest
+For each capillary angle, solves the bundled ``capillary_theta_sweep``
+scenario (wall-compatible affine profile plus a fixed curved perturbation)
+at that angle, collects (log|Du|, oscillation/radius) records at the probe
+points and radii of its ``gradient_estimate`` check, and fits the smallest
 constants (c1, c2) with log|Du| <= c1 + c2 * osc/r over the pooled records.
 Also reports per-angle fits and the held-out satisfaction fraction.
 
@@ -13,36 +14,32 @@ Usage:
 
 import argparse
 import csv
+import dataclasses
 import math
 import sys
 import warnings
 
 import anisograph.verify as V
-from anisograph import EllipticIntegrand, HalfDomain, build_mesh, compute_geometry, solve
-from anisograph.boundary_data import evaluate_data_spec
+from anisograph import EllipticIntegrand
+from anisograph.cli import bundled_scenario_path, load_scenario, run_scenario
 
 THETAS = (math.pi / 6, math.pi / 4, math.pi / 2, 3 * math.pi / 4)
-X0 = [[0.0, 0.0], [0.0, 0.25], [0.0, -0.25], [0.1, 0.0], [0.25, 0.0],
-      [0.25, 0.2], [0.25, -0.2], [0.5, 0.0], [0.4, 0.15]]
-RADII = [0.08, 0.12, 0.18, 0.25, 0.35, 0.5]
 
 
-def records_for(theta: float, resolution: float):
-    integrand = EllipticIntegrand.capillary(theta, dim=3)
-    mesh = build_mesh(HalfDomain(2, depth=1.0, width=0.5, resolution=resolution))
-    spec = {"type": "sum", "terms": [
-        {"type": "affine", "a": [integrand.flat_slope(), 0.0], "b": 0.0},
-        {"type": "sine", "amplitude": 0.25, "kx": 2.0, "ky": math.pi,
-         "phase": math.pi / 2},
-    ]}
-    data = evaluate_data_spec(spec, mesh.vertices)
-    u, rep = solve(integrand, mesh, data)
-    if not rep.converged:
+def records_for(base, theta: float, resolution: float):
+    probes = next(c for c in base.checks if c["name"] == "gradient_estimate")
+    scenario = dataclasses.replace(
+        base,
+        integrand=EllipticIntegrand.capillary(theta, dim=3),
+        domain=dataclasses.replace(base.domain, resolution=resolution),
+        checks=(),
+    )
+    result = run_scenario(scenario)
+    if result.exit_code:
         raise RuntimeError(f"solve failed at theta={theta}")
-    geom = compute_geometry(integrand, u)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return V.gradient_estimate_records(geom, X0, RADII)
+        return V.gradient_estimate_records(result.geometry, probes["x0_list"], probes["r_list"])
 
 
 def main(argv=None) -> int:
@@ -51,10 +48,11 @@ def main(argv=None) -> int:
     ap.add_argument("--out", default="theta_records.csv")
     args = ap.parse_args(argv)
 
+    base = load_scenario(bundled_scenario_path("capillary_theta_sweep"))
     pooled = []
     rows = []
     for theta in THETAS:
-        recs = records_for(theta, 1.0 / args.resolution)
+        recs = records_for(base, theta, 1.0 / args.resolution)
         c1, c2 = V.fit_gradient_constants(recs)
         print(f"theta={theta:.4f}: {len(recs)} records, per-angle c1={c1:.5f} c2={c2:.5f}")
         for rec in recs:

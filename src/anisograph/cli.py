@@ -11,7 +11,7 @@ parameter overrides.  Reports are JSON lines plus tidy CSV; all numbers are
 written with 17 significant digits and no timestamps, so repeated runs of
 the same scenario and seed are byte-identical (timestamps go to a sidecar
 log).  Exit codes: 0 all pass/fail checks passed, 2 malformed config,
-3 solver non-convergence, 1 check failures.
+3 solver non-convergence, 1 check failures; a sweep returns its worst row's.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
-import dataclasses
 import json
 import math
 import os
@@ -49,21 +48,6 @@ __all__ = [
     "bundled_scenario_path",
     "main",
 ]
-
-_KNOWN_CHECKS = (
-    "boundary_tangency",
-    "wall_condition",
-    "interior_minimality",
-    "wall_principal_direction",
-    "first_variation",
-    "area_element_identity",
-    "subharmonicity",
-    "area_growth",
-    "mean_value",
-    "functional_inequalities",
-    "gradient_estimate",
-    "liouville",
-)
 
 _SWEEP_AXES = ("theta", "resolution", "domain_size")
 
@@ -115,7 +99,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
                 item = {"name": item}
             if not isinstance(item, dict) or "name" not in item:
                 raise ValueError("each check must be a name or an object with a 'name'")
-            if item["name"] not in _KNOWN_CHECKS:
+            if item["name"] not in _CHECKS:
                 raise ValueError(f"unknown check {item['name']!r}")
             checks.append(dict(item))
         return Scenario(
@@ -133,15 +117,19 @@ def scenario_from_dict(raw: dict) -> Scenario:
         raise ConfigError(str(exc)) from exc
 
 
-def load_scenario(path) -> Scenario:
+def _read_json(path) -> dict:
+    """Parse a scenario file; an unreadable or malformed file is a ConfigError."""
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read scenario: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON: {exc}") from exc
-    return scenario_from_dict(raw)
+
+
+def load_scenario(path) -> Scenario:
+    return scenario_from_dict(_read_json(path))
 
 
 def bundled_scenario_path(name: str) -> Path:
@@ -162,8 +150,11 @@ class RunResult:
     reports: list = field(default_factory=list)
 
     @property
-    def all_passed(self) -> bool:
-        return all(r.status != "fail" for r in self.reports)
+    def exit_code(self) -> int:
+        """3 if the solve did not converge, 1 if a check failed, else 0."""
+        if not self.solve_report.converged:
+            return 3
+        return 1 if any(r.status == "fail" for r in self.reports) else 0
 
 
 def _default_probe_point(domain: HalfDomain) -> list[float]:
@@ -177,56 +168,54 @@ def _default_radii(domain: HalfDomain) -> list[float]:
     return [0.15 * scale, 0.25 * scale, 0.35 * scale, 0.5 * scale]
 
 
-def _run_check(name: str, params: dict, result: RunResult) -> CheckReport:
-    geom = result.geometry
-    sc = result.scenario
-    if name == "boundary_tangency":
-        return verify.check_boundary_tangency(geom, params.get("coef"))
-    if name == "wall_condition":
-        return verify.check_wall_condition(geom, params.get("coef"))
-    if name == "interior_minimality":
-        return verify.check_interior_minimality(geom, params.get("coef"))
-    if name == "wall_principal_direction":
-        return verify.check_wall_principal_direction(geom, params.get("coef"))
-    if name == "first_variation":
-        return verify.check_first_variation(geom, params.get("coef"), params.get("margin"))
-    if name == "area_element_identity":
-        return verify.check_area_element_identity(geom)
-    if name == "subharmonicity":
-        return verify.check_subharmonicity(geom, params.get("coef"))
-    if name == "area_growth":
-        x0 = params.get("x0", _default_probe_point(sc.domain))
-        radii = params.get("radii", _default_radii(sc.domain))
-        return verify.area_growth_check(geom, x0, radii, params.get("slope_tol", 0.2))
-    if name == "mean_value":
-        x0 = params.get("x0", _default_probe_point(sc.domain))
-        r = params.get("r", 0.5 * min(sc.domain.extents()))
-        return verify.mean_value_probe(geom, x0, r)
-    if name == "functional_inequalities":
-        return verify.functional_inequality_diagnostics(
-            geom, seed=sc.seed, bank_size=int(params.get("bank_size", 60))
-        )
-    if name == "gradient_estimate":
-        x0_list = params.get("x0_list", [_default_probe_point(sc.domain), [0.0] * sc.domain.n])
-        r_list = params.get("r_list", _default_radii(sc.domain))
-        _, _, report = verify.gradient_estimate_probe(geom, x0_list, r_list)
-        return report
-    if name == "liouville":
-        slope = params.get("slope")
-        if slope is None:
-            slope = [sc.integrand.flat_slope(), 0.0]
-        return verify.liouville_probe(
-            sc.integrand,
-            beta=float(params.get("beta", 2.0)),
-            r_sizes=params.get("sizes", [4.0, 8.0, 16.0]),
-            slope=slope,
-            bump_height=float(params.get("bump_height", 1.0)),
-            bump_radius=float(params.get("bump_radius", 1.0)),
-            resolution=float(params.get("resolution", 0.25)),
-            config=sc.solver,
-            tol_flat=params.get("tol_flat"),
-        )
-    raise ConfigError(f"unknown check {name!r}")
+def _gradient_estimate(geom, sc: Scenario, p: dict) -> CheckReport:
+    x0_list = p.get("x0_list", [_default_probe_point(sc.domain), [0.0] * sc.domain.n])
+    r_list = p.get("r_list", _default_radii(sc.domain))
+    _, _, report = verify.gradient_estimate_probe(geom, x0_list, r_list)
+    return report
+
+
+def _liouville(geom, sc: Scenario, p: dict) -> CheckReport:
+    """Solves its own growing domains, so it is the one check without geometry."""
+    slope = p.get("slope")
+    if slope is None:
+        slope = [sc.integrand.flat_slope(), 0.0]
+    return verify.liouville_probe(
+        sc.integrand,
+        beta=float(p.get("beta", 2.0)),
+        r_sizes=p.get("sizes", [4.0, 8.0, 16.0]),
+        slope=slope,
+        bump_height=float(p.get("bump_height", 1.0)),
+        bump_radius=float(p.get("bump_radius", 1.0)),
+        resolution=float(p.get("resolution", 0.25)),
+        config=sc.solver,
+        tol_flat=p.get("tol_flat"),
+    )
+
+
+# Check name -> probe(geometry, scenario, params).  Each probe is looked up on
+# ``verify`` when the check runs, so a wrapper set on the module is the one called.
+_CHECKS = {
+    "boundary_tangency": lambda g, sc, p: verify.check_boundary_tangency(g, p.get("coef")),
+    "wall_condition": lambda g, sc, p: verify.check_wall_condition(g, p.get("coef")),
+    "interior_minimality": lambda g, sc, p: verify.check_interior_minimality(g, p.get("coef")),
+    "wall_principal_direction":
+        lambda g, sc, p: verify.check_wall_principal_direction(g, p.get("coef")),
+    "first_variation":
+        lambda g, sc, p: verify.check_first_variation(g, p.get("coef"), p.get("margin")),
+    "area_element_identity": lambda g, sc, p: verify.check_area_element_identity(g),
+    "subharmonicity": lambda g, sc, p: verify.check_subharmonicity(g, p.get("coef")),
+    "area_growth": lambda g, sc, p: verify.area_growth_check(
+        g, p.get("x0", _default_probe_point(sc.domain)),
+        p.get("radii", _default_radii(sc.domain)), p.get("slope_tol", 0.2)),
+    "mean_value": lambda g, sc, p: verify.mean_value_probe(
+        g, p.get("x0", _default_probe_point(sc.domain)),
+        p.get("r", 0.5 * min(sc.domain.extents()))),
+    "functional_inequalities": lambda g, sc, p: verify.functional_inequality_diagnostics(
+        g, seed=sc.seed, bank_size=int(p.get("bank_size", 60))),
+    "gradient_estimate": _gradient_estimate,
+    "liouville": _liouville,
+}
 
 
 def _resolve_dirichlet(spec: dict, scenario: Scenario) -> dict:
@@ -252,22 +241,20 @@ def _dirichlet_data(scenario: Scenario, mesh: Mesh):
         raise ConfigError(f"dirichlet: {exc}") from exc
 
 
-def run_scenario(scenario: Scenario) -> RunResult:
-    """Solve a scenario and run its checks in memory."""
+def run_scenario(scenario: Scenario, solve_only: bool = False) -> RunResult:
+    """Solve a scenario and, unless ``solve_only``, run its checks in memory."""
     mesh = build_mesh(scenario.domain)
     data = _dirichlet_data(scenario, mesh)
     solution, solve_report = solve(scenario.integrand, mesh, data, scenario.solver)
     result = RunResult(scenario, mesh, solution, solve_report, None)
-    if not solve_report.converged:
+    if solve_only or not solve_report.converged:
         return result
-    needs_geom = any(c["name"] != "liouville" for c in scenario.checks)
-    if needs_geom or not scenario.checks:
-        result = dataclasses.replace(
-            result, geometry=compute_geometry(scenario.integrand, solution)
-        )
-    for check in scenario.checks:
-        params = {k: v for k, v in check.items() if k != "name"}
-        result.reports.append(_run_check(check["name"], params, result))
+    probes = [(_CHECKS[c["name"]], {k: v for k, v in c.items() if k != "name"})
+              for c in scenario.checks]
+    if not probes or any(probe is not _liouville for probe, _ in probes):
+        result.geometry = compute_geometry(scenario.integrand, solution)
+    for probe, params in probes:
+        result.reports.append(probe(result.geometry, scenario, params))
     return result
 
 
@@ -329,16 +316,9 @@ def _write_reports(out_dir: Path, result: RunResult) -> None:
             fh.write(json.dumps(rep.to_json_dict(), sort_keys=True) + "\n")
     with open(out_dir / "summary.csv", "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["check", "status", "residual", "rate"])
+        w.writerow(["check", "status", "residual"])
         for rep in result.reports:
-            w.writerow(
-                [
-                    rep.check_name,
-                    rep.status,
-                    _fmt(rep.worst_residual),
-                    "" if rep.refinement_rate is None else _fmt(rep.refinement_rate),
-                ]
-            )
+            w.writerow([rep.check_name, rep.status, _fmt(rep.worst_residual)])
 
 
 def _write_solve_report(path, report: SolveReport) -> None:
@@ -354,8 +334,9 @@ def _write_solve_report(path, report: SolveReport) -> None:
         fh.write("\n")
 
 
-def run(scenario_path, out_dir) -> int:
-    """Full pipeline: solve, geometry, checks, reports.  Returns exit code."""
+def run(scenario_path, out_dir, solve_only: bool = False) -> int:
+    """Solve a scenario and write its outputs; unless ``solve_only``, also its
+    geometry and check reports.  Returns the exit code."""
     t0 = time.perf_counter()
     try:
         scenario = load_scenario(scenario_path)
@@ -363,32 +344,26 @@ def run(scenario_path, out_dir) -> int:
         out.mkdir(parents=True, exist_ok=True)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            result = run_scenario(scenario)
+            result = run_scenario(scenario, solve_only)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if caught:
-        with open(out / "run.log", "a") as fh:
-            for w in caught:
-                fh.write(f"{time.strftime('%Y-%m-%dT%H:%M:%S')} warning: {w.message}\n")
+    log = [f"warning: {w.message}" for w in caught]
     _write_solution_csv(out / "solution.csv", result)
     _write_solve_report(out / "solve_report.json", result.solve_report)
-    if not result.solve_report.converged:
+    if not solve_only:
+        _write_geometry_csv(out / "geometry.csv", out / "geometry_wall.csv", result)
         _write_reports(out, result)
-        with open(out / "run.log", "a") as fh:
-            fh.write(f"{time.strftime('%Y-%m-%dT%H:%M:%S')} non-convergence "
-                     f"after {result.solve_report.iterations} iterations\n")
+    if result.solve_report.converged:
+        log.append(f"scenario={scenario.name} elapsed={time.perf_counter() - t0:.3f}s "
+                   f"iters={result.solve_report.iterations}")
+    else:
+        log.append(f"non-convergence after {result.solve_report.iterations} iterations")
         print("solver failed to converge", file=sys.stderr)
-        return 3
-    _write_geometry_csv(out / "geometry.csv", out / "geometry_wall.csv", result)
-    _write_reports(out, result)
+    stamp = time.strftime("%Y-%m-%dT%H:%M:%S")
     with open(out / "run.log", "a") as fh:
-        fh.write(
-            f"{time.strftime('%Y-%m-%dT%H:%M:%S')} scenario={scenario.name} "
-            f"elapsed={time.perf_counter() - t0:.3f}s "
-            f"iters={result.solve_report.iterations}\n"
-        )
-    return 0 if result.all_passed else 1
+        fh.writelines(f"{stamp} {line}\n" for line in log)
+    return result.exit_code
 
 
 # -- parameter sweeps -------------------------------------------------------------
@@ -428,26 +403,20 @@ def sweep(scenario_path, axis: str, values, out_dir) -> int:
     try:
         if axis not in _SWEEP_AXES:
             raise ConfigError(f"unknown sweep axis {axis!r}; use one of {_SWEEP_AXES}")
-        with open(scenario_path) as fh:
-            raw = json.load(fh)
+        raw = _read_json(scenario_path)
         variants = [scenario_from_dict(_apply_axis(raw, axis, v)) for v in values]
         workers = _max_workers(len(variants))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    def quiet_run(sc: Scenario) -> RunResult:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return run_scenario(sc)
 
     results: list[Optional[RunResult]] = [None] * len(variants)
     try:
-        with concurrent.futures.ThreadPoolExecutor(workers) as pool:
-            futures = {pool.submit(quiet_run, sc): i for i, sc in enumerate(variants)}
+        # catch_warnings swaps the process-wide filter list, so it is entered
+        # once here: entered in each worker, one thread's exit unmutes the others
+        with warnings.catch_warnings(), concurrent.futures.ThreadPoolExecutor(workers) as pool:
+            warnings.simplefilter("ignore")
+            futures = {pool.submit(run_scenario, sc): i for i, sc in enumerate(variants)}
             for fut in concurrent.futures.as_completed(futures):
                 results[futures[fut]] = fut.result()
     except ConfigError as exc:  # e.g. a malformed Dirichlet spec, found per mesh
@@ -486,7 +455,7 @@ def sweep(scenario_path, axis: str, values, out_dir) -> int:
             row[f"{name}_status"] = rep.status
             if axis == "resolution":
                 rate = ""
-                if name in prev_res and rep.worst_residual > 0.0:
+                if prev_res.get(name, 0.0) > 0.0 and rep.worst_residual > 0.0:
                     rate = _fmt(math.log2(prev_res[name] / rep.worst_residual))
                 row[f"{name}_rate"] = rate
                 prev_res[name] = rep.worst_residual
@@ -499,7 +468,7 @@ def sweep(scenario_path, axis: str, values, out_dir) -> int:
         w.writeheader()
         for row in rows:
             w.writerow(row)
-    return 0
+    return max(res.exit_code for res in results)
 
 
 def main(argv=None) -> int:
@@ -521,23 +490,6 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--out", required=True)
 
     args = parser.parse_args(argv)
-    if args.command == "solve":
-        try:
-            scenario = load_scenario(args.config)
-            out = Path(args.out)
-            out.mkdir(parents=True, exist_ok=True)
-            mesh = build_mesh(scenario.domain)
-            data = _dirichlet_data(scenario, mesh)
-            solution, report = solve(scenario.integrand, mesh, data, scenario.solver)
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-        result = RunResult(scenario, mesh, solution, report, None)
-        _write_solution_csv(out / "solution.csv", result)
-        _write_solve_report(out / "solve_report.json", report)
-        return 0 if report.converged else 3
-    if args.command == "verify":
-        return run(args.config, args.out)
     if args.command == "sweep":
         try:
             values = [float(v) for v in args.values.split(",") if v.strip()]
@@ -547,7 +499,7 @@ def main(argv=None) -> int:
             print("config error: sweep values must be numbers", file=sys.stderr)
             return 2
         return sweep(args.config, args.axis, values, args.out)
-    return 2
+    return run(args.config, args.out, solve_only=args.command == "solve")
 
 
 if __name__ == "__main__":

@@ -53,7 +53,6 @@ __all__ = [
     "functional_inequality_diagnostics",
     "mean_value_probe",
     "test_function_bank",
-    "observed_rate",
 ]
 
 
@@ -70,7 +69,6 @@ class CheckReport:
     status: str
     worst_residual: float
     tolerance: Optional[float]
-    refinement_rate: Optional[float] = None
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -83,9 +81,6 @@ class CheckReport:
             "status": self.status,
             "worst_residual": float(self.worst_residual),
             "tolerance": None if self.tolerance is None else float(self.tolerance),
-            "refinement_rate": None
-            if self.refinement_rate is None
-            else float(self.refinement_rate),
             "metadata": _plain(self.metadata),
         }
 
@@ -150,13 +145,6 @@ class CheckDefaults:
 
 
 DEFAULTS = CheckDefaults()
-
-
-def observed_rate(coarse: float, fine: float) -> float:
-    """Observed order log2(coarse/fine); large when fine is at rounding level."""
-    if fine <= 0.0:
-        return math.inf
-    return math.log2(max(coarse, 1e-300) / fine)
 
 
 # -- identity / O(h) checks on a single solved graph ---------------------------

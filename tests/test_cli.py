@@ -2,10 +2,13 @@ import csv
 import json
 import math
 import os
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
+from anisograph import cli
 from anisograph.boundary_data import evaluate_data_spec
 from anisograph.cli import (
     ConfigError,
@@ -13,6 +16,7 @@ from anisograph.cli import (
     load_scenario,
     main,
     run,
+    run_scenario,
     scenario_from_dict,
     sweep,
 )
@@ -184,7 +188,9 @@ def test_solve_subcommand(tmp_path):
     rc = main(["solve", "--config", str(bundled_scenario_path("capillary_flat")),
                "--out", str(tmp_path)])
     assert rc == 0
-    assert (tmp_path / "solution.csv").exists()
+    # solve computes no geometry and runs no checks
+    written = {p.name for p in tmp_path.iterdir()} - {"run.log"}
+    assert written == {"solution.csv", "solve_report.json"}
     payload = json.loads((tmp_path / "solve_report.json").read_text())
     assert payload["converged"] is True
 
@@ -198,6 +204,26 @@ def test_full_precision_output(tmp_path):
     for row in rows[:50]:
         expect = slope * float(row["x1"])
         assert abs(float(row["u"]) - expect) < 1e-9
+
+
+ALL_CHECKS = [
+    "boundary_tangency", "wall_condition", "interior_minimality", "wall_principal_direction",
+    "first_variation", "area_element_identity", "subharmonicity", "area_growth", "mean_value",
+    "functional_inequalities", "gradient_estimate", "liouville",
+]
+
+
+def test_run_scenario_runs_every_check_in_order():
+    assert set(ALL_CHECKS) == set(cli._CHECKS)
+    checks = [{"name": name} for name in ALL_CHECKS]
+    checks[-1].update(sizes=[2.0, 4.0], resolution=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        result = run_scenario(scenario_from_dict(minimal_scenario(checks=checks)))
+    assert result.geometry is not None
+    names = [rep.check_name for rep in result.reports]
+    assert names == ALL_CHECKS[:-1] + ["liouville_flatness"]
+    assert result.reports[-1].metadata["sizes"] == [2.0, 4.0]
 
 
 # -- sweeps ------------------------------------------------------------------------
@@ -278,3 +304,49 @@ def test_main_sweep_value_parsing(tmp_path):
     rc = main(["sweep", "--config", str(path), "--axis", "theta",
                "--values", "abc", "--out", str(tmp_path / "out")])
     assert rc == 2
+
+
+def test_sweep_resolution_zero_residual_leaves_rate_empty(tmp_path):
+    # interior_minimality is exactly 0.0 at h = 1/4, so no rate can be taken from it
+    rc = main(["sweep", "--config", str(bundled_scenario_path("capillary_flat")),
+               "--axis", "resolution", "--values", "0.25,0.125", "--out", str(tmp_path)])
+    rows = list(csv.DictReader((tmp_path / "sweep.csv").open()))
+    assert float(rows[0]["interior_minimality_residual"]) == 0.0
+    assert rows[1]["interior_minimality_rate"] == ""
+    # the area-growth slope at h = 1/4 is off its tolerance: the sweep reports that row
+    assert rows[0]["area_growth_status"] == "fail"
+    assert rc == 1
+
+
+def test_sweep_warnings_stay_inside(tmp_path, monkeypatch):
+    monkeypatch.setenv("ANISO_THREADS", "2")
+    path = write_scenario(tmp_path, minimal_scenario(checks=[
+        {"name": "gradient_estimate", "x0_list": [[0.0, 0.0], [0.5, 0.0]],
+         "r_list": [0.25, 0.6, 0.8, 1.0]}]))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the two workers often
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = sweep(path, "theta", [0.5 + 0.15 * k for k in range(14)], tmp_path / "out")
+    finally:
+        sys.setswitchinterval(interval)
+    assert rc == 0
+    assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("overrides, code", [
+    ({"checks": [{"name": "boundary_tangency", "coef": 1e-12}]}, 1),  # unmeetable tolerance
+    ({"solver": {"max_iter": 1}}, 3),
+])
+def test_sweep_exit_code_is_worst_row(tmp_path, overrides, code):
+    path = write_scenario(tmp_path, minimal_scenario(
+        dirichlet={"type": "sum", "terms": [
+            {"type": "flat_profile"},
+            {"type": "sine", "amplitude": 0.2, "kx": 2.0, "ky": math.pi,
+             "phase": math.pi / 2}]},
+        **overrides,
+    ))
+    assert sweep(path, "theta", [0.8, 1.2], tmp_path / "out") == code
+    rows = list(csv.DictReader((tmp_path / "out" / "sweep.csv").open()))
+    assert [float(r["theta"]) for r in rows] == [0.8, 1.2]
