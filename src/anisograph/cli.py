@@ -265,14 +265,27 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
+def _write_table(path, header: list, ids, columns: list) -> None:
+    """CSV of an integer id column then float array columns, one row per id.
+
+    Rows end in CRLF, as csv.writer's do, and '%.17g' is the same C
+    formatting as ``_fmt`` (NaN and -0.0 included).  Rows are formatted a
+    block at a time, so no whole-column list or whole-file string is built.
+    """
+    row = "%d" + ",%.17g" * len(columns) + "\r\n"
+    block = 1024
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, len(ids), block):
+            cols = (c[lo:lo + block].tolist() for c in columns)
+            fh.writelines(map(row.__mod__, zip(ids[lo:lo + block], *cols)))
+
+
 def _write_solution_csv(path, result: RunResult) -> None:
     mesh = result.mesh
     coords = [f"x{i + 1}" for i in range(mesh.n)]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["id", *coords, "u"])
-        for i in range(mesh.num_vertices):
-            w.writerow([i, *map(_fmt, mesh.vertices[i]), _fmt(result.solution.values[i])])
+    _write_table(path, ["id", *coords, "u"], range(mesh.num_vertices),
+                 [*mesh.vertices.T, result.solution.values])
 
 
 def _write_geometry_csv(path, wall_path, result: RunResult) -> None:
@@ -281,33 +294,11 @@ def _write_geometry_csv(path, wall_path, result: RunResult) -> None:
         return
     mesh = result.mesh
     coords = [f"x{i + 1}" for i in range(mesh.n)]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["id", *coords, "u", "W", "W_f", "H_F", "h_sq"])
-        for i in range(mesh.num_vertices):
-            w.writerow(
-                [
-                    i,
-                    *map(_fmt, mesh.vertices[i]),
-                    _fmt(result.solution.values[i]),
-                    _fmt(geom.vertex_W[i]),
-                    _fmt(geom.vertex_Wf[i]),
-                    _fmt(geom.mean_curvature_aniso[i]),
-                    _fmt(geom.h_sq[i]),
-                ]
-            )
-    with open(wall_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["facet", "nuF_e1", "muF_e1", "measure"])
-        for k in range(geom.wall_facets.size):
-            w.writerow(
-                [
-                    int(geom.wall_facets[k]),
-                    _fmt(geom.wall_nuF_e1[k]),
-                    _fmt(geom.wall_muF_e1[k]),
-                    _fmt(geom.wall_measure[k]),
-                ]
-            )
+    _write_table(path, ["id", *coords, "u", "W", "W_f", "H_F", "h_sq"], range(mesh.num_vertices),
+                 [*mesh.vertices.T, result.solution.values, geom.vertex_W, geom.vertex_Wf,
+                  geom.mean_curvature_aniso, geom.h_sq])
+    _write_table(wall_path, ["facet", "nuF_e1", "muF_e1", "measure"], geom.wall_facets,
+                 [geom.wall_nuF_e1, geom.wall_muF_e1, geom.wall_measure])
 
 
 def _write_reports(out_dir: Path, result: RunResult) -> None:
@@ -370,19 +361,22 @@ def run(scenario_path, out_dir, solve_only: bool = False) -> int:
 
 
 def _apply_axis(raw: dict, axis: str, value: float) -> dict:
+    if not isinstance(raw, dict):
+        raise ConfigError("scenario must be a JSON object")
     out = json.loads(json.dumps(raw))
+    part = out.get("integrand" if axis == "theta" else "domain")
     if axis == "theta":
-        if out.get("integrand", {}).get("kind") != "capillary":
+        if not isinstance(part, dict) or part.get("kind") != "capillary":
             raise ConfigError("theta sweep needs a capillary integrand")
-        out["integrand"]["theta"] = value
+        part["theta"] = value
+    elif not isinstance(part, dict):
+        raise ConfigError(f"{axis} sweep needs a 'domain' object")
     elif axis == "resolution":
-        out["domain"]["resolution"] = value
-    elif axis == "domain_size":
-        out["domain"]["depth"] = value
-        if out["domain"].get("n", 2) == 2:
-            out["domain"]["width"] = value
+        part["resolution"] = value
     else:
-        raise ConfigError(f"unknown sweep axis {axis!r}")
+        part["depth"] = value
+        if part.get("n", 2) == 2:
+            part["width"] = value
     out["name"] = f"{out.get('name', 'scenario')}_{axis}={value:.6g}"
     return out
 

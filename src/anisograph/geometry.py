@@ -47,25 +47,24 @@ __all__ = [
 # -- exact quadrature of piecewise-linear fields over simplices ---------------
 
 
-def _pl_power_cellwise(mesh: Mesh, phi: np.ndarray, k: int) -> np.ndarray:
-    """Exact per-cell integrals of phi^k for a PL field phi (integer k >= 1)."""
-    vals = np.asarray(phi, dtype=float)[mesh.cells]
-    m = mesh.n + 1
-    hk = np.zeros(mesh.num_cells)
+def _pl_power_cellwise(vals: np.ndarray, measures: np.ndarray, k: int) -> np.ndarray:
+    """Exact per-cell integrals of phi^k (integer k >= 1) from phi's cell vertex values."""
+    m = vals.shape[1]
+    hk = np.zeros(vals.shape[0])
     for combo in combinations_with_replacement(range(m), k):
-        term = np.ones(mesh.num_cells)
+        term = np.ones(vals.shape[0])
         for idx in combo:
             term = term * vals[:, idx]
         hk += term
-    coef = math.factorial(mesh.n) * math.factorial(k) / math.factorial(mesh.n + k)
-    return mesh.cell_measures * coef * hk
+    coef = math.factorial(m - 1) * math.factorial(k) / math.factorial(m - 1 + k)
+    return measures * coef * hk
 
 
 def integrate_pl_power(
     mesh: Mesh, phi: np.ndarray, k: int, cell_weight: Optional[np.ndarray] = None
 ) -> float:
     """Integral of phi^k (phi piecewise linear) with an optional cell weight."""
-    per_cell = _pl_power_cellwise(mesh, phi, k)
+    per_cell = _pl_power_cellwise(np.asarray(phi, float)[mesh.cells], mesh.cell_measures, k)
     if cell_weight is not None:
         per_cell = per_cell * cell_weight
     return float(per_cell.sum())

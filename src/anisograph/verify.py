@@ -26,7 +26,6 @@ from .domain import HalfDomain, Mesh, Tag, build_mesh, half_ball_vertices
 from .geometry import (
     GraphGeometry,
     _pl_power_cellwise,
-    integrate_pl_power,
     surface_gradient,
 )
 from .integrand import EllipticIntegrand
@@ -704,14 +703,22 @@ def functional_inequality_diagnostics(
     sob_max = 0.0
     for phi in bank:
         phi = np.asarray(phi, dtype=float)
-        dphi = mesh.cell_gradients(phi)
-        du = geom.cell_gradient
+        # every cell integrand below is exactly zero where phi vanishes at all
+        # the cell's vertices, so only the cells touching its support are visited
+        touched = np.zeros(mesh.num_cells, dtype=bool)
+        for corner in mesh.cells.T:
+            touched |= phi[corner] != 0.0
+        sel = np.flatnonzero(touched)
+        vals = phi[mesh.cells[sel]]
+        measures = mesh.cell_measures[sel]
+        cell_W = geom.cell_W[sel]
+        dphi = np.einsum("cin,ci->cn", mesh.grad_lambda[sel], vals)
         grad_sq = np.einsum("ci,ci->c", dphi, dphi) - (
-            np.einsum("ci,ci->c", du, dphi) / geom.cell_W
+            np.einsum("ci,ci->c", geom.cell_gradient[sel], dphi) / cell_W
         ) ** 2
         grad_sq = np.maximum(grad_sq, 0.0)
-        int_grad = float((area * np.sqrt(grad_sq)).sum())
-        int_grad_sq = float((area * grad_sq).sum())
+        int_grad = float((area[sel] * np.sqrt(grad_sq)).sum())
+        int_grad_sq = float((area[sel] * grad_sq).sum())
         if mesh.n == 2:
             bdry = float(
                 (geom.wall_measure * 0.5 * (phi[wall_b[:, 0]] + phi[wall_b[:, 1]])).sum()
@@ -720,13 +727,12 @@ def functional_inequality_diagnostics(
             bdry = float(phi[wall_b[:, 0]].sum())
         if int_grad > 1e-14:
             trace_max = max(trace_max, bdry / int_grad)
-        phi_sq = integrate_pl_power(mesh, phi, 2, cell_weight=geom.cell_W)
         if int_grad_sq > 1e-14:
-            num = float((_pl_power_cellwise(mesh, phi, 2) * geom.cell_W * h_cell).sum())
-            stab_max = max(stab_max, num / int_grad_sq)
+            phi2_W = _pl_power_cellwise(vals, measures, 2) * cell_W
+            stab_max = max(stab_max, float((phi2_W * h_cell[sel]).sum()) / int_grad_sq)
             if mesh.n == 2:
-                phi_4 = integrate_pl_power(mesh, phi, 4, cell_weight=geom.cell_W)
-                lhs = math.sqrt(phi_4)
+                phi_sq = float(phi2_W.sum())
+                lhs = math.sqrt(float((_pl_power_cellwise(vals, measures, 4) * cell_W).sum()))
                 for frac in radius_fractions:
                     r = frac * scale
                     rhs = phi_sq / r + r * int_grad_sq

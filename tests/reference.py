@@ -6,10 +6,14 @@ kept for their obviousness, not their speed.
 
 from __future__ import annotations
 
+import csv
+import math
 from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sps
+
+from anisograph.geometry import integrate_pl_power
 
 
 # -- finite differences ----------------------------------------------------------
@@ -127,3 +131,104 @@ def assemble_hessian_coo(integrand, mesh, values: np.ndarray, free_pos: np.ndarr
     nfree = int(free_pos.max()) + 1
     mat = sps.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(nfree, nfree))
     return mat.tocsc()
+
+
+# -- report writers ---------------------------------------------------------------
+
+
+def _fmt(x) -> str:
+    return f"{float(x):.17g}"
+
+
+def write_solution_csv(path, result) -> None:
+    """``solution.csv`` written one ``csv.writer`` row at a time."""
+    mesh = result.mesh
+    coords = [f"x{i + 1}" for i in range(mesh.n)]
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["id", *coords, "u"])
+        for i in range(mesh.num_vertices):
+            w.writerow([i, *map(_fmt, mesh.vertices[i]), _fmt(result.solution.values[i])])
+
+
+def write_geometry_csv(path, wall_path, result) -> None:
+    """``geometry.csv`` and ``geometry_wall.csv`` written one ``csv.writer`` row at a time."""
+    geom = result.geometry
+    mesh = result.mesh
+    coords = [f"x{i + 1}" for i in range(mesh.n)]
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["id", *coords, "u", "W", "W_f", "H_F", "h_sq"])
+        for i in range(mesh.num_vertices):
+            w.writerow(
+                [
+                    i,
+                    *map(_fmt, mesh.vertices[i]),
+                    _fmt(result.solution.values[i]),
+                    _fmt(geom.vertex_W[i]),
+                    _fmt(geom.vertex_Wf[i]),
+                    _fmt(geom.mean_curvature_aniso[i]),
+                    _fmt(geom.h_sq[i]),
+                ]
+            )
+    with open(wall_path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["facet", "nuF_e1", "muF_e1", "measure"])
+        for k in range(geom.wall_facets.size):
+            w.writerow(
+                [
+                    int(geom.wall_facets[k]),
+                    _fmt(geom.wall_nuF_e1[k]),
+                    _fmt(geom.wall_muF_e1[k]),
+                    _fmt(geom.wall_measure[k]),
+                ]
+            )
+
+
+# -- functional inequality diagnostics ---------------------------------------------
+
+
+def functional_inequality_ratios(geom, bank, radius_fractions=(0.25, 0.5, 1.0)) -> dict:
+    """Trace / stability / Sobolev ratio maxima with every bank function
+    integrated over the whole mesh."""
+    mesh = geom.mesh
+    area = geom.graph_measure()
+    wall_b = mesh.boundary_facets[geom.wall_facets]
+    h_cell = np.nan_to_num(geom.h_sq, nan=0.0)[mesh.cells].mean(axis=1)
+    scale = min(geom.mesh.domain.extents())
+
+    trace_max = 0.0
+    stab_max = 0.0
+    sob_max = 0.0
+    for phi in bank:
+        phi = np.asarray(phi, dtype=float)
+        dphi = mesh.cell_gradients(phi)
+        du = geom.cell_gradient
+        grad_sq = np.einsum("ci,ci->c", dphi, dphi) - (
+            np.einsum("ci,ci->c", du, dphi) / geom.cell_W
+        ) ** 2
+        grad_sq = np.maximum(grad_sq, 0.0)
+        int_grad = float((area * np.sqrt(grad_sq)).sum())
+        int_grad_sq = float((area * grad_sq).sum())
+        if mesh.n == 2:
+            bdry = float(
+                (geom.wall_measure * 0.5 * (phi[wall_b[:, 0]] + phi[wall_b[:, 1]])).sum()
+            )
+        else:
+            bdry = float(phi[wall_b[:, 0]].sum())
+        if int_grad > 1e-14:
+            trace_max = max(trace_max, bdry / int_grad)
+        phi_sq = integrate_pl_power(mesh, phi, 2, cell_weight=geom.cell_W)
+        if int_grad_sq > 1e-14:
+            num = integrate_pl_power(mesh, phi, 2, cell_weight=geom.cell_W * h_cell)
+            stab_max = max(stab_max, num / int_grad_sq)
+            if mesh.n == 2:
+                phi_4 = integrate_pl_power(mesh, phi, 4, cell_weight=geom.cell_W)
+                lhs = math.sqrt(phi_4)
+                for frac in radius_fractions:
+                    r = frac * scale
+                    rhs = phi_sq / r + r * int_grad_sq
+                    if rhs > 1e-14:
+                        sob_max = max(sob_max, lhs / rhs)
+    return {"trace_ratio_max": trace_max, "stability_ratio_max": stab_max,
+            "sobolev_ratio_max": sob_max}

@@ -4,11 +4,12 @@ import math
 import os
 import sys
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from anisograph import cli
+from anisograph import HalfDomain, build_mesh, cli
 from anisograph.boundary_data import evaluate_data_spec
 from anisograph.cli import (
     ConfigError,
@@ -20,6 +21,7 @@ from anisograph.cli import (
     scenario_from_dict,
     sweep,
 )
+from reference import write_geometry_csv, write_solution_csv
 
 
 def minimal_scenario(**overrides):
@@ -350,3 +352,59 @@ def test_sweep_exit_code_is_worst_row(tmp_path, overrides, code):
     assert sweep(path, "theta", [0.8, 1.2], tmp_path / "out") == code
     rows = list(csv.DictReader((tmp_path / "out" / "sweep.csv").open()))
     assert [float(r["theta"]) for r in rows] == [0.8, 1.2]
+
+
+@pytest.mark.parametrize("payload, axis", [
+    ({"name": "x", "integrand": {"kind": "euclidean", "dim": 3}}, "resolution"),
+    ([1, 2], "resolution"),
+    ([1, 2], "theta"),
+])
+def test_sweep_malformed_scenario_exits_2(tmp_path, capsys, payload, axis):
+    path = write_scenario(tmp_path, payload)
+    argv = ["sweep", "--config", str(path), "--axis", axis, "--values", "0.5",
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+# -- report writers -------------------------------------------------------------
+
+
+WRITER_DOMAINS = {
+    "1d": HalfDomain(1, depth=1.0, resolution=1 / 7),
+    "2d_dx_ne_dy": HalfDomain(2, depth=1.0, width=0.6, resolution=1 / 4),
+    # 41 x 50 vertices: more than one block of rows
+    "2d_dx_ne_dy_large": HalfDomain(2, depth=1.0, width=0.61, resolution=1 / 40),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITER_DOMAINS))
+def test_table_writers_match_csv_writer(tmp_path, name):
+    mesh = build_mesh(WRITER_DOMAINS[name])
+    rng = np.random.default_rng(11)
+    special = np.array([-0.0, 0.0, 1e300, -1.7976931348623157e308, 5e-324, -1e-310,
+                        1.0 / 3.0, np.inf, -123456789.0])
+
+    def column(size, shift):
+        col = rng.standard_normal(size) * 10.0 ** rng.integers(-20, 20, size)
+        k = min(size, special.size)
+        col[:k] = np.roll(special, shift)[:k]
+        return col
+
+    nv, nw = mesh.num_vertices, mesh.wall_facets.size
+    h_sq = column(nv, 4)
+    h_sq[1::3] = np.nan
+    geom = SimpleNamespace(
+        vertex_W=column(nv, 1), vertex_Wf=column(nv, 2), mean_curvature_aniso=column(nv, 3),
+        h_sq=h_sq, wall_facets=mesh.wall_facets, wall_nuF_e1=column(nw, 5),
+        wall_muF_e1=column(nw, 6), wall_measure=column(nw, 7))
+    result = SimpleNamespace(mesh=mesh, solution=SimpleNamespace(values=column(nv, 0)),
+                             geometry=geom)
+    cli._write_solution_csv(tmp_path / "solution.csv", result)
+    cli._write_geometry_csv(tmp_path / "geometry.csv", tmp_path / "geometry_wall.csv", result)
+    write_solution_csv(tmp_path / "ref_solution.csv", result)
+    write_geometry_csv(tmp_path / "ref_geometry.csv", tmp_path / "ref_geometry_wall.csv", result)
+    for out in ("solution.csv", "geometry.csv", "geometry_wall.csv"):
+        assert (tmp_path / out).read_bytes() == (tmp_path / f"ref_{out}").read_bytes(), out
+    text = (tmp_path / "geometry.csv").read_text()
+    assert all(token in text for token in (",nan", ",-0,", ",inf", "e+300", "e-324"))

@@ -14,6 +14,7 @@ from anisograph import (
     compute_geometry,
 )
 from conftest import solve_capillary_flat, solve_curved
+from reference import functional_inequality_ratios
 
 
 FLAT_CHECKS = (
@@ -277,3 +278,50 @@ def test_diagnostics_stability_under_refinement(curved_32, curved_64):
     b = V.functional_inequality_diagnostics(curved_64[3], seed=9, bank_size=40).metadata
     for key in ("trace_ratio_max", "sobolev_ratio_max"):
         assert abs(a[key] - b[key]) <= 0.3 * max(a[key], b[key])
+
+
+def _assert_ratios_match(meta, expect):
+    for key, value in expect.items():
+        assert meta[key] == pytest.approx(value, rel=1e-13, abs=0.0), key
+
+
+@pytest.mark.parametrize("seed", [0, 3, 9])
+def test_diagnostics_match_full_mesh_reference(curved_32, curved_64, seed):
+    for geom in (curved_32[3], curved_64[3]):
+        meta = V.functional_inequality_diagnostics(geom, seed=seed).metadata
+        _assert_ratios_match(
+            meta, functional_inequality_ratios(geom, V.test_function_bank(geom.mesh, seed, 60)))
+
+
+def test_diagnostics_match_full_mesh_reference_1d():
+    mesh = build_mesh(HalfDomain(1, depth=1.0, resolution=1 / 32))
+    vals = 0.3 * np.sin(3.0 * mesh.vertices[:, 0] + 0.2)
+    geom = compute_geometry(EllipticIntegrand.euclidean(2), GraphFunction(mesh, vals))
+    meta = V.functional_inequality_diagnostics(geom, seed=0).metadata
+    assert meta["trace_ratio_max"] > 0.0
+    _assert_ratios_match(meta,
+                         functional_inequality_ratios(geom, V.test_function_bank(mesh, 0, 60)))
+
+
+def test_diagnostics_match_full_mesh_reference_explicit_banks(curved_32):
+    geom = curved_32[3]
+    mesh = geom.mesh
+    x = mesh.vertices
+    dirichlet = mesh.vertex_tags == Tag.DIRICHLET
+
+    def hat(center, rho):
+        phi = np.prod(np.maximum(0.0, 1.0 - np.abs(x - center) / rho), axis=1)
+        phi[dirichlet] = 0.0
+        return phi
+
+    touching_wall = hat([0.0, 0.1], 0.2)
+    # crosses x1 = depth, so it is nonzero up to the vertices next to the Dirichlet boundary
+    reaching_margin = hat([0.95, -0.1], 0.3)
+    # nonzero at every vertex off the Dirichlet boundary
+    whole_mesh = np.where(dirichlet, 0.0, 1.0 + 0.5 * np.sin(4.0 * x[:, 0] + 3.0 * x[:, 1]))
+    assert touching_wall[mesh.vertex_tags == Tag.FREE].max() > 0.0
+    assert reaching_margin[np.isclose(x[:, 0], 1.0 - mesh.h)].max() > 0.0
+    for bank in ([touching_wall], [reaching_margin], [whole_mesh],
+                 [touching_wall, reaching_margin, whole_mesh]):
+        meta = V.functional_inequality_diagnostics(geom, bank=bank).metadata
+        _assert_ratios_match(meta, functional_inequality_ratios(geom, bank))
