@@ -319,6 +319,7 @@ def _write_solve_report(path, report: SolveReport) -> None:
         "energy_trace": report.energy_trace,
         "free_bc_residual": report.free_bc_residual,
         "converged": report.converged,
+        "level_iterations": report.level_iterations,
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)

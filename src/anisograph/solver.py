@@ -16,10 +16,17 @@ Newton stops at its rounding floor rather than stalling there.  The Hessian's
 CSC sparsity pattern is built once per solve; each step sums the per-cell
 blocks into it with a deterministic reduction (``np.bincount``), and solves on
 different meshes are independent.
+
+Without an initial guess, a mesh whose divisions are all even and at least 32
+is solved by nested iteration: the half-resolution mesh is solved first (by
+the same rule, recursively) and its P1 interpolant starts the fine Newton
+loop.  A coarse level that does not converge is discarded, and the fine level
+starts cold from zero exactly as a single-level solve does.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -27,7 +34,7 @@ import numpy as np
 import scipy.sparse as sps
 from scipy.sparse.linalg import spsolve
 
-from .domain import Mesh, Tag
+from .domain import Mesh, Tag, _build
 from .integrand import EllipticIntegrand
 
 __all__ = [
@@ -85,6 +92,7 @@ class SolveReport:
     energy_trace: list[float] = field(default_factory=list)
     free_bc_residual: float = 0.0
     converged: bool = False
+    level_iterations: list[int] = field(default_factory=list)  # coarsest first
 
 
 def _energy(integrand: EllipticIntegrand, mesh: Mesh, values: np.ndarray) -> float:
@@ -167,6 +175,22 @@ def wall_flux_residuals(integrand: EllipticIntegrand, u: GraphFunction) -> np.nd
     return integrand.grad_f(grads)[:, 0]
 
 
+def _prolong(coarse: np.ndarray, counts: tuple[int, ...]) -> np.ndarray:
+    """P1 interpolant of coarse values on the nested mesh with ``counts`` vertices per axis.
+
+    Every level splits its squares along the same v00-v11 diagonal, so a fine
+    vertex is either a coarse vertex (even indices) or the midpoint of a
+    halved coarse edge, the diagonal included.
+    """
+    coarse = coarse.reshape(tuple(c // 2 + 1 for c in counts))
+    fine = np.empty(counts)
+    for odd in itertools.product((0, 1), repeat=len(counts)):
+        lo = tuple(slice(0, -1 if o else None) for o in odd)
+        hi = tuple(slice(o, None) for o in odd)
+        fine[tuple(slice(o, None, 2) for o in odd)] = 0.5 * (coarse[lo] + coarse[hi])
+    return fine.ravel()
+
+
 def solve(
     integrand: EllipticIntegrand,
     mesh: Mesh,
@@ -180,7 +204,8 @@ def solve(
     DIRICHLET vertices are used.  Returns the solution and a report; running
     out of iterations yields ``converged=False`` rather than an exception,
     while a singular Newton system (impossible for a uniformly elliptic
-    Lagrangian with bounded gradients) raises.
+    Lagrangian with bounded gradients) raises.  An explicit ``u0`` skips the
+    nested iteration described in the module notes.
     """
     if integrand.dim != mesh.n + 1:
         raise ValueError("integrand ambient dimension must be mesh dimension + 1")
@@ -191,14 +216,28 @@ def solve(
     if not np.all(np.isfinite(dirichlet[is_dir])):
         raise ValueError("dirichlet data must be finite")
 
-    values = np.zeros(mesh.num_vertices) if u0 is None else np.asarray(u0, dtype=float).copy()
-    values[is_dir] = dirichlet[is_dir]
-
     free_idx = np.flatnonzero(~is_dir)
     free_pos = np.full(mesh.num_vertices, -1, dtype=np.int64)
     free_pos[free_idx] = np.arange(free_idx.size)
-
+    # the fine pattern is built before the coarse levels and no coarse object
+    # outlives them: fine arrays allocated after the coarse levels freed theirs
+    # land on a fragmented heap and raise the peak memory
     pattern = _hessian_pattern(mesh, free_pos)
+
+    levels: list[int] = []
+    if u0 is None and all(d % 2 == 0 and d >= 32 for d in mesh.divisions):
+        counts = tuple(d + 1 for d in mesh.divisions)
+        coarse_mesh = _build(mesh.domain, tuple(d // 2 for d in mesh.divisions))
+        coarse_data = dirichlet.reshape(counts)[(slice(None, None, 2),) * mesh.n].ravel()
+        coarse, coarse_report = solve(integrand, coarse_mesh, coarse_data, config)
+        if coarse_report.converged:  # otherwise the fine level starts cold
+            u0 = _prolong(coarse.values, counts)
+            levels = coarse_report.level_iterations
+        del coarse_mesh, coarse_data, coarse, coarse_report
+
+    values = np.zeros(mesh.num_vertices) if u0 is None else np.asarray(u0, dtype=float).copy()
+    values[is_dir] = dirichlet[is_dir]
+
     e_cur = _energy(integrand, mesh, values)
     # an energy change this small is rounding: it cannot rank two trials
     e_floor = 16.0 * np.finfo(float).eps
@@ -242,7 +281,7 @@ def solve(
             # rounding floor: no step can lower the energy any further
             break
         values = trial
-        e_cur = min(e_trial, e_cur)
+        e_cur = e_trial
         trace.append(e_cur)
         iterations += 1
     else:
@@ -258,6 +297,7 @@ def solve(
         energy_trace=trace,
         free_bc_residual=float(np.abs(flux).max()) if flux.size else 0.0,
         converged=converged,
+        level_iterations=levels + [iterations],
     )
     return solution, report
 

@@ -177,15 +177,6 @@ def test_run_exit_1_on_failed_check(tmp_path):
     assert rows[0]["status"] == "fail"
 
 
-def test_run_reports_are_deterministic(tmp_path):
-    src = bundled_scenario_path("euclidean_freebdry_sine")
-    rc_a = run(src, tmp_path / "a")
-    rc_b = run(src, tmp_path / "b")
-    assert rc_a == rc_b == 0
-    for name in ("report.jsonl", "summary.csv", "solution.csv", "geometry.csv"):
-        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-
-
 def test_solve_subcommand(tmp_path):
     rc = main(["solve", "--config", str(bundled_scenario_path("capillary_flat")),
                "--out", str(tmp_path)])

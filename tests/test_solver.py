@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,11 +15,14 @@ from anisograph import (
     build_mesh,
     energy,
     energy_gradient,
+    refine,
     solve,
+    solver,
     wall_flux_residuals,
 )
 from anisograph.boundary_data import evaluate_data_spec
-from anisograph.solver import _assemble_hessian, _hessian_pattern
+from anisograph.cli import bundled_scenario_path, load_scenario, run_scenario
+from anisograph.solver import _assemble_hessian, _hessian_pattern, _prolong
 from conftest import CURVED_DATA_SPEC
 from reference import assemble_hessian_coo
 
@@ -200,6 +204,114 @@ def test_max_iter_exhaustion_reports_not_raises():
     u, rep = solve(EllipticIntegrand.euclidean(3), mesh, data, SolveConfig(max_iter=1))
     assert not rep.converged
     assert rep.iterations == 1
+
+
+# -- nested iteration -----------------------------------------------------------------
+
+
+NESTED_DOMAINS = pytest.mark.parametrize(
+    "domain",
+    [
+        HalfDomain(1, depth=1.0, resolution=1 / 16),  # fine nx = 32
+        HalfDomain(2, depth=1.0, width=0.5, resolution=1 / 16),  # fine 32 x 32
+        HalfDomain(2, depth=1.0, width=0.55, resolution=1 / 16),  # fine 32 x 36, dx != dy
+    ],
+    ids=["1d_nx32", "2d_32x32", "2d_dx_ne_dy"],
+)
+
+
+@NESTED_DOMAINS
+def test_prolongation_reproduces_affine_functions(domain):
+    coarse = build_mesh(domain)
+    fine = refine(coarse)
+    a = np.array([0.7, -1.3])[: domain.n]
+    got = _prolong(coarse.vertices @ a + 0.4, tuple(d + 1 for d in fine.divisions))
+    assert np.abs(got - (fine.vertices @ a + 0.4)).max() <= 1e-14
+
+
+@NESTED_DOMAINS
+def test_prolongation_keeps_the_coarse_graph(domain):
+    # the fine P1 space contains the coarse one, so the interpolant is the
+    # same graph: equal energy for any values (this fixes the split diagonal)
+    coarse = build_mesh(domain)
+    fine = refine(coarse)
+    values = np.random.default_rng(7).normal(size=coarse.num_vertices)
+    got = _prolong(values, tuple(d + 1 for d in fine.divisions))
+    I = EllipticIntegrand.capillary(0.7, domain.n + 1)
+    e_coarse = energy(I, GraphFunction(coarse, values))
+    assert energy(I, GraphFunction(fine, got)) == pytest.approx(e_coarse, rel=1e-13)
+
+
+def record_levels(monkeypatch):
+    """Wrap ``solver.solve`` so every level of a ladder records its mesh and data."""
+    levels = []
+    inner = solver.solve
+
+    def recording(integrand, mesh, dirichlet, *args, **kwargs):
+        levels.append((mesh, np.array(dirichlet)))
+        return inner(integrand, mesh, dirichlet, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve", recording)
+    return levels
+
+
+def test_ladder_injects_the_data_of_each_coarse_mesh(monkeypatch):
+    mesh = build_mesh(HalfDomain(2, depth=1.0, width=0.55, resolution=1 / 64))  # 64 x 70
+    levels = record_levels(monkeypatch)
+    _, rep = solver.solve(EllipticIntegrand.euclidean(3), mesh,
+                          evaluate_data_spec(CURVED_DATA_SPEC, mesh.vertices))
+    assert [m.divisions for m, _ in levels] == [(64, 70), (32, 35)]
+    assert len(rep.level_iterations) == 2
+    coarse, data = levels[1]
+    assert np.abs(data - evaluate_data_spec(CURVED_DATA_SPEC, coarse.vertices)).max() <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "integrand",
+    [EllipticIntegrand.euclidean(3), EllipticIntegrand.capillary(0.5, 3)],
+    ids=["euclid", "cap50"],
+)
+def test_ladder_solve_matches_cold_solve(integrand):
+    mesh = unit_mesh(1 / 64)
+    data = evaluate_data_spec(CURVED_DATA_SPEC, mesh.vertices)
+    u, rep = solve(integrand, mesh, data)
+    u_cold, rep_cold = solve(integrand, mesh, data, u0=np.zeros(mesh.num_vertices))
+    assert rep.converged and rep_cold.converged
+    assert len(rep.level_iterations) == 3 and rep.level_iterations[-1] == rep.iterations
+    assert rep_cold.level_iterations == [rep_cold.iterations]
+    assert np.abs(u.values - u_cold.values).max() <= 1e-9
+
+
+def test_failed_coarse_level_falls_back_to_cold_start():
+    mesh = unit_mesh(1 / 32)
+    data = np.sin(4 * mesh.vertices[:, 0])
+    config = SolveConfig(max_iter=1)
+    u, rep = solve(EllipticIntegrand.euclidean(3), mesh, data, config)
+    assert not rep.converged
+    assert rep.iterations == 1
+    assert rep.level_iterations == [1]
+    u_cold, _ = solve(EllipticIntegrand.euclidean(3), mesh, data, config,
+                      u0=np.zeros(mesh.num_vertices))
+    assert np.array_equal(u.values, u_cold.values)
+
+
+def test_theta_sweep_base_at_058_needs_few_fine_iterations():
+    # cold from zero this solve took 30 Newton iterations, most of them damped
+    base = load_scenario(bundled_scenario_path("capillary_theta_sweep"))
+    scenario = dataclasses.replace(
+        base, integrand=EllipticIntegrand.capillary(0.58, 3), checks=[],
+        domain=dataclasses.replace(base.domain, resolution=1 / 64))
+    rep = run_scenario(scenario, solve_only=True).solve_report
+    assert rep.converged
+    assert rep.iterations <= 6
+
+
+def test_hard_capillary_fine_iterations_at_h_128():
+    mesh = unit_mesh(1 / 128)
+    data = evaluate_data_spec(CURVED_DATA_SPEC, mesh.vertices)
+    _, rep = solve(EllipticIntegrand.capillary(0.5, 3), mesh, data)
+    assert rep.converged
+    assert rep.iterations <= 12
 
 
 def test_graph_function_invariants():
