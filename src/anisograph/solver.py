@@ -20,12 +20,17 @@ different meshes are independent.
 Without an initial guess, a mesh whose divisions are all even and at least 32
 is solved by nested iteration: the half-resolution mesh is solved first (by
 the same rule, recursively) and its P1 interpolant starts the fine Newton
-loop.  A coarse level that does not converge is discarded, and the fine level
-starts cold from zero exactly as a single-level solve does.
+loop.  The ladder stops at a level whose Dirichlet data the half-resolution
+boundary does not resolve (its interpolant misses the data by more than
+``_DATA_DEFECT`` of the data's range): the coarse problem would not
+approximate the fine one.  A coarse level that does not converge is
+discarded, and the fine level starts cold from zero exactly as a
+single-level solve does.
 """
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 from dataclasses import dataclass, field
 from typing import Optional
@@ -175,6 +180,18 @@ def wall_flux_residuals(integrand: EllipticIntegrand, u: GraphFunction) -> np.nd
     return integrand.grad_f(grads)[:, 0]
 
 
+# largest P1 interpolation defect of the injected Dirichlet data, relative to
+# the data's range, for which a coarse level still warm-starts the fine one:
+# smooth bundled data leaves 5e-3 or less at 32 divisions, a bump spanning a few
+# boundary cells 0.1
+_DATA_DEFECT = 1e-2
+
+try:  # glibc only: return freed heap memory to the system
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError, TypeError):
+    _malloc_trim = None
+
+
 def _prolong(coarse: np.ndarray, counts: tuple[int, ...]) -> np.ndarray:
     """P1 interpolant of coarse values on the nested mesh with ``counts`` vertices per axis.
 
@@ -221,19 +238,27 @@ def solve(
     free_pos[free_idx] = np.arange(free_idx.size)
     # the fine pattern is built before the coarse levels and no coarse object
     # outlives them: fine arrays allocated after the coarse levels freed theirs
-    # land on a fragmented heap and raise the peak memory
+    # land on a fragmented heap and raise the peak memory, and the free top of
+    # that heap stays resident unless it is trimmed
     pattern = _hessian_pattern(mesh, free_pos)
 
     levels: list[int] = []
     if u0 is None and all(d % 2 == 0 and d >= 32 for d in mesh.divisions):
         counts = tuple(d + 1 for d in mesh.divisions)
-        coarse_mesh = _build(mesh.domain, tuple(d // 2 for d in mesh.divisions))
         coarse_data = dirichlet.reshape(counts)[(slice(None, None, 2),) * mesh.n].ravel()
-        coarse, coarse_report = solve(integrand, coarse_mesh, coarse_data, config)
-        if coarse_report.converged:  # otherwise the fine level starts cold
-            u0 = _prolong(coarse.values, counts)
-            levels = coarse_report.level_iterations
-        del coarse_mesh, coarse_data, coarse, coarse_report
+        # a coarse mesh that misses the data's detail solves another problem,
+        # and its solution is no better a start than zero
+        defect = np.abs(_prolong(coarse_data, counts) - dirichlet)[is_dir].max()
+        if defect <= _DATA_DEFECT * np.ptp(dirichlet[is_dir]):
+            coarse_mesh = _build(mesh.domain, tuple(d // 2 for d in mesh.divisions))
+            coarse, coarse_report = solve(integrand, coarse_mesh, coarse_data, config)
+            if coarse_report.converged:  # otherwise the fine level starts cold
+                u0 = _prolong(coarse.values, counts)
+                levels = coarse_report.level_iterations
+            del coarse_mesh, coarse, coarse_report
+            if _malloc_trim is not None:
+                _malloc_trim(0)
+        del coarse_data
 
     values = np.zeros(mesh.num_vertices) if u0 is None else np.asarray(u0, dtype=float).copy()
     values[is_dir] = dirichlet[is_dir]

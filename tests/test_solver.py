@@ -187,15 +187,17 @@ def test_solution_shift_invariance(shift):
 
 
 def test_hard_capillary_solve_stops_at_rounding_floor():
-    # theta = 0.5 on corner-incompatible sine data: the energy change reaches
-    # rounding level while the residual is still above tol_residual
+    # theta = 0.5 on corner-incompatible sine data, cold from zero: the energy
+    # change reaches rounding level while the residual is still above
+    # tol_residual; the trace records each accepted iterate's own energy
     mesh = unit_mesh(1 / 64)
     data = evaluate_data_spec(CURVED_DATA_SPEC, mesh.vertices)
-    _, rep = solve(EllipticIntegrand.capillary(0.5, 3), mesh, data)
+    _, rep = solve(EllipticIntegrand.capillary(0.5, 3), mesh, data,
+                   u0=np.zeros(mesh.num_vertices))
     assert rep.converged
     assert rep.iterations <= 12
     trace = rep.energy_trace
-    assert sum(a == b for a, b in zip(trace, trace[1:])) <= 1
+    assert sum(a == b for a, b in zip(trace, trace[1:])) == 0
 
 
 def test_max_iter_exhaustion_reports_not_raises():
@@ -306,12 +308,27 @@ def test_theta_sweep_base_at_058_needs_few_fine_iterations():
     assert rep.iterations <= 6
 
 
-def test_hard_capillary_fine_iterations_at_h_128():
-    mesh = unit_mesh(1 / 128)
+@pytest.mark.parametrize("h, levels", [(1 / 64, 3), (1 / 128, 4)], ids=["h64", "h128"])
+def test_hard_capillary_ladder_fine_iterations(h, levels):
+    mesh = unit_mesh(h)
     data = evaluate_data_spec(CURVED_DATA_SPEC, mesh.vertices)
     _, rep = solve(EllipticIntegrand.capillary(0.5, 3), mesh, data)
     assert rep.converged
+    assert len(rep.level_iterations) == levels
     assert rep.iterations <= 12
+
+
+def test_unresolved_data_skips_the_ladder():
+    # a bump of radius four cells on the far boundary: the half-resolution
+    # boundary misses a tenth of its height, so the solve is the cold one
+    mesh = build_mesh(HalfDomain(2, depth=8.0, width=8.0, resolution=0.25))  # 32 x 64
+    data = evaluate_data_spec(
+        {"type": "bump", "center": [8.0, 0.0], "radius": 1.0, "height": 1.0}, mesh.vertices)
+    u, rep = solve(EllipticIntegrand.euclidean(3), mesh, data)
+    u_cold, _ = solve(EllipticIntegrand.euclidean(3), mesh, data,
+                      u0=np.zeros(mesh.num_vertices))
+    assert rep.converged and rep.level_iterations == [rep.iterations]
+    assert np.array_equal(u.values, u_cold.values)
 
 
 def test_graph_function_invariants():
