@@ -14,17 +14,11 @@ from .domain import (
     build_mesh,
     half_ball_vertices,
     refine,
-    write_mesh_csv,
 )
 from .geometry import (
     GraphGeometry,
-    WallFrame,
     compute_geometry,
-    integrate_pl_power,
-    integrate_pl_product,
     surface_gradient,
-    wall_frame,
-    weighted_divergence_form,
 )
 from .integrand import EllipticIntegrand, IntegrandBounds, sphere_points
 from .solver import (
@@ -33,7 +27,6 @@ from .solver import (
     SolveReport,
     amse_residual,
     energy,
-    energy_gradient,
     solve,
     wall_flux_residuals,
 )

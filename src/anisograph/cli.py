@@ -440,29 +440,23 @@ def sweep(scenario_path, axis: str, values, out_dir) -> int:
         by_name = {rep.check_name: rep for rep in res.reports}
         for name in check_names:
             rep = by_name.get(name)
-            if rep is None:
-                row[f"{name}_residual"] = ""
-                row[f"{name}_status"] = ""
-                if axis == "resolution":
-                    row[f"{name}_rate"] = ""
+            if rep is None:  # DictWriter leaves absent cells empty
                 continue
             row[f"{name}_residual"] = _fmt(rep.worst_residual)
             row[f"{name}_status"] = rep.status
             if axis == "resolution":
-                rate = ""
                 if prev_res.get(name, 0.0) > 0.0 and rep.worst_residual > 0.0:
-                    rate = _fmt(math.log2(prev_res[name] / rep.worst_residual))
-                row[f"{name}_rate"] = rate
+                    row[f"{name}_rate"] = _fmt(math.log2(prev_res[name] / rep.worst_residual))
                 prev_res[name] = rep.worst_residual
         grad = by_name.get("gradient_estimate")
-        row["gradient_c1"] = _fmt(grad.metadata["c1"]) if grad and "c1" in grad.metadata else ""
-        row["gradient_c2"] = _fmt(grad.metadata["c2"]) if grad and "c2" in grad.metadata else ""
+        if grad and "c1" in grad.metadata:
+            row["gradient_c1"] = _fmt(grad.metadata["c1"])
+            row["gradient_c2"] = _fmt(grad.metadata["c2"])
         rows.append(row)
     with open(out / "sweep.csv", "w", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=header)
         w.writeheader()
-        for row in rows:
-            w.writerow(row)
+        w.writerows(rows)
     return max(res.exit_code for res in results)
 
 

@@ -11,7 +11,6 @@ immutable after construction and safe for shared reads.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 from enum import IntEnum
@@ -26,7 +25,6 @@ __all__ = [
     "build_mesh",
     "refine",
     "half_ball_vertices",
-    "write_mesh_csv",
 ]
 
 _WALL_TOL = 1e-12
@@ -293,17 +291,3 @@ def vertex_stencils(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ids = np.ravel_multi_index(tuple(np.moveaxis(target, 2, 0)), counts, mode="clip")
     return offsets, ids, in_grid
 
-
-def write_mesh_csv(mesh: Mesh, vertices_path, cells_path) -> None:
-    """Dump vertices (id, coords, tag) and cells (id, vertex ids) as CSV."""
-    coords = [f"x{i + 1}" for i in range(mesh.n)]
-    with open(vertices_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["id", *coords, "tag"])
-        for i, (xyz, tag) in enumerate(zip(mesh.vertices, mesh.vertex_tags)):
-            w.writerow([i, *[f"{c:.17g}" for c in xyz], Tag(tag).name])
-    with open(cells_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["id", *[f"v{k}" for k in range(mesh.n + 1)]])
-        for i, cell in enumerate(mesh.cells):
-            w.writerow([i, *cell.tolist()])

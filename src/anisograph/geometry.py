@@ -21,77 +21,22 @@ Everything is a pure function of (integrand, graph); results are immutable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
-from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .domain import Mesh, Tag, vertex_stencils
+from .domain import Mesh, vertex_stencils
 from .integrand import EllipticIntegrand
 from .solver import GraphFunction
 
 __all__ = [
     "GraphGeometry",
-    "WallFrame",
     "compute_geometry",
-    "wall_frame",
     "surface_gradient",
-    "weighted_divergence_form",
-    "integrate_pl_power",
-    "integrate_pl_product",
 ]
 
 
-# -- exact quadrature of piecewise-linear fields over simplices ---------------
-
-
-def _pl_power_cellwise(vals: np.ndarray, measures: np.ndarray, k: int) -> np.ndarray:
-    """Exact per-cell integrals of phi^k (integer k >= 1) from phi's cell vertex values."""
-    m = vals.shape[1]
-    hk = np.zeros(vals.shape[0])
-    for combo in combinations_with_replacement(range(m), k):
-        term = np.ones(vals.shape[0])
-        for idx in combo:
-            term = term * vals[:, idx]
-        hk += term
-    coef = math.factorial(m - 1) * math.factorial(k) / math.factorial(m - 1 + k)
-    return measures * coef * hk
-
-
-def integrate_pl_power(
-    mesh: Mesh, phi: np.ndarray, k: int, cell_weight: Optional[np.ndarray] = None
-) -> float:
-    """Integral of phi^k (phi piecewise linear) with an optional cell weight."""
-    per_cell = _pl_power_cellwise(np.asarray(phi, float)[mesh.cells], mesh.cell_measures, k)
-    if cell_weight is not None:
-        per_cell = per_cell * cell_weight
-    return float(per_cell.sum())
-
-
-def integrate_pl_product(
-    mesh: Mesh, phi: np.ndarray, psi: np.ndarray, cell_weight: Optional[np.ndarray] = None
-) -> float:
-    """Exact integral of the product of two PL fields, optionally weighted."""
-    a = np.asarray(phi, dtype=float)[mesh.cells]
-    b = np.asarray(psi, dtype=float)[mesh.cells]
-    dot = np.einsum("ci,ci->c", a, b)
-    per_cell = mesh.cell_measures * (dot + a.sum(axis=1) * b.sum(axis=1)) / (
-        (mesh.n + 1) * (mesh.n + 2)
-    )
-    if cell_weight is not None:
-        per_cell = per_cell * cell_weight
-    return float(per_cell.sum())
-
-
 # -- geometry bundle -----------------------------------------------------------
-
-
-class WallFrame(NamedTuple):
-    mu: np.ndarray
-    nubar: np.ndarray
-    mu_F: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,7 +79,6 @@ class GraphGeometry:
     wall_nuF_e1: np.ndarray      # <nu_F, e1>, the geometric wall condition
     wall_muF_e1: np.ndarray      # <mu_F, -e1>
     wall_measure: np.ndarray     # boundary-curve measure of each wall facet
-    wall_slope: np.ndarray       # tangential slope of u along the wall
     wall_hF_mu_tau: np.ndarray   # anisotropic shape form paired (tangent, mu)
 
     @property
@@ -144,11 +88,6 @@ class GraphGeometry:
     def graph_measure(self) -> np.ndarray:
         """Per-cell surface measure |cell| * W of the graph."""
         return self.mesh.cell_measures * self.cell_W
-
-    def cell_metric(self) -> np.ndarray:
-        """Induced metric g_ij = delta_ij + u_i u_j per cell."""
-        du = self.cell_gradient
-        return np.eye(self.mesh.n)[None, :, :] + np.einsum("ci,cj->cij", du, du)
 
     def cell_graph_barycenters(self) -> np.ndarray:
         """Ambient barycenter of each cell's image on the graph."""
@@ -359,14 +298,8 @@ def compute_geometry(
         wall_nuF_e1=nuf_e1,
         wall_muF_e1=muf_e1,
         wall_measure=wall_measure,
-        wall_slope=slope,
         wall_hF_mu_tau=hf_mu_tau,
     )
-
-
-def wall_frame(geom: GraphGeometry) -> WallFrame:
-    """Per-wall-facet frame (mu, nubar, mu_F); mu_F spans {mu, normal}."""
-    return WallFrame(geom.wall_mu, geom.wall_nubar, geom.wall_mu_F)
 
 
 def surface_gradient(geom: GraphGeometry, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -387,24 +320,3 @@ def surface_gradient(geom: GraphGeometry, phi: np.ndarray) -> tuple[np.ndarray, 
     grad_f = np.einsum("cij,cj->ci", geom.cell_AF, grad)
     return grad, grad_f
 
-
-def weighted_divergence_form(geom: GraphGeometry, phi: np.ndarray, psi: np.ndarray) -> float:
-    """Weak pairing ``-int_S F(nu)^2 g(grad psi, A_F grad phi)`` over the graph.
-
-    This is the weak form of the weighted operator div_S(F^2 A_F grad phi)
-    tested against psi, with no wall term: psi must be nonnegative and vanish
-    on the DIRICHLET boundary (it may touch the FREE wall).
-    """
-    phi = np.asarray(phi, dtype=float)
-    psi = np.asarray(psi, dtype=float)
-    mesh = geom.mesh
-    if psi.min() < -1e-13:
-        raise ValueError("test function psi must be nonnegative")
-    on_dir = mesh.vertex_tags == Tag.DIRICHLET
-    if np.any(np.abs(psi[on_dir]) > 1e-13):
-        raise ValueError("test function psi must vanish on the DIRICHLET boundary")
-    dphi = mesh.cell_gradients(phi)
-    dpsi = mesh.cell_gradients(psi)
-    pairing = np.einsum("ci,cij,cj->c", dpsi, geom.cell_hess_f, dphi)
-    weight = mesh.cell_measures * geom.cell_W ** 2 * geom.cell_F_normal ** 2
-    return float(-(weight * pairing).sum())

@@ -54,7 +54,6 @@ class IntegrandBounds:
     f_max: float
     hess_min: float
     hess_max: float
-    sample_count: int
 
     def __post_init__(self) -> None:
         if not (0.0 < self.f_min <= self.f_max):
@@ -317,7 +316,7 @@ class EllipticIntegrand:
             half = 0.5 * (a11 + a22)
             disc = np.sqrt(np.maximum(0.0, (0.5 * (a11 - a22)) ** 2 + a12 * a12))
             hess_min, hess_max = float((half - disc).min()), float((half + disc).max())
-        return IntegrandBounds(f_min, f_max, hess_min, hess_max, n_samples)
+        return IntegrandBounds(f_min, f_max, hess_min, hess_max)
 
     def analytic_sphere_range(self) -> Optional[tuple[float, float]]:
         """Exact sphere range of F when it has a closed form, else None."""
@@ -332,12 +331,6 @@ class EllipticIntegrand:
         else:
             return None
         return self.scale * lo, self.scale * hi
-
-    def analytic_hess_range(self) -> Optional[tuple[float, float]]:
-        """Exact tangential-Hessian eigenvalue range on the sphere, if known."""
-        if self.kind in ("euclidean", "capillary"):
-            return self.scale, self.scale
-        return None
 
     def sphere_range(self, n_samples: int = _NORMALIZE_SAMPLES) -> tuple[float, float]:
         rng = self.analytic_sphere_range()

@@ -47,7 +47,6 @@ __all__ = [
     "SolveConfig",
     "SolveReport",
     "energy",
-    "energy_gradient",
     "solve",
     "amse_residual",
     "wall_flux_residuals",
@@ -116,17 +115,6 @@ def _raw_gradient(integrand: EllipticIntegrand, mesh: Mesh, values: np.ndarray) 
     out = np.zeros(mesh.num_vertices)
     np.add.at(out, mesh.cells, contrib)
     return out
-
-
-def energy_gradient(integrand: EllipticIntegrand, u: GraphFunction) -> np.ndarray:
-    """Exact gradient of the discrete energy; zero on DIRICHLET vertices.
-
-    Entries at FREE (wall) vertices carry the weak natural boundary
-    condition: no flux term is ever added for them.
-    """
-    g = _raw_gradient(integrand, u.mesh, u.values)
-    g[u.mesh.vertex_tags == Tag.DIRICHLET] = 0.0
-    return g
 
 
 @dataclass(frozen=True)

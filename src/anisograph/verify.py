@@ -17,17 +17,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import combinations_with_replacement
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .boundary_data import evaluate_data_spec
 from .domain import HalfDomain, Mesh, Tag, build_mesh, half_ball_vertices
-from .geometry import (
-    GraphGeometry,
-    _pl_power_cellwise,
-    surface_gradient,
-)
+from .geometry import GraphGeometry, surface_gradient
 from .integrand import EllipticIntegrand
 from .solver import SolveConfig, solve
 
@@ -87,16 +84,12 @@ class CheckReport:
 def _plain(obj):
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))}
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return [_plain(v) for v in np.asarray(obj).tolist()] if isinstance(obj, np.ndarray) else [
-            _plain(v) for v in obj
-        ]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, np.generic):
+        return obj.item()
     return obj
 
 
@@ -213,14 +206,13 @@ def check_area_element_identity(geom: GraphGeometry) -> CheckReport:
     identity = float(np.abs(geom.cell_Wf - geom.cell_F_normal * geom.cell_W).max())
     rng = geom.integrand.analytic_sphere_range()
     meta: dict = {"identity_residual": identity}
+    ratio = geom.cell_Wf / geom.cell_W
     if rng is None:
         # no closed-form sphere range: report the sampled one without a verdict
         lo, hi = geom.integrand.sphere_range()
-        ratio = geom.cell_Wf / geom.cell_W
         meta.update(sampled_range=[lo, hi], ratio_range=[float(ratio.min()), float(ratio.max())])
         return CheckReport("area_element_identity", "informational", identity, None, metadata=meta)
     lo, hi = rng
-    ratio = geom.cell_Wf / geom.cell_W
     sandwich = max(0.0, lo - float(ratio.min()), float(ratio.max()) - hi)
     meta["sandwich_violation"] = sandwich
     residual = max(identity, sandwich)
@@ -350,6 +342,11 @@ def check_first_variation(
 # -- gradient estimate probe ----------------------------------------------------
 
 
+def _nearest_vertex(mesh: Mesh, x0) -> int:
+    x0 = np.asarray(x0, dtype=float).reshape(mesh.n)
+    return int(np.argmin(np.linalg.norm(mesh.vertices - x0, axis=1)))
+
+
 def gradient_estimate_records(
     geom: GraphGeometry,
     x0_list: Sequence[Sequence[float]],
@@ -368,8 +365,7 @@ def gradient_estimate_records(
     bary = mesh.cell_barycenters()
     records = []
     for x0 in x0_list:
-        x0 = np.asarray(x0, dtype=float).reshape(mesh.n)
-        v = int(np.argmin(np.linalg.norm(mesh.vertices - x0, axis=1)))
+        v = _nearest_vertex(mesh, x0)
         xv = mesh.vertices[v]
         if geom.fit_ok[v]:
             # vertex-centered fit: the evaluation point stays put under refinement
@@ -555,10 +551,8 @@ def _graph_ball_cells(geom: GraphGeometry, center: np.ndarray, r: float) -> np.n
 
 
 def _snap_graph_point(geom: GraphGeometry, x0) -> np.ndarray:
-    mesh = geom.mesh
-    x0 = np.asarray(x0, dtype=float).reshape(mesh.n)
-    v = int(np.argmin(np.linalg.norm(mesh.vertices - x0, axis=1)))
-    return np.concatenate([mesh.vertices[v], [geom.u.values[v]]])
+    v = _nearest_vertex(geom.mesh, x0)
+    return np.concatenate([geom.mesh.vertices[v], [geom.u.values[v]]])
 
 
 def area_growth_check(
@@ -631,6 +625,19 @@ def mean_value_probe(geom: GraphGeometry, x0, r: float) -> CheckReport:
 
 
 # -- functional inequality diagnostics --------------------------------------------
+
+
+def _pl_power_cellwise(vals: np.ndarray, measures: np.ndarray, k: int) -> np.ndarray:
+    """Exact per-cell integrals of phi^k (integer k >= 1) from phi's cell vertex values."""
+    m = vals.shape[1]
+    hk = np.zeros(vals.shape[0])
+    for combo in combinations_with_replacement(range(m), k):
+        term = np.ones(vals.shape[0])
+        for idx in combo:
+            term = term * vals[:, idx]
+        hk += term
+    coef = math.factorial(m - 1) * math.factorial(k) / math.factorial(m - 1 + k)
+    return measures * coef * hk
 
 
 def test_function_bank(mesh: Mesh, seed: int, size: int) -> list[np.ndarray]:

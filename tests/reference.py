@@ -1,7 +1,9 @@
-"""Slow reference implementations the tests cross-check the package against.
+"""Slow reference implementations and test-only helpers.
 
-None of these may be used in a solver or geometry path: they are plain loops
-kept for their obviousness, not their speed.
+The reference implementations are plain loops the tests cross-check the
+package against, kept for their obviousness, not their speed.  The helpers
+(exact PL quadrature) serve only the tests, so they live here rather than in
+the package.  None of these may be used in a solver or geometry path.
 """
 
 from __future__ import annotations
@@ -13,7 +15,18 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse as sps
 
-from anisograph.geometry import integrate_pl_power
+from anisograph.verify import _pl_power_cellwise
+
+
+# -- test-only helpers -----------------------------------------------------------
+
+
+def integrate_pl_power(mesh, phi: np.ndarray, k: int, cell_weight: Optional[np.ndarray] = None) -> float:
+    """Integral of phi^k (phi piecewise linear) with an optional cell weight."""
+    per_cell = _pl_power_cellwise(np.asarray(phi, float)[mesh.cells], mesh.cell_measures, k)
+    if cell_weight is not None:
+        per_cell = per_cell * cell_weight
+    return float(per_cell.sum())
 
 
 # -- finite differences ----------------------------------------------------------

@@ -345,6 +345,25 @@ def test_sweep_exit_code_is_worst_row(tmp_path, overrides, code):
     assert [float(r["theta"]) for r in rows] == [0.8, 1.2]
 
 
+def test_sweep_leaves_cells_of_unconverged_rows_empty(tmp_path):
+    path = write_scenario(tmp_path, minimal_scenario(
+        dirichlet={"type": "sum", "terms": [
+            {"type": "flat_profile"},
+            {"type": "sine", "amplitude": 0.2, "kx": 2.0, "ky": math.pi,
+             "phase": math.pi / 2}]},
+        solver={"max_iter": 5},
+        checks=[{"name": "wall_condition"}, {"name": "gradient_estimate"}],
+    ))
+    assert sweep(path, "resolution", [0.25, 0.125, 0.0625], tmp_path / "out") == 3
+    rows = list(csv.DictReader((tmp_path / "out" / "sweep.csv").open()))
+    assert [r["converged"] for r in rows] == ["True", "False", "False"]
+    cells = [f"{name}_{col}" for name in ("wall_condition", "gradient_estimate")
+             for col in ("residual", "status", "rate")] + ["gradient_c1", "gradient_c2"]
+    assert rows[0]["wall_condition_status"] and rows[0]["gradient_c1"]
+    for row in rows[1:]:
+        assert [row[k] for k in cells] == [""] * len(cells)
+
+
 @pytest.mark.parametrize("payload, axis", [
     ({"name": "x", "integrand": {"kind": "euclidean", "dim": 3}}, "resolution"),
     ([1, 2], "resolution"),

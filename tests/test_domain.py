@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from anisograph import HalfDomain, Tag, build_mesh, half_ball_vertices, refine, write_mesh_csv
+from anisograph import HalfDomain, Tag, build_mesh, half_ball_vertices, refine
 
 
 def unit_square_mesh(resolution=0.25):
@@ -132,13 +132,3 @@ def test_half_ball_monotone_in_radius(r1, r2):
     inner = set(half_ball_vertices(mesh, [0.3, 0.1], lo).tolist())
     outer = set(half_ball_vertices(mesh, [0.3, 0.1], hi).tolist())
     assert inner <= outer
-
-
-def test_mesh_csv_export(tmp_path):
-    mesh = unit_square_mesh(0.25)
-    vp, cp = tmp_path / "verts.csv", tmp_path / "cells.csv"
-    write_mesh_csv(mesh, vp, cp)
-    lines = vp.read_text().strip().splitlines()
-    assert lines[0] == "id,x1,x2,tag"
-    assert len(lines) == mesh.num_vertices + 1
-    assert len(cp.read_text().strip().splitlines()) == mesh.num_cells + 1

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -47,6 +48,22 @@ def test_check_report_invariant():
     assert rep.to_json_dict()["tolerance"] == 1.0
     with pytest.raises(ValueError):
         V.CheckReport("x", "maybe", 0.0, None)
+    rep = V.CheckReport("x", "informational", 0.0, None, metadata={
+        "f": np.float64(0.25), "i": np.int64(3), "b": np.bool_(True),
+        "grid": np.arange(4.0).reshape(2, 2), "nested": [(np.int64(1), {"z": np.float64(2.0)})],
+    })
+    meta = json.loads(json.dumps(rep.to_json_dict()))["metadata"]
+    assert meta == {"b": True, "f": 0.25, "grid": [[0.0, 1.0], [2.0, 3.0]], "i": 3,
+                    "nested": [[1, {"z": 2.0}]]}
+
+    def kinds(obj):
+        if isinstance(obj, dict):
+            return set().union(*map(kinds, obj.values()))
+        if isinstance(obj, list):
+            return set().union(*map(kinds, obj))
+        return {type(obj)}
+
+    assert kinds(rep.to_json_dict()["metadata"]) == {bool, float, int}
 
 
 def test_curved_checks_shrink_under_refinement(curved_32, curved_64):
