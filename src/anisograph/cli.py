@@ -11,7 +11,8 @@ parameter overrides.  Reports are JSON lines plus tidy CSV; all numbers are
 written with 17 significant digits and no timestamps, so repeated runs of
 the same scenario and seed are byte-identical (timestamps go to a sidecar
 log).  Exit codes: 0 all pass/fail checks passed, 2 malformed config,
-3 solver non-convergence, 1 check failures; a sweep returns its worst row's.
+3 solver non-convergence (a failed linear solve included), 1 check failures;
+a sweep returns its worst row's.
 """
 
 from __future__ import annotations
@@ -320,6 +321,7 @@ def _write_solve_report(path, report: SolveReport) -> None:
         "free_bc_residual": report.free_bc_residual,
         "converged": report.converged,
         "level_iterations": report.level_iterations,
+        "failure": report.failure,
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
@@ -350,8 +352,10 @@ def run(scenario_path, out_dir, solve_only: bool = False) -> int:
         log.append(f"scenario={scenario.name} elapsed={time.perf_counter() - t0:.3f}s "
                    f"iters={result.solve_report.iterations}")
     else:
-        log.append(f"non-convergence after {result.solve_report.iterations} iterations")
-        print("solver failed to converge", file=sys.stderr)
+        failure = result.solve_report.failure
+        suffix = f": {failure}" if failure else ""
+        log.append(f"non-convergence after {result.solve_report.iterations} iterations{suffix}")
+        print(f"solver failed to converge{suffix}", file=sys.stderr)
     stamp = time.strftime("%Y-%m-%dT%H:%M:%S")
     with open(out / "run.log", "a") as fh:
         fh.writelines(f"{stamp} {line}\n" for line in log)

@@ -12,10 +12,19 @@ Lagrangian Hessian is SPD for bounded gradients, the energy is convex and a
 backtracking Newton iteration converges globally with a nonincreasing energy
 trace.  Once the energy change of a trial step is at rounding level, the
 line search judges the step by the decrease of the residual norm instead, so
-Newton stops at its rounding floor rather than stalling there.  The Hessian's
-CSC sparsity pattern is built once per solve; each step sums the per-cell
-blocks into it with a deterministic reduction (``np.bincount``), and solves on
-different meshes are independent.
+Newton stops at its rounding floor rather than stalling there.
+
+The free vertices of a structured box mesh, numbered row by row, give a
+Hessian whose half-bandwidth ``kd`` is at most the number of divisions along
+the last axis (1 in one dimension; 128 at h = 1/128 on the unit box).  The
+slot of each per-cell block entry in the ``(kd + 1, nfree)`` lower band is
+found once per solve; each step sums the blocks into the band with a
+deterministic reduction (``np.bincount``) and factors it in place with
+LAPACK's banded Cholesky, so at most one band is alive at a time.  A Hessian
+that is not numerically positive definite, a non-finite step or a step that
+misses ``linear_solver_tol`` (checked against the per-cell blocks, not the
+band) ends the solve with ``converged=False`` and a ``failure`` reason.
+Solves on different meshes are independent.
 
 Without an initial guess, a mesh whose divisions are all even and at least 32
 is solved by nested iteration: the half-resolution mesh is solved first (by
@@ -36,8 +45,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sps
-from scipy.sparse.linalg import spsolve
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
 from .domain import Mesh, Tag, _build
 from .integrand import EllipticIntegrand
@@ -97,6 +105,7 @@ class SolveReport:
     free_bc_residual: float = 0.0
     converged: bool = False
     level_iterations: list[int] = field(default_factory=list)  # coarsest first
+    failure: str = ""  # why a linear solve ended the Newton loop, if one did
 
 
 def _energy(integrand: EllipticIntegrand, mesh: Mesh, values: np.ndarray) -> float:
@@ -108,23 +117,24 @@ def energy(integrand: EllipticIntegrand, u: GraphFunction) -> float:
     return _energy(integrand, u.mesh, u.values)
 
 
+def _scatter(mesh: Mesh, contrib: np.ndarray) -> np.ndarray:
+    """Sum per-cell vertex contributions ``(ncells, n + 1)`` into a vertex vector."""
+    return np.bincount(mesh.cells.ravel(), weights=contrib.ravel(), minlength=mesh.num_vertices)
+
+
 def _raw_gradient(integrand: EllipticIntegrand, mesh: Mesh, values: np.ndarray) -> np.ndarray:
     grads = mesh.cell_gradients(values)
     df = integrand.grad_f(grads)
-    contrib = np.einsum("c,cn,cin->ci", mesh.cell_measures, df, mesh.grad_lambda)
-    out = np.zeros(mesh.num_vertices)
-    np.add.at(out, mesh.cells, contrib)
-    return out
+    return _scatter(mesh, np.einsum("c,cn,cin->ci", mesh.cell_measures, df, mesh.grad_lambda))
 
 
 @dataclass(frozen=True)
 class _HessianPattern:
-    """Free-free CSC sparsity of the Hessian; fixed by the mesh and its Dirichlet set."""
+    """Free-free lower band of the Hessian; fixed by the mesh and its Dirichlet set."""
 
-    keep: np.ndarray  # per-cell (i, j) block entries that couple two free vertices
-    slot: np.ndarray  # CSC data position of each kept entry
-    indices: np.ndarray
-    indptr: np.ndarray
+    keep: np.ndarray  # per-cell (i, j) block entries of the free-free lower triangle
+    slot: np.ndarray  # flat position of each kept entry in the Fortran-ordered band
+    kd: int  # half-bandwidth
     nfree: int
 
 
@@ -132,26 +142,33 @@ def _hessian_pattern(mesh: Mesh, free_pos: np.ndarray) -> _HessianPattern:
     m = mesh.n + 1
     rows = free_pos[np.repeat(mesh.cells, m, axis=1).ravel()]
     cols = free_pos[np.tile(mesh.cells, (1, m)).ravel()]
-    keep = (rows >= 0) & (cols >= 0)
-    nfree = int(free_pos.max()) + 1
-    # column-major keys: sorted unique keys are the CSC order, rows sorted per column
-    keys, slot = np.unique(cols[keep] * nfree + rows[keep], return_inverse=True)
-    counts = np.bincount(keys // nfree, minlength=nfree)
-    indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.intc)
-    return _HessianPattern(keep, slot, (keys % nfree).astype(np.intc), indptr, nfree)
+    keep = (cols >= 0) & (rows >= cols)
+    diag = (rows - cols)[keep]
+    kd = int(diag.max())
+    # lower band storage: entry (r, c) with r >= c sits at band[r - c, c]
+    return _HessianPattern(keep, diag + (kd + 1) * cols[keep], kd, int(free_pos.max()) + 1)
 
 
-def _assemble_hessian(
-    integrand: EllipticIntegrand, mesh: Mesh, values: np.ndarray, pattern: _HessianPattern
-) -> sps.csc_matrix:
-    grads = mesh.cell_gradients(values)
-    d2f = integrand.hess_f(grads)
-    hc = np.einsum("c,cim,cmn,cjn->cij", mesh.cell_measures, mesh.grad_lambda, d2f,
-                   mesh.grad_lambda, optimize=True)
-    data = np.bincount(pattern.slot, weights=hc.reshape(-1)[pattern.keep],
-                       minlength=pattern.indices.size)
-    return sps.csc_matrix((data, pattern.indices, pattern.indptr),
-                          shape=(pattern.nfree, pattern.nfree))
+def _cell_hessians(integrand: EllipticIntegrand, mesh: Mesh, values: np.ndarray) -> np.ndarray:
+    d2f = integrand.hess_f(mesh.cell_gradients(values))
+    return np.einsum("c,cim,cmn,cjn->cij", mesh.cell_measures, mesh.grad_lambda, d2f,
+                     mesh.grad_lambda, optimize=True)
+
+
+def _assemble_hessian(hc: np.ndarray, pattern: _HessianPattern) -> np.ndarray:
+    """Lower band ``(kd + 1, nfree)``, Fortran-ordered, of the free-free Hessian."""
+    band = np.bincount(pattern.slot, weights=hc.reshape(-1)[pattern.keep],
+                       minlength=(pattern.kd + 1) * pattern.nfree)
+    return band.reshape((pattern.kd + 1, pattern.nfree), order="F")
+
+
+def _newton_step(band: np.ndarray, res: np.ndarray) -> np.ndarray:
+    """Solve ``H step = -res``, factoring the band in place (its contents are lost).
+
+    Raises ``LinAlgError`` when the band is not numerically positive definite.
+    """
+    factor = cholesky_banded(band, lower=True, overwrite_ab=True, check_finite=False)
+    return cho_solve_banded((factor, True), -res, check_finite=False)
 
 
 def wall_flux_residuals(integrand: EllipticIntegrand, u: GraphFunction) -> np.ndarray:
@@ -207,10 +224,9 @@ def solve(
 
     ``dirichlet`` is a full-length vertex vector; only its entries at
     DIRICHLET vertices are used.  Returns the solution and a report; running
-    out of iterations yields ``converged=False`` rather than an exception,
-    while a singular Newton system (impossible for a uniformly elliptic
-    Lagrangian with bounded gradients) raises.  An explicit ``u0`` skips the
-    nested iteration described in the module notes.
+    out of iterations or a failed linear solve yields ``converged=False``
+    rather than an exception, the latter with its reason in ``failure``.  An
+    explicit ``u0`` skips the nested iteration described in the module notes.
     """
     if integrand.dim != mesh.n + 1:
         raise ValueError("integrand ambient dimension must be mesh dimension + 1")
@@ -258,6 +274,7 @@ def solve(
     converged = False
     res_norm = np.inf
     iterations = 0
+    failure = ""
 
     for _ in range(config.max_iter):
         g = _raw_gradient(integrand, mesh, values)
@@ -266,13 +283,22 @@ def solve(
         if res_norm <= config.tol_residual:
             converged = True
             break
-        hess = _assemble_hessian(integrand, mesh, values, pattern)
-        step = spsolve(hess, -res, permc_spec="MMD_AT_PLUS_A")
+        hc = _cell_hessians(integrand, mesh, values)
+        try:
+            step = _newton_step(_assemble_hessian(hc, pattern), res)
+        except LinAlgError as exc:
+            failure = f"Newton Hessian is not numerically positive definite ({exc})"
+            break
         if not np.all(np.isfinite(step)):
-            raise RuntimeError("Newton system is singular or badly scaled")
-        lin_res = np.linalg.norm(hess @ step + res) / max(res_norm, 1e-300)
+            failure = "Newton step is not finite"
+            break
+        full_step = np.zeros(mesh.num_vertices)
+        full_step[free_idx] = step
+        h_step = _scatter(mesh, np.einsum("cij,cj->ci", hc, full_step[mesh.cells]))
+        lin_res = np.linalg.norm(h_step[free_idx] + res) / max(res_norm, 1e-300)
         if lin_res > config.linear_solver_tol:
-            raise RuntimeError(f"linear solve missed its tolerance ({lin_res:.3e})")
+            failure = f"linear solve missed its tolerance ({lin_res:.3e})"
+            break
         slope = float(res @ step)  # negative: step is a descent direction
         t = 1.0
         accepted = False
@@ -311,6 +337,7 @@ def solve(
         free_bc_residual=float(np.abs(flux).max()) if flux.size else 0.0,
         converged=converged,
         level_iterations=levels + [iterations],
+        failure=failure,
     )
     return solution, report
 

@@ -14,6 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sps
+from scipy.sparse.linalg import spsolve
 
 from anisograph.verify import _pl_power_cellwise
 
@@ -144,6 +145,21 @@ def assemble_hessian_coo(integrand, mesh, values: np.ndarray, free_pos: np.ndarr
     nfree = int(free_pos.max()) + 1
     mat = sps.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(nfree, nfree))
     return mat.tocsc()
+
+
+def newton_step_superlu(integrand, mesh, values: np.ndarray, free_pos: np.ndarray,
+                        res: np.ndarray) -> np.ndarray:
+    """Newton step ``H step = -res`` on the free vertices, solved by SuperLU."""
+    return spsolve(assemble_hessian_coo(integrand, mesh, values, free_pos), -res)
+
+
+def raw_gradient_add_at(integrand, mesh, values: np.ndarray) -> np.ndarray:
+    """Energy gradient at every vertex, scattered with ``np.add.at``."""
+    df = integrand.grad_f(mesh.cell_gradients(values))
+    contrib = np.einsum("c,cn,cin->ci", mesh.cell_measures, df, mesh.grad_lambda)
+    out = np.zeros(mesh.num_vertices)
+    np.add.at(out, mesh.cells, contrib)
+    return out
 
 
 # -- report writers ---------------------------------------------------------------

@@ -163,6 +163,31 @@ def test_run_exit_3_on_nonconvergence(tmp_path):
     assert run(path, tmp_path / "out") == 3
 
 
+def pnorm_reproducer(p, eps, amplitude):
+    """``euclidean_freebdry_sine`` at h = 1/16 with no checks and a pnorm integrand."""
+    raw = json.loads(bundled_scenario_path("euclidean_freebdry_sine").read_text())
+    raw.update(integrand={"kind": "pnorm", "p": p, "eps": eps, "dim": 3}, checks=[])
+    raw["domain"]["resolution"] = 1 / 16
+    raw["dirichlet"]["amplitude"] = amplitude
+    return raw
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("p, eps, amplitude, reason", [
+    (20, 1e-12, 3.0, "not numerically positive definite"),
+    (1.05, 1e-9, 2.0, "linear solve missed its tolerance"),
+], ids=["p20", "p1.05"])
+def test_failed_linear_solve_exits_3(tmp_path, capsys, command, p, eps, amplitude, reason):
+    path = write_scenario(tmp_path, pnorm_reproducer(p, eps, amplitude))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 3
+    assert (out / "solution.csv").is_file()
+    payload = json.loads((out / "solve_report.json").read_text())
+    assert payload["converged"] is False and reason in payload["failure"]
+    assert reason in (out / "run.log").read_text()
+    assert reason in capsys.readouterr().err
+
+
 def test_run_exit_1_on_failed_check(tmp_path):
     payload = minimal_scenario(
         dirichlet={"type": "sum", "terms": [
@@ -185,7 +210,7 @@ def test_solve_subcommand(tmp_path):
     written = {p.name for p in tmp_path.iterdir()} - {"run.log"}
     assert written == {"solution.csv", "solve_report.json"}
     payload = json.loads((tmp_path / "solve_report.json").read_text())
-    assert payload["converged"] is True
+    assert payload["converged"] is True and payload["failure"] == ""
 
 
 def test_full_precision_output(tmp_path):
@@ -362,6 +387,14 @@ def test_sweep_leaves_cells_of_unconverged_rows_empty(tmp_path):
     assert rows[0]["wall_condition_status"] and rows[0]["gradient_c1"]
     for row in rows[1:]:
         assert [row[k] for k in cells] == [""] * len(cells)
+
+
+def test_sweep_row_with_failed_linear_solve_reports_3(tmp_path):
+    path = write_scenario(tmp_path, pnorm_reproducer(1.05, 1e-9, 2.0))
+    assert sweep(path, "resolution", [0.25, 0.125, 0.0625], tmp_path / "out") == 3
+    rows = list(csv.DictReader((tmp_path / "out" / "sweep.csv").open()))
+    assert [float(r["resolution"]) for r in rows] == [0.25, 0.125, 0.0625]
+    assert [r["converged"] for r in rows] == ["True", "True", "False"]
 
 
 @pytest.mark.parametrize("payload, axis", [

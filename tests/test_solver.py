@@ -21,9 +21,15 @@ from anisograph import (
 )
 from anisograph.boundary_data import evaluate_data_spec
 from anisograph.cli import bundled_scenario_path, load_scenario, run_scenario
-from anisograph.solver import _assemble_hessian, _hessian_pattern, _prolong
+from anisograph.solver import (
+    _assemble_hessian,
+    _cell_hessians,
+    _hessian_pattern,
+    _newton_step,
+    _prolong,
+)
 from conftest import CURVED_DATA_SPEC
-from reference import assemble_hessian_coo
+from reference import assemble_hessian_coo, newton_step_superlu, raw_gradient_add_at
 
 
 def unit_mesh(resolution=1 / 16):
@@ -345,10 +351,10 @@ def test_dimension_mismatch_rejected():
         solve(EllipticIntegrand.euclidean(2), mesh, np.zeros(mesh.num_vertices))
 
 
-# -- Hessian assembly on a fixed sparsity pattern ------------------------------------
+# -- Hessian assembly into a fixed band and the banded Newton step ---------------------
 
 
-@pytest.mark.parametrize(
+SMALL_DOMAINS = pytest.mark.parametrize(
     "domain",
     [
         HalfDomain(1, depth=1.0, resolution=1 / 3),
@@ -358,7 +364,9 @@ def test_dimension_mismatch_rejected():
     ],
     ids=["1d_nx3", "1d_nx7", "2d_4x7", "2d_dx_ne_dy"],
 )
-def test_fixed_pattern_hessian_matches_coo_assembly(domain):
+
+
+def random_newton_system(domain):
     mesh = build_mesh(domain)
     rng = np.random.default_rng(5)
     values = 0.4 * rng.normal(size=mesh.num_vertices)
@@ -366,13 +374,61 @@ def test_fixed_pattern_hessian_matches_coo_assembly(domain):
     free_pos = np.full(mesh.num_vertices, -1, dtype=np.int64)
     free_pos[free] = np.arange(free.sum())
     integrand = EllipticIntegrand.capillary(0.7, mesh.n + 1)
-    got = _assemble_hessian(integrand, mesh, values, _hessian_pattern(mesh, free_pos))
-    ref = assemble_hessian_coo(integrand, mesh, values, free_pos)
-    ref.sort_indices()
-    assert got.shape == ref.shape
-    assert np.array_equal(got.indptr, ref.indptr)
-    assert np.array_equal(got.indices, ref.indices)
-    assert np.abs(got.data - ref.data).max() <= 1e-14 * np.abs(ref.data).max()
+    return integrand, mesh, values, free_pos
+
+
+@SMALL_DOMAINS
+def test_gradient_scatter_matches_add_at(domain):
+    integrand, mesh, values, _ = random_newton_system(domain)
+    assert np.array_equal(solver._raw_gradient(integrand, mesh, values),
+                          raw_gradient_add_at(integrand, mesh, values))
+
+
+@SMALL_DOMAINS
+def test_fixed_pattern_hessian_matches_coo_assembly(domain):
+    integrand, mesh, values, free_pos = random_newton_system(domain)
+    pattern = _hessian_pattern(mesh, free_pos)
+    band = _assemble_hessian(_cell_hessians(integrand, mesh, values), pattern)
+    nfree = pattern.nfree
+    assert band.shape == (pattern.kd + 1, nfree) and band.flags.f_contiguous
+    got = np.zeros((nfree, nfree))
+    for r in range(pattern.kd + 1):  # band[r, c] holds entry (c + r, c)
+        got[np.arange(r, nfree), np.arange(nfree - r)] = band[r, : nfree - r]
+        assert not band[r, nfree - r:].any()
+    ref = np.tril(assemble_hessian_coo(integrand, mesh, values, free_pos).toarray())
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@SMALL_DOMAINS
+def test_banded_newton_step_matches_superlu(domain):
+    integrand, mesh, values, free_pos = random_newton_system(domain)
+    res = solver._raw_gradient(integrand, mesh, values)[free_pos >= 0]
+    band = _assemble_hessian(_cell_hessians(integrand, mesh, values),
+                             _hessian_pattern(mesh, free_pos))
+    got = _newton_step(band, res)
+    ref = newton_step_superlu(integrand, mesh, values, free_pos, res)
+    assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("factor, reason", [
+    (-1.0, "not numerically positive definite"),
+    (np.nan, "step is not finite"),
+    (1.01, "missed its tolerance"),  # still SPD, but no longer H
+], ids=["indefinite", "nan", "inexact"])
+def test_failed_linear_solve_ends_the_solve(monkeypatch, factor, reason):
+    mesh = unit_mesh(1 / 8)
+    data = evaluate_data_spec(CURVED_DATA_SPEC, mesh.vertices)
+
+    def spoiled(hc, pattern):  # the first pivot of the band, scaled by hand
+        band = _assemble_hessian(hc, pattern)
+        band[0, 0] *= factor
+        return band
+
+    monkeypatch.setattr(solver, "_assemble_hessian", spoiled)
+    _, report = solve(EllipticIntegrand.euclidean(3), mesh, data)
+    assert not report.converged
+    assert reason in report.failure
+    assert report.iterations == 0 and report.level_iterations == [0]
 
 
 # -- equation residual -------------------------------------------------------------
