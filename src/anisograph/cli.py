@@ -20,15 +20,17 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import inspect
 import json
 import math
 import os
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import verify
 from .boundary_data import evaluate_data_spec
@@ -68,8 +70,9 @@ class Scenario:
     seed: int = 0
 
 
-def scenario_from_dict(raw: dict) -> Scenario:
-    """Build and validate a Scenario from parsed JSON."""
+def scenario_from_dict(raw: dict, solve_only: bool = False) -> Scenario:
+    """Build and validate a Scenario from parsed JSON.  The mesh needs two cells per
+    axis, three where the checks (unless ``solve_only``) compute the geometry."""
     try:
         if not isinstance(raw, dict):
             raise ValueError("scenario must be a JSON object")
@@ -94,22 +97,15 @@ def scenario_from_dict(raw: dict) -> Scenario:
             ls_decrease=float(solver_raw.get("ls_decrease", 1e-4)),
             linear_solver_tol=float(solver_raw.get("linear_solver_tol", 1e-8)),
         )
-        checks = []
-        for item in raw.get("checks", []):
-            if isinstance(item, str):
-                item = {"name": item}
-            if not isinstance(item, dict) or "name" not in item:
-                raise ValueError("each check must be a name or an object with a 'name'")
-            if item["name"] not in _CHECKS:
-                raise ValueError(f"unknown check {item['name']!r}")
-            checks.append(dict(item))
+        checks = tuple(_parse_check(item, domain.n) for item in raw.get("checks", []))
+        domain.divisions(2 if solve_only or not _needs_geometry(checks) else 3)
         return Scenario(
             name=str(raw.get("name", "scenario")),
             integrand=integrand,
             domain=domain,
             dirichlet=dirichlet,
             solver=solver,
-            checks=tuple(checks),
+            checks=checks,
             seed=int(raw.get("seed", 0)),
         )
     except ConfigError:
@@ -129,8 +125,8 @@ def _read_json(path) -> dict:
         raise ConfigError(f"invalid JSON: {exc}") from exc
 
 
-def load_scenario(path) -> Scenario:
-    return scenario_from_dict(_read_json(path))
+def load_scenario(path, solve_only: bool = False) -> Scenario:
+    return scenario_from_dict(_read_json(path), solve_only)
 
 
 def bundled_scenario_path(name: str) -> Path:
@@ -158,65 +154,132 @@ class RunResult:
         return 1 if any(r.status == "fail" for r in self.reports) else 0
 
 
-def _default_probe_point(domain: HalfDomain) -> list[float]:
-    if domain.n == 1:
-        return [0.25 * domain.depth]
-    return [0.25 * domain.depth, 0.0]
+# -- the check table: a parser takes a scenario value and the graph dimension n,
+# and returns the value its probe gets or raises ValueError -----------------------
 
 
-def _default_radii(domain: HalfDomain) -> list[float]:
-    scale = min(domain.extents())
-    return [0.15 * scale, 0.25 * scale, 0.35 * scale, 0.5 * scale]
+def _real(value, n=None, low=-math.inf, strict=False, integer=False) -> float:
+    if (isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value)
+            or value < low or (strict and value == low) or (integer and value != int(value))):
+        bound = f" {'>' if strict else '>='} {low:g}" if low > -math.inf else ""
+        raise ValueError(f"must be a finite {'integer' if integer else 'number'}{bound}, "
+                         f"got {value!r}")
+    return int(value) if integer else float(value)
 
 
-def _gradient_estimate(geom, sc: Scenario, p: dict) -> CheckReport:
-    x0_list = p.get("x0_list", [_default_probe_point(sc.domain), [0.0] * sc.domain.n])
-    r_list = p.get("r_list", _default_radii(sc.domain))
-    _, _, report = verify.gradient_estimate_probe(geom, x0_list, r_list)
-    return report
+_positive = partial(_real, low=0.0, strict=True)
 
 
-def _liouville(geom, sc: Scenario, p: dict) -> CheckReport:
-    """Solves its own growing domains, so it is the one check without geometry."""
-    slope = p.get("slope")
-    if slope is None:
-        slope = [sc.integrand.flat_slope(), 0.0]
-    return verify.liouville_probe(
-        sc.integrand,
-        beta=float(p.get("beta", 2.0)),
-        r_sizes=p.get("sizes", [4.0, 8.0, 16.0]),
-        slope=slope,
-        bump_height=float(p.get("bump_height", 1.0)),
-        bump_radius=float(p.get("bump_radius", 1.0)),
-        resolution=float(p.get("resolution", 0.25)),
-        config=sc.solver,
-        tol_flat=p.get("tol_flat"),
-    )
+def _list(value, n, item=_real, length=None) -> list:
+    if not isinstance(value, list) or length not in (None, len(value)):
+        raise ValueError(f"must be a list{f' of {length}' if length else ''}, got {value!r}")
+    return [item(v, n) for v in value]
 
 
-# Check name -> probe(geometry, scenario, params).  Each probe is looked up on
-# ``verify`` when the check runs, so a wrapper set on the module is the one called.
+def _point(value, n: int) -> list[float]:
+    return _list(value, n, length=n)
+
+
+def _liouville_sizes(check: dict) -> None:
+    """Increasing ``sizes``, at least two, the smallest meshed with two cells per axis."""
+    defaults = inspect.signature(verify.liouville_probe).parameters
+    sizes = check.get("sizes", defaults["r_sizes"].default)
+    resolution = check.get("resolution", defaults["resolution"].default)
+    try:
+        if sorted(sizes) != list(sizes) or len(sizes) < 2:
+            raise ValueError(f"'sizes' must be increasing, with at least two entries: {sizes}")
+        HalfDomain(2, depth=sizes[0], width=sizes[0], resolution=resolution).divisions()
+    except ValueError as exc:
+        raise ValueError(f"check 'liouville': {exc}") from exc
+
+
+class _Check(NamedTuple):
+    """A check's ``verify`` probe (looked up at run time, so a wrapper set there runs), the
+    parsers of its scenario keys, the probe parameters ``_scenario_default`` fills (others
+    keep the probe's defaults), renamed keys, a validator, and whether it reads the geometry."""
+
+    probe: str
+    keys: dict = {}
+    derived: tuple = ()
+    rename: dict = {}
+    validate: Optional[Callable[[dict], None]] = None
+    geometry: bool = True
+
+
+_COEF = {"coef": _positive}
+_RADII = partial(_list, item=_positive)
 _CHECKS = {
-    "boundary_tangency": lambda g, sc, p: verify.check_boundary_tangency(g, p.get("coef")),
-    "wall_condition": lambda g, sc, p: verify.check_wall_condition(g, p.get("coef")),
-    "interior_minimality": lambda g, sc, p: verify.check_interior_minimality(g, p.get("coef")),
-    "wall_principal_direction":
-        lambda g, sc, p: verify.check_wall_principal_direction(g, p.get("coef")),
-    "first_variation":
-        lambda g, sc, p: verify.check_first_variation(g, p.get("coef"), p.get("margin")),
-    "area_element_identity": lambda g, sc, p: verify.check_area_element_identity(g),
-    "subharmonicity": lambda g, sc, p: verify.check_subharmonicity(g, p.get("coef")),
-    "area_growth": lambda g, sc, p: verify.area_growth_check(
-        g, p.get("x0", _default_probe_point(sc.domain)),
-        p.get("radii", _default_radii(sc.domain)), p.get("slope_tol", 0.2)),
-    "mean_value": lambda g, sc, p: verify.mean_value_probe(
-        g, p.get("x0", _default_probe_point(sc.domain)),
-        p.get("r", 0.5 * min(sc.domain.extents()))),
-    "functional_inequalities": lambda g, sc, p: verify.functional_inequality_diagnostics(
-        g, seed=sc.seed, bank_size=int(p.get("bank_size", 60))),
-    "gradient_estimate": _gradient_estimate,
-    "liouville": _liouville,
+    "boundary_tangency": _Check("check_boundary_tangency", _COEF),
+    "wall_condition": _Check("check_wall_condition", _COEF),
+    "interior_minimality": _Check("check_interior_minimality", _COEF),
+    "wall_principal_direction": _Check("check_wall_principal_direction", _COEF),
+    "first_variation": _Check("check_first_variation", {**_COEF, "margin": _positive}),
+    "area_element_identity": _Check("check_area_element_identity"),
+    "subharmonicity": _Check("check_subharmonicity", _COEF),
+    "area_growth": _Check("area_growth_check",
+                          {"x0": _point, "radii": _RADII, "slope_tol": _positive},
+                          ("x0", "r_list"), {"radii": "r_list"}),
+    "mean_value": _Check("mean_value_probe", {"x0": _point, "r": _positive}, ("x0", "r")),
+    "functional_inequalities": _Check("functional_inequality_diagnostics",
+                                      {"bank_size": partial(_real, low=1.0, integer=True)},
+                                      ("seed",)),
+    "gradient_estimate": _Check("gradient_estimate_probe",
+                                {"x0_list": partial(_list, item=_point), "r_list": _RADII},
+                                ("x0_list", "r_list")),
+    "liouville": _Check(
+        "liouville_probe",
+        {"beta": partial(_real, low=0.0), "sizes": _RADII, "slope": partial(_list, length=2),
+         "bump_height": _real, "bump_radius": _positive, "resolution": _positive,
+         "tol_flat": _real},
+        ("integrand", "config", "slope"), {"sizes": "r_sizes"},
+        validate=_liouville_sizes, geometry=False),
 }
+
+
+def _parse_check(item, n: int) -> dict:
+    """A scenario check item with its values parsed; a null value means the default."""
+    item = {"name": item} if isinstance(item, str) else item
+    if not isinstance(item, dict) or item.get("name") not in _CHECKS:
+        raise ValueError(f"unknown check {item!r}: give a check name or an object with one")
+    name, spec = item["name"], _CHECKS[item["name"]]
+    check = {"name": name}
+    for key, value in item.items():
+        if key == "name" or value is None:
+            continue
+        try:
+            if key not in spec.keys:
+                raise ValueError(f"is not a key of this check ({', '.join(spec.keys) or 'none'})")
+            check[key] = spec.keys[key](value, n)
+        except ValueError as exc:
+            raise ValueError(f"check {name!r}: {key!r} {exc}") from exc
+    if spec.validate is not None:
+        spec.validate(check)
+    return check
+
+
+def _scenario_default(param: str, sc: Scenario):
+    """Default of a probe parameter that the scenario determines."""
+    if param == "slope":  # the integrand's wall-compatible flat profile
+        return [sc.integrand.flat_slope(), 0.0]
+    dom = sc.domain
+    point = [0.25 * dom.depth, 0.0][: dom.n]
+    scale = min(dom.extents())
+    return {"x0": point, "x0_list": [point, [0.0] * dom.n], "r": 0.5 * scale,
+            "r_list": [f * scale for f in (0.15, 0.25, 0.35, 0.5)],
+            "seed": sc.seed, "integrand": sc.integrand, "config": sc.solver}[param]
+
+
+def _needs_geometry(checks) -> bool:
+    """Whether running the checks computes the geometry (it does for no checks)."""
+    return not checks or any(_CHECKS[c["name"]].geometry for c in checks)
+
+
+def _run_check(check: dict, sc: Scenario, geom: Optional[GraphGeometry]) -> CheckReport:
+    spec = _CHECKS[check["name"]]
+    params = {spec.rename.get(k, k): v for k, v in check.items() if k != "name"}
+    params.update((p, _scenario_default(p, sc)) for p in spec.derived if p not in params)
+    probe = getattr(verify, spec.probe)
+    return probe(geom, **params) if spec.geometry else probe(**params)
 
 
 def _resolve_dirichlet(spec: dict, scenario: Scenario) -> dict:
@@ -250,12 +313,10 @@ def run_scenario(scenario: Scenario, solve_only: bool = False) -> RunResult:
     result = RunResult(scenario, mesh, solution, solve_report, None)
     if solve_only or not solve_report.converged:
         return result
-    probes = [(_CHECKS[c["name"]], {k: v for k, v in c.items() if k != "name"})
-              for c in scenario.checks]
-    if not probes or any(probe is not _liouville for probe, _ in probes):
+    if _needs_geometry(scenario.checks):
         result.geometry = compute_geometry(scenario.integrand, solution)
-    for probe, params in probes:
-        result.reports.append(probe(result.geometry, scenario, params))
+    for check in scenario.checks:
+        result.reports.append(_run_check(check, scenario, result.geometry))
     return result
 
 
@@ -314,17 +375,8 @@ def _write_reports(out_dir: Path, result: RunResult) -> None:
 
 
 def _write_solve_report(path, report: SolveReport) -> None:
-    payload = {
-        "iterations": report.iterations,
-        "final_residual_norm": report.final_residual_norm,
-        "energy_trace": report.energy_trace,
-        "free_bc_residual": report.free_bc_residual,
-        "converged": report.converged,
-        "level_iterations": report.level_iterations,
-        "failure": report.failure,
-    }
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
+        json.dump(asdict(report), fh, sort_keys=True, indent=1)
         fh.write("\n")
 
 
@@ -333,12 +385,12 @@ def run(scenario_path, out_dir, solve_only: bool = False) -> int:
     geometry and check reports.  Returns the exit code."""
     t0 = time.perf_counter()
     try:
-        scenario = load_scenario(scenario_path)
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        scenario = load_scenario(scenario_path, solve_only)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             result = run_scenario(scenario, solve_only)
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -468,19 +520,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="aniso", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", help="solve a scenario and dump the solution")
-    p_solve.add_argument("--config", required=True)
-    p_solve.add_argument("--out", required=True)
-
-    p_verify = sub.add_parser("verify", help="solve a scenario and run its checks")
-    p_verify.add_argument("--config", required=True)
-    p_verify.add_argument("--out", required=True)
-
-    p_sweep = sub.add_parser("sweep", help="re-run a scenario along one parameter axis")
-    p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--axis", required=True)
-    p_sweep.add_argument("--values", required=True, help="comma-separated numbers")
-    p_sweep.add_argument("--out", required=True)
+    for command, text in (("solve", "solve a scenario and dump the solution"),
+                          ("verify", "solve a scenario and run its checks"),
+                          ("sweep", "re-run a scenario along one parameter axis")):
+        cmd = sub.add_parser(command, help=text)
+        cmd.add_argument("--config", required=True)
+        if command == "sweep":
+            cmd.add_argument("--axis", required=True)
+            cmd.add_argument("--values", required=True, help="comma-separated numbers")
+        cmd.add_argument("--out", required=True)
 
     args = parser.parse_args(argv)
     if args.command == "sweep":

@@ -61,6 +61,15 @@ class HalfDomain:
             return (self.depth,)
         return (self.depth, 2.0 * self.width)
 
+    def divisions(self, minimum: int = 2) -> tuple[int, ...]:
+        """Cells per axis at the resolution; ValueError if an axis gets under ``minimum``."""
+        ext = self.extents()
+        divisions = tuple(max(1, round(e / self.resolution)) for e in ext)
+        if min(divisions) < minimum:
+            raise ValueError(f"resolution {self.resolution} too coarse for extents {ext}; "
+                             f"need at least {minimum} cells per axis")
+        return divisions
+
 
 @dataclass(frozen=True, eq=False)
 class Mesh:
@@ -84,7 +93,6 @@ class Mesh:
     facet_cells: np.ndarray
     cell_measures: np.ndarray
     grad_lambda: np.ndarray
-    vertex_masses: np.ndarray
 
     @property
     def n(self) -> int:
@@ -103,6 +111,17 @@ class Mesh:
         """Indices (into boundary_facets) of the facets on the wall {x1=0}."""
         return np.flatnonzero(self.facet_tags == Tag.FREE)
 
+    @property
+    def vertex_masses(self) -> np.ndarray:
+        """Lumped vertex masses: each cell gives its vertices equal shares."""
+        share = self.cell_measures / (self.n + 1)
+        return self.scatter(share[:, None].repeat(self.n + 1, axis=1))
+
+    def scatter(self, contrib: np.ndarray) -> np.ndarray:
+        """Per-vertex sums of per-cell vertex contributions ``(ncells, n + 1)``."""
+        return np.bincount(self.cells.ravel(), weights=contrib.ravel(),
+                           minlength=self.num_vertices)
+
     def cell_gradients(self, values: np.ndarray) -> np.ndarray:
         """Per-cell constant gradient of the piecewise-linear interpolant."""
         values = np.asarray(values, dtype=float)
@@ -118,14 +137,7 @@ def build_mesh(domain: HalfDomain) -> Mesh:
     Raises ValueError when the resolution gives fewer than two cells along
     any axis (too coarse to carry distinct wall and truncation boundaries).
     """
-    ext = domain.extents()
-    divisions = tuple(max(1, round(e / domain.resolution)) for e in ext)
-    if any(d < 2 for d in divisions):
-        raise ValueError(
-            f"resolution {domain.resolution} too coarse for extents {ext}; "
-            "need at least two cells per axis"
-        )
-    return _build(domain, divisions)
+    return _build(domain, domain.divisions())
 
 
 def refine(mesh: Mesh) -> Mesh:
@@ -154,10 +166,8 @@ def _build_1d(domain: HalfDomain, nx: int) -> Mesh:
     grad = np.empty((nx, 2, 1))
     grad[:, 0, 0] = -1.0 / dx
     grad[:, 1, 0] = 1.0 / dx
-    masses = np.zeros(nx + 1)
-    np.add.at(masses, cells, (measures / 2.0)[:, None])
     return Mesh(domain, (nx,), dx, verts, cells, tags, facets, facet_tags,
-                facet_cells, measures, grad, masses)
+                facet_cells, measures, grad)
 
 
 def _build_2d(domain: HalfDomain, divisions: tuple[int, ...]) -> Mesh:
@@ -237,15 +247,12 @@ def _build_2d(domain: HalfDomain, divisions: tuple[int, ...]) -> Mesh:
     grad[:, 2, :] = inv[:, :, 1]
     grad[:, 0, :] = -grad[:, 1, :] - grad[:, 2, :]
 
-    masses = np.zeros(verts.shape[0])
-    np.add.at(masses, cells, (measures / 3.0)[:, None])
-
     wall_x = np.abs(verts[facets[facet_tags == Tag.FREE]][:, :, 0])
     if wall_x.size and wall_x.max() > _WALL_TOL:
         raise AssertionError("a FREE facet strayed off the wall {x1=0}")
 
     return Mesh(domain, (nx, ny), max(dx, dy), verts, cells, tags, facets,
-                facet_tags, facet_cells, measures, grad, masses)
+                facet_tags, facet_cells, measures, grad)
 
 
 def half_ball_vertices(mesh: Mesh, x0: np.ndarray, r: float) -> np.ndarray:

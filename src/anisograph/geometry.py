@@ -4,8 +4,8 @@ Per-cell quantities (gradient, normal, area elements, integrand Hessians)
 are exact for the PL interpolant.  Curvature lives at vertices: second
 derivatives come from a weighted quadratic least-squares fit over the
 two-ring, which is exact for quadratics and O(h)-consistent on structured
-grids.  Wall facets carry the co-normal frame (mu inside the surface,
-nubar inside the wall, and the anisotropic co-normal mu_F).
+grids.  Wall facets carry the co-normal mu (inside the surface) and the
+anisotropic co-normal mu_F.
 
 Two coordinate identities do most of the work here.  Writing ``B`` for the
 Lagrangian Hessian ``D^2 f(Du)`` and ``G = I + Du Du^T``:
@@ -45,7 +45,6 @@ class GraphGeometry:
 
     u: GraphFunction
     integrand: EllipticIntegrand
-    f_min: float  # sphere minimum of F, used to normalize log area elements
 
     # per cell
     cell_gradient: np.ndarray      # Du
@@ -56,25 +55,22 @@ class GraphGeometry:
     cell_Wf: np.ndarray            # f(Du) = F(normal) * W
     cell_hess_f: np.ndarray        # D^2 f(Du)
     cell_AF: np.ndarray            # ambient D^2 F(normal)
-    cell_log_Wf: np.ndarray        # log(Wf / f_min)
+    cell_log_Wf: np.ndarray        # log(Wf / sphere minimum of F)
 
     # per vertex (quadratic two-ring fit)
     vertex_gradient: np.ndarray
-    vertex_hessian: np.ndarray
     fit_ok: np.ndarray
     vertex_W: np.ndarray
     vertex_Wf: np.ndarray
     vertex_log_Wf: np.ndarray
     mean_curvature_aniso: np.ndarray  # trace_g of the anisotropic shape form
     h_sq: np.ndarray                  # |second fundamental form|^2
-    aniso_h_sq: np.ndarray            # trace_g(A_F h^2)
     collar: np.ndarray                # vertices near the truncation boundary
 
     # per wall facet
     wall_facets: np.ndarray
     wall_cells: np.ndarray
     wall_mu: np.ndarray
-    wall_nubar: np.ndarray
     wall_mu_F: np.ndarray
     wall_nuF_e1: np.ndarray      # <nu_F, e1>, the geometric wall condition
     wall_muF_e1: np.ndarray      # <mu_F, -e1>
@@ -190,15 +186,10 @@ def compute_geometry(
     wf_v = integrand.eval_f(grad_v)
     # fallback for flagged vertices: plain average of incident-cell values
     if not ok.all():
-        acc = np.zeros(mesh.num_vertices)
-        cnt = np.zeros(mesh.num_vertices)
-        np.add.at(acc, mesh.cells, wf[:, None].repeat(mesh.n + 1, axis=1))
-        np.add.at(cnt, mesh.cells, 1.0)
+        cnt = np.maximum(mesh.scatter(np.ones(mesh.cells.shape)), 1.0)
         bad = ~ok
-        wf_v[bad] = acc[bad] / np.maximum(cnt[bad], 1.0)
-        w_acc = np.zeros(mesh.num_vertices)
-        np.add.at(w_acc, mesh.cells, w[:, None].repeat(mesh.n + 1, axis=1))
-        w_v[bad] = w_acc[bad] / np.maximum(cnt[bad], 1.0)
+        wf_v[bad] = mesh.scatter(wf[:, None].repeat(mesh.n + 1, axis=1))[bad] / cnt[bad]
+        w_v[bad] = mesh.scatter(w[:, None].repeat(mesh.n + 1, axis=1))[bad] / cnt[bad]
     log_wf_v = np.log(wf_v / f_min)
 
     b_v = integrand.hess_f(grad_v)
@@ -206,13 +197,10 @@ def compute_geometry(
     gm = np.einsum("vi,vij->vj", grad_v, hess_v)
     p = hess_v - np.einsum("vi,vj->vij", grad_v, gm) / (w_v ** 2)[:, None, None]
     h_sq = np.einsum("vij,vji->v", p, p) / w_v ** 2
-    # trace_g(A_F h^2) = tr(D2f(Du) . D2u . G^-1 . D2u) / W in graph coordinates
-    aniso_h_sq = np.einsum("vij,vjk,vki->v", b_v, hess_v, p) / w_v
 
     bad = ~ok
     h_f_trace[bad] = np.nan
     h_sq[bad] = np.nan
-    aniso_h_sq[bad] = np.nan
 
     collar = _collar_mask(mesh, collar_factor * mesh.h)
 
@@ -239,12 +227,8 @@ def compute_geometry(
         if np.any(np.abs(dx2) < 1e-14):
             raise ValueError("degenerate wall facet of zero length")
         slope = (ub - ua) / dx2
-        nubar = np.stack([np.zeros_like(slope), -slope, np.ones_like(slope)], axis=1)
-        nubar /= np.sqrt(1.0 + slope * slope)[:, None]
         wall_measure = np.abs(dx2) * np.sqrt(1.0 + slope * slope)
     else:
-        slope = np.zeros(wall.size)
-        nubar = np.tile(np.array([0.0, 1.0]), (wall.size, 1))
         wall_measure = np.ones(wall.size)
 
     nuf_nu = np.einsum("fi,fi->f", nuf_w, nu_w)
@@ -270,7 +254,6 @@ def compute_geometry(
     return GraphGeometry(
         u=u,
         integrand=integrand,
-        f_min=f_min,
         cell_gradient=du,
         cell_W=w,
         cell_normal=normal,
@@ -281,19 +264,16 @@ def compute_geometry(
         cell_AF=af,
         cell_log_Wf=cell_log_wf,
         vertex_gradient=grad_v,
-        vertex_hessian=hess_v,
         fit_ok=ok,
         vertex_W=w_v,
         vertex_Wf=wf_v,
         vertex_log_Wf=log_wf_v,
         mean_curvature_aniso=h_f_trace,
         h_sq=h_sq,
-        aniso_h_sq=aniso_h_sq,
         collar=collar,
         wall_facets=wall,
         wall_cells=wall_cells,
         wall_mu=mu,
-        wall_nubar=nubar,
         wall_mu_F=mu_f,
         wall_nuF_e1=nuf_e1,
         wall_muF_e1=muf_e1,

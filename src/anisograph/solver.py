@@ -117,15 +117,10 @@ def energy(integrand: EllipticIntegrand, u: GraphFunction) -> float:
     return _energy(integrand, u.mesh, u.values)
 
 
-def _scatter(mesh: Mesh, contrib: np.ndarray) -> np.ndarray:
-    """Sum per-cell vertex contributions ``(ncells, n + 1)`` into a vertex vector."""
-    return np.bincount(mesh.cells.ravel(), weights=contrib.ravel(), minlength=mesh.num_vertices)
-
-
 def _raw_gradient(integrand: EllipticIntegrand, mesh: Mesh, values: np.ndarray) -> np.ndarray:
     grads = mesh.cell_gradients(values)
     df = integrand.grad_f(grads)
-    return _scatter(mesh, np.einsum("c,cn,cin->ci", mesh.cell_measures, df, mesh.grad_lambda))
+    return mesh.scatter(np.einsum("c,cn,cin->ci", mesh.cell_measures, df, mesh.grad_lambda))
 
 
 @dataclass(frozen=True)
@@ -294,7 +289,7 @@ def solve(
             break
         full_step = np.zeros(mesh.num_vertices)
         full_step[free_idx] = step
-        h_step = _scatter(mesh, np.einsum("cij,cj->ci", hc, full_step[mesh.cells]))
+        h_step = mesh.scatter(np.einsum("cij,cj->ci", hc, full_step[mesh.cells]))
         lin_res = np.linalg.norm(h_step[free_idx] + res) / max(res_norm, 1e-300)
         if lin_res > config.linear_solver_tol:
             failure = f"linear solve missed its tolerance ({lin_res:.3e})"

@@ -93,7 +93,7 @@ def _plain(obj):
     return obj
 
 
-def _report(name: str, residual: float, tolerance: Optional[float], **metadata) -> CheckReport:
+def _report(name: str, residual: float, tolerance: Optional[float], /, **metadata) -> CheckReport:
     if tolerance is None:
         status = "informational"
     else:
@@ -142,13 +142,13 @@ DEFAULTS = CheckDefaults()
 # -- identity / O(h) checks on a single solved graph ---------------------------
 
 
-def check_boundary_tangency(geom: GraphGeometry, coef: Optional[float] = None) -> CheckReport:
+def check_boundary_tangency(geom: GraphGeometry,
+                            coef: float = DEFAULTS.boundary_tangency_coef) -> CheckReport:
     """Tangency of the anisotropic surface gradient of W_f along the wall.
 
     Measures max over wall facets of |g(grad_F W_f, mu)|; exactly zero for
     flat solutions (constant W_f) and O(h) on curved ones.
     """
-    coef = DEFAULTS.boundary_tangency_coef if coef is None else coef
     _, grad_f = surface_gradient(geom, geom.vertex_Wf)
     vals = np.einsum("fi,fi->f", grad_f[geom.wall_cells], geom.wall_mu)
     residual = float(np.abs(vals).max()) if vals.size else 0.0
@@ -158,9 +158,9 @@ def check_boundary_tangency(geom: GraphGeometry, coef: Optional[float] = None) -
     )
 
 
-def check_wall_condition(geom: GraphGeometry, coef: Optional[float] = None) -> CheckReport:
+def check_wall_condition(geom: GraphGeometry,
+                         coef: float = DEFAULTS.wall_condition_coef) -> CheckReport:
     """Geometric free-boundary condition <nu_F, e1> = 0 on wall facets."""
-    coef = DEFAULTS.wall_condition_coef if coef is None else coef
     residual = float(np.abs(geom.wall_nuF_e1).max()) if geom.wall_nuF_e1.size else 0.0
     return _report(
         "wall_condition", residual, coef * geom.mesh.h,
@@ -168,9 +168,9 @@ def check_wall_condition(geom: GraphGeometry, coef: Optional[float] = None) -> C
     )
 
 
-def check_interior_minimality(geom: GraphGeometry, coef: Optional[float] = None) -> CheckReport:
+def check_interior_minimality(geom: GraphGeometry,
+                              coef: float = DEFAULTS.interior_minimality_coef) -> CheckReport:
     """Max anisotropic mean curvature over interior vertices off the collar."""
-    coef = DEFAULTS.interior_minimality_coef if coef is None else coef
     mask = (
         (geom.mesh.vertex_tags == Tag.INTERIOR)
         & geom.fit_ok
@@ -185,10 +185,9 @@ def check_interior_minimality(geom: GraphGeometry, coef: Optional[float] = None)
 
 
 def check_wall_principal_direction(
-    geom: GraphGeometry, coef: Optional[float] = None
+    geom: GraphGeometry, coef: float = DEFAULTS.wall_principal_coef
 ) -> CheckReport:
     """Wall co-normal as an anisotropic principal direction (2d graphs only)."""
-    coef = DEFAULTS.wall_principal_coef if coef is None else coef
     if geom.mesh.n != 2:
         return _report("wall_principal_direction", 0.0, None, skipped="needs n=2")
     facets = geom.mesh.boundary_facets[geom.wall_facets]
@@ -211,7 +210,7 @@ def check_area_element_identity(geom: GraphGeometry) -> CheckReport:
         # no closed-form sphere range: report the sampled one without a verdict
         lo, hi = geom.integrand.sphere_range()
         meta.update(sampled_range=[lo, hi], ratio_range=[float(ratio.min()), float(ratio.max())])
-        return CheckReport("area_element_identity", "informational", identity, None, metadata=meta)
+        return _report("area_element_identity", identity, None, **meta)
     lo, hi = rng
     sandwich = max(0.0, lo - float(ratio.min()), float(ratio.max()) - hi)
     meta["sandwich_violation"] = sandwich
@@ -231,15 +230,12 @@ def _hat_forms(geom: GraphGeometry, phi: np.ndarray) -> tuple[np.ndarray, np.nda
     bt = np.einsum("cij,cj->ci", geom.cell_hess_f, dphi)
     s = mesh.cell_measures * geom.cell_W ** 2 * geom.cell_F_normal ** 2
     contrib = np.einsum("c,cin,cn->ci", s, mesh.grad_lambda, bt)
-    wdf = np.zeros(mesh.num_vertices)
-    np.add.at(wdf, mesh.cells, -contrib)
     quad_cell = s * np.einsum("ci,ci->c", dphi, bt) / (mesh.n + 1)
-    quad = np.zeros(mesh.num_vertices)
-    np.add.at(quad, mesh.cells, quad_cell[:, None].repeat(mesh.n + 1, axis=1))
-    return wdf, quad
+    return mesh.scatter(-contrib), mesh.scatter(quad_cell[:, None].repeat(mesh.n + 1, axis=1))
 
 
-def check_subharmonicity(geom: GraphGeometry, coef: Optional[float] = None) -> CheckReport:
+def check_subharmonicity(geom: GraphGeometry,
+                         coef: float = DEFAULTS.subharmonicity_coef) -> CheckReport:
     """Weak subharmonicity of log W_f against every admissible vertex hat.
 
     For each nonnegative hat psi off the Dirichlet boundary the weak form of
@@ -248,7 +244,6 @@ def check_subharmonicity(geom: GraphGeometry, coef: Optional[float] = None) -> C
     most negative slack.  The quadratic term itself is nonnegative cell by
     cell.
     """
-    coef = DEFAULTS.subharmonicity_coef if coef is None else coef
     mesh = geom.mesh
     wdf, quad = _hat_forms(geom, geom.vertex_log_Wf)
     admissible = mesh.vertex_tags != Tag.DIRICHLET
@@ -264,7 +259,8 @@ def check_subharmonicity(geom: GraphGeometry, coef: Optional[float] = None) -> C
 
 
 def check_first_variation(
-    geom: GraphGeometry, coef: Optional[float] = None, margin: Optional[float] = None
+    geom: GraphGeometry, coef: float = DEFAULTS.first_variation_coef,
+    margin: Optional[float] = None,
 ) -> CheckReport:
     """Integral first-variation identity tested with cutoff coordinate fields.
 
@@ -272,7 +268,6 @@ def check_first_variation(
     boundary, quadrature of the weighted surface divergence must balance the
     curvature and wall co-normal terms up to O(h).
     """
-    coef = DEFAULTS.first_variation_coef if coef is None else coef
     mesh = geom.mesh
     dom = mesh.domain
     if margin is None:
@@ -441,26 +436,19 @@ def gradient_estimate_probe(
     geom: GraphGeometry,
     x0_list: Sequence[Sequence[float]],
     r_list: Sequence[float],
-) -> tuple[list[GradientEstimateRecord], tuple[float, float], CheckReport]:
+) -> CheckReport:
     """Fit gradient-bound constants on one solved graph (informational)."""
     records = gradient_estimate_records(geom, x0_list, r_list)
     if not records:
-        report = CheckReport(
-            "gradient_estimate", "informational", 0.0, None,
-            metadata={"n_records": 0, "skipped": "no admissible records"},
-        )
-        return [], (0.0, 0.0), report
+        return _report("gradient_estimate", 0.0, None,
+                       n_records=0, skipped="no admissible records")
     constants = fit_gradient_constants(records)
     c1, c2 = constants
     viol = max(rec.lhs - (c1 + c2 * rec.osc_over_r) for rec in records)
-    report = CheckReport(
-        "gradient_estimate", "informational", max(0.0, viol), None,
-        metadata={
-            "c1": c1, "c2": c2, "n_records": len(records),
-            "in_sample_satisfaction": holdout_satisfaction(constants, records),
-        },
+    return _report(
+        "gradient_estimate", max(0.0, viol), None, c1=c1, c2=c2, n_records=len(records),
+        in_sample_satisfaction=holdout_satisfaction(constants, records),
     )
-    return records, constants, report
 
 
 # -- Liouville flatness probe ----------------------------------------------------
@@ -468,8 +456,8 @@ def gradient_estimate_probe(
 
 def liouville_probe(
     integrand: EllipticIntegrand,
-    beta: float,
-    r_sizes: Sequence[float],
+    beta: float = 2.0,
+    r_sizes: Sequence[float] = (4.0, 8.0, 16.0),
     slope: Optional[Sequence[float]] = None,
     bump_height: float = 1.0,
     bump_radius: float = 1.0,
@@ -513,13 +501,9 @@ def liouville_probe(
         data = evaluate_data_spec(spec, mesh.vertices)
         u, rep = solve(integrand, mesh, data, config)
         if not rep.converged:
-            return CheckReport(
-                "liouville_flatness", "fail", 2.0 * tol_flat + 1.0, tol_flat,
-                metadata={
-                    "diagnostic": f"solve at R={r_size} failed to converge",
-                    "residual": rep.final_residual_norm,
-                },
-            )
+            return _report("liouville_flatness", 2.0 * tol_flat + 1.0, tol_flat,
+                           diagnostic=f"solve at R={r_size} failed to converge",
+                           residual=rep.final_residual_norm)
         growth = -u.values / (1.0 + np.linalg.norm(mesh.vertices, axis=1))
         observed_beta = max(observed_beta, float(growth.max()))
         inner = (mesh.vertices[:, 0] <= r_size / 4.0 + 1e-12) & (
@@ -532,14 +516,13 @@ def liouville_probe(
     increases = [deviations[i + 1] - deviations[i] for i in range(len(deviations) - 1)]
     monotone = all(inc <= 1e-12 for inc in increases)
     residual = deviations[-1] if monotone else tol_flat + max(increases) + deviations[-1]
-    report = _report(
+    return _report(
         "liouville_flatness", residual, tol_flat,
         deviations=deviations, sizes=sizes, monotone=monotone,
         bump_height=bump_height, bump_radius=bump_radius,
         observed_beta=observed_beta, beta=beta,
         hypothesis_ok=bool(observed_beta <= beta + 1e-9),
     )
-    return report
 
 
 # -- graph-ball probes ------------------------------------------------------------
@@ -577,11 +560,8 @@ def area_growth_check(
             measures.append(m)
     n = geom.mesh.n
     if len(radii) < 3:
-        return CheckReport(
-            "area_growth", "informational", 0.0, None,
-            metadata={"usable_radii": radii, "measures": measures,
-                      "note": "fewer than 3 usable radii"},
-        )
+        return _report("area_growth", 0.0, None, usable_radii=radii, measures=measures,
+                       note="fewer than 3 usable radii")
     logs_r = np.log(radii)
     logs_m = np.log(measures)
     slope = float(np.polyfit(logs_r, logs_m, 1)[0])
@@ -606,10 +586,7 @@ def mean_value_probe(geom: GraphGeometry, x0, r: float) -> CheckReport:
     inner = _graph_ball_cells(geom, center, 0.5 * r)
     outer = _graph_ball_cells(geom, center, r)
     if not inner.any() or not outer.any():
-        return CheckReport(
-            "mean_value", "informational", 0.0, None,
-            metadata={"skipped": "radius below mesh scale", "r": r},
-        )
+        return _report("mean_value", 0.0, None, skipped="radius below mesh scale", r=r)
     logs = np.abs(geom.cell_log_Wf)
     sup_half = float(logs[inner].max())
     mean_full = float((area[outer] * logs[outer]).sum() / area[outer].sum())
@@ -617,11 +594,8 @@ def mean_value_probe(geom: GraphGeometry, x0, r: float) -> CheckReport:
         ratio = 1.0
     else:
         ratio = sup_half / max(mean_full, 1e-300)
-    return CheckReport(
-        "mean_value", "informational", 0.0, None,
-        metadata={"ratio": ratio, "sup_half": sup_half, "mean_full": mean_full,
-                  "r": float(r), "base_point": center.tolist()},
-    )
+    return _report("mean_value", 0.0, None, ratio=ratio, sup_half=sup_half,
+                   mean_full=mean_full, r=float(r), base_point=center.tolist())
 
 
 # -- functional inequality diagnostics --------------------------------------------
@@ -745,11 +719,6 @@ def functional_inequality_diagnostics(
                     rhs = phi_sq / r + r * int_grad_sq
                     if rhs > 1e-14:
                         sob_max = max(sob_max, lhs / rhs)
-    meta = {
-        "trace_ratio_max": trace_max,
-        "stability_ratio_max": stab_max,
-        "sobolev_ratio_max": sob_max,
-        "bank_size": len(bank),
-        "seed": seed,
-    }
-    return CheckReport("functional_inequalities", "informational", 0.0, None, metadata=meta)
+    return _report("functional_inequalities", 0.0, None, trace_ratio_max=trace_max,
+                   stability_ratio_max=stab_max, sobolev_ratio_max=sob_max,
+                   bank_size=len(bank), seed=seed)

@@ -30,6 +30,16 @@ def integrate_pl_power(mesh, phi: np.ndarray, k: int, cell_weight: Optional[np.n
     return float(per_cell.sum())
 
 
+def wall_nubar(geom) -> np.ndarray:
+    """Unit normal of the boundary curve inside the wall {x1 = 0}, per wall facet (2d)."""
+    facets = geom.mesh.boundary_facets[geom.wall_facets]
+    x2 = geom.mesh.vertices[facets, 1]
+    u = geom.u.values[facets]
+    slope = (u[:, 1] - u[:, 0]) / (x2[:, 1] - x2[:, 0])
+    nubar = np.stack([np.zeros_like(slope), -slope, np.ones_like(slope)], axis=1)
+    return nubar / np.sqrt(1.0 + slope * slope)[:, None]
+
+
 # -- finite differences ----------------------------------------------------------
 
 

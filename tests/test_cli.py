@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import math
 import os
@@ -9,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from anisograph import HalfDomain, build_mesh, cli
+from anisograph import HalfDomain, build_mesh, cli, verify
 from anisograph.boundary_data import evaluate_data_spec
 from anisograph.cli import (
     ConfigError,
@@ -116,6 +117,128 @@ def test_scenario_rejects_non_spd_matrix():
         scenario_from_dict(minimal_scenario(
             integrand={"kind": "ellipsoid", "dim": 3,
                        "matrix": [[1, 2, 0], [2, 1, 0], [0, 0, 1]]}))
+
+
+BUNDLED = ["capillary_flat", "capillary_theta_sweep", "euclidean_freebdry_sine", "liouville_bump"]
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_bundled_scenarios_load(name):
+    assert load_scenario(bundled_scenario_path(name)).checks
+
+
+ACCEPTED_KEYS = {
+    "boundary_tangency": {"coef"},
+    "wall_condition": {"coef"},
+    "interior_minimality": {"coef"},
+    "wall_principal_direction": {"coef"},
+    "subharmonicity": {"coef"},
+    "first_variation": {"coef", "margin"},
+    "area_element_identity": set(),
+    "area_growth": {"x0", "radii", "slope_tol"},
+    "mean_value": {"x0", "r"},
+    "functional_inequalities": {"bank_size"},
+    "gradient_estimate": {"x0_list", "r_list"},
+    "liouville": {"beta", "sizes", "slope", "bump_height", "bump_radius", "resolution",
+                  "tol_flat"},
+}
+
+
+def test_check_table_matches_its_probes():
+    assert {name: set(spec.keys) for name, spec in cli._CHECKS.items()} == ACCEPTED_KEYS
+    for name, spec in cli._CHECKS.items():
+        params = inspect.signature(getattr(verify, spec.probe)).parameters
+        assert spec.probe in verify.__all__, name
+        assert (next(iter(params)) == "geom") == spec.geometry, name
+        for key in spec.keys:
+            assert spec.rename.get(key, key) in params, (name, key)
+        assert set(spec.derived) <= set(params), name
+
+
+def sine_scenario_with(check, resolution=1 / 8):
+    """``euclidean_freebdry_sine`` at a coarse resolution with one check."""
+    raw = json.loads(bundled_scenario_path("euclidean_freebdry_sine").read_text())
+    raw["domain"]["resolution"] = resolution
+    raw["checks"] = [check]
+    return raw
+
+
+@pytest.fixture
+def no_mesh(monkeypatch):
+    """Make building a mesh fail, so a test proves it exits before any solve."""
+    def build_mesh(domain):
+        raise AssertionError("a mesh was built")
+    monkeypatch.setattr(cli, "build_mesh", build_mesh)
+
+
+@pytest.mark.parametrize("check, key", [
+    ({"name": "liouville", "sizes": [4.0]}, "sizes"),
+    ({"name": "area_growth", "radii": [-0.1, 0.2, 0.3]}, "radii"),
+    ({"name": "mean_value", "r": 0}, "r"),
+    ({"name": "wall_condition", "coef": "x"}, "coef"),
+    ({"name": "functional_inequalities", "bank_size": 0}, "bank_size"),
+    ({"name": "mean_value", "x0": [0.4]}, "x0"),
+    ({"name": "gradient_estimate", "r_list": [-0.1]}, "r_list"),
+    ({"name": "liouville", "sizes": [1.0, 2.0], "resolution": 1.0}, "resolution"),
+    ({"name": "area_growth", "radii": "abc"}, "radii"),
+    ({"name": "wall_condition", "cof": 0.1}, "cof"),
+    ({"name": "first_variation", "margin": True}, "margin"),
+    ({"name": "liouville", "beta": -1.0}, "beta"),
+    ({"name": "liouville", "slope": [0.5]}, "slope"),
+    ({"name": "gradient_estimate", "x0_list": [[0.1, 0.0, 0.0]]}, "x0_list"),
+])
+def test_bad_check_parameter_exits_2_before_any_solve(tmp_path, capsys, no_mesh, check, key):
+    path = write_scenario(tmp_path, sine_scenario_with(check))
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: check {check['name']!r}: ")
+    assert key in err
+    assert not out.exists()
+
+
+def test_sweep_with_bad_check_parameter_exits_2(tmp_path, capsys, no_mesh):
+    path = write_scenario(tmp_path, sine_scenario_with({"name": "mean_value", "r": -1.0}))
+    out = tmp_path / "out"
+    argv = ["sweep", "--config", str(path), "--axis", "resolution", "--values", "0.25,0.125",
+            "--out", str(out)]
+    assert main(argv) == 2
+    assert "config error: check 'mean_value': 'r'" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+
+
+def test_null_check_parameter_takes_the_default():
+    sc = scenario_from_dict(minimal_scenario(checks=[{"name": "wall_condition", "coef": None}]))
+    assert sc.checks == ({"name": "wall_condition"},)
+
+
+@pytest.mark.parametrize("command, resolution", [
+    ("solve", 2.0), ("verify", 2.0), ("verify", 0.5),
+])
+def test_too_coarse_mesh_exits_2_before_any_solve(tmp_path, capsys, no_mesh, command,
+                                                  resolution):
+    path = write_scenario(tmp_path, sine_scenario_with("wall_condition", resolution))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert f"resolution {resolution} too coarse" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_solve_accepts_two_by_two_mesh(tmp_path):
+    path = write_scenario(tmp_path, sine_scenario_with("wall_condition", 0.5))
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "solution.csv").is_file()
+
+
+@pytest.mark.parametrize("values", ["0.25,0.5", "0.25,2.0"])
+def test_sweep_with_too_coarse_mesh_exits_2(tmp_path, capsys, no_mesh, values):
+    path = write_scenario(tmp_path, sine_scenario_with("wall_condition"))
+    out = tmp_path / "out"
+    argv = ["sweep", "--config", str(path), "--axis", "resolution", "--values", values,
+            "--out", str(out)]
+    assert main(argv) == 2
+    assert "too coarse" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
 
 
 # -- run pipeline -----------------------------------------------------------------

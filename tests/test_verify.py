@@ -105,9 +105,10 @@ def test_gradient_records_skip_out_of_domain(curved_32):
 
 def test_fit_satisfies_all_records(curved_32):
     geom = curved_32[3]
-    recs, (c1, c2), report = V.gradient_estimate_probe(
-        geom, [[0.0, 0.0], [0.25, 0.0], [0.5, 0.0]], [0.1, 0.2, 0.3, 0.45]
-    )
+    x0_list, r_list = [[0.0, 0.0], [0.25, 0.0], [0.5, 0.0]], [0.1, 0.2, 0.3, 0.45]
+    report = V.gradient_estimate_probe(geom, x0_list, r_list)
+    recs = V.gradient_estimate_records(geom, x0_list, r_list)
+    c1, c2 = report.metadata["c1"], report.metadata["c2"]
     assert c1 >= 0.0 and c2 >= 0.0 and math.isfinite(c1) and math.isfinite(c2)
     for rec in recs:
         assert rec.lhs <= c1 + c2 * rec.osc_over_r + 1e-9
