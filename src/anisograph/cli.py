@@ -194,7 +194,7 @@ def _liouville_sizes(check: dict) -> None:
 
 
 class _Check(NamedTuple):
-    """A check's ``verify`` probe (looked up at run time, so a wrapper set there runs), the
+    """A check's ``verify`` probe (looked up per run, so a wrapper set on ``verify`` runs), the
     parsers of its scenario keys, the probe parameters ``_scenario_default`` fills (others
     keep the probe's defaults), renamed keys, a validator, and whether it reads the geometry."""
 
