@@ -14,26 +14,22 @@ Usage:
 
 import argparse
 import csv
-import dataclasses
+import json
 import math
 import sys
 import warnings
 
 import anisograph.verify as V
-from anisograph import EllipticIntegrand
-from anisograph.cli import bundled_scenario_path, load_scenario, run_scenario
+from anisograph.cli import bundled_scenario_path, run_scenario, scenario_from_dict
 
 THETAS = (math.pi / 6, math.pi / 4, math.pi / 2, 3 * math.pi / 4)
 
 
-def records_for(base, theta: float, resolution: float):
-    probes = next(c for c in base.checks if c["name"] == "gradient_estimate")
-    scenario = dataclasses.replace(
-        base,
-        integrand=EllipticIntegrand.capillary(theta, dim=3),
-        domain=dataclasses.replace(base.domain, resolution=resolution),
-        checks=(),
-    )
+def records_for(raw: dict, theta: float, resolution: float):
+    probes = next(c for c in scenario_from_dict(raw).checks if c["name"] == "gradient_estimate")
+    scenario = scenario_from_dict({**raw, "checks": [],
+                                   "integrand": {**raw["integrand"], "theta": theta},
+                                   "domain": {**raw["domain"], "resolution": resolution}})
     result = run_scenario(scenario)
     if result.exit_code:
         raise RuntimeError(f"solve failed at theta={theta}")
@@ -48,11 +44,11 @@ def main(argv=None) -> int:
     ap.add_argument("--out", default="theta_records.csv")
     args = ap.parse_args(argv)
 
-    base = load_scenario(bundled_scenario_path("capillary_theta_sweep"))
+    raw = json.loads(bundled_scenario_path("capillary_theta_sweep").read_text())
     pooled = []
     rows = []
     for theta in THETAS:
-        recs = records_for(base, theta, 1.0 / args.resolution)
+        recs = records_for(raw, theta, 1.0 / args.resolution)
         c1, c2 = V.fit_gradient_constants(recs)
         print(f"theta={theta:.4f}: {len(recs)} records, per-angle c1={c1:.5f} c2={c2:.5f}")
         for rec in recs:

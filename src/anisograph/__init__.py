@@ -13,7 +13,6 @@ from .domain import (
     Tag,
     build_mesh,
     half_ball_vertices,
-    refine,
 )
 from .geometry import (
     GraphGeometry,
@@ -25,8 +24,6 @@ from .solver import (
     GraphFunction,
     SolveConfig,
     SolveReport,
-    amse_residual,
-    energy,
     solve,
     wall_flux_residuals,
 )

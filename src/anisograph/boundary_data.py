@@ -1,69 +1,95 @@
-"""Named boundary-data functions evaluated from small JSON-able specs."""
+"""Named boundary-data functions evaluated from small JSON-able specs:
+
+  affine        <a, x> + b
+  sine          amplitude * sin(kx x1 + phase) * cos(ky x2)
+  bump          height * cos(pi d / (2 radius))^2 at a distance d < radius from center
+  table         the value of the row [coords..., value] nearest to x
+  sum           the sum of its terms
+  flat_profile  the integrand's wall-compatible affine profile a1 * x1 + b
+
+``parse_data_spec`` checks a spec against its type's keys and fills in the
+defaults; a scenario's loader and ``evaluate_data_spec`` share it.
+"""
 
 from __future__ import annotations
 
+from functools import partial
+from typing import Callable, Optional
+
 import numpy as np
 
-__all__ = ["evaluate_data_spec"]
+from .schema import ConfigError, _any, _list, _named, _point, _positive, _real, _section, _variant
+
+__all__ = ["evaluate_data_spec", "parse_data_spec"]
+
+
+def _nonempty(value, n) -> list:
+    if not isinstance(value, list) or not value:
+        raise ValueError(f"must be a nonempty list, got {value!r}")
+    return value
+
+
+_SPECS = {
+    "affine": {"a": _point, "b": _real},
+    "sine": {"amplitude": _real, "kx": _real, "ky": _real, "phase": _real},
+    "bump": {"center": _point, "radius": _positive, "height": _real},
+    "table": {"points": lambda value, n: _list(_nonempty(value, n), n,
+                                               item=partial(_list, length=n + 1))},
+    "sum": {"terms": _nonempty},
+    "flat_profile": {"b": _real},
+}
+
+
+def _defaults(n: int) -> dict:
+    return {"affine": {"a": [0.0] * n, "b": 0.0},
+            "sine": {"amplitude": 1.0, "kx": 1.0, "ky": 0.0, "phase": 0.0},
+            "bump": {"center": [0.0] * n, "radius": 1.0, "height": 1.0},
+            "table": {}, "sum": {}, "flat_profile": {"b": 0.0}}
+
+
+def parse_data_spec(spec, n: int, flat_slope: Optional[Callable[[], float]] = None) -> dict:
+    """``spec`` in n dimensions, parsed, with its defaults filled in and each ``flat_profile``
+    made affine with slope ``flat_slope()`` along x1; a malformed spec is a ConfigError."""
+    kind, table = _variant(spec, "type", _SPECS, "dirichlet")
+    where = f"dirichlet {kind!r}"
+    defaults = _defaults(n)[kind]
+    values = {**defaults, **_section(spec, {"type": _any, **table}, where, n,
+                                     required=table.keys() - defaults.keys())}
+    if kind == "sum":
+        values["terms"] = [parse_data_spec(term, n, flat_slope) for term in values["terms"]]
+    elif kind == "flat_profile":
+        if flat_slope is None:
+            raise ConfigError(f"{where} needs an integrand")
+        with _named("dirichlet:"):
+            values = {"type": "affine", "a": [flat_slope()] + [0.0] * (n - 1), "b": values["b"]}
+    return values
 
 
 def evaluate_data_spec(spec: dict, points: np.ndarray) -> np.ndarray:
-    """Evaluate a Dirichlet-data spec at an array of points (npts, n).
-
-    Supported types:
-      affine  {a: [..], b}            -> <a, x> + b
-      sine    {amplitude, kx, ky, phase} -> A sin(kx x1 + phase) cos(ky x2)
-      bump    {center: [..], radius, height} -> smooth compact bump
-      table   {points: [[coords..., value], ...]} -> nearest-neighbor lookup
-      sum     {terms: [spec, ...]}    -> sum of sub-specs
-    """
+    """Evaluate a Dirichlet-data spec at an array of points (npts, n)."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise ValueError("points must be a 2d array")
     n = pts.shape[1]
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise ValueError("data spec must be an object with a 'type'")
+    spec = parse_data_spec(spec, n)
     kind = spec["type"]
     if kind == "affine":
-        a = np.asarray(spec.get("a", [0.0] * n), dtype=float)
-        if a.shape != (n,):
-            raise ValueError(f"affine slope must have {n} components")
-        return pts @ a + float(spec.get("b", 0.0))
+        return pts @ np.asarray(spec["a"]) + spec["b"]
     if kind == "sine":
-        amp = float(spec.get("amplitude", 1.0))
-        kx = float(spec.get("kx", 1.0))
-        phase = float(spec.get("phase", 0.0))
-        out = amp * np.sin(kx * pts[:, 0] + phase)
-        if n == 2:
-            ky = float(spec.get("ky", 0.0))
-            out = out * np.cos(ky * pts[:, 1])
-        return out
+        out = spec["amplitude"] * np.sin(spec["kx"] * pts[:, 0] + spec["phase"])
+        return out * np.cos(spec["ky"] * pts[:, 1]) if n == 2 else out
     if kind == "bump":
-        center = np.asarray(spec.get("center", [0.0] * n), dtype=float)
-        if center.shape != (n,):
-            raise ValueError(f"bump center must have {n} components")
-        radius = float(spec.get("radius", 1.0))
-        height = float(spec.get("height", 1.0))
-        if radius <= 0.0:
-            raise ValueError("bump radius must be positive")
-        d = np.linalg.norm(pts - center, axis=1)
+        d = np.linalg.norm(pts - np.asarray(spec["center"]), axis=1)
         out = np.zeros(pts.shape[0])
-        inside = d < radius
-        out[inside] = height * np.cos(0.5 * np.pi * d[inside] / radius) ** 2
+        inside = d < spec["radius"]
+        out[inside] = spec["height"] * np.cos(0.5 * np.pi * d[inside] / spec["radius"]) ** 2
         return out
     if kind == "table":
-        rows = np.asarray(spec.get("points", []), dtype=float)
-        if rows.ndim != 2 or rows.shape[1] != n + 1 or rows.shape[0] == 0:
-            raise ValueError("table rows must be [coords..., value] and nonempty")
+        rows = np.asarray(spec["points"])
         locs, vals = rows[:, :n], rows[:, n]
         d2 = ((pts[:, None, :] - locs[None, :, :]) ** 2).sum(axis=2)
         return vals[np.argmin(d2, axis=1)]
-    if kind == "sum":
-        terms = spec.get("terms", [])
-        if not terms:
-            raise ValueError("sum spec needs at least one term")
-        out = np.zeros(pts.shape[0])
-        for term in terms:
-            out = out + evaluate_data_spec(term, pts)
-        return out
-    raise ValueError(f"unknown data spec type {kind!r}")
+    out = np.zeros(pts.shape[0])
+    for term in spec["terms"]:
+        out = out + evaluate_data_spec(term, pts)
+    return out

@@ -27,16 +27,18 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
 from . import verify
-from .boundary_data import evaluate_data_spec
+from .boundary_data import evaluate_data_spec, parse_data_spec
 from .domain import HalfDomain, Mesh, build_mesh
 from .geometry import GraphGeometry, compute_geometry
 from .integrand import EllipticIntegrand
+from .schema import (ConfigError, _any, _instance, _integer, _list, _named, _point, _positive,
+                     _real, _section, _variant)
 from .solver import GraphFunction, SolveConfig, SolveReport, solve
 from .verify import CheckReport
 
@@ -52,66 +54,53 @@ __all__ = [
     "main",
 ]
 
-_SWEEP_AXES = ("theta", "resolution", "domain_size")
-
-
-class ConfigError(ValueError):
-    """Malformed scenario or sweep configuration."""
+# sweep axis -> the scenario section and the keys it sets (a 1-d domain ignores its width)
+_SWEEP_AXES = {"theta": ("integrand", ("theta",)), "resolution": ("domain", ("resolution",)),
+               "domain_size": ("domain", ("depth", "width"))}
 
 
 @dataclass(frozen=True)
 class Scenario:
-    name: str
     integrand: EllipticIntegrand
     domain: HalfDomain
-    dirichlet: dict
-    solver: SolveConfig
+    name: str = "scenario"
+    dirichlet: dict = field(default_factory=lambda: {"type": "affine"})  # zero data
+    solver: SolveConfig = SolveConfig()
     checks: tuple = ()
     seed: int = 0
 
 
+# -- the scenario's sections (the integrand's and the Dirichlet data's are in their modules) --
+
+_DOMAIN = {"n": _integer, "depth": _real, "width": _real, "resolution": _real}
+_SOLVER = {"tol_residual": _real, "max_iter": _integer, "ls_shrink": _real,
+           "ls_decrease": _real, "linear_solver_tol": _real}
+_SCENARIO = {
+    "name": partial(_instance, of=str),
+    "seed": partial(_real, low=0.0, integer=True),
+    "integrand": lambda value, n: EllipticIntegrand.from_descriptor(value),
+    "domain": lambda value, n: _section(value, _DOMAIN, "domain",
+                                        required=("depth", "resolution"),
+                                        make=lambda n=2, **keys: HalfDomain(n, **keys)),
+    "solver": lambda value, n: _section(value, _SOLVER, "solver", make=SolveConfig),
+    "dirichlet": _any,  # parsed once the domain and the integrand are
+    "checks": partial(_list, item=_any),
+}
+
+
 def scenario_from_dict(raw: dict, solve_only: bool = False) -> Scenario:
-    """Build and validate a Scenario from parsed JSON.  The mesh needs two cells per
-    axis, three where the checks (unless ``solve_only``) compute the geometry."""
-    try:
-        if not isinstance(raw, dict):
-            raise ValueError("scenario must be a JSON object")
-        integrand = EllipticIntegrand.from_descriptor(raw["integrand"])
-        dom_raw = dict(raw["domain"])
-        domain = HalfDomain(
-            n=int(dom_raw.get("n", 2)),
-            depth=float(dom_raw["depth"]),
-            width=float(dom_raw["width"]) if "width" in dom_raw else None,
-            resolution=float(dom_raw["resolution"]),
-        )
-        if integrand.dim != domain.n + 1:
-            raise ValueError(
-                f"integrand dim {integrand.dim} does not match domain n+1={domain.n + 1}"
-            )
-        dirichlet = raw.get("dirichlet", {"type": "affine", "a": [0.0] * domain.n, "b": 0.0})
-        solver_raw = dict(raw.get("solver", {}))
-        solver = SolveConfig(
-            tol_residual=float(solver_raw.get("tol_residual", 1e-10)),
-            max_iter=int(solver_raw.get("max_iter", 50)),
-            ls_shrink=float(solver_raw.get("ls_shrink", 0.5)),
-            ls_decrease=float(solver_raw.get("ls_decrease", 1e-4)),
-            linear_solver_tol=float(solver_raw.get("linear_solver_tol", 1e-8)),
-        )
-        checks = tuple(_parse_check(item, domain.n) for item in raw.get("checks", []))
-        domain.divisions(2 if solve_only or not _needs_geometry(checks) else 3)
-        return Scenario(
-            name=str(raw.get("name", "scenario")),
-            integrand=integrand,
-            domain=domain,
-            dirichlet=dirichlet,
-            solver=solver,
-            checks=checks,
-            seed=int(raw.get("seed", 0)),
-        )
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    """Parse and validate a whole scenario; a malformed one is a ConfigError, raised before
+    any mesh is built.  The mesh needs two cells per axis, three where the checks (unless
+    ``solve_only``) compute the geometry."""
+    sc = _section(raw, _SCENARIO, "scenario", required=("integrand", "domain"), make=Scenario)
+    n = sc.domain.n
+    if sc.integrand.dim != n + 1:
+        raise ConfigError(f"integrand dim {sc.integrand.dim} does not match domain n+1={n + 1}")
+    checks = tuple(_parse_check(item, sc) for item in sc.checks)
+    with _named("domain:"):
+        sc.domain.divisions(2 if solve_only or not _needs_geometry(checks) else 3)
+    return replace(sc, checks=checks,
+                   dirichlet=parse_data_spec(sc.dirichlet, n, sc.integrand.flat_slope))
 
 
 def _read_json(path) -> dict:
@@ -158,39 +147,14 @@ class RunResult:
 # and returns the value its probe gets or raises ValueError -----------------------
 
 
-def _real(value, n=None, low=-math.inf, strict=False, integer=False) -> float:
-    if (isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value)
-            or value < low or (strict and value == low) or (integer and value != int(value))):
-        bound = f" {'>' if strict else '>='} {low:g}" if low > -math.inf else ""
-        raise ValueError(f"must be a finite {'integer' if integer else 'number'}{bound}, "
-                         f"got {value!r}")
-    return int(value) if integer else float(value)
-
-
-_positive = partial(_real, low=0.0, strict=True)
-
-
-def _list(value, n, item=_real, length=None) -> list:
-    if not isinstance(value, list) or length not in (None, len(value)):
-        raise ValueError(f"must be a list{f' of {length}' if length else ''}, got {value!r}")
-    return [item(v, n) for v in value]
-
-
-def _point(value, n: int) -> list[float]:
-    return _list(value, n, length=n)
-
-
 def _liouville_sizes(check: dict) -> None:
     """Increasing ``sizes``, at least two, the smallest meshed with two cells per axis."""
     defaults = inspect.signature(verify.liouville_probe).parameters
     sizes = check.get("sizes", defaults["r_sizes"].default)
     resolution = check.get("resolution", defaults["resolution"].default)
-    try:
-        if sorted(sizes) != list(sizes) or len(sizes) < 2:
-            raise ValueError(f"'sizes' must be increasing, with at least two entries: {sizes}")
-        HalfDomain(2, depth=sizes[0], width=sizes[0], resolution=resolution).divisions()
-    except ValueError as exc:
-        raise ValueError(f"check 'liouville': {exc}") from exc
+    if sorted(sizes) != list(sizes) or len(sizes) < 2:
+        raise ValueError(f"'sizes' must be increasing, with at least two entries: {sizes}")
+    HalfDomain(2, depth=sizes[0], width=sizes[0], resolution=resolution).divisions()
 
 
 class _Check(NamedTuple):
@@ -236,24 +200,17 @@ _CHECKS = {
 }
 
 
-def _parse_check(item, n: int) -> dict:
-    """A scenario check item with its values parsed; a null value means the default."""
+def _parse_check(item, sc: Scenario) -> dict:
+    """A scenario check item (a name, or an object with one) as its name and the keyword
+    arguments of its probe: its parsed values, renamed, and what the scenario derives."""
     item = {"name": item} if isinstance(item, str) else item
-    if not isinstance(item, dict) or item.get("name") not in _CHECKS:
-        raise ValueError(f"unknown check {item!r}: give a check name or an object with one")
-    name, spec = item["name"], _CHECKS[item["name"]]
-    check = {"name": name}
-    for key, value in item.items():
-        if key == "name" or value is None:
-            continue
-        try:
-            if key not in spec.keys:
-                raise ValueError(f"is not a key of this check ({', '.join(spec.keys) or 'none'})")
-            check[key] = spec.keys[key](value, n)
-        except ValueError as exc:
-            raise ValueError(f"check {name!r}: {key!r} {exc}") from exc
-    if spec.validate is not None:
-        spec.validate(check)
+    name, spec = _variant(item, "name", _CHECKS, "check")
+    check = _section(item, {"name": _any, **spec.keys}, f"check {name!r}", sc.domain.n)
+    with _named(f"check {name!r}:"):
+        if spec.validate is not None:
+            spec.validate(check)
+        check = {spec.rename.get(k, k): v for k, v in check.items()}
+        check.update((p, _scenario_default(p, sc)) for p in spec.derived if p not in check)
     return check
 
 
@@ -274,41 +231,17 @@ def _needs_geometry(checks) -> bool:
     return not checks or any(_CHECKS[c["name"]].geometry for c in checks)
 
 
-def _run_check(check: dict, sc: Scenario, geom: Optional[GraphGeometry]) -> CheckReport:
+def _run_check(check: dict, geom: Optional[GraphGeometry]) -> CheckReport:
     spec = _CHECKS[check["name"]]
-    params = {spec.rename.get(k, k): v for k, v in check.items() if k != "name"}
-    params.update((p, _scenario_default(p, sc)) for p in spec.derived if p not in params)
+    params = {k: v for k, v in check.items() if k != "name"}
     probe = getattr(verify, spec.probe)
     return probe(geom, **params) if spec.geometry else probe(**params)
-
-
-def _resolve_dirichlet(spec: dict, scenario: Scenario) -> dict:
-    """Expand 'flat_profile' terms into the integrand's wall-compatible affine."""
-    if not isinstance(spec, dict):
-        return spec
-    if spec.get("type") == "flat_profile":
-        a = [0.0] * scenario.domain.n
-        a[0] = scenario.integrand.flat_slope()
-        return {"type": "affine", "a": a, "b": float(spec.get("b", 0.0))}
-    if spec.get("type") == "sum":
-        return {"type": "sum",
-                "terms": [_resolve_dirichlet(t, scenario) for t in spec.get("terms", [])]}
-    return spec
-
-
-def _dirichlet_data(scenario: Scenario, mesh: Mesh):
-    """The scenario's Dirichlet data at the mesh vertices; a bad spec is a ConfigError."""
-    try:
-        return evaluate_data_spec(_resolve_dirichlet(scenario.dirichlet, scenario),
-                                  mesh.vertices)
-    except ValueError as exc:
-        raise ConfigError(f"dirichlet: {exc}") from exc
 
 
 def run_scenario(scenario: Scenario, solve_only: bool = False) -> RunResult:
     """Solve a scenario and, unless ``solve_only``, run its checks in memory."""
     mesh = build_mesh(scenario.domain)
-    data = _dirichlet_data(scenario, mesh)
+    data = evaluate_data_spec(scenario.dirichlet, mesh.vertices)
     solution, solve_report = solve(scenario.integrand, mesh, data, scenario.solver)
     result = RunResult(scenario, mesh, solution, solve_report, None)
     if solve_only or not solve_report.converged:
@@ -316,7 +249,7 @@ def run_scenario(scenario: Scenario, solve_only: bool = False) -> RunResult:
     if _needs_geometry(scenario.checks):
         result.geometry = compute_geometry(scenario.integrand, solution)
     for check in scenario.checks:
-        result.reports.append(_run_check(check, scenario, result.geometry))
+        result.reports.append(_run_check(check, result.geometry))
     return result
 
 
@@ -386,14 +319,14 @@ def run(scenario_path, out_dir, solve_only: bool = False) -> int:
     t0 = time.perf_counter()
     try:
         scenario = load_scenario(scenario_path, solve_only)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = run_scenario(scenario, solve_only)
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run_scenario(scenario, solve_only)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     log = [f"warning: {w.message}" for w in caught]
     _write_solution_csv(out / "solution.csv", result)
     _write_solve_report(out / "solve_report.json", result.solve_report)
@@ -417,24 +350,12 @@ def run(scenario_path, out_dir, solve_only: bool = False) -> int:
 # -- parameter sweeps -------------------------------------------------------------
 
 
-def _apply_axis(raw: dict, axis: str, value: float) -> dict:
-    if not isinstance(raw, dict):
-        raise ConfigError("scenario must be a JSON object")
+def _apply_axis(raw, axis: str, value: float) -> dict:
+    section, keys = _SWEEP_AXES[axis]
     out = json.loads(json.dumps(raw))
-    part = out.get("integrand" if axis == "theta" else "domain")
-    if axis == "theta":
-        if not isinstance(part, dict) or part.get("kind") != "capillary":
-            raise ConfigError("theta sweep needs a capillary integrand")
-        part["theta"] = value
-    elif not isinstance(part, dict):
-        raise ConfigError(f"{axis} sweep needs a 'domain' object")
-    elif axis == "resolution":
-        part["resolution"] = value
-    else:
-        part["depth"] = value
-        if part.get("n", 2) == 2:
-            part["width"] = value
-    out["name"] = f"{out.get('name', 'scenario')}_{axis}={value:.6g}"
+    if not isinstance(out, dict) or not isinstance(out.get(section), dict):
+        raise ConfigError(f"a {axis} sweep needs a scenario object with a {section!r} object")
+    out[section].update(dict.fromkeys(keys, value))
     return out
 
 
@@ -452,8 +373,10 @@ def _max_workers(n_jobs: int) -> int:
 def sweep(scenario_path, axis: str, values, out_dir) -> int:
     """Run the base scenario once per axis value; one CSV row per value."""
     try:
+        if not values:
+            raise ConfigError("empty sweep value list")
         if axis not in _SWEEP_AXES:
-            raise ConfigError(f"unknown sweep axis {axis!r}; use one of {_SWEEP_AXES}")
+            raise ConfigError(f"unknown sweep axis {axis!r}; use one of {', '.join(_SWEEP_AXES)}")
         raw = _read_json(scenario_path)
         variants = [scenario_from_dict(_apply_axis(raw, axis, v)) for v in values]
         workers = _max_workers(len(variants))
@@ -462,17 +385,13 @@ def sweep(scenario_path, axis: str, values, out_dir) -> int:
         return 2
 
     results: list[Optional[RunResult]] = [None] * len(variants)
-    try:
-        # catch_warnings swaps the process-wide filter list, so it is entered
-        # once here: entered in each worker, one thread's exit unmutes the others
-        with warnings.catch_warnings(), concurrent.futures.ThreadPoolExecutor(workers) as pool:
-            warnings.simplefilter("ignore")
-            futures = {pool.submit(run_scenario, sc): i for i, sc in enumerate(variants)}
-            for fut in concurrent.futures.as_completed(futures):
-                results[futures[fut]] = fut.result()
-    except ConfigError as exc:  # e.g. a malformed Dirichlet spec, found per mesh
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    # catch_warnings swaps the process-wide filter list, so it is entered
+    # once here: entered in each worker, one thread's exit unmutes the others
+    with warnings.catch_warnings(), concurrent.futures.ThreadPoolExecutor(workers) as pool:
+        warnings.simplefilter("ignore")
+        futures = {pool.submit(run_scenario, sc): i for i, sc in enumerate(variants)}
+        for fut in concurrent.futures.as_completed(futures):
+            results[futures[fut]] = fut.result()
 
     check_names = sorted({rep.check_name for res in results for rep in res.reports})
     out = Path(out_dir)
@@ -534,8 +453,6 @@ def main(argv=None) -> int:
     if args.command == "sweep":
         try:
             values = [float(v) for v in args.values.split(",") if v.strip()]
-            if not values:
-                raise ConfigError("empty sweep value list")
         except ValueError:
             print("config error: sweep values must be numbers", file=sys.stderr)
             return 2

@@ -23,7 +23,6 @@ __all__ = [
     "HalfDomain",
     "Mesh",
     "build_mesh",
-    "refine",
     "half_ball_vertices",
 ]
 
@@ -48,12 +47,12 @@ class HalfDomain:
     def __post_init__(self) -> None:
         if self.n not in (1, 2):
             raise ValueError("graph dimension must be 1 or 2")
-        if self.depth <= 0.0:
+        if not self.depth > 0.0:
             raise ValueError("depth must be positive")
         if self.n == 2:
-            if self.width is None or self.width <= 0.0:
+            if self.width is None or not self.width > 0.0:
                 raise ValueError("a 2d domain needs a positive width")
-        if self.resolution <= 0.0:
+        if not self.resolution > 0.0:
             raise ValueError("resolution must be positive")
 
     def extents(self) -> tuple[float, ...]:
@@ -111,12 +110,6 @@ class Mesh:
         """Indices (into boundary_facets) of the facets on the wall {x1=0}."""
         return np.flatnonzero(self.facet_tags == Tag.FREE)
 
-    @property
-    def vertex_masses(self) -> np.ndarray:
-        """Lumped vertex masses: each cell gives its vertices equal shares."""
-        share = self.cell_measures / (self.n + 1)
-        return self.scatter(share[:, None].repeat(self.n + 1, axis=1))
-
     def scatter(self, contrib: np.ndarray) -> np.ndarray:
         """Per-vertex sums of per-cell vertex contributions ``(ncells, n + 1)``."""
         return np.bincount(self.cells.ravel(), weights=contrib.ravel(),
@@ -138,11 +131,6 @@ def build_mesh(domain: HalfDomain) -> Mesh:
     any axis (too coarse to carry distinct wall and truncation boundaries).
     """
     return _build(domain, domain.divisions())
-
-
-def refine(mesh: Mesh) -> Mesh:
-    """Uniform refinement halving the mesh size; tags are inherited."""
-    return _build(mesh.domain, tuple(2 * d for d in mesh.divisions))
 
 
 def _build(domain: HalfDomain, divisions: tuple[int, ...]) -> Mesh:

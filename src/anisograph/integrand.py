@@ -24,9 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
+
+from .schema import _any, _instance, _integer, _list, _named, _positive, _real, _section, _variant
 
 __all__ = [
     "EllipticIntegrand",
@@ -35,8 +38,8 @@ __all__ = [
 ]
 
 _GOLDEN_FRAC = (math.sqrt(5.0) - 1.0) / 2.0
-# Sample count used when normalization has to fall back on sampling.
-_NORMALIZE_SAMPLES = 2 ** 14
+# Sphere samples for kinds with no closed-form sphere range.
+_SPHERE_SAMPLES = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -108,9 +111,9 @@ class EllipticIntegrand:
 
     Use the constructors :meth:`euclidean`, :meth:`capillary`,
     :meth:`ellipsoid`, :meth:`pnorm` rather than instantiating directly.
-    ``scale`` multiplies all values and derivatives; ``normalized`` records
-    whether ``scale`` was chosen (via :meth:`normalize`) so the sphere minimum
-    of F equals one.
+    ``scale`` multiplies all values and derivatives; ``normalized`` is a flag of
+    the descriptor, carried through to ``to_descriptor``, that records whether
+    ``scale`` was chosen so that the sphere minimum of F equals one.
     """
 
     kind: str
@@ -153,7 +156,7 @@ class EllipticIntegrand:
         return EllipticIntegrand(kind="ellipsoid", dim=a.shape[0], matrix=a)
 
     @staticmethod
-    def pnorm(p: float, dim: int = 3, eps: float = 1e-2) -> "EllipticIntegrand":
+    def pnorm(p: float = 3.0, dim: int = 3, eps: float = 1e-2) -> "EllipticIntegrand":
         _check_dim(dim)
         if not p > 1.0:
             raise ValueError("pnorm exponent must exceed 1")
@@ -285,7 +288,7 @@ class EllipticIntegrand:
         h = self.hess_F(z)[..., : self.dim - 1, : self.dim - 1]
         return h[0] if single else h
 
-    # -- sphere bounds and normalization -------------------------------------
+    # -- sphere bounds -------------------------------------------------------
 
     def estimate_bounds(self, n_samples: int) -> IntegrandBounds:
         """Sampled sphere range of F and of its tangential Hessian.
@@ -332,7 +335,7 @@ class EllipticIntegrand:
             return None
         return self.scale * lo, self.scale * hi
 
-    def sphere_range(self, n_samples: int = _NORMALIZE_SAMPLES) -> tuple[float, float]:
+    def sphere_range(self, n_samples: int = _SPHERE_SAMPLES) -> tuple[float, float]:
         rng = self.analytic_sphere_range()
         if rng is not None:
             return rng
@@ -365,15 +368,6 @@ class EllipticIntegrand:
                 hi = mid
         return 0.5 * (lo + hi)
 
-    def normalize(self) -> "EllipticIntegrand":
-        """Rescale so the sphere minimum of F is one (idempotent)."""
-        rng = self.analytic_sphere_range()
-        if rng is not None:
-            base_min = rng[0] / self.scale
-        else:
-            base_min = self.estimate_bounds(_NORMALIZE_SAMPLES).f_min / self.scale
-        return replace(self, scale=1.0 / base_min, normalized=True)
-
     # -- JSON descriptor ------------------------------------------------------
 
     def to_descriptor(self) -> dict:
@@ -393,34 +387,42 @@ class EllipticIntegrand:
 
     @staticmethod
     def from_descriptor(desc: dict) -> "EllipticIntegrand":
-        """Parse a JSON descriptor, validating angles and SPD matrices."""
-        if not isinstance(desc, dict) or "kind" not in desc:
-            raise ValueError("integrand descriptor must be an object with a 'kind'")
-        kind = desc["kind"]
-        dim = int(desc.get("dim", 3))
-        if kind == "euclidean":
-            integrand = EllipticIntegrand.euclidean(dim)
-        elif kind == "capillary":
-            if "theta" not in desc:
-                raise ValueError("capillary descriptor needs 'theta'")
-            integrand = EllipticIntegrand.capillary(float(desc["theta"]), dim)
-        elif kind == "ellipsoid":
-            raw = np.asarray(desc.get("matrix"), dtype=float)
-            if raw.ndim == 1:
-                if raw.size != dim * dim:
-                    raise ValueError("row-major matrix must have dim*dim entries")
-                raw = raw.reshape(dim, dim)
-            integrand = EllipticIntegrand.ellipsoid(raw)
-        elif kind == "pnorm":
-            integrand = EllipticIntegrand.pnorm(
-                float(desc.get("p", 3.0)), dim, float(desc.get("eps", 1e-2))
-            )
-        else:
-            raise ValueError(f"unknown integrand kind {kind!r}")
-        scale = float(desc.get("scale", 1.0))
-        if scale <= 0.0:
-            raise ValueError("integrand scale must be positive")
-        return replace(integrand, scale=scale, normalized=bool(desc.get("normalized", False)))
+        """Parse a JSON descriptor: its kind's keys, validated by the kind's constructor.
+        A malformed or (as sampled) not uniformly elliptic one is a ConfigError."""
+        kind, (make, keys, required) = _variant(desc, "kind", _KINDS, "integrand")
+        where = f"integrand {kind!r}"
+        integrand = _section(desc, {**_SHARED_KEYS, **keys}, where, required=required,
+                             make=partial(_from_keys, make))
+        with _named(f"{where}: not uniformly elliptic:"):
+            integrand.sphere_range()  # samples F and its Hessian where no closed form exists
+        return integrand
+
+
+def _from_keys(make, kind: str, **params) -> EllipticIntegrand:
+    shared = {key: params.pop(key) for key in ("scale", "normalized") if key in params}
+    return replace(make(**params), **shared)
+
+
+def _ellipsoid(matrix: np.ndarray, dim: int = 3) -> EllipticIntegrand:
+    """An ellipsoid from its rows, or from its dim * dim entries row-major."""
+    return EllipticIntegrand.ellipsoid(matrix.reshape(dim, dim) if matrix.ndim == 1 else matrix)
+
+
+def _matrix(value, n=None) -> np.ndarray:
+    nested = isinstance(value, list) and any(isinstance(row, list) for row in value)
+    return np.array(_list(value, n, item=_list if nested else _real))
+
+
+# descriptor keys of every kind; then kind -> (constructor, the parsers of its own keys,
+# the keys it requires)
+_SHARED_KEYS = {"kind": _any, "dim": _integer, "scale": _positive,
+                "normalized": partial(_instance, of=bool)}
+_KINDS = {
+    "euclidean": (EllipticIntegrand.euclidean, {}, ()),
+    "capillary": (EllipticIntegrand.capillary, {"theta": _real}, ("theta",)),
+    "ellipsoid": (_ellipsoid, {"matrix": _matrix}, ("matrix",)),
+    "pnorm": (EllipticIntegrand.pnorm, {"p": _real, "eps": _real}, ()),
+}
 
 
 def _check_dim(dim: int) -> None:

@@ -54,9 +54,7 @@ __all__ = [
     "GraphFunction",
     "SolveConfig",
     "SolveReport",
-    "energy",
     "solve",
-    "amse_residual",
     "wall_flux_residuals",
 ]
 
@@ -89,12 +87,16 @@ class SolveConfig:
     linear_solver_tol: float = 1e-8
 
     def __post_init__(self) -> None:
-        if self.tol_residual <= 0.0:
+        if not self.tol_residual > 0.0:
             raise ValueError("tol_residual must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if not (0.0 < self.ls_shrink < 1.0):
-            raise ValueError("line-search shrink factor must lie in (0, 1)")
+            raise ValueError("ls_shrink must lie in (0, 1)")
+        if not (0.0 < self.ls_decrease < 1.0):
+            raise ValueError("ls_decrease must lie in (0, 1)")
+        if not self.linear_solver_tol > 0.0:
+            raise ValueError("linear_solver_tol must be positive")
 
 
 @dataclass
@@ -110,11 +112,6 @@ class SolveReport:
 
 def _energy(integrand: EllipticIntegrand, mesh: Mesh, values: np.ndarray) -> float:
     return float(np.dot(mesh.cell_measures, integrand.eval_f(mesh.cell_gradients(values))))
-
-
-def energy(integrand: EllipticIntegrand, u: GraphFunction) -> float:
-    """Discrete anisotropic area of the graph (exact for PL interpolants)."""
-    return _energy(integrand, u.mesh, u.values)
 
 
 def _raw_gradient(integrand: EllipticIntegrand, mesh: Mesh, values: np.ndarray) -> np.ndarray:
@@ -336,17 +333,3 @@ def solve(
     )
     return solution, report
 
-
-def amse_residual(integrand: EllipticIntegrand, u: GraphFunction) -> np.ndarray:
-    """Weak equation residual per interior vertex, normalized by vertex mass.
-
-    Entries at FREE and DIRICHLET vertices are zero; interior entries vanish
-    (up to the solver tolerance over the vertex mass) at a converged solve,
-    and exactly for affine graphs.
-    """
-    mesh = u.mesh
-    g = _raw_gradient(integrand, mesh, u.values)
-    out = np.zeros(mesh.num_vertices)
-    interior = mesh.vertex_tags == Tag.INTERIOR
-    out[interior] = g[interior] / mesh.vertex_masses[interior]
-    return out

@@ -14,7 +14,8 @@ from anisograph import (
 )
 from anisograph.boundary_data import evaluate_data_spec
 
-settings.register_profile("numerics", deadline=None, max_examples=25)
+# derandomized: every run, in CI too, draws the same examples
+settings.register_profile("numerics", deadline=None, max_examples=25, derandomize=True)
 settings.load_profile("numerics")
 
 warnings.filterwarnings("ignore", message="no vertices within radius")

@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import csv
 import math
+from dataclasses import replace
 from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sps
 from scipy.sparse.linalg import spsolve
 
+from anisograph.domain import Tag, _build
+from anisograph.solver import _raw_gradient
 from anisograph.verify import _pl_power_cellwise
 
 
@@ -38,6 +41,38 @@ def wall_nubar(geom) -> np.ndarray:
     slope = (u[:, 1] - u[:, 0]) / (x2[:, 1] - x2[:, 0])
     nubar = np.stack([np.zeros_like(slope), -slope, np.ones_like(slope)], axis=1)
     return nubar / np.sqrt(1.0 + slope * slope)[:, None]
+
+
+def refine(mesh):
+    """Uniform refinement halving the mesh size; tags are inherited."""
+    return _build(mesh.domain, tuple(2 * d for d in mesh.divisions))
+
+
+def vertex_masses(mesh) -> np.ndarray:
+    """Lumped vertex masses: each cell gives its vertices equal shares."""
+    share = mesh.cell_measures / (mesh.n + 1)
+    return mesh.scatter(share[:, None].repeat(mesh.n + 1, axis=1))
+
+
+def amse_residual(integrand, u) -> np.ndarray:
+    """Weak equation residual per interior vertex, normalized by vertex mass.
+
+    Entries at FREE and DIRICHLET vertices are zero; interior entries vanish
+    (up to the solver tolerance over the vertex mass) at a converged solve,
+    and exactly for affine graphs.
+    """
+    mesh = u.mesh
+    g = _raw_gradient(integrand, mesh, u.values)
+    out = np.zeros(mesh.num_vertices)
+    interior = mesh.vertex_tags == Tag.INTERIOR
+    out[interior] = g[interior] / vertex_masses(mesh)[interior]
+    return out
+
+
+def normalize(integrand):
+    """The integrand rescaled so the sphere minimum of F is one (idempotent)."""
+    base_min = integrand.sphere_range()[0] / integrand.scale
+    return replace(integrand, scale=1.0 / base_min, normalized=True)
 
 
 # -- finite differences ----------------------------------------------------------

@@ -30,6 +30,7 @@ from anisograph import (
 from anisograph.boundary_data import evaluate_data_spec
 from anisograph.cli import bundled_scenario_path, run
 from conftest import CURVED_DATA_SPEC
+from reference import amse_residual
 
 warnings.filterwarnings("ignore", message="no vertices within radius")
 
@@ -183,8 +184,6 @@ def test_criterion_04_capillary_euclidean_equivalence():
     mesh = build_mesh(HalfDomain(2, depth=1.0, width=0.5, resolution=1 / 32))
     rng = np.random.default_rng(7)
     worst = 0.0
-    from anisograph import amse_residual
-
     for seed in range(3):
         u = GraphFunction(mesh, rng.normal(size=mesh.num_vertices) * 0.5)
         r_cap = amse_residual(EllipticIntegrand.capillary(0.4 + seed, 3), u)

@@ -1,14 +1,19 @@
+import copy
 import csv
 import inspect
 import json
 import math
-import os
+import operator
 import sys
+import tempfile
 import warnings
+from functools import reduce
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from anisograph import HalfDomain, build_mesh, cli, verify
 from anisograph.boundary_data import evaluate_data_spec
@@ -241,6 +246,113 @@ def test_sweep_with_too_coarse_mesh_exits_2(tmp_path, capsys, no_mesh, values):
     assert not (out / "sweep.csv").exists()
 
 
+def edited(raw, edits):
+    """``raw`` with each ``"a.b"`` path of ``edits`` set to its value."""
+    for path, value in edits.items():
+        *parents, key = path.split(".")
+        reduce(operator.getitem, parents, raw)[key] = value
+    return raw
+
+
+SINE = {"type": "sine", "amplitude": 0.25, "kx": 2.0, "ky": math.pi, "phase": math.pi / 2}
+
+
+@pytest.mark.parametrize("edits, key", [
+    pytest.param({"solver.max_iters": 5}, "'max_iters'", id="unknown-solver-key"),
+    pytest.param({"domian": {"n": 2}}, "'domian'", id="unknown-top-level-key"),
+    pytest.param({"integrand.thetaa": 1.0}, "'thetaa'", id="unknown-integrand-key"),
+    pytest.param({"integrand.dim": 3.5}, "'dim'", id="fractional-dim"),
+    pytest.param({"domain.n": 2.7}, "'n'", id="fractional-n"),
+    pytest.param({"seed": "3"}, "'seed'", id="string-seed"),
+    pytest.param({"dirichlet.bb": 1}, "'bb'", id="unknown-flat-profile-key"),
+    pytest.param({"solver.max_iter": 1.5}, "'max_iter'", id="fractional-max-iter"),
+    pytest.param({"solver.linear_solver_tol": -1}, "linear_solver_tol", id="negative-lin-tol"),
+    pytest.param({"solver.ls_decrease": 2.0}, "ls_decrease", id="ls-decrease-above-1"),
+    pytest.param({"solver.tol_residual": math.nan}, "'tol_residual'", id="nan-tol-residual"),
+    pytest.param({"dirichlet": {"type": "affine", "slope": [0.5, 0.0]}}, "'slope'",
+                 id="misspelt-affine-slope"),
+    pytest.param({"dirichlet": {**SINE, "amplitude": math.nan}}, "'amplitude'",
+                 id="nan-sine-amplitude"),
+    pytest.param({"integrand": {"kind": "pnorm", "p": 20, "eps": 1e-12, "dim": 3},
+                  "dirichlet": {**SINE, "amplitude": 3.0}, "domain.resolution": 0.25},
+                 "not uniformly elliptic", id="non-elliptic-pnorm"),
+    # |cot(theta)| > 1e3 leaves the flat-slope bisection's bracket
+    pytest.param({"integrand.theta": 1e-4}, "dirichlet: flat-slope bracket",
+                 id="flat-profile-bracket"),
+    pytest.param({"integrand.theta": 1e-4, "dirichlet": {"type": "affine"},
+                  "checks": [{"name": "liouville", "sizes": [2.0, 4.0], "resolution": 0.5}]},
+                 "check 'liouville': flat-slope bracket", id="liouville-slope-bracket"),
+])
+def test_malformed_scenario_exits_2_before_any_mesh(tmp_path, capsys, no_mesh, edits, key):
+    raw = json.loads(bundled_scenario_path("capillary_flat").read_text())
+    raw["domain"]["resolution"] = 1 / 8
+    path = write_scenario(tmp_path, edited(raw, edits))
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err
+    assert not out.exists()
+
+
+# -- contract fuzzer: any input ends with a documented exit code --------------------
+
+
+FUZZ_BASES = [
+    minimal_scenario(checks=["wall_condition", {"name": "mean_value", "x0": [0.4, 0.0]}]),
+    minimal_scenario(integrand={"kind": "ellipsoid", "matrix": [2, 0, 0, 0, 1, 0, 0, 0, 1]},
+                     dirichlet={"type": "sum", "terms": [SINE, {"type": "bump", "center": [0.5, 0],
+                                                                "radius": 0.3}]},
+                     checks=[{"name": "area_growth", "radii": [0.2, 0.3]}]),
+    minimal_scenario(integrand={"kind": "pnorm", "p": 3.0, "eps": 0.01},
+                     domain={"n": 1, "depth": 1.0, "resolution": 0.125},
+                     dirichlet={"type": "table", "points": [[1.0, 0.3]]}, checks=[]),
+]
+# fresh copies: a mutation may later add a key to an empty object drawn here
+BAD_VALUES = st.sampled_from(["x", [], {}, True, None, math.nan, math.inf, -math.inf,
+                              10 ** 400, -1]).map(copy.deepcopy)
+
+
+def json_paths(node, path=()):
+    """The path of every value inside a JSON value, its own (the empty path) included."""
+    yield path
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from json_paths(child, path + (key,))
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """A bundled-style scenario at h >= 1/8 with one to three values replaced by a wrong type,
+    NaN, an infinity or a negative, or with keys deleted or unknown keys added."""
+    raw = json.loads(json.dumps(draw(st.sampled_from(FUZZ_BASES))))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(json_paths(raw))))
+        node = reduce(operator.getitem, path, raw)
+        parent = reduce(operator.getitem, path[:-1], raw) if path else None
+        action = draw(st.sampled_from(["replace", "negate", "delete", "add"]))
+        if action == "add" and isinstance(node, dict):
+            node[draw(st.sampled_from(["extra", "max_iters", "thetaa", "tpye"]))] = 1.0
+        elif action == "delete" and path:
+            del parent[path[-1]]
+        elif action == "negate" and path and type(node) in (int, float):
+            parent[path[-1]] = -node
+        elif path:
+            parent[path[-1]] = draw(BAD_VALUES)
+        else:
+            raw = draw(BAD_VALUES)
+    return raw
+
+
+@settings(max_examples=150)
+@given(raw=mutated_scenarios(), command=st.sampled_from(["solve", "verify"]))
+def test_mutated_scenarios_end_with_a_documented_exit_code(raw, command):
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        path = write_scenario(Path(tmp), raw)
+        assert main([command, "--config", str(path), "--out", str(Path(tmp) / "out")]) in range(4)
+
+
 # -- run pipeline -----------------------------------------------------------------
 
 
@@ -273,7 +385,8 @@ def test_malformed_dirichlet_spec_exits_2(tmp_path, command, capsys):
     path = write_scenario(tmp_path, minimal_scenario(
         dirichlet={"type": "bump", "center": [0.0, 0.0], "radius": -1.0}))
     assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert "config error: dirichlet: bump radius must be positive" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error: dirichlet 'bump': 'radius' must be a finite number > 0" in err
 
 
 def test_run_exit_3_on_nonconvergence(tmp_path):
@@ -297,9 +410,8 @@ def pnorm_reproducer(p, eps, amplitude):
 
 @pytest.mark.parametrize("command", ["solve", "verify"])
 @pytest.mark.parametrize("p, eps, amplitude, reason", [
-    (20, 1e-12, 3.0, "not numerically positive definite"),
     (1.05, 1e-9, 2.0, "linear solve missed its tolerance"),
-], ids=["p20", "p1.05"])
+], ids=["p1.05"])
 def test_failed_linear_solve_exits_3(tmp_path, capsys, command, p, eps, amplitude, reason):
     path = write_scenario(tmp_path, pnorm_reproducer(p, eps, amplitude))
     out = tmp_path / "out"
@@ -309,6 +421,22 @@ def test_failed_linear_solve_exits_3(tmp_path, capsys, command, p, eps, amplitud
     assert payload["converged"] is False and reason in payload["failure"]
     assert reason in (out / "run.log").read_text()
     assert reason in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_non_elliptic_integrand_exits_2(tmp_path, capsys, no_mesh, command):
+    # p > 2 with eps = 1e-12: the tangential Hessian of F vanishes to rounding
+    # where a coordinate of z does, so the sampled minimum is not positive
+    path = write_scenario(tmp_path, pnorm_reproducer(20, 1e-12, 3.0))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    assert "config error: integrand 'pnorm': not uniformly elliptic" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("p, eps", [(1.05, 1e-9), (3.0, 1e-2)])
+def test_elliptic_pnorm_loads(p, eps):
+    assert scenario_from_dict(pnorm_reproducer(p, eps, 2.0)).integrand.p == p
 
 
 def test_run_exit_1_on_failed_check(tmp_path):
@@ -429,7 +557,8 @@ def test_sweep_malformed_dirichlet_spec_exits_2(tmp_path, capsys):
     raw["dirichlet"] = {"type": "bump", "radius": -1}
     path = write_scenario(tmp_path, raw)
     assert sweep(path, "theta", [0.8, 1.2], tmp_path / "out") == 2
-    assert "config error: dirichlet: bump radius must be positive" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error: dirichlet 'bump': 'radius' must be a finite number > 0" in err
 
 
 def test_sweep_respects_thread_cap(tmp_path, monkeypatch):
@@ -440,11 +569,14 @@ def test_sweep_respects_thread_cap(tmp_path, monkeypatch):
     assert sweep(path, "theta", [0.8], tmp_path / "out2") == 2
 
 
-def test_main_sweep_value_parsing(tmp_path):
+def test_main_sweep_value_parsing(tmp_path, capsys):
     path = write_scenario(tmp_path, minimal_scenario())
-    rc = main(["sweep", "--config", str(path), "--axis", "theta",
-               "--values", "abc", "--out", str(tmp_path / "out")])
-    assert rc == 2
+    for values, message in (("abc", "sweep values must be numbers"),
+                            (",", "empty sweep value list")):
+        rc = main(["sweep", "--config", str(path), "--axis", "theta",
+                   "--values", values, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_sweep_resolution_zero_residual_leaves_rate_empty(tmp_path):

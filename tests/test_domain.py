@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from anisograph import HalfDomain, Tag, build_mesh, half_ball_vertices, refine
+from anisograph import HalfDomain, Tag, build_mesh, half_ball_vertices
+from reference import refine
 
 
 def unit_square_mesh(resolution=0.25):
