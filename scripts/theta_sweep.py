@@ -20,17 +20,14 @@ import sys
 import warnings
 
 import anisograph.verify as V
-from anisograph.cli import bundled_scenario_path, run_scenario, scenario_from_dict
+from anisograph.cli import _apply_axis, bundled_scenario_path, run_scenario, scenario_from_dict
 
 THETAS = (math.pi / 6, math.pi / 4, math.pi / 2, 3 * math.pi / 4)
 
 
-def records_for(raw: dict, theta: float, resolution: float):
-    probes = next(c for c in scenario_from_dict(raw).checks if c["name"] == "gradient_estimate")
-    scenario = scenario_from_dict({**raw, "checks": [],
-                                   "integrand": {**raw["integrand"], "theta": theta},
-                                   "domain": {**raw["domain"], "resolution": resolution}})
-    result = run_scenario(scenario)
+def records_for(raw: dict, probes: dict, theta: float, resolution: float):
+    varied = _apply_axis(_apply_axis(raw, "theta", theta), "resolution", resolution)
+    result = run_scenario(scenario_from_dict({**varied, "checks": []}))
     if result.exit_code:
         raise RuntimeError(f"solve failed at theta={theta}")
     with warnings.catch_warnings():
@@ -45,10 +42,11 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     raw = json.loads(bundled_scenario_path("capillary_theta_sweep").read_text())
+    probes = next(c for c in scenario_from_dict(raw).checks if c["name"] == "gradient_estimate")
     pooled = []
     rows = []
     for theta in THETAS:
-        recs = records_for(raw, theta, 1.0 / args.resolution)
+        recs = records_for(raw, probes, theta, 1.0 / args.resolution)
         c1, c2 = V.fit_gradient_constants(recs)
         print(f"theta={theta:.4f}: {len(recs)} records, per-angle c1={c1:.5f} c2={c2:.5f}")
         for rec in recs:

@@ -66,7 +66,8 @@ def parse_data_spec(spec, n: int, flat_slope: Optional[Callable[[], float]] = No
 
 
 def evaluate_data_spec(spec: dict, points: np.ndarray) -> np.ndarray:
-    """Evaluate a Dirichlet-data spec at an array of points (npts, n)."""
+    """Evaluate a Dirichlet-data spec at points (npts, n).  The spec is parsed as a scenario's,
+    so it must be JSON-typed (lists, ints, floats; no numpy); a malformed one is a ConfigError."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise ValueError("points must be a 2d array")

@@ -61,6 +61,9 @@ _SWEEP_AXES = {"theta": ("integrand", ("theta",)), "resolution": ("domain", ("re
 
 @dataclass(frozen=True)
 class Scenario:
+    """A parsed scenario.  Its ``dirichlet`` and check arguments are resolved against the
+    sections it was loaded with: to vary one, edit the JSON and parse again, not ``replace``."""
+
     integrand: EllipticIntegrand
     domain: HalfDomain
     name: str = "scenario"
@@ -78,7 +81,7 @@ _SOLVER = {"tol_residual": _real, "max_iter": _integer, "ls_shrink": _real,
 _SCENARIO = {
     "name": partial(_instance, of=str),
     "seed": partial(_real, low=0.0, integer=True),
-    "integrand": lambda value, n: EllipticIntegrand.from_descriptor(value),
+    "integrand": _any,  # parsed once the domain is, which fixes its dim
     "domain": lambda value, n: _section(value, _DOMAIN, "domain",
                                         required=("depth", "resolution"),
                                         make=lambda n=2, **keys: HalfDomain(n, **keys)),
@@ -94,8 +97,7 @@ def scenario_from_dict(raw: dict, solve_only: bool = False) -> Scenario:
     ``solve_only``) compute the geometry."""
     sc = _section(raw, _SCENARIO, "scenario", required=("integrand", "domain"), make=Scenario)
     n = sc.domain.n
-    if sc.integrand.dim != n + 1:
-        raise ConfigError(f"integrand dim {sc.integrand.dim} does not match domain n+1={n + 1}")
+    sc = replace(sc, integrand=EllipticIntegrand.from_descriptor(sc.integrand, dim=n + 1))
     checks = tuple(_parse_check(item, sc) for item in sc.checks)
     with _named("domain:"):
         sc.domain.divisions(2 if solve_only or not _needs_geometry(checks) else 3)
@@ -307,12 +309,6 @@ def _write_reports(out_dir: Path, result: RunResult) -> None:
             w.writerow([rep.check_name, rep.status, _fmt(rep.worst_residual)])
 
 
-def _write_solve_report(path, report: SolveReport) -> None:
-    with open(path, "w") as fh:
-        json.dump(asdict(report), fh, sort_keys=True, indent=1)
-        fh.write("\n")
-
-
 def run(scenario_path, out_dir, solve_only: bool = False) -> int:
     """Solve a scenario and write its outputs; unless ``solve_only``, also its
     geometry and check reports.  Returns the exit code."""
@@ -329,7 +325,8 @@ def run(scenario_path, out_dir, solve_only: bool = False) -> int:
     out.mkdir(parents=True, exist_ok=True)
     log = [f"warning: {w.message}" for w in caught]
     _write_solution_csv(out / "solution.csv", result)
-    _write_solve_report(out / "solve_report.json", result.solve_report)
+    with open(out / "solve_report.json", "w") as fh:
+        fh.write(json.dumps(asdict(result.solve_report), sort_keys=True, indent=1) + "\n")
     if not solve_only:
         _write_geometry_csv(out / "geometry.csv", out / "geometry_wall.csv", result)
         _write_reports(out, result)

@@ -29,7 +29,8 @@ from typing import Optional
 
 import numpy as np
 
-from .schema import _any, _instance, _integer, _list, _named, _positive, _real, _section, _variant
+from .schema import (ConfigError, _any, _instance, _integer, _list, _named, _positive, _real,
+                     _section, _variant)
 
 __all__ = [
     "EllipticIntegrand",
@@ -386,13 +387,15 @@ class EllipticIntegrand:
         return out
 
     @staticmethod
-    def from_descriptor(desc: dict) -> "EllipticIntegrand":
-        """Parse a JSON descriptor: its kind's keys, validated by the kind's constructor.
-        A malformed or (as sampled) not uniformly elliptic one is a ConfigError."""
+    def from_descriptor(desc: dict, dim: Optional[int] = None) -> "EllipticIntegrand":
+        """Parse a JSON descriptor; a malformed one, one whose dim is not ``dim`` (if given) or
+        one not uniformly elliptic as sampled (checked last) is a ConfigError."""
         kind, (make, keys, required) = _variant(desc, "kind", _KINDS, "integrand")
         where = f"integrand {kind!r}"
         integrand = _section(desc, {**_SHARED_KEYS, **keys}, where, required=required,
                              make=partial(_from_keys, make))
+        if dim not in (None, integrand.dim):
+            raise ConfigError(f"integrand dim {integrand.dim} does not match domain n+1={dim}")
         with _named(f"{where}: not uniformly elliptic:"):
             integrand.sphere_range()  # samples F and its Hessian where no closed form exists
         return integrand

@@ -276,6 +276,9 @@ SINE = {"type": "sine", "amplitude": 0.25, "kx": 2.0, "ky": math.pi, "phase": ma
     pytest.param({"integrand": {"kind": "pnorm", "p": 20, "eps": 1e-12, "dim": 3},
                   "dirichlet": {**SINE, "amplitude": 3.0}, "domain.resolution": 0.25},
                  "not uniformly elliptic", id="non-elliptic-pnorm"),
+    # the dim is checked before the sphere is sampled, which works only in dim 2 and 3
+    pytest.param({"integrand": {"kind": "pnorm", "dim": 4}}, "integrand dim 4 does not match",
+                 id="pnorm-dim-4"),
     # |cot(theta)| > 1e3 leaves the flat-slope bisection's bracket
     pytest.param({"integrand.theta": 1e-4}, "dirichlet: flat-slope bracket",
                  id="flat-profile-bracket"),

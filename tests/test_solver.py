@@ -1,4 +1,4 @@
-import dataclasses
+import json
 import math
 
 import numpy as np
@@ -17,7 +17,7 @@ from anisograph import (
     wall_flux_residuals,
 )
 from anisograph.boundary_data import evaluate_data_spec
-from anisograph.cli import bundled_scenario_path, load_scenario, run_scenario
+from anisograph.cli import bundled_scenario_path, run_scenario, scenario_from_dict
 from anisograph.solver import (
     _assemble_hessian,
     _cell_hessians,
@@ -294,11 +294,11 @@ def test_failed_coarse_level_falls_back_to_cold_start():
 
 def test_theta_sweep_base_at_058_needs_few_fine_iterations():
     # cold from zero this solve took 30 Newton iterations, most of them damped
-    base = load_scenario(bundled_scenario_path("capillary_theta_sweep"))
-    scenario = dataclasses.replace(
-        base, integrand=EllipticIntegrand.capillary(0.58, 3), checks=[],
-        domain=dataclasses.replace(base.domain, resolution=1 / 64))
-    rep = run_scenario(scenario, solve_only=True).solve_report
+    # loaded at theta = 0.58, so that its flat_profile term takes that angle's slope
+    raw = json.loads(bundled_scenario_path("capillary_theta_sweep").read_text())
+    raw.update(checks=[], integrand={**raw["integrand"], "theta": 0.58},
+               domain={**raw["domain"], "resolution": 1 / 64})
+    rep = run_scenario(scenario_from_dict(raw), solve_only=True).solve_report
     assert rep.converged
     assert rep.iterations <= 6
 
