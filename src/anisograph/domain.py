@@ -11,6 +11,7 @@ immutable after construction and safe for shared reads.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from enum import IntEnum
@@ -71,14 +72,55 @@ class HalfDomain:
 
 
 @dataclass(frozen=True, eq=False)
+class BoxSplit:
+    """How each box of the grid is cut into cells, the same for every box.
+
+    ``offsets[t, i]`` is the grid-index offset, from the box's lowest corner,
+    of vertex ``i`` of a type-``t`` cell, and ``grad_lambda[t, i]`` the
+    constant gradient of that vertex's hat on it; every cell has measure
+    ``measure``.  One type in one dimension; in two, the lower triangle
+    (v00, v10, v11) and the upper one (v00, v11, v01) of the v00-v11 diagonal.
+    """
+
+    offsets: np.ndarray  # (types, n + 1, n) int
+    grad_lambda: np.ndarray  # (types, n + 1, n)
+    measure: float
+
+
+def _box_split(spacing: tuple[float, ...]) -> BoxSplit:
+    """The split of a box with the given side lengths (one per axis)."""
+    if len(spacing) == 1:
+        (dx,) = spacing
+        return BoxSplit(np.array([[[0], [1]]]), np.array([[[-1.0 / dx], [1.0 / dx]]]), dx)
+    dx, dy = spacing
+    offsets = np.array([[[0, 0], [1, 0], [1, 1]], [[0, 0], [1, 1], [0, 1]]])
+    grads = np.array([[[-1.0 / dx, 0.0], [1.0 / dx, -1.0 / dy], [0.0, 1.0 / dy]],
+                      [[0.0, -1.0 / dy], [1.0 / dx, 0.0], [-1.0 / dx, 1.0 / dy]]])
+    return BoxSplit(offsets, grads, 0.5 * dx * dy)
+
+
+def _cells(divisions: tuple[int, ...], split: BoxSplit) -> tuple[np.ndarray, ...]:
+    """Vertex ids, measures and hat gradients of every cell, ordered box by box and,
+    within a box, type by type."""
+    corners = np.indices(divisions).reshape(len(divisions), -1, 1, 1)
+    target = corners + np.moveaxis(split.offsets, 2, 0)[:, None]
+    counts = tuple(d + 1 for d in divisions)
+    cells = np.ravel_multi_index(tuple(target), counts).reshape(-1, split.offsets.shape[1])
+    grad = np.tile(split.grad_lambda, (math.prod(divisions), 1, 1))
+    return cells, np.full(cells.shape[0], split.measure), grad
+
+
+@dataclass(frozen=True, eq=False)
 class Mesh:
     """Structured simplicial mesh of a HalfDomain with tagged boundary.
 
     ``boundary_facets`` holds one row per boundary facet (a single vertex for
     n = 1, an edge for n = 2); ``facet_cells`` maps each facet to its unique
     incident cell.  ``grad_lambda[c, i]`` is the gradient of the i-th
-    barycentric hat on cell ``c``, so per-cell gradients of piecewise-linear
-    fields are a single einsum away.
+    barycentric hat on cell ``c``.  Vertices are numbered row by row over
+    the ``divisions + 1`` grid, and ``split`` says how every grid box is cut
+    into cells: cell ``c`` is type ``c % len(split.offsets)`` of box
+    ``c // len(split.offsets)`` (boxes also row by row).
     """
 
     domain: HalfDomain
@@ -92,6 +134,12 @@ class Mesh:
     facet_cells: np.ndarray
     cell_measures: np.ndarray
     grad_lambda: np.ndarray
+    split: BoxSplit
+
+    def __post_init__(self) -> None:
+        if self.num_vertices != math.prod(d + 1 for d in self.divisions):
+            raise ValueError(f"{self.num_vertices} vertices do not fill the grid of "
+                             f"divisions {self.divisions}")
 
     @property
     def n(self) -> int:
@@ -115,10 +163,23 @@ class Mesh:
         return np.bincount(self.cells.ravel(), weights=contrib.ravel(),
                            minlength=self.num_vertices)
 
+    def offset_slices(self, offset: np.ndarray) -> tuple[slice, ...]:
+        """Vertex-grid slices picking each box's vertex at ``offset`` from its lowest corner."""
+        return tuple(slice(o, o + d) for o, d in zip(offset, self.divisions))
+
     def cell_gradients(self, values: np.ndarray) -> np.ndarray:
-        """Per-cell constant gradient of the piecewise-linear interpolant."""
-        values = np.asarray(values, dtype=float)
-        return np.einsum("cin,ci->cn", self.grad_lambda, values[self.cells])
+        """Per-cell constant gradient of the piecewise-linear interpolant.
+
+        Computed on the vertex grid as shifted differences, in cell order.
+        """
+        split, at = self.split, self.offset_slices
+        grid = np.asarray(values, dtype=float).reshape(tuple(d + 1 for d in self.divisions))
+        out = np.empty(self.divisions + split.offsets.shape[:1] + (self.n,))
+        for t, (offsets, grads) in enumerate(zip(split.offsets, split.grad_lambda)):
+            for k in range(self.n):
+                terms = [g * grid[at(o)] for o, g in zip(offsets, grads[:, k]) if g]
+                out[..., t, k] = sum(terms[1:], terms[0])
+        return out.reshape(-1, self.n)
 
     def cell_barycenters(self) -> np.ndarray:
         return self.vertices[self.cells].mean(axis=1)
@@ -143,19 +204,16 @@ def _build_1d(domain: HalfDomain, nx: int) -> Mesh:
     dx = domain.depth / nx
     verts = (np.arange(nx + 1) * dx)[:, None]
     verts[-1, 0] = domain.depth
-    cells = np.stack([np.arange(nx), np.arange(1, nx + 1)], axis=1)
+    split = _box_split((dx,))
+    cells, measures, grad = _cells((nx,), split)
     tags = np.full(nx + 1, Tag.INTERIOR, dtype=np.int8)
     tags[0] = Tag.FREE
     tags[-1] = Tag.DIRICHLET
     facets = np.array([[0], [nx]], dtype=np.int64)
     facet_tags = np.array([Tag.FREE, Tag.DIRICHLET], dtype=np.int8)
     facet_cells = np.array([0, nx - 1], dtype=np.int64)
-    measures = np.full(nx, dx)
-    grad = np.empty((nx, 2, 1))
-    grad[:, 0, 0] = -1.0 / dx
-    grad[:, 1, 0] = 1.0 / dx
     return Mesh(domain, (nx,), dx, verts, cells, tags, facets, facet_tags,
-                facet_cells, measures, grad)
+                facet_cells, measures, grad, split)
 
 
 def _build_2d(domain: HalfDomain, divisions: tuple[int, ...]) -> Mesh:
@@ -172,16 +230,8 @@ def _build_2d(domain: HalfDomain, divisions: tuple[int, ...]) -> Mesh:
     def vid(i, j):
         return i * (ny + 1) + j
 
-    ii, jj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-    v00 = vid(ii, jj).ravel()
-    v10 = vid(ii + 1, jj).ravel()
-    v11 = vid(ii + 1, jj + 1).ravel()
-    v01 = vid(ii, jj + 1).ravel()
-    lower = np.stack([v00, v10, v11], axis=1)
-    upper = np.stack([v00, v11, v01], axis=1)
-    cells = np.empty((2 * nx * ny, 3), dtype=np.int64)
-    cells[0::2] = lower
-    cells[1::2] = upper
+    split = _box_split((dx, dy))
+    cells, measures, grad = _cells((nx, ny), split)
 
     tags = np.full(verts.shape[0], Tag.INTERIOR, dtype=np.int8)
     i_idx = np.repeat(np.arange(nx + 1), ny + 1)
@@ -219,28 +269,12 @@ def _build_2d(domain: HalfDomain, divisions: tuple[int, ...]) -> Mesh:
     facet_tags = np.asarray(facet_tag_rows, dtype=np.int8)
     facet_cells = np.asarray(facet_cell_rows, dtype=np.int64)
 
-    e1 = verts[cells[:, 1]] - verts[cells[:, 0]]
-    e2 = verts[cells[:, 2]] - verts[cells[:, 0]]
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    if np.any(det <= 0.0):
-        raise AssertionError("triangulation produced a non-positively-oriented cell")
-    measures = 0.5 * det
-    inv = np.empty((cells.shape[0], 2, 2))
-    inv[:, 0, 0] = e2[:, 1] / det
-    inv[:, 0, 1] = -e1[:, 1] / det
-    inv[:, 1, 0] = -e2[:, 0] / det
-    inv[:, 1, 1] = e1[:, 0] / det
-    grad = np.empty((cells.shape[0], 3, 2))
-    grad[:, 1, :] = inv[:, :, 0]
-    grad[:, 2, :] = inv[:, :, 1]
-    grad[:, 0, :] = -grad[:, 1, :] - grad[:, 2, :]
-
     wall_x = np.abs(verts[facets[facet_tags == Tag.FREE]][:, :, 0])
     if wall_x.size and wall_x.max() > _WALL_TOL:
         raise AssertionError("a FREE facet strayed off the wall {x1=0}")
 
     return Mesh(domain, (nx, ny), max(dx, dy), verts, cells, tags, facets,
-                facet_tags, facet_cells, measures, grad)
+                facet_tags, facet_cells, measures, grad, split)
 
 
 def half_ball_vertices(mesh: Mesh, x0: np.ndarray, r: float) -> np.ndarray:

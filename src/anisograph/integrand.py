@@ -213,23 +213,30 @@ class EllipticIntegrand:
     def hess_F(self, z: np.ndarray) -> np.ndarray:
         """Ambient Hessian of F; annihilates ``z`` and scales like 1/|z|."""
         pts, single = _as_points(z, self.dim)
+        hess = self._hess_block(pts, self.dim)
+        return hess[0] if single else hess
+
+    def _hess_block(self, pts: np.ndarray, k: int) -> np.ndarray:
+        """Leading ``k x k`` block of the ambient Hessian at ``pts``."""
         norms = np.linalg.norm(pts, axis=-1)
         if np.any(norms == 0.0):
             raise ValueError("integrand is undefined at the zero vector")
-        eye = np.eye(self.dim)
         if self.kind in ("euclidean", "capillary"):
-            unit = pts / norms[..., None]
-            hess = (eye - np.einsum("...i,...j->...ij", unit, unit)) / norms[..., None, None]
+            unit = pts[..., :k] / norms[..., None]
+            hess = np.einsum("...i,...j->...ij", unit, unit)
+            np.subtract(np.eye(k), hess, out=hess)
+            hess /= norms[..., None, None]
         elif self.kind == "ellipsoid":
             az = pts @ self.matrix
             vals = np.sqrt(np.einsum("...i,...i->...", pts, az))
-            hess = self.matrix / vals[..., None, None] - np.einsum(
+            az = az[..., :k]
+            hess = self.matrix[:k, :k] / vals[..., None, None] - np.einsum(
                 "...i,...j->...ij", az, az
             ) / (vals ** 3)[..., None, None]
         else:
-            hess = self._pnorm_hess(pts)
-        hess = self.scale * hess
-        return hess[0] if single else hess
+            hess = self._pnorm_hess(pts)[..., :k, :k]
+        hess *= self.scale
+        return hess
 
     def _pnorm_s(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         q = np.einsum("...i,...i->...", pts, pts)
@@ -268,7 +275,9 @@ class EllipticIntegrand:
             raise ValueError(f"expected gradient dimension {self.dim - 1}")
         single = y.ndim == 1
         y2 = np.atleast_2d(y)
-        z = np.concatenate([-y2, np.ones(y2.shape[:-1] + (1,))], axis=-1)
+        z = np.empty(y2.shape[:-1] + (self.dim,))
+        np.negative(y2, out=z[..., :-1])
+        z[..., -1] = 1.0
         return z, single
 
     def eval_f(self, y: np.ndarray) -> np.ndarray:
@@ -286,7 +295,7 @@ class EllipticIntegrand:
     def hess_f(self, y: np.ndarray) -> np.ndarray:
         """Hessian of the graph Lagrangian (SPD for bounded gradients)."""
         z, single = self._lift(y)
-        h = self.hess_F(z)[..., : self.dim - 1, : self.dim - 1]
+        h = self._hess_block(z, self.dim - 1)
         return h[0] if single else h
 
     # -- sphere bounds -------------------------------------------------------
@@ -363,6 +372,8 @@ class EllipticIntegrand:
             raise ValueError("flat-slope bracket does not straddle the minimizer")
         for _ in range(200):
             mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):  # the rounding floor: the bracket stays put from here on
+                break
             if dfda(mid) <= 0.0:
                 lo = mid
             else:

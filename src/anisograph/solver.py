@@ -14,17 +14,23 @@ trace.  Once the energy change of a trial step is at rounding level, the
 line search judges the step by the decrease of the residual norm instead, so
 Newton stops at its rounding floor rather than stalling there.
 
-The free vertices of a structured box mesh, numbered row by row, give a
-Hessian whose half-bandwidth ``kd`` is at most the number of divisions along
-the last axis (1 in one dimension; 128 at h = 1/128 on the unit box).  The
-slot of each per-cell block entry in the ``(kd + 1, nfree)`` lower band is
-found once per solve; each step sums the blocks into the band with a
-deterministic reduction (``np.bincount``) and factors it in place with
+Every kernel of the Newton loop works on the ``(divisions + 1)`` vertex grid
+of the structured box mesh, through the split of a grid box into cells that
+``Mesh.split`` records: per-cell gradients are shifted differences of the
+grid values, the energy gradient (and the Hessian applied to a vector) is a
+flux scattered back by shifted sums, and each iterate's cell gradients are
+computed once and feed its energy, residual and Hessian.  The free vertices,
+numbered row by row, fill a box of the grid and give a Hessian whose
+half-bandwidth ``kd`` is the number of divisions along the last axis (1 in
+one dimension; 128 at h = 1/128 on the unit box).  Each nonzero diagonal of
+its ``(kd + 1, nfree)`` lower band joins vertex pairs at one grid offset
+(rows 0, 1, kd - 1 and kd in two dimensions) and is written as a shifted sum
+over the cells sharing those edges; the band is factored in place with
 LAPACK's banded Cholesky, so at most one band is alive at a time.  A Hessian
 that is not numerically positive definite, a non-finite step or a step that
-misses ``linear_solver_tol`` (checked against the per-cell blocks, not the
-band) ends the solve with ``converged=False`` and a ``failure`` reason.
-Solves on different meshes are independent.
+misses ``linear_solver_tol`` (checked against ``D^2 f`` and the step's own
+gradients, not the band) ends the solve with ``converged=False`` and a
+``failure`` reason.  Solves on different meshes are independent.
 
 Without an initial guess, a mesh whose divisions are all even and at least 32
 is solved by nested iteration: the half-resolution mesh is solved first (by
@@ -41,6 +47,7 @@ from __future__ import annotations
 
 import ctypes
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -110,48 +117,77 @@ class SolveReport:
     failure: str = ""  # why a linear solve ended the Newton loop, if one did
 
 
-def _energy(integrand: EllipticIntegrand, mesh: Mesh, values: np.ndarray) -> float:
-    return float(np.dot(mesh.cell_measures, integrand.eval_f(mesh.cell_gradients(values))))
+def _scatter_flux(mesh: Mesh, q: np.ndarray) -> np.ndarray:
+    """Per-vertex sums of ``|c| q_c . grad lambda`` over the cells around each vertex.
+
+    ``q`` holds one vector per cell, in mesh cell order: ``Df(Du)`` gives the
+    energy gradient, ``D^2 f(Du) Dv`` the Hessian applied to ``v``.
+    """
+    split = mesh.split
+    q = q.reshape(mesh.divisions + split.offsets.shape[:1] + (mesh.n,))
+    out = np.zeros(tuple(d + 1 for d in mesh.divisions))
+    for t, (offsets, grads) in enumerate(zip(split.offsets, split.grad_lambda)):
+        for o, g in zip(offsets, split.measure * grads):
+            terms = [gk * q[..., t, k] for k, gk in enumerate(g) if gk]
+            out[mesh.offset_slices(o)] += sum(terms[1:], terms[0])
+    return out.ravel()
 
 
-def _raw_gradient(integrand: EllipticIntegrand, mesh: Mesh, values: np.ndarray) -> np.ndarray:
-    grads = mesh.cell_gradients(values)
-    df = integrand.grad_f(grads)
-    return mesh.scatter(np.einsum("c,cn,cin->ci", mesh.cell_measures, df, mesh.grad_lambda))
+def _energy(integrand: EllipticIntegrand, mesh: Mesh, grads: np.ndarray) -> float:
+    """Discrete energy from the per-cell gradients."""
+    return mesh.split.measure * float(np.sum(integrand.eval_f(grads)))
 
 
-@dataclass(frozen=True)
-class _HessianPattern:
-    """Free-free lower band of the Hessian; fixed by the mesh and its Dirichlet set."""
-
-    keep: np.ndarray  # per-cell (i, j) block entries of the free-free lower triangle
-    slot: np.ndarray  # flat position of each kept entry in the Fortran-ordered band
-    kd: int  # half-bandwidth
-    nfree: int
+def _gradient(integrand: EllipticIntegrand, mesh: Mesh, grads: np.ndarray) -> np.ndarray:
+    """Energy gradient at every vertex from the per-cell gradients."""
+    return _scatter_flux(mesh, integrand.grad_f(grads))
 
 
-def _hessian_pattern(mesh: Mesh, free_pos: np.ndarray) -> _HessianPattern:
-    m = mesh.n + 1
-    rows = free_pos[np.repeat(mesh.cells, m, axis=1).ravel()]
-    cols = free_pos[np.tile(mesh.cells, (1, m)).ravel()]
-    keep = (cols >= 0) & (rows >= cols)
-    diag = (rows - cols)[keep]
-    kd = int(diag.max())
-    # lower band storage: entry (r, c) with r >= c sits at band[r - c, c]
-    return _HessianPattern(keep, diag + (kd + 1) * cols[keep], kd, int(free_pos.max()) + 1)
+def _hessian_band(mesh: Mesh, d2f: np.ndarray, free: tuple[slice, ...]) -> np.ndarray:
+    """Lower band ``(kd + 1, nfree)``, Fortran-ordered, of the free-free Hessian.
+
+    ``free`` is the box of free vertices in the vertex grid, numbered row by
+    row.  Two free vertices at grid offset ``d`` sit a fixed number ``r`` of
+    free numbers apart, so their entries form band row ``r``.  That diagonal
+    is summed over the grid from ``|c| grad lambda_a . D^2 f . grad lambda_b``
+    of every cell with vertex ``a`` at the lower-numbered end and ``b`` at
+    the other; entries whose neighbour is Dirichlet are zeroed.
+    """
+    split = mesh.split
+    ntypes, m, n = split.offsets.shape
+    pairs = list(itertools.combinations_with_replacement(range(m), 2))
+    first, second = np.array(pairs).T
+    coef = split.measure * np.einsum("tpk,tpl->tpkl", split.grad_lambda[:, first],
+                                     split.grad_lambda[:, second])
+    coef = coef.reshape(ntypes, len(pairs), n * n)
+    # weights[t, p] = |c| grad lambda_a . D^2 f . grad lambda_b over the type-t cells
+    weights = coef @ d2f.reshape(-1, ntypes, n * n).transpose(1, 2, 0)
+    counts = tuple(d + 1 for d in mesh.divisions)
+    diagonals: dict[tuple[int, ...], np.ndarray] = {}
+    for offsets, type_weights in zip(split.offsets, weights):
+        for (a, b), w in zip(pairs, type_weights):
+            lo, hi = sorted((tuple(offsets[a]), tuple(offsets[b])))  # row by row: lo first
+            d = tuple(np.subtract(hi, lo))
+            if d not in diagonals:
+                diagonals[d] = np.zeros(counts)
+            diagonals[d][mesh.offset_slices(lo)] += w.reshape(mesh.divisions)
+
+    shape = tuple(s.stop - s.start for s in free)
+    strides = [math.prod(shape[k + 1:]) for k in range(mesh.n)]
+    rows = {d: int(np.dot(d, strides)) for d in diagonals}
+    band = np.zeros((max(rows.values()) + 1, math.prod(shape)), order="F")
+    by_vertex = band.T.reshape(shape + (-1,))  # a view: free vertex grid x band row
+    for d, diagonal in diagonals.items():
+        # the free vertices whose neighbour at offset d is free too
+        keep = tuple(slice(max(0, -dk), size - max(0, dk)) for dk, size in zip(d, shape))
+        by_vertex[keep + (rows[d],)] += diagonal[free][keep]
+    return band
 
 
-def _cell_hessians(integrand: EllipticIntegrand, mesh: Mesh, values: np.ndarray) -> np.ndarray:
-    d2f = integrand.hess_f(mesh.cell_gradients(values))
-    return np.einsum("c,cim,cmn,cjn->cij", mesh.cell_measures, mesh.grad_lambda, d2f,
-                     mesh.grad_lambda, optimize=True)
-
-
-def _assemble_hessian(hc: np.ndarray, pattern: _HessianPattern) -> np.ndarray:
-    """Lower band ``(kd + 1, nfree)``, Fortran-ordered, of the free-free Hessian."""
-    band = np.bincount(pattern.slot, weights=hc.reshape(-1)[pattern.keep],
-                       minlength=(pattern.kd + 1) * pattern.nfree)
-    return band.reshape((pattern.kd + 1, pattern.nfree), order="F")
+def _free_box(mesh: Mesh, is_dir: np.ndarray) -> tuple[slice, ...]:
+    """The vertex-grid box the free vertices fill (the Dirichlet ones frame it)."""
+    where = np.nonzero(~is_dir.reshape(tuple(d + 1 for d in mesh.divisions)))
+    return tuple(slice(int(w.min()), int(w.max()) + 1) for w in where)
 
 
 def _newton_step(band: np.ndarray, res: np.ndarray) -> np.ndarray:
@@ -230,13 +266,7 @@ def solve(
         raise ValueError("dirichlet data must be finite")
 
     free_idx = np.flatnonzero(~is_dir)
-    free_pos = np.full(mesh.num_vertices, -1, dtype=np.int64)
-    free_pos[free_idx] = np.arange(free_idx.size)
-    # the fine pattern is built before the coarse levels and no coarse object
-    # outlives them: fine arrays allocated after the coarse levels freed theirs
-    # land on a fragmented heap and raise the peak memory, and the free top of
-    # that heap stays resident unless it is trimmed
-    pattern = _hessian_pattern(mesh, free_pos)
+    free = _free_box(mesh, is_dir)
 
     levels: list[int] = []
     if u0 is None and all(d % 2 == 0 and d >= 32 for d in mesh.divisions):
@@ -252,14 +282,13 @@ def solve(
                 u0 = _prolong(coarse.values, counts)
                 levels = coarse_report.level_iterations
             del coarse_mesh, coarse, coarse_report
-            if _malloc_trim is not None:
-                _malloc_trim(0)
         del coarse_data
 
     values = np.zeros(mesh.num_vertices) if u0 is None else np.asarray(u0, dtype=float).copy()
     values[is_dir] = dirichlet[is_dir]
 
-    e_cur = _energy(integrand, mesh, values)
+    grads = mesh.cell_gradients(values)  # of the current iterate, one pass per iterate
+    e_cur = _energy(integrand, mesh, grads)
     # an energy change this small is rounding: it cannot rank two trials
     e_floor = 16.0 * np.finfo(float).eps
     trace = [e_cur]
@@ -269,15 +298,14 @@ def solve(
     failure = ""
 
     for _ in range(config.max_iter):
-        g = _raw_gradient(integrand, mesh, values)
-        res = g[free_idx]
+        res = _gradient(integrand, mesh, grads)[free_idx]
         res_norm = float(np.linalg.norm(res))
         if res_norm <= config.tol_residual:
             converged = True
             break
-        hc = _cell_hessians(integrand, mesh, values)
+        d2f = integrand.hess_f(grads)
         try:
-            step = _newton_step(_assemble_hessian(hc, pattern), res)
+            step = _newton_step(_hessian_band(mesh, d2f, free), res)
         except LinAlgError as exc:
             failure = f"Newton Hessian is not numerically positive definite ({exc})"
             break
@@ -286,7 +314,8 @@ def solve(
             break
         full_step = np.zeros(mesh.num_vertices)
         full_step[free_idx] = step
-        h_step = mesh.scatter(np.einsum("cij,cj->ci", hc, full_step[mesh.cells]))
+        # H step from D^2 f and the step's gradients, independent of the band
+        h_step = _scatter_flux(mesh, np.einsum("cij,cj->ci", d2f, mesh.cell_gradients(full_step)))
         lin_res = np.linalg.norm(h_step[free_idx] + res) / max(res_norm, 1e-300)
         if lin_res > config.linear_solver_tol:
             failure = f"linear solve missed its tolerance ({lin_res:.3e})"
@@ -297,13 +326,15 @@ def solve(
         for _bt in range(60):
             trial = values.copy()
             trial[free_idx] += t * step
-            e_trial = _energy(integrand, mesh, trial)
+            trial_grads = mesh.cell_gradients(trial)
+            e_trial = _energy(integrand, mesh, trial_grads)
             if e_trial <= e_cur + config.ls_decrease * t * slope:
                 accepted = True
                 break
             if abs(e_trial - e_cur) <= e_floor * abs(e_cur):
                 # energy stalled: accept on a sufficient decrease of the residual norm
-                res_trial = float(np.linalg.norm(_raw_gradient(integrand, mesh, trial)[free_idx]))
+                res_trial = float(np.linalg.norm(
+                    _gradient(integrand, mesh, trial_grads)[free_idx]))
                 if res_trial <= (1.0 - config.ls_decrease * t) * res_norm:
                     accepted = True
                     break
@@ -311,13 +342,12 @@ def solve(
         if not accepted and e_trial >= e_cur:
             # rounding floor: no step can lower the energy any further
             break
-        values = trial
+        values, grads = trial, trial_grads
         e_cur = e_trial
         trace.append(e_cur)
         iterations += 1
     else:
-        g = _raw_gradient(integrand, mesh, values)
-        res_norm = float(np.linalg.norm(g[free_idx]))
+        res_norm = float(np.linalg.norm(_gradient(integrand, mesh, grads)[free_idx]))
         converged = res_norm <= config.tol_residual
 
     solution = GraphFunction(mesh, values)
@@ -331,5 +361,7 @@ def solve(
         level_iterations=levels + [iterations],
         failure=failure,
     )
+    if _malloc_trim is not None:  # the freed heap of this level and of the coarse ones
+        _malloc_trim(0)
     return solution, report
 

@@ -618,11 +618,15 @@ def test_function_bank(mesh: Mesh, seed: int, size: int) -> list[np.ndarray]:
     """Deterministic bank of compactly supported nonnegative vertex functions.
 
     Mixes smooth radial bumps and tensor hats, all vanishing on (and near)
-    the DIRICHLET boundary; wall contact is allowed.
+    the DIRICHLET boundary; wall contact is allowed.  Each function is
+    evaluated only on the box of grid vertices around its support.
     """
     rng = np.random.default_rng(seed)
     dom = mesh.domain
     margin = 2.0 * mesh.h
+    lines = [np.unique(mesh.vertices[:, k]) for k in range(mesh.n)]  # the grid lines
+    ids = np.arange(mesh.num_vertices).reshape(tuple(d + 1 for d in mesh.divisions))
+    is_dir = mesh.vertex_tags == Tag.DIRICHLET
     funcs = []
     guard = 0
     while len(funcs) < size and guard < 20 * size:
@@ -637,15 +641,23 @@ def test_function_bank(mesh: Mesh, seed: int, size: int) -> list[np.ndarray]:
             center = np.array([c1, c2])
         else:
             center = np.array([c1])
+        # the support lies within rho of the center along each axis; a grid
+        # line of margin on either side covers the rounding of x - center
+        box = tuple(slice(max(0, int(np.searchsorted(x, c - rho)) - 1),
+                          int(np.searchsorted(x, c + rho)) + 1) for x, c in zip(lines, center))
+        sub = ids[box].ravel()
+        x = mesh.vertices[sub]
         if rng.random() < 0.5:
-            d = np.linalg.norm(mesh.vertices - center, axis=1)
-            phi = np.where(d < rho, np.cos(0.5 * np.pi * np.minimum(d / rho, 1.0)) ** 2, 0.0)
+            d = np.linalg.norm(x - center, axis=1)
+            vals = np.where(d < rho, np.cos(0.5 * np.pi * np.minimum(d / rho, 1.0)) ** 2, 0.0)
         else:
-            phi = np.maximum(0.0, 1.0 - np.abs(mesh.vertices[:, 0] - center[0]) / rho)
+            vals = np.maximum(0.0, 1.0 - np.abs(x[:, 0] - center[0]) / rho)
             if mesh.n == 2:
-                phi = phi * np.maximum(0.0, 1.0 - np.abs(mesh.vertices[:, 1] - center[1]) / rho)
-        phi[mesh.vertex_tags == Tag.DIRICHLET] = 0.0
-        if phi.max() > 1e-9:
+                vals = vals * np.maximum(0.0, 1.0 - np.abs(x[:, 1] - center[1]) / rho)
+        vals[is_dir[sub]] = 0.0
+        if vals.max() > 1e-9:
+            phi = np.zeros(mesh.num_vertices)
+            phi[sub] = vals
             funcs.append(phi)
     return funcs
 

@@ -18,7 +18,6 @@ import scipy.sparse as sps
 from scipy.sparse.linalg import spsolve
 
 from anisograph.domain import Tag, _build
-from anisograph.solver import _raw_gradient
 from anisograph.verify import _pl_power_cellwise
 
 
@@ -62,7 +61,7 @@ def amse_residual(integrand, u) -> np.ndarray:
     and exactly for affine graphs.
     """
     mesh = u.mesh
-    g = _raw_gradient(integrand, mesh, u.values)
+    g = raw_gradient_add_at(integrand, mesh, u.values)
     out = np.zeros(mesh.num_vertices)
     interior = mesh.vertex_tags == Tag.INTERIOR
     out[interior] = g[interior] / vertex_masses(mesh)[interior]
@@ -108,6 +107,24 @@ def fd_hessian(fn: Callable[[np.ndarray], float], z: np.ndarray, step: Optional[
                 fn(z + ei + ej) - fn(z + ei - ej) - fn(z - ei + ej) + fn(z - ei - ej)
             ) / (4.0 * h * h)
     return out
+
+
+def bisect_flat_slope(integrand, lo: float = -50.0, hi: float = 50.0, iters: int = 200) -> float:
+    """Independent oracle of ``flat_slope``: a fixed number of bisection steps."""
+
+    def dfda(a):
+        y = np.zeros(integrand.dim - 1)
+        y[0] = a
+        return integrand.grad_f(y)[0]
+
+    assert dfda(lo) < 0.0 < dfda(hi)
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if dfda(mid) <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 # -- two-ring stencils and per-vertex quadratic fits -----------------------------
@@ -173,13 +190,17 @@ def fit_vertex_quadratics(mesh, values: np.ndarray):
 # -- Newton Hessian assembly -----------------------------------------------------
 
 
+def cell_gradients_gather(mesh, values: np.ndarray) -> np.ndarray:
+    """Per-cell gradients from each cell's gathered vertex values and hat gradients."""
+    return np.einsum("cin,ci->cn", mesh.grad_lambda, np.asarray(values, float)[mesh.cells])
+
+
 def assemble_hessian_coo(integrand, mesh, values: np.ndarray, free_pos: np.ndarray) -> sps.csc_matrix:
     """Free-free Hessian of the discrete energy, built as COO and converted to CSC.
 
     ``free_pos`` maps each vertex to its free index, or -1 for a Dirichlet vertex.
     """
-    grads = mesh.cell_gradients(values)
-    d2f = integrand.hess_f(grads)
+    d2f = integrand.hess_f(cell_gradients_gather(mesh, values))
     hc = np.einsum("c,cim,cmn,cjn->cij", mesh.cell_measures, mesh.grad_lambda, d2f,
                    mesh.grad_lambda)
     m = mesh.n + 1
@@ -200,7 +221,7 @@ def newton_step_superlu(integrand, mesh, values: np.ndarray, free_pos: np.ndarra
 
 def raw_gradient_add_at(integrand, mesh, values: np.ndarray) -> np.ndarray:
     """Energy gradient at every vertex, scattered with ``np.add.at``."""
-    df = integrand.grad_f(mesh.cell_gradients(values))
+    df = integrand.grad_f(cell_gradients_gather(mesh, values))
     contrib = np.einsum("c,cn,cin->ci", mesh.cell_measures, df, mesh.grad_lambda)
     out = np.zeros(mesh.num_vertices)
     np.add.at(out, mesh.cells, contrib)
@@ -257,6 +278,38 @@ def write_geometry_csv(path, wall_path, result) -> None:
                     _fmt(geom.wall_measure[k]),
                 ]
             )
+
+
+def full_grid_function_bank(mesh, seed: int, size: int) -> list[np.ndarray]:
+    """``verify.test_function_bank`` with every function evaluated at every vertex."""
+    rng = np.random.default_rng(seed)
+    dom = mesh.domain
+    margin = 2.0 * mesh.h
+    funcs = []
+    guard = 0
+    while len(funcs) < size and guard < 20 * size:
+        guard += 1
+        lo_r = 2.0 * mesh.h
+        hi_r = max(0.25 * min(dom.extents()), 3.0 * mesh.h)
+        rho = float(rng.uniform(lo_r, hi_r))
+        c1 = float(rng.uniform(0.0, max(dom.depth - rho - margin, 1e-9)))
+        if mesh.n == 2:
+            half = max(dom.width - rho - margin, 1e-9)
+            c2 = float(rng.uniform(-half, half))
+            center = np.array([c1, c2])
+        else:
+            center = np.array([c1])
+        if rng.random() < 0.5:
+            d = np.linalg.norm(mesh.vertices - center, axis=1)
+            phi = np.where(d < rho, np.cos(0.5 * np.pi * np.minimum(d / rho, 1.0)) ** 2, 0.0)
+        else:
+            phi = np.maximum(0.0, 1.0 - np.abs(mesh.vertices[:, 0] - center[0]) / rho)
+            if mesh.n == 2:
+                phi = phi * np.maximum(0.0, 1.0 - np.abs(mesh.vertices[:, 1] - center[1]) / rho)
+        phi[mesh.vertex_tags == Tag.DIRICHLET] = 0.0
+        if phi.max() > 1e-9:
+            funcs.append(phi)
+    return funcs
 
 
 # -- functional inequality diagnostics ---------------------------------------------

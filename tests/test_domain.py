@@ -1,9 +1,12 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from anisograph import HalfDomain, Tag, build_mesh, half_ball_vertices
-from reference import refine
+from reference import cell_gradients_gather, refine
 
 
 def unit_square_mesh(resolution=0.25):
@@ -133,3 +136,49 @@ def test_half_ball_monotone_in_radius(r1, r2):
     inner = set(half_ball_vertices(mesh, [0.3, 0.1], lo).tolist())
     outer = set(half_ball_vertices(mesh, [0.3, 0.1], hi).tolist())
     assert inner <= outer
+
+
+@pytest.mark.parametrize("domain", [
+    HalfDomain(1, depth=1.3, resolution=0.1),
+    HalfDomain(2, depth=1.0, width=0.875, resolution=1 / 4),
+    HalfDomain(2, depth=1.3, width=0.55, resolution=1 / 20),  # dx != dy
+], ids=["1d", "2d", "2d_dx_ne_dy"])
+def test_box_split_describes_every_cell(domain):
+    mesh = build_mesh(domain)
+    split = mesh.split
+    ntypes = split.offsets.shape[0]
+    assert ntypes == mesh.n  # one type in 1d, lower and upper in 2d
+    counts = tuple(d + 1 for d in mesh.divisions)
+    grid = np.stack(np.unravel_index(mesh.cells, counts), axis=-1)  # (cells, n + 1, n)
+    corner = grid.min(axis=1, keepdims=True)
+    boxes = np.ravel_multi_index(tuple(np.moveaxis(corner[:, 0], 1, 0)), mesh.divisions)
+    assert np.array_equal(np.arange(mesh.num_cells) // ntypes, boxes)
+    assert np.array_equal(grid - corner, split.offsets[np.arange(mesh.num_cells) % ntypes])
+    assert np.array_equal(mesh.grad_lambda, split.grad_lambda[np.arange(mesh.num_cells) % ntypes])
+    assert np.all(mesh.cell_measures == split.measure)
+    # against the vertex coordinates: positively oriented cells of that measure, on
+    # which the hats reproduce the coordinate functions
+    x = mesh.vertices[mesh.cells]
+    det = np.linalg.det(x[:, 1:] - x[:, :1])
+    assert np.all(det > 0.0)
+    assert np.abs(det / math.factorial(mesh.n) - split.measure).max() <= 1e-14 * split.measure
+    jacobian = np.einsum("cak,cal->ckl", x, mesh.grad_lambda)
+    assert np.abs(jacobian - np.eye(mesh.n)).max() <= 1e-13
+
+
+def test_mesh_vertex_count_must_fill_the_grid():
+    mesh = build_mesh(HalfDomain(2, depth=1.0, width=0.5, resolution=0.25))
+    with pytest.raises(ValueError, match="do not fill the grid"):
+        replace(mesh, divisions=(4, 5))
+
+
+@pytest.mark.parametrize("domain", [
+    HalfDomain(1, depth=1.3, resolution=0.1),
+    HalfDomain(2, depth=1.0, width=0.5, resolution=1 / 32),
+    HalfDomain(2, depth=1.3, width=0.55, resolution=1 / 20),  # dx != dy
+], ids=["1d", "2d", "2d_dx_ne_dy"])
+def test_grid_cell_gradients_equal_the_gathered_ones(domain):
+    # two nonzero hats per component: any summation order gives the same sum
+    mesh = build_mesh(domain)
+    values = np.random.default_rng(2).normal(size=mesh.num_vertices)
+    assert np.array_equal(mesh.cell_gradients(values), cell_gradients_gather(mesh, values))

@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from anisograph import EllipticIntegrand, sphere_points
-from reference import fd_gradient, fd_hessian, normalize
+from reference import bisect_flat_slope, fd_gradient, fd_hessian, normalize
 
 
 def builtin_integrands(dim=3):
@@ -266,6 +267,29 @@ def test_flat_slope_capillary():
     for theta in (math.pi / 6, math.pi / 3, math.pi / 2, 2 * math.pi / 3):
         I = EllipticIntegrand.capillary(theta, 3)
         assert I.flat_slope() == pytest.approx(-1.0 / math.tan(theta), abs=1e-10)
+
+
+@pytest.mark.parametrize("integrand", [
+    *(EllipticIntegrand.capillary(theta, dim) for theta in (0.5, 1.0, math.pi / 2, 2.6)
+      for dim in (2, 3)),
+    EllipticIntegrand.ellipsoid(np.array([[2.0, 0.5, 0.1], [0.5, 1.0, 0.2], [0.1, 0.2, 1.5]])),
+], ids=[f"cap{t}_d{d}" for t in ("0.5", "1.0", "pi2", "2.6") for d in (2, 3)] + ["ellipsoid"])
+def test_flat_slope_stops_at_the_rounding_floor_with_the_full_bisection_value(integrand):
+    # the early stop leaves the bracket exactly where 200 steps would
+    assert integrand.flat_slope(-50.0, 50.0) == bisect_flat_slope(integrand, -50.0, 50.0)
+    assert integrand.flat_slope() == bisect_flat_slope(integrand, -1e3, 1e3)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_hess_f_is_the_graph_block_of_hess_F(dim):
+    y = np.random.default_rng(4).normal(size=(200, dim - 1)) * 3.0
+    lift = np.concatenate([-y, np.ones((200, 1))], axis=1)
+    matrix = np.diag([2.0, 1.0, 1.5][:dim]) + 0.2 * (1 - np.eye(dim))
+    for I in [*builtin_integrands(dim), EllipticIntegrand.ellipsoid(matrix),
+              replace(EllipticIntegrand.capillary(0.7, dim), scale=1.7)]:
+        block = I.hess_F(lift)[..., : dim - 1, : dim - 1]
+        assert np.array_equal(I.hess_f(y), block), I.kind
+        assert np.array_equal(I.hess_f(y[0]), block[0]), I.kind
 
 
 # -- descriptors and validation ---------------------------------------------------

@@ -15,7 +15,7 @@ from anisograph import (
     compute_geometry,
 )
 from conftest import solve_capillary_flat, solve_curved
-from reference import functional_inequality_ratios
+from reference import full_grid_function_bank, functional_inequality_ratios
 
 
 FLAT_CHECKS = (
@@ -248,6 +248,22 @@ def test_bank_is_admissible_and_deterministic(curved_32):
         np.testing.assert_array_equal(pa, pb)
         assert pa.min() >= 0.0
         assert np.all(pa[mesh.vertex_tags == Tag.DIRICHLET] == 0.0)
+
+
+@pytest.mark.parametrize("domain", [
+    HalfDomain(1, depth=1.0, resolution=1 / 32),
+    HalfDomain(2, depth=1.0, width=0.5, resolution=1 / 32),
+    HalfDomain(2, depth=1.3, width=0.55, resolution=1 / 40),  # dx != dy
+    HalfDomain(2, depth=8.0, width=8.0, resolution=0.25),
+], ids=["1d", "2d", "2d_dx_ne_dy", "2d_wide"])
+def test_bank_matches_the_full_grid_reference(domain):
+    mesh = build_mesh(domain)
+    for seed in (0, 3, 9):
+        got = V.test_function_bank(mesh, seed, 60)
+        ref = full_grid_function_bank(mesh, seed, 60)
+        assert len(got) == len(ref)
+        for a, b in zip(got, ref):
+            assert np.array_equal(a, b)
 
 
 def test_diagnostics_flat_hat_anchor(flat_horizontal):
