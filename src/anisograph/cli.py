@@ -150,13 +150,14 @@ class RunResult:
 
 
 def _liouville_sizes(check: dict) -> None:
-    """Increasing ``sizes``, at least two, the smallest meshed with two cells per axis."""
+    """Increasing ``sizes``, at least two, each giving a domain whose ``divisions`` hold."""
     defaults = inspect.signature(verify.liouville_probe).parameters
     sizes = check.get("sizes", defaults["r_sizes"].default)
     resolution = check.get("resolution", defaults["resolution"].default)
     if sorted(sizes) != list(sizes) or len(sizes) < 2:
         raise ValueError(f"'sizes' must be increasing, with at least two entries: {sizes}")
-    HalfDomain(2, depth=sizes[0], width=sizes[0], resolution=resolution).divisions()
+    for size in sizes:
+        HalfDomain(2, depth=size, width=size, resolution=resolution).divisions()
 
 
 class _Check(NamedTuple):

@@ -4,13 +4,15 @@ The computational domain is always a box ``[0, depth] x [-width, width]``
 (or the interval ``[0, depth]`` in one dimension) sitting inside the half
 space ``{x_1 > 0}``.  The wall ``{x_1 = 0}`` carries the FREE tag and is left
 unconstrained by the solver; the remaining, artificial truncation boundary is
-DIRICHLET.  Meshes are structured (squares split into two right triangles),
-which keeps refinement nested and every quality bound trivial.  A mesh is
-immutable after construction and safe for shared reads.
+DIRICHLET.  Meshes are structured: every box of a grid is cut into cells the
+same way, and that cut (``Mesh.split``) gives the cells, the boundary facets,
+the one-rings and the one scatter, shifted sums over the vertex grid.  A mesh
+is immutable after construction and safe for shared reads.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -28,6 +30,9 @@ __all__ = [
 ]
 
 _WALL_TOL = 1e-12
+# the largest mesh, by its Newton band, bounded by 8 (divisions[-1] + 1) bytes per vertex:
+# 1/512 on the unit reference box needs 1.0 GiB, 1/1024 8.0 GiB
+_MAX_BAND_BYTES = 2 << 30
 
 
 class Tag(IntEnum):
@@ -62,9 +67,16 @@ class HalfDomain:
         return (self.depth, 2.0 * self.width)
 
     def divisions(self, minimum: int = 2) -> tuple[int, ...]:
-        """Cells per axis at the resolution; ValueError if an axis gets under ``minimum``."""
+        """Cells per axis at the resolution; ValueError if an axis gets under ``minimum``
+        or the Newton band of the mesh over ``_MAX_BAND_BYTES``."""
         ext = self.extents()
-        divisions = tuple(max(1, round(e / self.resolution)) for e in ext)
+        cells = [e / self.resolution for e in ext]
+        band = 8.0 * (cells[-1] + 1.0) * math.prod(c + 1.0 for c in cells)
+        if not band <= _MAX_BAND_BYTES:
+            raise ValueError(f"resolution {self.resolution} too fine for extents {ext}: a "
+                             f"{band / 2 ** 30:.3g} GiB Newton band is over the "
+                             f"{_MAX_BAND_BYTES / 2 ** 30:g} GiB limit")
+        divisions = tuple(max(1, round(c)) for c in cells)
         if min(divisions) < minimum:
             raise ValueError(f"resolution {self.resolution} too coarse for extents {ext}; "
                              f"need at least {minimum} cells per axis")
@@ -99,28 +111,17 @@ def _box_split(spacing: tuple[float, ...]) -> BoxSplit:
     return BoxSplit(offsets, grads, 0.5 * dx * dy)
 
 
-def _cells(divisions: tuple[int, ...], split: BoxSplit) -> tuple[np.ndarray, ...]:
-    """Vertex ids, measures and hat gradients of every cell, ordered box by box and,
-    within a box, type by type."""
-    corners = np.indices(divisions).reshape(len(divisions), -1, 1, 1)
-    target = corners + np.moveaxis(split.offsets, 2, 0)[:, None]
-    counts = tuple(d + 1 for d in divisions)
-    cells = np.ravel_multi_index(tuple(target), counts).reshape(-1, split.offsets.shape[1])
-    grad = np.tile(split.grad_lambda, (math.prod(divisions), 1, 1))
-    return cells, np.full(cells.shape[0], split.measure), grad
-
-
 @dataclass(frozen=True, eq=False)
 class Mesh:
     """Structured simplicial mesh of a HalfDomain with tagged boundary.
 
-    ``boundary_facets`` holds one row per boundary facet (a single vertex for
-    n = 1, an edge for n = 2); ``facet_cells`` maps each facet to its unique
-    incident cell.  ``grad_lambda[c, i]`` is the gradient of the i-th
-    barycentric hat on cell ``c``.  Vertices are numbered row by row over
-    the ``divisions + 1`` grid, and ``split`` says how every grid box is cut
-    into cells: cell ``c`` is type ``c % len(split.offsets)`` of box
-    ``c // len(split.offsets)`` (boxes also row by row).
+    Vertices are numbered row by row over the ``divisions + 1`` grid, and
+    ``split`` says how every grid box is cut into cells: cell ``c`` is type
+    ``t = c % len(split.offsets)`` of box ``c // len(split.offsets)`` (boxes
+    also row by row), with measure ``split.measure`` and hat gradients
+    ``split.grad_lambda[t]``.  ``boundary_facets`` holds one row per boundary
+    facet (a vertex for n = 1, an edge for n = 2), in ascending vertex order,
+    the wall's first; ``facet_cells`` maps each to its unique incident cell.
     """
 
     domain: HalfDomain
@@ -132,8 +133,6 @@ class Mesh:
     boundary_facets: np.ndarray
     facet_tags: np.ndarray
     facet_cells: np.ndarray
-    cell_measures: np.ndarray
-    grad_lambda: np.ndarray
     split: BoxSplit
 
     def __post_init__(self) -> None:
@@ -159,9 +158,25 @@ class Mesh:
         return np.flatnonzero(self.facet_tags == Tag.FREE)
 
     def scatter(self, contrib: np.ndarray) -> np.ndarray:
-        """Per-vertex sums of per-cell vertex contributions ``(ncells, n + 1)``."""
-        return np.bincount(self.cells.ravel(), weights=contrib.ravel(),
-                           minlength=self.num_vertices)
+        """Per-vertex sums of per-cell vertex contributions ``(ncells, n + 1)``, summed
+        on the vertex grid: each cell type's column ``i`` shifted to its vertex ``i``."""
+        split = self.split
+        contrib = contrib.reshape(self.divisions + split.offsets.shape[:2])
+        out = np.zeros(tuple(d + 1 for d in self.divisions))
+        for t, i in np.ndindex(split.offsets.shape[:2]):
+            out[self.offset_slices(split.offsets[t, i])] += contrib[..., t, i]
+        return out.ravel()
+
+    def scatter_flux(self, q: np.ndarray) -> np.ndarray:
+        """Per-vertex sums of ``|c| q_c . grad lambda`` over the cells around each vertex.
+
+        ``q`` holds one vector per cell, in cell order: ``Df(Du)`` gives the
+        energy gradient, ``D^2 f(Du) Dv`` the Hessian applied to ``v``.
+        """
+        split = self.split
+        q = q.reshape(-1, len(split.offsets), self.n)
+        return self.scatter(np.einsum("ctk,tik->cti", q, split.measure * split.grad_lambda,
+                                      optimize=True))
 
     def offset_slices(self, offset: np.ndarray) -> tuple[slice, ...]:
         """Vertex-grid slices picking each box's vertex at ``offset`` from its lowest corner."""
@@ -195,86 +210,42 @@ def build_mesh(domain: HalfDomain) -> Mesh:
 
 
 def _build(domain: HalfDomain, divisions: tuple[int, ...]) -> Mesh:
-    if domain.n == 1:
-        return _build_1d(domain, divisions[0])
-    return _build_2d(domain, divisions)
+    """The mesh of ``domain`` with the given cells per axis; its cells, tags and boundary
+    facets all follow from the grid and the box split."""
+    n = domain.n
+    lows = (0.0,) if n == 1 else (0.0, -domain.width)
+    spacing = tuple(e / d for e, d in zip(domain.extents(), divisions))
+    lines = []
+    for low, ext, step, d in zip(lows, domain.extents(), spacing, divisions):
+        lines.append(low + np.arange(d + 1) * step)
+        lines[-1][[0, -1]] = low, low + ext  # the box's exact faces
+    verts = np.stack([g.ravel() for g in np.meshgrid(*lines, indexing="ij")], axis=1)
 
-
-def _build_1d(domain: HalfDomain, nx: int) -> Mesh:
-    dx = domain.depth / nx
-    verts = (np.arange(nx + 1) * dx)[:, None]
-    verts[-1, 0] = domain.depth
-    split = _box_split((dx,))
-    cells, measures, grad = _cells((nx,), split)
-    tags = np.full(nx + 1, Tag.INTERIOR, dtype=np.int8)
-    tags[0] = Tag.FREE
-    tags[-1] = Tag.DIRICHLET
-    facets = np.array([[0], [nx]], dtype=np.int64)
-    facet_tags = np.array([Tag.FREE, Tag.DIRICHLET], dtype=np.int8)
-    facet_cells = np.array([0, nx - 1], dtype=np.int64)
-    return Mesh(domain, (nx,), dx, verts, cells, tags, facets, facet_tags,
-                facet_cells, measures, grad, split)
-
-
-def _build_2d(domain: HalfDomain, divisions: tuple[int, ...]) -> Mesh:
-    nx, ny = divisions
-    dx = domain.depth / nx
-    dy = 2.0 * domain.width / ny
-    xs = np.arange(nx + 1) * dx
-    ys = -domain.width + np.arange(ny + 1) * dy
-    xs[-1], ys[-1] = domain.depth, domain.width
-    xs[0], ys[0] = 0.0, -domain.width
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    verts = np.stack([gx.ravel(), gy.ravel()], axis=1)
-
-    def vid(i, j):
-        return i * (ny + 1) + j
-
-    split = _box_split((dx, dy))
-    cells, measures, grad = _cells((nx, ny), split)
-
-    tags = np.full(verts.shape[0], Tag.INTERIOR, dtype=np.int8)
-    i_idx = np.repeat(np.arange(nx + 1), ny + 1)
-    j_idx = np.tile(np.arange(ny + 1), nx + 1)
-    on_wall = i_idx == 0
-    on_outer = (i_idx == nx) | (j_idx == 0) | (j_idx == ny)
-    tags[on_wall] = Tag.FREE
-    tags[on_outer] = Tag.DIRICHLET  # wall corners are truncation-dominated
-
-    facet_rows = []
-    facet_tag_rows = []
-    facet_cell_rows = []
-
-    def square_cell(i, j, which):
-        return 2 * (i * ny + j) + which
-
-    for j in range(ny):  # wall x1 = 0 (upper triangle of square (0, j))
-        facet_rows.append((vid(0, j), vid(0, j + 1)))
-        facet_tag_rows.append(Tag.FREE)
-        facet_cell_rows.append(square_cell(0, j, 1))
-    for j in range(ny):  # far side x1 = depth
-        facet_rows.append((vid(nx, j), vid(nx, j + 1)))
-        facet_tag_rows.append(Tag.DIRICHLET)
-        facet_cell_rows.append(square_cell(nx - 1, j, 0))
-    for i in range(nx):  # bottom x2 = -width (lower triangle owns it)
-        facet_rows.append((vid(i, 0), vid(i + 1, 0)))
-        facet_tag_rows.append(Tag.DIRICHLET)
-        facet_cell_rows.append(square_cell(i, 0, 0))
-    for i in range(nx):  # top x2 = +width
-        facet_rows.append((vid(i, ny), vid(i + 1, ny)))
-        facet_tag_rows.append(Tag.DIRICHLET)
-        facet_cell_rows.append(square_cell(i, ny - 1, 1))
-
-    facets = np.asarray(facet_rows, dtype=np.int64)
-    facet_tags = np.asarray(facet_tag_rows, dtype=np.int8)
-    facet_cells = np.asarray(facet_cell_rows, dtype=np.int64)
-
-    wall_x = np.abs(verts[facets[facet_tags == Tag.FREE]][:, :, 0])
-    if wall_x.size and wall_x.max() > _WALL_TOL:
-        raise AssertionError("a FREE facet strayed off the wall {x1=0}")
-
-    return Mesh(domain, (nx, ny), max(dx, dy), verts, cells, tags, facets,
-                facet_tags, facet_cells, measures, grad, split)
+    split = _box_split(spacing)
+    counts = tuple(d + 1 for d in divisions)
+    # vertex ids of every cell, box by box and, within a box, type by type
+    corners = np.indices(divisions).reshape(n, -1, 1, 1)
+    cells = np.ravel_multi_index(tuple(corners + np.moveaxis(split.offsets, 2, 0)[:, None]),
+                                 counts).reshape(-1, n + 1)
+    tags = np.full(counts, Tag.INTERIOR, dtype=np.int8)
+    boxes = np.arange(math.prod(divisions)).reshape(divisions)
+    facets, facet_tags, facet_cells = [], [], []
+    # box face by box face, the wall {x1 = 0} first (its corners are truncation-dominated);
+    # on each, box by box, the facet of the cell type that has n vertices on the face
+    for axis, side in itertools.product(range(n), (0, 1)):
+        face = (slice(None),) * axis + (-side,)
+        tag = Tag.DIRICHLET if axis or side else Tag.FREE
+        tags[face] = tag
+        for t, offsets in enumerate(split.offsets):
+            on_face = offsets[:, axis] == side
+            if on_face.sum() == n:
+                owners = boxes[face].ravel() * len(split.offsets) + t
+                facets.append(np.sort(cells[owners][:, on_face], axis=1))
+                facet_tags.append(np.full(owners.size, tag, dtype=np.int8))
+                facet_cells.append(owners)
+    return Mesh(domain, divisions, max(spacing), verts, cells, tags.ravel(),
+                np.concatenate(facets), np.concatenate(facet_tags), np.concatenate(facet_cells),
+                split)
 
 
 def half_ball_vertices(mesh: Mesh, x0: np.ndarray, r: float) -> np.ndarray:
@@ -293,14 +264,6 @@ def half_ball_vertices(mesh: Mesh, x0: np.ndarray, r: float) -> np.ndarray:
     return idx
 
 
-# One-ring grid-index offsets of the structured triangulation: the axis
-# neighbours plus, in 2d, the (1, 1) diagonal every square is split along.
-_RING1 = {
-    1: ((0,), (1,), (-1,)),
-    2: ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)),
-}
-
-
 def vertex_stencils(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Two-ring vertex neighbourhoods (including the vertex) from grid indices.
 
@@ -311,7 +274,8 @@ def vertex_stencils(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     in-grid two-ring vertex lies in the grid too, so the in-grid offsets are
     exactly the two-ring of the triangulation.
     """
-    ring1 = np.array(_RING1[mesh.n])
+    cell = mesh.split.offsets
+    ring1 = (cell[:, :, None] - cell[:, None]).reshape(-1, mesh.n)  # the cells' edges, and zero
     offsets = np.unique((ring1[:, None, :] + ring1[None, :, :]).reshape(-1, mesh.n), axis=0)
     counts = np.array(mesh.divisions) + 1
     index = np.stack(np.unravel_index(np.arange(mesh.num_vertices), counts), axis=1)

@@ -83,7 +83,7 @@ class GraphGeometry:
 
     def graph_measure(self) -> np.ndarray:
         """Per-cell surface measure |cell| * W of the graph."""
-        return self.mesh.cell_measures * self.cell_W
+        return self.mesh.split.measure * self.cell_W
 
     def cell_graph_barycenters(self) -> np.ndarray:
         """Ambient barycenter of each cell's image on the graph."""

@@ -18,19 +18,19 @@ Every kernel of the Newton loop works on the ``(divisions + 1)`` vertex grid
 of the structured box mesh, through the split of a grid box into cells that
 ``Mesh.split`` records: per-cell gradients are shifted differences of the
 grid values, the energy gradient (and the Hessian applied to a vector) is a
-flux scattered back by shifted sums, and each iterate's cell gradients are
-computed once and feed its energy, residual and Hessian.  The free vertices,
-numbered row by row, fill a box of the grid and give a Hessian whose
-half-bandwidth ``kd`` is the number of divisions along the last axis (1 in
-one dimension; 128 at h = 1/128 on the unit box).  Each nonzero diagonal of
-its ``(kd + 1, nfree)`` lower band joins vertex pairs at one grid offset
-(rows 0, 1, kd - 1 and kd in two dimensions) and is written as a shifted sum
-over the cells sharing those edges; the band is factored in place with
-LAPACK's banded Cholesky, so at most one band is alive at a time.  A Hessian
-that is not numerically positive definite, a non-finite step or a step that
-misses ``linear_solver_tol`` (checked against ``D^2 f`` and the step's own
-gradients, not the band) ends the solve with ``converged=False`` and a
-``failure`` reason.  Solves on different meshes are independent.
+flux summed back by the mesh's one scatter (``Mesh.scatter_flux``), and each
+iterate's cell gradients are computed once and feed its energy, residual and
+Hessian.  The free vertices, numbered row by row, fill a box of the grid and
+give a Hessian whose half-bandwidth ``kd`` is the number of divisions along
+the last axis (1 in one dimension; 128 at h = 1/128 on the unit box).  Each
+nonzero diagonal of its ``(kd + 1, nfree)`` lower band joins vertex pairs at
+one grid offset (rows 0, 1, kd - 1 and kd in two dimensions) and is written
+as a shifted sum over the cells sharing those edges; the band is factored in
+place with LAPACK's banded Cholesky, so at most one band is alive at a time.
+A Hessian that is not numerically positive definite, a non-finite step or a
+step that misses ``linear_solver_tol`` (checked against ``D^2 f`` and the
+step's own gradients, not the band) ends the solve with ``converged=False``
+and a ``failure`` reason.  Solves on different meshes are independent.
 
 Without an initial guess, a mesh whose divisions are all even and at least 32
 is solved by nested iteration: the half-resolution mesh is solved first (by
@@ -117,22 +117,6 @@ class SolveReport:
     failure: str = ""  # why a linear solve ended the Newton loop, if one did
 
 
-def _scatter_flux(mesh: Mesh, q: np.ndarray) -> np.ndarray:
-    """Per-vertex sums of ``|c| q_c . grad lambda`` over the cells around each vertex.
-
-    ``q`` holds one vector per cell, in mesh cell order: ``Df(Du)`` gives the
-    energy gradient, ``D^2 f(Du) Dv`` the Hessian applied to ``v``.
-    """
-    split = mesh.split
-    q = q.reshape(mesh.divisions + split.offsets.shape[:1] + (mesh.n,))
-    out = np.zeros(tuple(d + 1 for d in mesh.divisions))
-    for t, (offsets, grads) in enumerate(zip(split.offsets, split.grad_lambda)):
-        for o, g in zip(offsets, split.measure * grads):
-            terms = [gk * q[..., t, k] for k, gk in enumerate(g) if gk]
-            out[mesh.offset_slices(o)] += sum(terms[1:], terms[0])
-    return out.ravel()
-
-
 def _energy(integrand: EllipticIntegrand, mesh: Mesh, grads: np.ndarray) -> float:
     """Discrete energy from the per-cell gradients."""
     return mesh.split.measure * float(np.sum(integrand.eval_f(grads)))
@@ -140,7 +124,7 @@ def _energy(integrand: EllipticIntegrand, mesh: Mesh, grads: np.ndarray) -> floa
 
 def _gradient(integrand: EllipticIntegrand, mesh: Mesh, grads: np.ndarray) -> np.ndarray:
     """Energy gradient at every vertex from the per-cell gradients."""
-    return _scatter_flux(mesh, integrand.grad_f(grads))
+    return mesh.scatter_flux(integrand.grad_f(grads))
 
 
 def _hessian_band(mesh: Mesh, d2f: np.ndarray, free: tuple[slice, ...]) -> np.ndarray:
@@ -206,10 +190,7 @@ def wall_flux_residuals(integrand: EllipticIntegrand, u: GraphFunction) -> np.nd
     convergence on curved solutions and exactly zero for flat ones.
     """
     mesh = u.mesh
-    wall = mesh.wall_facets
-    if wall.size == 0:
-        return np.zeros(0)
-    grads = u.cell_gradients()[mesh.facet_cells[wall]]
+    grads = u.cell_gradients()[mesh.facet_cells[mesh.wall_facets]]
     return integrand.grad_f(grads)[:, 0]
 
 
@@ -315,7 +296,7 @@ def solve(
         full_step = np.zeros(mesh.num_vertices)
         full_step[free_idx] = step
         # H step from D^2 f and the step's gradients, independent of the band
-        h_step = _scatter_flux(mesh, np.einsum("cij,cj->ci", d2f, mesh.cell_gradients(full_step)))
+        h_step = mesh.scatter_flux(np.einsum("cij,cj->ci", d2f, mesh.cell_gradients(full_step)))
         lin_res = np.linalg.norm(h_step[free_idx] + res) / max(res_norm, 1e-300)
         if lin_res > config.linear_solver_tol:
             failure = f"linear solve missed its tolerance ({lin_res:.3e})"
@@ -356,7 +337,7 @@ def solve(
         iterations=iterations,
         final_residual_norm=res_norm,
         energy_trace=trace,
-        free_bc_residual=float(np.abs(flux).max()) if flux.size else 0.0,
+        free_bc_residual=float(np.abs(flux).max()),
         converged=converged,
         level_iterations=levels + [iterations],
         failure=failure,

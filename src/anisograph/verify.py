@@ -228,10 +228,10 @@ def _hat_forms(geom: GraphGeometry, phi: np.ndarray) -> tuple[np.ndarray, np.nda
     mesh = geom.mesh
     dphi = mesh.cell_gradients(phi)
     bt = np.einsum("cij,cj->ci", geom.cell_hess_f, dphi)
-    s = mesh.cell_measures * geom.cell_W ** 2 * geom.cell_F_normal ** 2
-    contrib = np.einsum("c,cin,cn->ci", s, mesh.grad_lambda, bt)
-    quad_cell = s * np.einsum("ci,ci->c", dphi, bt) / (mesh.n + 1)
-    return mesh.scatter(-contrib), mesh.scatter(quad_cell[:, None].repeat(mesh.n + 1, axis=1))
+    weight = geom.cell_W ** 2 * geom.cell_F_normal ** 2
+    quad_cell = mesh.split.measure * weight * np.einsum("ci,ci->c", dphi, bt) / (mesh.n + 1)
+    return (-mesh.scatter_flux(weight[:, None] * bt),
+            mesh.scatter(quad_cell[:, None].repeat(mesh.n + 1, axis=1)))
 
 
 def check_subharmonicity(geom: GraphGeometry,
@@ -601,8 +601,9 @@ def mean_value_probe(geom: GraphGeometry, x0, r: float) -> CheckReport:
 # -- functional inequality diagnostics --------------------------------------------
 
 
-def _pl_power_cellwise(vals: np.ndarray, measures: np.ndarray, k: int) -> np.ndarray:
-    """Exact per-cell integrals of phi^k (integer k >= 1) from phi's cell vertex values."""
+def _pl_power_cellwise(vals: np.ndarray, measure: float, k: int) -> np.ndarray:
+    """Exact per-cell integrals of phi^k (integer k >= 1) from phi's cell vertex values,
+    on cells of the given measure."""
     m = vals.shape[1]
     hk = np.zeros(vals.shape[0])
     for combo in combinations_with_replacement(range(m), k):
@@ -611,7 +612,7 @@ def _pl_power_cellwise(vals: np.ndarray, measures: np.ndarray, k: int) -> np.nda
             term = term * vals[:, idx]
         hk += term
     coef = math.factorial(m - 1) * math.factorial(k) / math.factorial(m - 1 + k)
-    return measures * coef * hk
+    return measure * coef * hk
 
 
 def test_function_bank(mesh: Mesh, seed: int, size: int) -> list[np.ndarray]:
@@ -687,6 +688,7 @@ def functional_inequality_diagnostics(
         raise ValueError("empty test-function bank")
 
     area = geom.graph_measure()
+    split = mesh.split
     wall_b = mesh.boundary_facets[geom.wall_facets]
     h_cell = np.nan_to_num(geom.h_sq, nan=0.0)[mesh.cells].mean(axis=1)
     scale = min(geom.mesh.domain.extents())
@@ -703,9 +705,8 @@ def functional_inequality_diagnostics(
             touched |= phi[corner] != 0.0
         sel = np.flatnonzero(touched)
         vals = phi[mesh.cells[sel]]
-        measures = mesh.cell_measures[sel]
         cell_W = geom.cell_W[sel]
-        dphi = np.einsum("cin,ci->cn", mesh.grad_lambda[sel], vals)
+        dphi = np.einsum("cin,ci->cn", split.grad_lambda[sel % len(split.offsets)], vals)
         grad_sq = np.einsum("ci,ci->c", dphi, dphi) - (
             np.einsum("ci,ci->c", geom.cell_gradient[sel], dphi) / cell_W
         ) ** 2
@@ -721,11 +722,11 @@ def functional_inequality_diagnostics(
         if int_grad > 1e-14:
             trace_max = max(trace_max, bdry / int_grad)
         if int_grad_sq > 1e-14:
-            phi2_W = _pl_power_cellwise(vals, measures, 2) * cell_W
+            phi2_W = _pl_power_cellwise(vals, split.measure, 2) * cell_W
             stab_max = max(stab_max, float((phi2_W * h_cell[sel]).sum()) / int_grad_sq)
             if mesh.n == 2:
                 phi_sq = float(phi2_W.sum())
-                lhs = math.sqrt(float((_pl_power_cellwise(vals, measures, 4) * cell_W).sum()))
+                lhs = math.sqrt(float((_pl_power_cellwise(vals, split.measure, 4) * cell_W).sum()))
                 for frac in radius_fractions:
                     r = frac * scale
                     rhs = phi_sq / r + r * int_grad_sq

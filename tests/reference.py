@@ -24,9 +24,19 @@ from anisograph.verify import _pl_power_cellwise
 # -- test-only helpers -----------------------------------------------------------
 
 
+def cell_measures(mesh) -> np.ndarray:
+    """Every cell's measure: the split's, repeated per cell."""
+    return np.full(mesh.num_cells, mesh.split.measure)
+
+
+def cell_hat_gradients(mesh) -> np.ndarray:
+    """Every cell's hat gradients ``(ncells, n + 1, n)``: the split's table, repeated per cell."""
+    return np.tile(mesh.split.grad_lambda, (mesh.num_cells // len(mesh.split.offsets), 1, 1))
+
+
 def integrate_pl_power(mesh, phi: np.ndarray, k: int, cell_weight: Optional[np.ndarray] = None) -> float:
     """Integral of phi^k (phi piecewise linear) with an optional cell weight."""
-    per_cell = _pl_power_cellwise(np.asarray(phi, float)[mesh.cells], mesh.cell_measures, k)
+    per_cell = _pl_power_cellwise(np.asarray(phi, float)[mesh.cells], mesh.split.measure, k)
     if cell_weight is not None:
         per_cell = per_cell * cell_weight
     return float(per_cell.sum())
@@ -49,7 +59,7 @@ def refine(mesh):
 
 def vertex_masses(mesh) -> np.ndarray:
     """Lumped vertex masses: each cell gives its vertices equal shares."""
-    share = mesh.cell_measures / (mesh.n + 1)
+    share = cell_measures(mesh) / (mesh.n + 1)
     return mesh.scatter(share[:, None].repeat(mesh.n + 1, axis=1))
 
 
@@ -192,7 +202,7 @@ def fit_vertex_quadratics(mesh, values: np.ndarray):
 
 def cell_gradients_gather(mesh, values: np.ndarray) -> np.ndarray:
     """Per-cell gradients from each cell's gathered vertex values and hat gradients."""
-    return np.einsum("cin,ci->cn", mesh.grad_lambda, np.asarray(values, float)[mesh.cells])
+    return np.einsum("cin,ci->cn", cell_hat_gradients(mesh), np.asarray(values, float)[mesh.cells])
 
 
 def assemble_hessian_coo(integrand, mesh, values: np.ndarray, free_pos: np.ndarray) -> sps.csc_matrix:
@@ -201,8 +211,8 @@ def assemble_hessian_coo(integrand, mesh, values: np.ndarray, free_pos: np.ndarr
     ``free_pos`` maps each vertex to its free index, or -1 for a Dirichlet vertex.
     """
     d2f = integrand.hess_f(cell_gradients_gather(mesh, values))
-    hc = np.einsum("c,cim,cmn,cjn->cij", mesh.cell_measures, mesh.grad_lambda, d2f,
-                   mesh.grad_lambda)
+    grad_lambda = cell_hat_gradients(mesh)
+    hc = np.einsum("c,cim,cmn,cjn->cij", cell_measures(mesh), grad_lambda, d2f, grad_lambda)
     m = mesh.n + 1
     rows = free_pos[np.repeat(mesh.cells, m, axis=1).ravel()]
     cols = free_pos[np.tile(mesh.cells, (1, m)).ravel()]
@@ -222,7 +232,7 @@ def newton_step_superlu(integrand, mesh, values: np.ndarray, free_pos: np.ndarra
 def raw_gradient_add_at(integrand, mesh, values: np.ndarray) -> np.ndarray:
     """Energy gradient at every vertex, scattered with ``np.add.at``."""
     df = integrand.grad_f(cell_gradients_gather(mesh, values))
-    contrib = np.einsum("c,cn,cin->ci", mesh.cell_measures, df, mesh.grad_lambda)
+    contrib = np.einsum("c,cn,cin->ci", cell_measures(mesh), df, cell_hat_gradients(mesh))
     out = np.zeros(mesh.num_vertices)
     np.add.at(out, mesh.cells, contrib)
     return out

@@ -174,6 +174,7 @@ def no_mesh(monkeypatch):
     def build_mesh(domain):
         raise AssertionError("a mesh was built")
     monkeypatch.setattr(cli, "build_mesh", build_mesh)
+    monkeypatch.setattr(verify, "build_mesh", build_mesh)
 
 
 @pytest.mark.parametrize("check, key", [
@@ -227,6 +228,26 @@ def test_too_coarse_mesh_exits_2_before_any_solve(tmp_path, capsys, no_mesh, com
     assert main([command, "--config", str(path), "--out", str(out)]) == 2
     assert f"resolution {resolution} too coarse" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("edits, section", [
+    ({"domain.resolution": 1e-5}, "domain"),
+    ({"domain.resolution": 1 / 1024}, "domain"),
+    ({"domain.depth": 1e300, "domain.resolution": 1e-10}, "domain"),  # cells overflow a float
+    ({"checks": [{"name": "liouville", "sizes": [4.0, 8.0, 1000.0]}]}, "check 'liouville'"),
+], ids=["1e-5", "1_1024", "overflow", "liouville"])
+def test_too_fine_mesh_exits_2_before_any_solve(tmp_path, capsys, no_mesh, edits, section):
+    path = write_scenario(tmp_path, edited(sine_scenario_with("wall_condition"), edits))
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {section}: resolution ") and "too fine" in err
+    assert not out.exists()
+
+
+def test_band_limit_admits_the_reference_box_at_1_512():
+    raw = sine_scenario_with("wall_condition", 1 / 512)
+    assert scenario_from_dict(raw).domain.divisions() == (512, 512)
 
 
 def test_solve_accepts_two_by_two_mesh(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from anisograph import HalfDomain, Tag, build_mesh, half_ball_vertices
-from reference import cell_gradients_gather, refine
+from reference import cell_gradients_gather, cell_measures, refine
 
 
 def unit_square_mesh(resolution=0.25):
@@ -49,7 +49,7 @@ def test_cell_measures_cover_domain_exactly():
                 HalfDomain(2, depth=1.7, width=0.4, resolution=0.05)):
         mesh = build_mesh(dom)
         expect = dom.depth * (2.0 * dom.width if dom.n == 2 else 1.0)
-        assert mesh.cell_measures.sum() == pytest.approx(expect, abs=1e-12)
+        assert cell_measures(mesh).sum() == pytest.approx(expect, abs=1e-12)
 
 
 def test_wall_vertices_never_interior():
@@ -61,19 +61,37 @@ def test_wall_vertices_never_interior():
     assert np.all(mesh.vertex_tags[corners] == Tag.DIRICHLET)
 
 
-def test_boundary_facets_partition_topological_boundary():
-    mesh = unit_square_mesh(0.25)
-    edge_count = {}
+@pytest.mark.parametrize("domain", [
+    HalfDomain(1, depth=1.0, resolution=1 / 7),
+    HalfDomain(2, depth=1.0, width=0.875, resolution=1 / 4),  # 4 x 7 cells
+    HalfDomain(2, depth=1.0, width=0.6, resolution=1 / 4),  # dx != dy
+], ids=["1d_nx7", "2d_4x7", "2d_dx_ne_dy"])
+def test_boundary_facets_partition_topological_boundary(domain):
+    mesh = build_mesh(domain)
+    m = mesh.n + 1
+    facet_count = {}
     for cell in mesh.cells:
-        for k in range(3):
-            e = tuple(sorted((cell[k], cell[(k + 1) % 3])))
-            edge_count[e] = edge_count.get(e, 0) + 1
-    boundary_edges = {e for e, c in edge_count.items() if c == 1}
-    facet_edges = {tuple(sorted(f)) for f in mesh.boundary_facets}
-    assert facet_edges == boundary_edges
+        for k in range(m):
+            f = tuple(sorted(np.delete(cell, k)))
+            facet_count[f] = facet_count.get(f, 0) + 1
+    boundary = {f for f, c in facet_count.items() if c == 1}
+    facets = {tuple(sorted(f)) for f in mesh.boundary_facets}
+    assert facets == boundary and len(facets) == len(mesh.boundary_facets)
     # each facet knows its unique incident cell
     for facet, cell_id in zip(mesh.boundary_facets, mesh.facet_cells):
         assert set(facet) <= set(mesh.cells[cell_id])
+    # the wall comes first: facet j joins grid vertices (0, j) and (0, j + 1) and is
+    # owned by the upper triangle of box (0, j); in 1d it is vertex 0 of cell 0
+    wall = mesh.wall_facets
+    if mesh.n == 1:
+        assert wall.tolist() == [0]
+        assert mesh.boundary_facets[0].tolist() == [0] and mesh.facet_cells[0] == 0
+    else:
+        ny = mesh.divisions[1]
+        j = np.arange(ny)
+        assert np.array_equal(wall, j)
+        assert np.array_equal(mesh.boundary_facets[wall], np.stack([j, j + 1], axis=1))
+        assert np.array_equal(mesh.facet_cells[wall], 2 * j + 1)
 
 
 def test_cells_positively_oriented_with_good_angles():
@@ -141,7 +159,7 @@ def test_half_ball_monotone_in_radius(r1, r2):
 @pytest.mark.parametrize("domain", [
     HalfDomain(1, depth=1.3, resolution=0.1),
     HalfDomain(2, depth=1.0, width=0.875, resolution=1 / 4),
-    HalfDomain(2, depth=1.3, width=0.55, resolution=1 / 20),  # dx != dy
+    HalfDomain(2, depth=1.3, width=0.53, resolution=1 / 20),  # 26 x 21, dx != dy
 ], ids=["1d", "2d", "2d_dx_ne_dy"])
 def test_box_split_describes_every_cell(domain):
     mesh = build_mesh(domain)
@@ -154,15 +172,13 @@ def test_box_split_describes_every_cell(domain):
     boxes = np.ravel_multi_index(tuple(np.moveaxis(corner[:, 0], 1, 0)), mesh.divisions)
     assert np.array_equal(np.arange(mesh.num_cells) // ntypes, boxes)
     assert np.array_equal(grid - corner, split.offsets[np.arange(mesh.num_cells) % ntypes])
-    assert np.array_equal(mesh.grad_lambda, split.grad_lambda[np.arange(mesh.num_cells) % ntypes])
-    assert np.all(mesh.cell_measures == split.measure)
     # against the vertex coordinates: positively oriented cells of that measure, on
     # which the hats reproduce the coordinate functions
     x = mesh.vertices[mesh.cells]
     det = np.linalg.det(x[:, 1:] - x[:, :1])
     assert np.all(det > 0.0)
     assert np.abs(det / math.factorial(mesh.n) - split.measure).max() <= 1e-14 * split.measure
-    jacobian = np.einsum("cak,cal->ckl", x, mesh.grad_lambda)
+    jacobian = np.einsum("cak,cal->ckl", x, split.grad_lambda[np.arange(mesh.num_cells) % ntypes])
     assert np.abs(jacobian - np.eye(mesh.n)).max() <= 1e-13
 
 
@@ -175,7 +191,7 @@ def test_mesh_vertex_count_must_fill_the_grid():
 @pytest.mark.parametrize("domain", [
     HalfDomain(1, depth=1.3, resolution=0.1),
     HalfDomain(2, depth=1.0, width=0.5, resolution=1 / 32),
-    HalfDomain(2, depth=1.3, width=0.55, resolution=1 / 20),  # dx != dy
+    HalfDomain(2, depth=1.3, width=0.53, resolution=1 / 20),  # 26 x 21, dx != dy
 ], ids=["1d", "2d", "2d_dx_ne_dy"])
 def test_grid_cell_gradients_equal_the_gathered_ones(domain):
     # two nonzero hats per component: any summation order gives the same sum

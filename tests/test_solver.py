@@ -388,6 +388,11 @@ def test_gradient_scatter_matches_add_at(domain):
     ref = raw_gradient_add_at(integrand, mesh, values)
     got = gradient(integrand, mesh, values)
     assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+    # the generic scatter of arbitrary per-cell vertex contributions
+    contrib = np.random.default_rng(6).normal(size=mesh.cells.shape)
+    ref = np.zeros(mesh.num_vertices)
+    np.add.at(ref, mesh.cells, contrib)
+    assert np.abs(mesh.scatter(contrib) - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 @GRID_DOMAINS
