@@ -8,7 +8,8 @@
   flat_profile  the integrand's wall-compatible affine profile a1 * x1 + b
 
 ``parse_data_spec`` checks a spec against its type's keys and fills in the
-defaults; a scenario's loader and ``evaluate_data_spec`` share it.
+defaults; a scenario's loader and ``evaluate_data_spec`` share it, and the
+loader refuses data whose ``data_bound`` on the box overflows a float.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .schema import ConfigError, _any, _list, _named, _point, _positive, _real, _section, _variant
 
-__all__ = ["evaluate_data_spec", "parse_data_spec"]
+__all__ = ["data_bound", "evaluate_data_spec", "parse_data_spec"]
 
 
 def _nonempty(value, n) -> list:
@@ -63,6 +64,19 @@ def parse_data_spec(spec, n: int, flat_slope: Optional[Callable[[], float]] = No
         with _named("dirichlet:"):
             values = {"type": "affine", "a": [flat_slope()] + [0.0] * (n - 1), "b": values["b"]}
     return values
+
+
+def data_bound(spec: dict, half) -> float:
+    """An upper bound of |data| on the box ``{x_1 >= 0, |x_k| <= half[k]}`` of a parsed spec;
+    infinite where the bound overflows a float."""
+    kind = spec["type"]
+    if kind == "affine":
+        return abs(spec["b"]) + sum(abs(a) * h for a, h in zip(spec["a"], half))
+    if kind == "sum":
+        return sum(data_bound(term, half) for term in spec["terms"])
+    if kind == "table":
+        return max(abs(row[-1]) for row in spec["points"])
+    return abs(spec["amplitude" if kind == "sine" else "height"])
 
 
 def evaluate_data_spec(spec: dict, points: np.ndarray) -> np.ndarray:

@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
 from . import verify
-from .boundary_data import evaluate_data_spec, parse_data_spec
+from .boundary_data import data_bound, evaluate_data_spec, parse_data_spec
 from .domain import HalfDomain, Mesh, build_mesh
 from .geometry import GraphGeometry, compute_geometry
 from .integrand import EllipticIntegrand
@@ -94,15 +94,23 @@ _SCENARIO = {
 def scenario_from_dict(raw: dict, solve_only: bool = False) -> Scenario:
     """Parse and validate a whole scenario; a malformed one is a ConfigError, raised before
     any mesh is built.  The mesh needs two cells per axis, three where the checks (unless
-    ``solve_only``) compute the geometry."""
+    ``solve_only``) compute the geometry, and the Dirichlet data must stay finite on it."""
     sc = _section(raw, _SCENARIO, "scenario", required=("integrand", "domain"), make=Scenario)
     n = sc.domain.n
     sc = replace(sc, integrand=EllipticIntegrand.from_descriptor(sc.integrand, dim=n + 1))
     checks = tuple(_parse_check(item, sc) for item in sc.checks)
     with _named("domain:"):
         sc.domain.divisions(2 if solve_only or not _needs_geometry(checks) else 3)
-    return replace(sc, checks=checks,
-                   dirichlet=parse_data_spec(sc.dirichlet, n, sc.integrand.flat_slope))
+    dirichlet = parse_data_spec(sc.dirichlet, n, sc.integrand.flat_slope)
+    with _named("dirichlet:"):
+        _check_finite(dirichlet, sc.domain, "the data")
+    return replace(sc, checks=checks, dirichlet=dirichlet)
+
+
+def _check_finite(data: dict, domain: HalfDomain, what: str) -> None:
+    """ValueError unless the parsed data's magnitude bound on the domain's box is finite."""
+    if not math.isfinite(data_bound(data, domain.half())):
+        raise ValueError(f"{what} overflow a float on the box of half-extents {domain.half()}")
 
 
 def _read_json(path) -> dict:
@@ -149,21 +157,27 @@ class RunResult:
 # and returns the value its probe gets or raises ValueError -----------------------
 
 
-def _liouville_sizes(check: dict) -> None:
-    """Increasing ``sizes``, at least two, each giving a domain whose ``divisions`` hold."""
-    defaults = inspect.signature(verify.liouville_probe).parameters
-    sizes = check.get("sizes", defaults["r_sizes"].default)
-    resolution = check.get("resolution", defaults["resolution"].default)
+def _liouville_domains(check: dict) -> None:
+    """Increasing sizes, at least two, each giving a domain whose ``divisions`` hold, and
+    data that stay finite on the largest."""
+    params = inspect.signature(verify.liouville_probe).parameters
+    args = {**{k: p.default for k, p in params.items()}, **check}
+    sizes = args["r_sizes"]
     if sorted(sizes) != list(sizes) or len(sizes) < 2:
         raise ValueError(f"'sizes' must be increasing, with at least two entries: {sizes}")
     for size in sizes:
-        HalfDomain(2, depth=size, width=size, resolution=resolution).divisions()
+        dom = HalfDomain(2, depth=size, width=size, resolution=args["resolution"])
+        dom.divisions()
+    data = verify._liouville_data(args["slope"], dom.depth, args["bump_height"],
+                                  args["bump_radius"])
+    _check_finite(data, dom, "'slope' and 'bump_height'")
 
 
 class _Check(NamedTuple):
     """A check's ``verify`` probe (looked up per run, so a wrapper set on ``verify`` runs), the
     parsers of its scenario keys, the probe parameters ``_scenario_default`` fills (others
-    keep the probe's defaults), renamed keys, a validator, and whether it reads the geometry."""
+    keep the probe's defaults), renamed keys, a validator of the probe's keyword arguments,
+    and whether it reads the geometry."""
 
     probe: str
     keys: dict = {}
@@ -199,7 +213,7 @@ _CHECKS = {
          "bump_height": _real, "bump_radius": _positive, "resolution": _positive,
          "tol_flat": _real},
         ("integrand", "config", "slope"), {"sizes": "r_sizes"},
-        validate=_liouville_sizes, geometry=False),
+        validate=_liouville_domains, geometry=False),
 }
 
 
@@ -210,10 +224,10 @@ def _parse_check(item, sc: Scenario) -> dict:
     name, spec = _variant(item, "name", _CHECKS, "check")
     check = _section(item, {"name": _any, **spec.keys}, f"check {name!r}", sc.domain.n)
     with _named(f"check {name!r}:"):
-        if spec.validate is not None:
-            spec.validate(check)
         check = {spec.rename.get(k, k): v for k, v in check.items()}
         check.update((p, _scenario_default(p, sc)) for p in spec.derived if p not in check)
+        if spec.validate is not None:
+            spec.validate(check)
     return check
 
 
@@ -295,7 +309,7 @@ def _write_geometry_csv(path, wall_path, result: RunResult) -> None:
     _write_table(path, ["id", *coords, "u", "W", "W_f", "H_F", "h_sq"], range(mesh.num_vertices),
                  [*mesh.vertices.T, result.solution.values, geom.vertex_W, geom.vertex_Wf,
                   geom.mean_curvature_aniso, geom.h_sq])
-    _write_table(wall_path, ["facet", "nuF_e1", "muF_e1", "measure"], geom.wall_facets,
+    _write_table(wall_path, ["facet", "nuF_e1", "muF_e1", "measure"], range(len(mesh.wall_cells)),
                  [geom.wall_nuF_e1, geom.wall_muF_e1, geom.wall_measure])
 
 

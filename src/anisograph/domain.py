@@ -1,18 +1,18 @@
 """Truncated half-space box domains and their structured simplicial meshes.
 
-The computational domain is always a box ``[0, depth] x [-width, width]``
-(or the interval ``[0, depth]`` in one dimension) sitting inside the half
-space ``{x_1 > 0}``.  The wall ``{x_1 = 0}`` carries the FREE tag and is left
-unconstrained by the solver; the remaining, artificial truncation boundary is
-DIRICHLET.  Meshes are structured: every box of a grid is cut into cells the
-same way, and that cut (``Mesh.split``) gives the cells, the boundary facets,
-the one-rings and the one scatter, shifted sums over the vertex grid.  A mesh
-is immutable after construction and safe for shared reads.
+The computational domain is the box ``{x : x_1 >= 0, |x_k| <= half[k]}``
+(``HalfDomain.half``): ``[0, depth] x [-width, width]``, or the interval
+``[0, depth]`` in one dimension, sitting inside the half space ``{x_1 > 0}``.
+The wall ``{x_1 = 0}`` carries the FREE tag and is left unconstrained by the
+solver; the remaining, artificial truncation boundary is DIRICHLET.  Meshes
+are structured: every box of a grid is cut into cells the same way, and that
+cut (``Mesh.split``) gives the cells, the wall facets, the one-rings and the
+one scatter, shifted sums over the vertex grid.  A mesh is immutable after
+construction and safe for shared reads.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -61,10 +61,14 @@ class HalfDomain:
         if not self.resolution > 0.0:
             raise ValueError("resolution must be positive")
 
+    def half(self) -> tuple[float, ...]:
+        """The box is ``{x : x_1 >= 0, |x_k| <= half[k]}``."""
+        return (self.depth,) + (self.width,) * (self.n - 1)
+
     def extents(self) -> tuple[float, ...]:
-        if self.n == 1:
-            return (self.depth,)
-        return (self.depth, 2.0 * self.width)
+        """Side lengths of the box."""
+        depth, *widths = self.half()
+        return (depth, *(2.0 * w for w in widths))
 
     def divisions(self, minimum: int = 2) -> tuple[int, ...]:
         """Cells per axis at the resolution; ValueError if an axis gets under ``minimum``
@@ -119,9 +123,10 @@ class Mesh:
     ``split`` says how every grid box is cut into cells: cell ``c`` is type
     ``t = c % len(split.offsets)`` of box ``c // len(split.offsets)`` (boxes
     also row by row), with measure ``split.measure`` and hat gradients
-    ``split.grad_lambda[t]``.  ``boundary_facets`` holds one row per boundary
-    facet (a vertex for n = 1, an edge for n = 2), in ascending vertex order,
-    the wall's first; ``facet_cells`` maps each to its unique incident cell.
+    ``split.grad_lambda[t]``.  ``wall_facets`` holds the vertex ids of each
+    facet on the wall ``{x_1 = 0}`` (a vertex for n = 1, an edge for n = 2),
+    one ascending row per facet, in grid order along the wall; ``wall_cells``
+    is the cell that owns each.
     """
 
     domain: HalfDomain
@@ -130,9 +135,8 @@ class Mesh:
     vertices: np.ndarray
     cells: np.ndarray
     vertex_tags: np.ndarray
-    boundary_facets: np.ndarray
-    facet_tags: np.ndarray
-    facet_cells: np.ndarray
+    wall_facets: np.ndarray
+    wall_cells: np.ndarray
     split: BoxSplit
 
     def __post_init__(self) -> None:
@@ -151,11 +155,6 @@ class Mesh:
     @property
     def num_cells(self) -> int:
         return self.cells.shape[0]
-
-    @property
-    def wall_facets(self) -> np.ndarray:
-        """Indices (into boundary_facets) of the facets on the wall {x1=0}."""
-        return np.flatnonzero(self.facet_tags == Tag.FREE)
 
     def scatter(self, contrib: np.ndarray) -> np.ndarray:
         """Per-vertex sums of per-cell vertex contributions ``(ncells, n + 1)``, summed
@@ -210,15 +209,14 @@ def build_mesh(domain: HalfDomain) -> Mesh:
 
 
 def _build(domain: HalfDomain, divisions: tuple[int, ...]) -> Mesh:
-    """The mesh of ``domain`` with the given cells per axis; its cells, tags and boundary
+    """The mesh of ``domain`` with the given cells per axis; its cells, tags and wall
     facets all follow from the grid and the box split."""
     n = domain.n
-    lows = (0.0,) if n == 1 else (0.0, -domain.width)
     spacing = tuple(e / d for e, d in zip(domain.extents(), divisions))
     lines = []
-    for low, ext, step, d in zip(lows, domain.extents(), spacing, divisions):
-        lines.append(low + np.arange(d + 1) * step)
-        lines[-1][[0, -1]] = low, low + ext  # the box's exact faces
+    for half, ext, step, d in zip(domain.half(), domain.extents(), spacing, divisions):
+        lines.append((half - ext) + np.arange(d + 1) * step)
+        lines[-1][[0, -1]] = half - ext, half  # the box's exact faces
     verts = np.stack([g.ravel() for g in np.meshgrid(*lines, indexing="ij")], axis=1)
 
     split = _box_split(spacing)
@@ -227,25 +225,16 @@ def _build(domain: HalfDomain, divisions: tuple[int, ...]) -> Mesh:
     corners = np.indices(divisions).reshape(n, -1, 1, 1)
     cells = np.ravel_multi_index(tuple(corners + np.moveaxis(split.offsets, 2, 0)[:, None]),
                                  counts).reshape(-1, n + 1)
-    tags = np.full(counts, Tag.INTERIOR, dtype=np.int8)
-    boxes = np.arange(math.prod(divisions)).reshape(divisions)
-    facets, facet_tags, facet_cells = [], [], []
-    # box face by box face, the wall {x1 = 0} first (its corners are truncation-dominated);
-    # on each, box by box, the facet of the cell type that has n vertices on the face
-    for axis, side in itertools.product(range(n), (0, 1)):
-        face = (slice(None),) * axis + (-side,)
-        tag = Tag.DIRICHLET if axis or side else Tag.FREE
-        tags[face] = tag
-        for t, offsets in enumerate(split.offsets):
-            on_face = offsets[:, axis] == side
-            if on_face.sum() == n:
-                owners = boxes[face].ravel() * len(split.offsets) + t
-                facets.append(np.sort(cells[owners][:, on_face], axis=1))
-                facet_tags.append(np.full(owners.size, tag, dtype=np.int8))
-                facet_cells.append(owners)
+    tags = np.full(counts, Tag.DIRICHLET, dtype=np.int8)
+    tags[(slice(1, -1),) * n] = Tag.INTERIOR
+    tags[(0,) + (slice(1, -1),) * (n - 1)] = Tag.FREE  # its corners are truncation-dominated
+    # the wall facets: the boxes at x_1 = 0 are the first prod(divisions[1:]), and in each
+    # the cell type with n vertices on x_1 = 0 owns one
+    on_wall = split.offsets[:, :, 0] == 0
+    (t,) = np.flatnonzero(on_wall.sum(axis=1) == n)
+    owners = np.arange(math.prod(divisions[1:])) * len(split.offsets) + t
     return Mesh(domain, divisions, max(spacing), verts, cells, tags.ravel(),
-                np.concatenate(facets), np.concatenate(facet_tags), np.concatenate(facet_cells),
-                split)
+                np.sort(cells[owners][:, on_wall[t]], axis=1), owners, split)
 
 
 def half_ball_vertices(mesh: Mesh, x0: np.ndarray, r: float) -> np.ndarray:

@@ -22,6 +22,7 @@ Everything is a pure function of (integrand, graph); results are immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -67,9 +68,7 @@ class GraphGeometry:
     h_sq: np.ndarray                  # |second fundamental form|^2
     collar: np.ndarray                # vertices near the truncation boundary
 
-    # per wall facet
-    wall_facets: np.ndarray
-    wall_cells: np.ndarray
+    # per wall facet (``mesh.wall_facets``, owned by ``mesh.wall_cells``)
     wall_mu: np.ndarray
     wall_mu_F: np.ndarray
     wall_nuF_e1: np.ndarray      # <nu_F, e1>, the geometric wall condition
@@ -102,7 +101,8 @@ def _fit_vertex_quadratics(mesh: Mesh, values: np.ndarray):
     weighted pseudo-inverse built from its first vertex's stencil.
     """
     n = mesh.n
-    ncoef = 1 + n + n * (n + 1) // 2
+    pairs = list(combinations_with_replacement(range(n), 2))  # the Hessian's entries
+    ncoef = 1 + n + len(pairs)
     _, ids, in_grid = vertex_stencils(mesh)
     nv = mesh.num_vertices
     coef = np.zeros((nv, ncoef))
@@ -113,20 +113,9 @@ def _fit_vertex_quadratics(mesh: Mesh, values: np.ndarray):
     for p, v in enumerate(first):
         idx = ids[v, in_grid[v]]
         dx = mesh.vertices[idx] - mesh.vertices[v]
-        if n == 1:
-            cols = np.stack([np.ones(idx.size), dx[:, 0], 0.5 * dx[:, 0] ** 2], axis=1)
-        else:
-            cols = np.stack(
-                [
-                    np.ones(idx.size),
-                    dx[:, 0],
-                    dx[:, 1],
-                    0.5 * dx[:, 0] ** 2,
-                    dx[:, 0] * dx[:, 1],
-                    0.5 * dx[:, 1] ** 2,
-                ],
-                axis=1,
-            )
+        cols = np.stack([np.ones(idx.size), *dx.T,
+                         *((0.5 if i == j else 1.0) * dx[:, i] * dx[:, j] for i, j in pairs)],
+                        axis=1)
         w = np.exp(-np.sum(dx * dx, axis=1) / (sigma * sigma))
         a = cols * w[:, None]
         left, sv, right = np.linalg.svd(a, full_matrices=False)
@@ -139,18 +128,9 @@ def _fit_vertex_quadratics(mesh: Mesh, values: np.ndarray):
         coef[members] = values[ids[members][:, in_grid[v]]] @ pinv.T
         ok[members] = True
     grad = coef[:, 1 : 1 + n].copy()
-    hess = coef[:, [2] if n == 1 else [3, 4, 4, 5]].reshape(nv, n, n)
+    entry = [1 + n + pairs.index((min(i, j), max(i, j))) for i in range(n) for j in range(n)]
+    hess = coef[:, entry].reshape(nv, n, n)
     return grad, hess, ok
-
-
-def _collar_mask(mesh: Mesh, width: float) -> np.ndarray:
-    dom = mesh.domain
-    x = mesh.vertices
-    tol = 1e-12
-    mask = x[:, 0] > dom.depth - width - tol
-    if mesh.n == 2:
-        mask |= np.abs(x[:, 1]) > dom.width - width - tol
-    return mask
 
 
 def compute_geometry(
@@ -185,9 +165,9 @@ def compute_geometry(
     w_v = np.sqrt(1.0 + np.einsum("vi,vi->v", grad_v, grad_v))
     wf_v = integrand.eval_f(grad_v)
     # fallback for flagged vertices: plain average of incident-cell values
-    if not ok.all():
+    bad = ~ok
+    if bad.any():
         cnt = np.maximum(mesh.scatter(np.ones(mesh.cells.shape)), 1.0)
-        bad = ~ok
         wf_v[bad] = mesh.scatter(wf[:, None].repeat(mesh.n + 1, axis=1))[bad] / cnt[bad]
         w_v[bad] = mesh.scatter(w[:, None].repeat(mesh.n + 1, axis=1))[bad] / cnt[bad]
     log_wf_v = np.log(wf_v / f_min)
@@ -197,59 +177,42 @@ def compute_geometry(
     gm = np.einsum("vi,vij->vj", grad_v, hess_v)
     p = hess_v - np.einsum("vi,vj->vij", grad_v, gm) / (w_v ** 2)[:, None, None]
     h_sq = np.einsum("vij,vji->v", p, p) / w_v ** 2
-
-    bad = ~ok
     h_f_trace[bad] = np.nan
     h_sq[bad] = np.nan
 
-    collar = _collar_mask(mesh, collar_factor * mesh.h)
+    half = np.array(mesh.domain.half())
+    collar = np.any(np.abs(mesh.vertices) > half - collar_factor * mesh.h - 1e-12, axis=1)
 
-    wall = mesh.wall_facets
-    wall_cells = mesh.facet_cells[wall]
+    fa, wall_cells = mesh.wall_facets, mesh.wall_cells
     nu_w = normal[wall_cells]
     nuf_w = nu_f[wall_cells]
-    d = mesh.n + 1
-    e1 = np.zeros(d)
-    e1[0] = 1.0
-    t = -e1 + nu_w[:, 0][:, None] * nu_w
+    t = -np.eye(mesh.n + 1)[0] + nu_w[:, [0]] * nu_w
     t_norm = np.linalg.norm(t, axis=1)
     if np.any(t_norm < 1e-14):
         raise ValueError("degenerate wall facet: surface tangent to the wall")
     mu = t / t_norm[:, None]
+    nuf_nu = np.einsum("fi,fi->f", nuf_w, nu_w)
+    nuf_mu = np.einsum("fi,fi->f", nuf_w, mu)
+    mu_f = nuf_nu[:, None] * mu - nuf_mu[:, None] * nu_w
 
-    if mesh.n == 2:
-        fa = mesh.boundary_facets[wall]
-        xa = mesh.vertices[fa[:, 0], 1]
-        xb = mesh.vertices[fa[:, 1], 1]
-        ua = u.values[fa[:, 0]]
-        ub = u.values[fa[:, 1]]
+    if mesh.n == 2:  # the wall curve: its measure, and the shape form on (tangent, mu)
+        xa, xb = mesh.vertices[fa, 1].T
+        ua, ub = u.values[fa].T
         dx2 = xb - xa
         if np.any(np.abs(dx2) < 1e-14):
             raise ValueError("degenerate wall facet of zero length")
         slope = (ub - ua) / dx2
         wall_measure = np.abs(dx2) * np.sqrt(1.0 + slope * slope)
-    else:
-        wall_measure = np.ones(wall.size)
-
-    nuf_nu = np.einsum("fi,fi->f", nuf_w, nu_w)
-    nuf_mu = np.einsum("fi,fi->f", nuf_w, mu)
-    mu_f = nuf_nu[:, None] * mu - nuf_mu[:, None] * nu_w
-    nuf_e1 = nuf_w[:, 0]
-    muf_e1 = -mu_f[:, 0]
-
-    hf_mu_tau = np.zeros(wall.size)
-    if mesh.n == 2 and wall.size:
-        fa = mesh.boundary_facets[wall]
         m_f = 0.5 * (hess_v[fa[:, 0]] + hess_v[fa[:, 1]])
-        fit_pair_ok = ok[fa[:, 0]] & ok[fa[:, 1]]
         du_w = du[wall_cells]
-        b_w = hess_f[wall_cells]
         g_w = np.eye(2)[None, :, :] + np.einsum("fi,fj->fij", du_w, du_w)
-        form = np.einsum("fij,fjk,fkl->fil", m_f, b_w, g_w)
-        tau = np.stack([np.zeros(wall.size), 1.0 / np.sqrt(1.0 + slope * slope)], axis=1)
-        mu_coord = mu[:, :2]
-        hf_mu_tau = np.einsum("fi,fij,fj->f", tau, form, mu_coord)
-        hf_mu_tau[~fit_pair_ok] = np.nan
+        form = np.einsum("fij,fjk,fkl->fil", m_f, hess_f[wall_cells], g_w)
+        tau = np.stack([np.zeros(len(wall_cells)), 1.0 / np.sqrt(1.0 + slope * slope)], axis=1)
+        hf_mu_tau = np.einsum("fi,fij,fj->f", tau, form, mu[:, :2])
+        hf_mu_tau[~ok[fa].all(axis=1)] = np.nan
+    else:
+        wall_measure = np.ones(len(wall_cells))
+        hf_mu_tau = np.zeros(len(wall_cells))
 
     return GraphGeometry(
         u=u,
@@ -271,12 +234,10 @@ def compute_geometry(
         mean_curvature_aniso=h_f_trace,
         h_sq=h_sq,
         collar=collar,
-        wall_facets=wall,
-        wall_cells=wall_cells,
         wall_mu=mu,
         wall_mu_F=mu_f,
-        wall_nuF_e1=nuf_e1,
-        wall_muF_e1=muf_e1,
+        wall_nuF_e1=nuf_w[:, 0],
+        wall_muF_e1=-mu_f[:, 0],
         wall_measure=wall_measure,
         wall_hF_mu_tau=hf_mu_tau,
     )

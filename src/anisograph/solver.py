@@ -190,7 +190,7 @@ def wall_flux_residuals(integrand: EllipticIntegrand, u: GraphFunction) -> np.nd
     convergence on curved solutions and exactly zero for flat ones.
     """
     mesh = u.mesh
-    grads = u.cell_gradients()[mesh.facet_cells[mesh.wall_facets]]
+    grads = u.cell_gradients()[mesh.wall_cells]
     return integrand.grad_f(grads)[:, 0]
 
 

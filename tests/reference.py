@@ -44,7 +44,7 @@ def integrate_pl_power(mesh, phi: np.ndarray, k: int, cell_weight: Optional[np.n
 
 def wall_nubar(geom) -> np.ndarray:
     """Unit normal of the boundary curve inside the wall {x1 = 0}, per wall facet (2d)."""
-    facets = geom.mesh.boundary_facets[geom.wall_facets]
+    facets = geom.mesh.wall_facets
     x2 = geom.mesh.vertices[facets, 1]
     u = geom.u.values[facets]
     slope = (u[:, 1] - u[:, 0]) / (x2[:, 1] - x2[:, 0])
@@ -279,10 +279,10 @@ def write_geometry_csv(path, wall_path, result) -> None:
     with open(wall_path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["facet", "nuF_e1", "muF_e1", "measure"])
-        for k in range(geom.wall_facets.size):
+        for k in range(mesh.wall_cells.size):
             w.writerow(
                 [
-                    int(geom.wall_facets[k]),
+                    k,
                     _fmt(geom.wall_nuF_e1[k]),
                     _fmt(geom.wall_muF_e1[k]),
                     _fmt(geom.wall_measure[k]),
@@ -330,7 +330,7 @@ def functional_inequality_ratios(geom, bank, radius_fractions=(0.25, 0.5, 1.0)) 
     integrated over the whole mesh."""
     mesh = geom.mesh
     area = geom.graph_measure()
-    wall_b = mesh.boundary_facets[geom.wall_facets]
+    wall_b = mesh.wall_facets
     h_cell = np.nan_to_num(geom.h_sq, nan=0.0)[mesh.cells].mean(axis=1)
     scale = min(geom.mesh.domain.extents())
 

@@ -138,7 +138,7 @@ def test_criterion_02_exact_affine_solutions():
         worst_err = max(worst_err, float(np.abs(u.values - exact).max()))
         if theta is not None:
             geom = compute_geometry(integrand, u)
-            wall_nu1 = geom.cell_normal[geom.wall_cells, 0]
+            wall_nu1 = geom.cell_normal[mesh.wall_cells, 0]
             dev = float(np.abs(wall_nu1 - math.cos(theta)).max())
             worst_wall = max(worst_wall, dev / (2.0 * mesh.h))
     ok = worst_err <= 1e-10 and worst_wall <= 1.0 and slowest < 5.0

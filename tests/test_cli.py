@@ -306,6 +306,14 @@ SINE = {"type": "sine", "amplitude": 0.25, "kx": 2.0, "ky": math.pi, "phase": ma
     pytest.param({"integrand.theta": 1e-4, "dirichlet": {"type": "affine"},
                   "checks": [{"name": "liouville", "sizes": [2.0, 4.0], "resolution": 0.5}]},
                  "check 'liouville': flat-slope bracket", id="liouville-slope-bracket"),
+    # finite parameters whose data overflow a float on the box
+    pytest.param({"dirichlet": {"type": "affine", "a": [1e308, 0]}, "domain.depth": 2},
+                 "dirichlet: the data overflow a float", id="overflowing-affine"),
+    pytest.param({"dirichlet": {"type": "sum", "terms": [{**SINE, "amplitude": 1e308}] * 2}},
+                 "dirichlet: the data overflow a float", id="overflowing-sine-sum"),
+    pytest.param({"checks": [{"name": "liouville", "slope": [1e308, 0]}]},
+                 "check 'liouville': 'slope' and 'bump_height' overflow a float",
+                 id="overflowing-liouville-slope"),
 ])
 def test_malformed_scenario_exits_2_before_any_mesh(tmp_path, capsys, no_mesh, edits, key):
     raw = json.loads(bundled_scenario_path("capillary_flat").read_text())
@@ -713,12 +721,12 @@ def test_table_writers_match_csv_writer(tmp_path, name):
         col[:k] = np.roll(special, shift)[:k]
         return col
 
-    nv, nw = mesh.num_vertices, mesh.wall_facets.size
+    nv, nw = mesh.num_vertices, mesh.wall_cells.size
     h_sq = column(nv, 4)
     h_sq[1::3] = np.nan
     geom = SimpleNamespace(
         vertex_W=column(nv, 1), vertex_Wf=column(nv, 2), mean_curvature_aniso=column(nv, 3),
-        h_sq=h_sq, wall_facets=mesh.wall_facets, wall_nuF_e1=column(nw, 5),
+        h_sq=h_sq, wall_nuF_e1=column(nw, 5),
         wall_muF_e1=column(nw, 6), wall_measure=column(nw, 7))
     result = SimpleNamespace(mesh=mesh, solution=SimpleNamespace(values=column(nv, 0)),
                              geometry=geom)

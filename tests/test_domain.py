@@ -40,8 +40,7 @@ def test_refine_quadruples_cells_and_nests_vertices():
 
 def test_refine_inherits_wall_tags():
     mesh = refine(unit_square_mesh(0.25))
-    wall = mesh.boundary_facets[mesh.facet_tags == Tag.FREE]
-    assert np.abs(mesh.vertices[wall][:, :, 0]).max() <= 1e-12
+    assert np.abs(mesh.vertices[mesh.wall_facets][:, :, 0]).max() <= 1e-12
 
 
 def test_cell_measures_cover_domain_exactly():
@@ -67,6 +66,7 @@ def test_wall_vertices_never_interior():
     HalfDomain(2, depth=1.0, width=0.6, resolution=1 / 4),  # dx != dy
 ], ids=["1d_nx7", "2d_4x7", "2d_dx_ne_dy"])
 def test_boundary_facets_partition_topological_boundary(domain):
+    """The wall facets are exactly the topological boundary facets on x_1 = 0."""
     mesh = build_mesh(domain)
     m = mesh.n + 1
     facet_count = {}
@@ -74,24 +74,22 @@ def test_boundary_facets_partition_topological_boundary(domain):
         for k in range(m):
             f = tuple(sorted(np.delete(cell, k)))
             facet_count[f] = facet_count.get(f, 0) + 1
-    boundary = {f for f, c in facet_count.items() if c == 1}
-    facets = {tuple(sorted(f)) for f in mesh.boundary_facets}
-    assert facets == boundary and len(facets) == len(mesh.boundary_facets)
+    on_wall = np.abs(mesh.vertices[:, 0]) <= 1e-12
+    boundary = {f for f, c in facet_count.items() if c == 1 and on_wall[list(f)].all()}
+    facets = {tuple(f) for f in mesh.wall_facets}
+    assert facets == boundary and len(facets) == len(mesh.wall_facets)
+    assert np.all(np.diff(mesh.wall_facets, axis=1) > 0)  # ascending rows
     # each facet knows its unique incident cell
-    for facet, cell_id in zip(mesh.boundary_facets, mesh.facet_cells):
+    for facet, cell_id in zip(mesh.wall_facets, mesh.wall_cells):
         assert set(facet) <= set(mesh.cells[cell_id])
-    # the wall comes first: facet j joins grid vertices (0, j) and (0, j + 1) and is
-    # owned by the upper triangle of box (0, j); in 1d it is vertex 0 of cell 0
-    wall = mesh.wall_facets
+    # facet j joins grid vertices (0, j) and (0, j + 1) and is owned by the upper
+    # triangle of box (0, j); in 1d it is vertex 0 of cell 0
     if mesh.n == 1:
-        assert wall.tolist() == [0]
-        assert mesh.boundary_facets[0].tolist() == [0] and mesh.facet_cells[0] == 0
+        assert mesh.wall_facets.tolist() == [[0]] and mesh.wall_cells.tolist() == [0]
     else:
-        ny = mesh.divisions[1]
-        j = np.arange(ny)
-        assert np.array_equal(wall, j)
-        assert np.array_equal(mesh.boundary_facets[wall], np.stack([j, j + 1], axis=1))
-        assert np.array_equal(mesh.facet_cells[wall], 2 * j + 1)
+        j = np.arange(mesh.divisions[1])
+        assert np.array_equal(mesh.wall_facets, np.stack([j, j + 1], axis=1))
+        assert np.array_equal(mesh.wall_cells, 2 * j + 1)
 
 
 def test_cells_positively_oriented_with_good_angles():

@@ -81,7 +81,7 @@ def test_wall_frame_relations(curved_32):
     # mu = -<nu,-e1> nubar + <mu,-e1> (-e1), exact linear algebra per facet
     integrand, mesh, u, geom = curved_32
     mu, nubar = geom.wall_mu, wall_nubar(geom)
-    nu = geom.cell_normal[geom.wall_cells]
+    nu = geom.cell_normal[mesh.wall_cells]
     e1 = np.zeros(3)
     e1[0] = 1.0
     lhs = mu
@@ -112,7 +112,7 @@ def test_wall_free_boundary_limits(curved_64):
 def test_wall_principal_direction_residual_shrinks(curved_32, curved_64):
     def worst(geom):
         vals = geom.wall_hF_mu_tau
-        facets = geom.mesh.boundary_facets[geom.wall_facets]
+        facets = geom.mesh.wall_facets
         keep = ~(geom.collar[facets[:, 0]] | geom.collar[facets[:, 1]])
         vals = vals[keep]
         return np.abs(vals[np.isfinite(vals)]).max()
@@ -124,16 +124,23 @@ def test_wall_principal_direction_residual_shrinks(curved_32, curved_64):
 
 
 def test_quadratic_fit_is_exact_for_quadratics():
-    mesh = unit_mesh(1 / 16)
-    x = mesh.vertices
-    hess = np.array([[0.8, 0.3], [0.3, -0.5]])
-    vals = 0.5 * np.einsum("vi,ij,vj->v", x, hess, x) + x @ [0.1, -0.7] + 2.0
-    geom = compute_geometry(EllipticIntegrand.euclidean(3), GraphFunction(mesh, vals))
-    ok = geom.fit_ok
-    grad_expect = x @ hess + [0.1, -0.7]
-    assert np.abs(geom.vertex_gradient[ok] - grad_expect[ok]).max() <= 1e-9
-    _, vertex_hessian, _ = _fit_vertex_quadratics(mesh, vals)
-    assert np.abs(vertex_hessian[ok] - hess).max() <= 1e-8
+    for domain, hess, grad0 in (
+        (HalfDomain(2, depth=1.0, width=0.5, resolution=1 / 16), [[0.8, 0.3], [0.3, -0.5]],
+         [0.1, -0.7]),
+        (HalfDomain(1, depth=1.0, resolution=1 / 16), [[0.8]], [-0.7]),
+    ):
+        mesh = build_mesh(domain)
+        x = mesh.vertices
+        hess = np.array(hess)
+        vals = 0.5 * np.einsum("vi,ij,vj->v", x, hess, x) + x @ grad0 + 2.0
+        geom = compute_geometry(EllipticIntegrand.euclidean(mesh.n + 1),
+                                GraphFunction(mesh, vals))
+        ok = geom.fit_ok
+        assert ok.any()
+        grad_expect = x @ hess + grad0
+        assert np.abs(geom.vertex_gradient[ok] - grad_expect[ok]).max() <= 1e-9
+        _, vertex_hessian, _ = _fit_vertex_quadratics(mesh, vals)
+        assert np.abs(vertex_hessian[ok] - hess).max() <= 1e-8
 
 
 def test_mean_curvature_matches_divergence_form_oracle():

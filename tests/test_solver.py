@@ -124,7 +124,7 @@ def test_capillary_flat_solution_recovered(capillary_flat):
     exact = mesh.vertices @ np.array([-1.0 / math.tan(theta), 0.0])
     assert np.abs(u.values - exact).max() <= 1e-10
     # discrete wall condition <nu, e1> = cos(theta)
-    wall_nu1 = geom.cell_normal[geom.wall_cells, 0]
+    wall_nu1 = geom.cell_normal[mesh.wall_cells, 0]
     assert np.abs(wall_nu1 - math.cos(theta)).max() <= 2.0 * mesh.h
 
 
@@ -509,7 +509,7 @@ def test_capillary_wall_angle_on_curved_solve():
         u, rep = solve(I, mesh, data)
         assert rep.converged
         geom = compute_geometry(I, u)
-        wall_nu1 = geom.cell_normal[geom.wall_cells, 0]
+        wall_nu1 = geom.cell_normal[mesh.wall_cells, 0]
         devs.append(np.abs(wall_nu1 - math.cos(theta)).max())
     assert devs[0] <= 10.0 * (1 / 16)
     assert devs[1] <= 0.7 * devs[0]
