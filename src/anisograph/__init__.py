@@ -12,7 +12,6 @@ from .domain import (
     Mesh,
     Tag,
     build_mesh,
-    half_ball_vertices,
 )
 from .geometry import (
     GraphGeometry,

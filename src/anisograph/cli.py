@@ -211,7 +211,7 @@ _CHECKS = {
         "liouville_probe",
         {"beta": partial(_real, low=0.0), "sizes": _RADII, "slope": partial(_list, length=2),
          "bump_height": _real, "bump_radius": _positive, "resolution": _positive,
-         "tol_flat": _real},
+         "tol_flat": partial(_real, low=0.0)},
         ("integrand", "config", "slope"), {"sizes": "r_sizes"},
         validate=_liouville_domains, geometry=False),
 }

@@ -14,7 +14,6 @@ construction and safe for shared reads.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Optional
@@ -26,10 +25,8 @@ __all__ = [
     "HalfDomain",
     "Mesh",
     "build_mesh",
-    "half_ball_vertices",
 ]
 
-_WALL_TOL = 1e-12
 # the largest mesh, by its Newton band, bounded by 8 (divisions[-1] + 1) bytes per vertex:
 # 1/512 on the unit reference box needs 1.0 GiB, 1/1024 8.0 GiB
 _MAX_BAND_BYTES = 2 << 30
@@ -126,7 +123,8 @@ class Mesh:
     ``split.grad_lambda[t]``.  ``wall_facets`` holds the vertex ids of each
     facet on the wall ``{x_1 = 0}`` (a vertex for n = 1, an edge for n = 2),
     one ascending row per facet, in grid order along the wall; ``wall_cells``
-    is the cell that owns each.
+    is the cell that owns each.  The mesh answers no ball queries: a probe
+    compares one array of distances from its centre with each of its radii.
     """
 
     domain: HalfDomain
@@ -235,22 +233,6 @@ def _build(domain: HalfDomain, divisions: tuple[int, ...]) -> Mesh:
     owners = np.arange(math.prod(divisions[1:])) * len(split.offsets) + t
     return Mesh(domain, divisions, max(spacing), verts, cells, tags.ravel(),
                 np.sort(cells[owners][:, on_wall[t]], axis=1), owners, split)
-
-
-def half_ball_vertices(mesh: Mesh, x0: np.ndarray, r: float) -> np.ndarray:
-    """Indices of mesh vertices within distance r of x0 (half-ball in the box).
-
-    An empty result (radius below the local mesh size) is flagged with a
-    warning, not an error.
-    """
-    if r <= 0.0:
-        raise ValueError("radius must be positive")
-    x0 = np.asarray(x0, dtype=float).reshape(mesh.n)
-    d = np.linalg.norm(mesh.vertices - x0, axis=1)
-    idx = np.flatnonzero(d <= r + _WALL_TOL)
-    if idx.size == 0:
-        warnings.warn(f"no vertices within radius {r} of {x0.tolist()}", stacklevel=2)
-    return idx
 
 
 def vertex_stencils(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

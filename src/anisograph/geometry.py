@@ -84,13 +84,6 @@ class GraphGeometry:
         """Per-cell surface measure |cell| * W of the graph."""
         return self.mesh.split.measure * self.cell_W
 
-    def cell_graph_barycenters(self) -> np.ndarray:
-        """Ambient barycenter of each cell's image on the graph."""
-        mesh = self.mesh
-        xy = mesh.cell_barycenters()
-        uz = self.u.values[mesh.cells].mean(axis=1)
-        return np.concatenate([xy, uz[:, None]], axis=1)
-
 
 def _fit_vertex_quadratics(mesh: Mesh, values: np.ndarray):
     """Weighted quadratic LS fit on the two-ring of every vertex.

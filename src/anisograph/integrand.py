@@ -9,15 +9,20 @@ pulled-back one (``eval_f``/``grad_f``/``hess_f``).
 
 Built-in families:
 
-* ``euclidean``  -- the Euclidean norm (isotropic area).
-* ``capillary``  -- ``|z| - cos(theta) * z_1``; absorbs a constant contact
-  angle against the wall ``{x_1 = 0}`` into a free-boundary problem.
+* ``capillary``  -- ``|z| - c * z_1`` with ``c = cos(theta)``; absorbs a
+  constant contact angle against the wall ``{x_1 = 0}`` into a free-boundary
+  problem.
+* ``euclidean``  -- the Euclidean norm (isotropic area): the capillary form
+  with ``c = 0``.
 * ``ellipsoid``  -- ``sqrt(z^T A z)`` for SPD ``A``.
 * ``pnorm``      -- a regularized p-norm, smoothed so it stays ``C^2`` on
   coordinate hyperplanes.
 
-All derivative formulas are analytic.  Instances are immutable and safe to
-share across threads; every method is a pure function of its arguments.
+Every method takes points of any leading shape (last axis ``dim``, or
+``dim - 1`` for gradients) and returns values of that leading shape; the zero
+vector is rejected.  All derivative formulas are analytic.  Instances are
+immutable and safe to share across threads; every method is a pure function of
+its arguments.
 """
 
 from __future__ import annotations
@@ -98,12 +103,16 @@ def sphere_points(dim: int, count: int) -> np.ndarray:
     raise ValueError("sphere sampling is implemented for dim in {2, 3}")
 
 
-def _as_points(z: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
-    z = np.asarray(z, dtype=float)
-    if z.shape[-1] != dim:
-        raise ValueError(f"expected last axis {dim}, got shape {z.shape}")
-    single = z.ndim == 1
-    return np.atleast_2d(z), single
+def _as_points(z: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """``z`` as float points of any leading shape (last axis ``dim``) and their norms;
+    the zero vector is rejected."""
+    pts = np.asarray(z, dtype=float)
+    if pts.shape[-1] != dim:
+        raise ValueError(f"expected last axis {dim}, got shape {pts.shape}")
+    norms = np.linalg.norm(pts, axis=-1)
+    if np.any(norms == 0.0):
+        raise ValueError("integrand is undefined at the zero vector")
+    return pts, norms
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,92 +176,83 @@ class EllipticIntegrand:
 
     # -- ambient calculus ---------------------------------------------------
 
+    @property
+    def _tilt(self) -> float:
+        """``c`` of the capillary form ``|z| - c z_1``; the Euclidean norm has ``c = 0``."""
+        return 0.0 if self.theta is None else math.cos(self.theta)
+
     def eval_F(self, z: np.ndarray) -> np.ndarray:
         """Value of F at ``z`` (last axis = dim); rejects zero vectors."""
-        pts, single = _as_points(z, self.dim)
-        norms = np.linalg.norm(pts, axis=-1)
-        if np.any(norms == 0.0):
-            raise ValueError("integrand is undefined at the zero vector")
-        if self.kind == "euclidean":
-            vals = norms
-        elif self.kind == "capillary":
-            vals = norms - math.cos(self.theta) * pts[..., 0]
-        elif self.kind == "ellipsoid":
-            vals = np.sqrt(np.einsum("...i,ij,...j->...", pts, self.matrix, pts))
+        pts, norms = _as_points(z, self.dim)
+        if self.kind == "ellipsoid":
+            # z^T A z term by term, row-major: einsum's order for a batch but not for a point
+            vals = np.sqrt(sum(pts[..., i] * self.matrix[i, j] * pts[..., j]
+                               for i, j in np.ndindex(self.matrix.shape)))
+        elif self.kind == "pnorm":
+            # the root of an array even for a point: numpy's scalar power rounds differently
+            big_g = np.sum(self._pnorm_s(pts) ** (self.p / 2.0), axis=-1, keepdims=True)
+            vals = (big_g ** (1.0 / self.p))[..., 0]
         else:
-            s, _ = self._pnorm_s(pts)
-            vals = np.sum(s ** (self.p / 2.0), axis=-1) ** (1.0 / self.p)
-        vals = self.scale * vals
-        return vals[0] if single else vals
+            vals = norms - self._tilt * pts[..., 0]
+        return self.scale * vals
 
     def grad_F(self, z: np.ndarray) -> np.ndarray:
         """Ambient gradient of F; zero-homogeneous in ``z``."""
-        pts, single = _as_points(z, self.dim)
-        norms = np.linalg.norm(pts, axis=-1, keepdims=True)
-        if np.any(norms == 0.0):
-            raise ValueError("integrand is undefined at the zero vector")
-        if self.kind == "euclidean":
-            g = pts / norms
-        elif self.kind == "capillary":
-            g = pts / norms
-            g[..., 0] -= math.cos(self.theta)
-        elif self.kind == "ellipsoid":
+        pts, norms = _as_points(z, self.dim)
+        if self.kind == "ellipsoid":
             az = pts @ self.matrix
             vals = np.sqrt(np.einsum("...i,...i->...", pts, az))
             g = az / vals[..., None]
+        elif self.kind == "pnorm":
+            *_, big_g, h = self._pnorm_terms(pts)
+            g = big_g[..., None] ** (1.0 / self.p - 1.0) * h
         else:
-            s, q = self._pnorm_s(pts)
-            p, eps = self.p, self.eps
-            big_g = np.sum(s ** (p / 2.0), axis=-1)
-            t = np.sum(s ** (p / 2.0 - 1.0), axis=-1)
-            h = pts * (s ** (p / 2.0 - 1.0) + (eps * eps) * t[..., None])
-            g = big_g[..., None] ** (1.0 / p - 1.0) * h
-        g = self.scale * g
-        return g[0] if single else g
+            g = pts / norms[..., None]
+            g[..., 0] -= self._tilt
+        return self.scale * g
 
     def hess_F(self, z: np.ndarray) -> np.ndarray:
         """Ambient Hessian of F; annihilates ``z`` and scales like 1/|z|."""
-        pts, single = _as_points(z, self.dim)
-        hess = self._hess_block(pts, self.dim)
-        return hess[0] if single else hess
+        return self._hess_block(z, self.dim)
 
-    def _hess_block(self, pts: np.ndarray, k: int) -> np.ndarray:
-        """Leading ``k x k`` block of the ambient Hessian at ``pts``."""
-        norms = np.linalg.norm(pts, axis=-1)
-        if np.any(norms == 0.0):
-            raise ValueError("integrand is undefined at the zero vector")
-        if self.kind in ("euclidean", "capillary"):
-            unit = pts[..., :k] / norms[..., None]
-            hess = np.einsum("...i,...j->...ij", unit, unit)
-            np.subtract(np.eye(k), hess, out=hess)
-            hess /= norms[..., None, None]
-        elif self.kind == "ellipsoid":
+    def _hess_block(self, z: np.ndarray, k: int) -> np.ndarray:
+        """Leading ``k x k`` block of the ambient Hessian at ``z``."""
+        pts, norms = _as_points(z, self.dim)
+        if self.kind == "ellipsoid":
             az = pts @ self.matrix
             vals = np.sqrt(np.einsum("...i,...i->...", pts, az))
             az = az[..., :k]
             hess = self.matrix[:k, :k] / vals[..., None, None] - np.einsum(
                 "...i,...j->...ij", az, az
-            ) / (vals ** 3)[..., None, None]
-        else:
+            ) / vals[..., None, None] ** 3
+        elif self.kind == "pnorm":
             hess = self._pnorm_hess(pts)[..., :k, :k]
+        else:  # the capillary form: the tilt is linear
+            unit = pts[..., :k] / norms[..., None]
+            hess = np.einsum("...i,...j->...ij", unit, unit)
+            np.subtract(np.eye(k), hess, out=hess)
+            hess /= norms[..., None, None]
         hess *= self.scale
         return hess
 
-    def _pnorm_s(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        q = np.einsum("...i,...i->...", pts, pts)
-        s = pts * pts + (self.eps * self.eps) * q[..., None]
-        return s, q
+    def _pnorm_s(self, pts: np.ndarray) -> np.ndarray:
+        """``s_i = z_i^2 + eps^2 |z|^2``; the pnorm kind's F is ``(sum_i s_i^(p/2))^(1/p)``."""
+        return pts * pts + (self.eps * self.eps) * np.einsum("...i,...i->...", pts, pts)[..., None]
+
+    def _pnorm_terms(self, pts: np.ndarray) -> tuple[np.ndarray, ...]:
+        """``s``, ``s^(p/2 - 1)``, its sum ``t``, ``G = sum_i s_i^(p/2)`` and ``h`` of the pnorm
+        kind, whose gradient is ``G^(1/p - 1) h``."""
+        e2 = self.eps * self.eps
+        s = self._pnorm_s(pts)
+        sp1 = s ** (self.p / 2.0 - 1.0)
+        t = np.sum(sp1, axis=-1)
+        return s, sp1, t, np.sum(s ** (self.p / 2.0), axis=-1), pts * (sp1 + e2 * t[..., None])
 
     def _pnorm_hess(self, pts: np.ndarray) -> np.ndarray:
-        p, eps = self.p, self.eps
-        e2 = eps * eps
-        s, _ = self._pnorm_s(pts)
-        sp1 = s ** (p / 2.0 - 1.0)
+        p, e2 = self.p, self.eps * self.eps
+        s, sp1, t, big_g, h = self._pnorm_terms(pts)
         sp2 = s ** (p / 2.0 - 2.0)
-        big_g = np.sum(s ** (p / 2.0), axis=-1)
-        t = np.sum(sp1, axis=-1)
         u = np.sum(sp2, axis=-1)
-        h = pts * (sp1 + e2 * t[..., None])
         eye = np.eye(self.dim)
         zz = np.einsum("...i,...j->...ij", pts, pts)
         k = np.zeros(pts.shape[:-1] + (self.dim, self.dim))
@@ -269,34 +269,27 @@ class EllipticIntegrand:
 
     # -- graph Lagrangian f(y) = F(-y, 1) ------------------------------------
 
-    def _lift(self, y: np.ndarray) -> tuple[np.ndarray, bool]:
+    def _lift(self, y: np.ndarray) -> np.ndarray:
+        """The points ``(-y, 1)`` of graph gradients ``y``."""
         y = np.asarray(y, dtype=float)
         if y.shape[-1] != self.dim - 1:
             raise ValueError(f"expected gradient dimension {self.dim - 1}")
-        single = y.ndim == 1
-        y2 = np.atleast_2d(y)
-        z = np.empty(y2.shape[:-1] + (self.dim,))
-        np.negative(y2, out=z[..., :-1])
+        z = np.empty(y.shape[:-1] + (self.dim,))
+        np.negative(y, out=z[..., :-1])
         z[..., -1] = 1.0
-        return z, single
+        return z
 
     def eval_f(self, y: np.ndarray) -> np.ndarray:
         """Graph Lagrangian ``f(y) = F(-y, 1)``."""
-        z, single = self._lift(y)
-        vals = self.eval_F(z)
-        return vals[0] if single else vals
+        return self.eval_F(self._lift(y))
 
     def grad_f(self, y: np.ndarray) -> np.ndarray:
         """Gradient of the graph Lagrangian: ``Df(y)_i = -d_i F(-y, 1)``."""
-        z, single = self._lift(y)
-        g = -self.grad_F(z)[..., : self.dim - 1]
-        return g[0] if single else g
+        return -self.grad_F(self._lift(y))[..., : self.dim - 1]
 
     def hess_f(self, y: np.ndarray) -> np.ndarray:
         """Hessian of the graph Lagrangian (SPD for bounded gradients)."""
-        z, single = self._lift(y)
-        h = self._hess_block(z, self.dim - 1)
-        return h[0] if single else h
+        return self._hess_block(self._lift(y), self.dim - 1)
 
     # -- sphere bounds -------------------------------------------------------
 
@@ -333,16 +326,14 @@ class EllipticIntegrand:
 
     def analytic_sphere_range(self) -> Optional[tuple[float, float]]:
         """Exact sphere range of F when it has a closed form, else None."""
-        if self.kind == "euclidean":
-            lo = hi = 1.0
-        elif self.kind == "capillary":
-            c = abs(math.cos(self.theta))
-            lo, hi = 1.0 - c, 1.0 + c
-        elif self.kind == "ellipsoid":
+        if self.kind == "ellipsoid":
             eig = np.linalg.eigvalsh(self.matrix)
             lo, hi = math.sqrt(float(eig[0])), math.sqrt(float(eig[-1]))
-        else:
+        elif self.kind == "pnorm":
             return None
+        else:
+            c = abs(self._tilt)
+            lo, hi = 1.0 - c, 1.0 + c
         return self.scale * lo, self.scale * hi
 
     def sphere_range(self, n_samples: int = _SPHERE_SAMPLES) -> tuple[float, float]:
@@ -384,13 +375,9 @@ class EllipticIntegrand:
 
     def to_descriptor(self) -> dict:
         out: dict = {"kind": self.kind, "dim": self.dim}
-        if self.kind == "capillary":
-            out["theta"] = self.theta
-        elif self.kind == "ellipsoid":
-            out["matrix"] = [float(v) for v in np.asarray(self.matrix).ravel()]
-        elif self.kind == "pnorm":
-            out["p"] = self.p
-            out["eps"] = self.eps
+        for key in _KINDS[self.kind][1]:  # the kind's own parameters
+            value = getattr(self, key)
+            out[key] = value.ravel().tolist() if isinstance(value, np.ndarray) else value
         if self.scale != 1.0:
             out["scale"] = self.scale
         if self.normalized:

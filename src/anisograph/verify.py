@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .boundary_data import evaluate_data_spec
-from .domain import HalfDomain, Mesh, Tag, build_mesh, half_ball_vertices
+from .domain import HalfDomain, Mesh, Tag, build_mesh
 from .geometry import GraphGeometry, surface_gradient
 from .integrand import EllipticIntegrand
 from .solver import SolveConfig, solve
@@ -338,7 +338,8 @@ def gradient_estimate_records(
     """
     mesh = geom.mesh
     half = np.array(mesh.domain.half())
-    bary = mesh.cell_barycenters()
+    if any(r <= 0.0 for r in r_list):
+        raise ValueError("radius must be positive")
     records = []
     for x0 in x0_list:
         v = _nearest_vertex(mesh, x0)
@@ -347,9 +348,10 @@ def gradient_estimate_records(
             # vertex-centered fit: the evaluation point stays put under refinement
             grad_norm = float(np.linalg.norm(geom.vertex_gradient[v]))
         else:
-            c = int(np.argmin(np.linalg.norm(bary - xv, axis=1)))
+            c = int(np.argmin(np.linalg.norm(mesh.cell_barycenters() - xv, axis=1)))
             grad_norm = float(np.linalg.norm(geom.cell_gradient[c]))
         lhs = math.log(max(grad_norm, 1e-300))
+        dist = np.linalg.norm(mesh.vertices - xv, axis=1)
         for r in r_list:
             if not np.all(np.abs(xv) + r <= half + 1e-12):
                 warnings.warn(
@@ -357,8 +359,7 @@ def gradient_estimate_records(
                     stacklevel=2,
                 )
                 continue
-            ball = half_ball_vertices(mesh, xv, r)
-            osc = float(geom.u.values[ball].max() - geom.u.values[v])
+            osc = float(geom.u.values[dist <= r + 1e-12].max() - geom.u.values[v])
             records.append(
                 GradientEstimateRecord(tuple(xv.tolist()), float(r), lhs, osc, osc / r)
             )
@@ -457,7 +458,7 @@ def liouville_probe(
     if sorted(sizes) != sizes or len(sizes) < 2:
         raise ValueError("domain sizes must be increasing, with at least two entries")
     if tol_flat is None:
-        tol_flat = 0.05 * bump_height
+        tol_flat = 0.05 * abs(bump_height)
     a = np.zeros(2) if slope is None else np.asarray(slope, dtype=float)
     deviations = []
     observed_beta = 0.0
@@ -502,14 +503,13 @@ def _liouville_data(slope: list, r_size: float, bump_height: float, bump_radius:
 # -- graph-ball probes ------------------------------------------------------------
 
 
-def _graph_ball_cells(geom: GraphGeometry, center: np.ndarray, r: float) -> np.ndarray:
-    bary = geom.cell_graph_barycenters()
-    return np.linalg.norm(bary - center, axis=1) <= r
-
-
-def _snap_graph_point(geom: GraphGeometry, x0) -> np.ndarray:
-    v = _nearest_vertex(geom.mesh, x0)
-    return np.concatenate([geom.mesh.vertices[v], [geom.u.values[v]]])
+def _graph_ball_distances(geom: GraphGeometry, x0) -> tuple[np.ndarray, np.ndarray]:
+    """The graph point over the vertex nearest ``x0``, and its distance to the image on the
+    graph of each cell's barycenter; a ball of radius r holds the cells within r."""
+    mesh = geom.mesh
+    points = np.column_stack([mesh.vertices, geom.u.values])  # the graph's vertices
+    center = points[_nearest_vertex(mesh, x0)]
+    return center, np.linalg.norm(points[mesh.cells].mean(axis=1) - center, axis=1)
 
 
 def area_growth_check(
@@ -521,14 +521,13 @@ def area_growth_check(
     ambient ball of each radius, then fits log(area) against log(r); the
     exponent should match the graph dimension.
     """
-    center = _snap_graph_point(geom, x0)
+    center, dist = _graph_ball_distances(geom, x0)
     area = geom.graph_measure()
     radii, measures = [], []
     for r in r_list:
         if r <= 0.0:
             raise ValueError("radii must be positive")
-        inside = _graph_ball_cells(geom, center, r)
-        m = float(area[inside].sum())
+        m = float(area[dist <= r].sum())
         if m > 0.0:
             radii.append(float(r))
             measures.append(m)
@@ -555,10 +554,9 @@ def mean_value_probe(geom: GraphGeometry, x0, r: float) -> CheckReport:
     """
     if r <= 0.0:
         raise ValueError("radius must be positive")
-    center = _snap_graph_point(geom, x0)
+    center, dist = _graph_ball_distances(geom, x0)
     area = geom.graph_measure()
-    inner = _graph_ball_cells(geom, center, 0.5 * r)
-    outer = _graph_ball_cells(geom, center, r)
+    inner, outer = dist <= 0.5 * r, dist <= r
     if not inner.any() or not outer.any():
         return _report("mean_value", 0.0, None, skipped="radius below mesh scale", r=r)
     logs = np.abs(geom.cell_log_Wf)

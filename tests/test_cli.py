@@ -192,6 +192,7 @@ def no_mesh(monkeypatch):
     ({"name": "liouville", "beta": -1.0}, "beta"),
     ({"name": "liouville", "slope": [0.5]}, "slope"),
     ({"name": "gradient_estimate", "x0_list": [[0.1, 0.0, 0.0]]}, "x0_list"),
+    ({"name": "liouville", "tol_flat": -0.05}, "tol_flat"),
 ])
 def test_bad_check_parameter_exits_2_before_any_solve(tmp_path, capsys, no_mesh, check, key):
     path = write_scenario(tmp_path, sine_scenario_with(check))

@@ -3,9 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
-from anisograph import HalfDomain, Tag, build_mesh, half_ball_vertices
+from anisograph import HalfDomain, Tag, build_mesh
 from reference import cell_gradients_gather, cell_measures, refine
 
 
@@ -121,37 +120,6 @@ def test_domain_validation():
         HalfDomain(2, depth=1.0, resolution=0.1)  # missing width
     with pytest.raises(ValueError):
         HalfDomain(1, depth=-1.0, resolution=0.1)
-
-
-def test_half_ball_small_radius_hits_only_origin():
-    mesh = unit_square_mesh(0.25)
-    idx = half_ball_vertices(mesh, [0.0, 0.0], 0.1)
-    assert idx.tolist() == [np.argmin(np.linalg.norm(mesh.vertices, axis=1))]
-
-
-def test_half_ball_large_radius_hits_everything():
-    mesh = unit_square_mesh(0.25)
-    idx = half_ball_vertices(mesh, [0.0, 0.0], 10.0)
-    assert idx.size == mesh.num_vertices
-
-
-def test_half_ball_empty_is_flagged_not_fatal():
-    mesh = unit_square_mesh(0.25)
-    with pytest.warns(UserWarning):
-        idx = half_ball_vertices(mesh, [0.43, 0.11], 1e-6)
-    assert idx.size == 0
-
-
-@given(
-    r1=st.floats(min_value=0.2, max_value=2.0),
-    r2=st.floats(min_value=0.2, max_value=2.0),
-)
-def test_half_ball_monotone_in_radius(r1, r2):
-    mesh = unit_square_mesh(0.25)
-    lo, hi = sorted((r1, r2))
-    inner = set(half_ball_vertices(mesh, [0.3, 0.1], lo).tolist())
-    outer = set(half_ball_vertices(mesh, [0.3, 0.1], hi).tolist())
-    assert inner <= outer
 
 
 @pytest.mark.parametrize("domain", [

@@ -283,23 +283,40 @@ def test_flat_slope_stops_at_the_rounding_floor_with_the_full_bisection_value(in
 @pytest.mark.parametrize("dim", [2, 3])
 def test_hess_f_is_the_graph_block_of_hess_F(dim):
     y = np.random.default_rng(4).normal(size=(200, dim - 1)) * 3.0
+    z = np.random.default_rng(5).normal(size=(200, dim))
     lift = np.concatenate([-y, np.ones((200, 1))], axis=1)
     matrix = np.diag([2.0, 1.0, 1.5][:dim]) + 0.2 * (1 - np.eye(dim))
-    for I in [*builtin_integrands(dim), EllipticIntegrand.ellipsoid(matrix),
-              replace(EllipticIntegrand.capillary(0.7, dim), scale=1.7)]:
+    kinds = [*builtin_integrands(dim), EllipticIntegrand.ellipsoid(matrix)]
+    for I in [*kinds, *(replace(I, scale=1.7) for I in kinds)]:
         block = I.hess_F(lift)[..., : dim - 1, : dim - 1]
         assert np.array_equal(I.hess_f(y), block), I.kind
-        assert np.array_equal(I.hess_f(y[0]), block[0]), I.kind
+        # a single point takes the batch's path: it gets exactly its row's values
+        for method, points in [(I.eval_F, z), (I.grad_F, z), (I.hess_F, z),
+                               (I.eval_f, y), (I.grad_f, y), (I.hess_f, y)]:
+            batch = method(points[:20])
+            for row, point in enumerate(points[:20]):
+                single = method(point)
+                assert single.shape == batch.shape[1:], (I.kind, method.__name__)
+                assert np.array_equal(single, batch[row]), (I.kind, I.scale, method.__name__, row)
 
 
 # -- descriptors and validation ---------------------------------------------------
 
 
 def test_descriptor_roundtrip():
-    for I in builtin_integrands():
-        J = EllipticIntegrand.from_descriptor(I.to_descriptor())
+    off_diagonal = EllipticIntegrand.ellipsoid(
+        np.array([[2.0, 0.5, 0.1], [0.5, 1.0, 0.2], [0.1, 0.2, 1.5]]))
+    scaled = replace(EllipticIntegrand.capillary(1.1, 3), scale=2.5, normalized=True)
+    for I in [*builtin_integrands(), off_diagonal, scaled]:
+        desc = I.to_descriptor()
+        J = EllipticIntegrand.from_descriptor(desc)
+        assert J.to_descriptor() == desc, I.kind
         z = np.array([0.3, -0.2, 0.9])
-        assert J.eval_F(z) == pytest.approx(I.eval_F(z), rel=1e-14)
+        assert J.eval_F(z) == I.eval_F(z), I.kind
+    assert scaled.to_descriptor() == {"kind": "capillary", "dim": 3, "theta": 1.1,
+                                      "scale": 2.5, "normalized": True}
+    assert off_diagonal.to_descriptor()["matrix"] == [2.0, 0.5, 0.1, 0.5, 1.0, 0.2,
+                                                      0.1, 0.2, 1.5]
 
 
 def test_descriptor_rejects_bad_theta():
@@ -337,10 +354,13 @@ def test_pnorm_validation():
 
 
 def test_zero_vector_rejected():
-    I = EllipticIntegrand.euclidean(3)
-    for op in (I.eval_F, I.grad_F, I.hess_F):
-        with pytest.raises(ValueError):
-            op(np.zeros(3))
+    batch = np.random.default_rng(19).normal(size=(5, 3))
+    batch[2] = 0.0
+    for I in builtin_integrands():
+        for op in (I.eval_F, I.grad_F, I.hess_F):
+            for z in (np.zeros(3), batch):
+                with pytest.raises(ValueError, match="zero vector"):
+                    op(z)
 
 
 def _spd_matrix(seed, shift):

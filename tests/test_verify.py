@@ -170,6 +170,16 @@ def test_liouville_decay_euclidean():
     assert rep.metadata["hypothesis_ok"]
 
 
+def test_liouville_dent_flattens_like_the_bump():
+    # a dent's default tolerance is 0.05 * |bump_height|, not a negative number
+    rep = V.liouville_probe(EllipticIntegrand.euclidean(3), beta=0.1,
+                            r_sizes=[4.0, 8.0], bump_height=-1.0)
+    d = rep.metadata["deviations"]
+    assert rep.tolerance == 0.05
+    assert d[1] < d[0] <= 0.05
+    assert rep.status == "pass"
+
+
 def test_liouville_aborts_on_nonconvergence():
     rep = V.liouville_probe(EllipticIntegrand.euclidean(3), beta=0.1,
                             r_sizes=[4.0, 8.0], config=SolveConfig(max_iter=1))
