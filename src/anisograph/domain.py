@@ -27,8 +27,8 @@ __all__ = [
     "build_mesh",
 ]
 
-# the largest mesh, by its Newton band, bounded by 8 (divisions[-1] + 1) bytes per vertex:
-# 1/512 on the unit reference box needs 1.0 GiB, 1/1024 8.0 GiB
+# the largest mesh, by its Newton band, bounded by 8 (kd + 1) bytes per vertex for the
+# band's half-bandwidth kd: 1/512 on the unit reference box needs 1.0 GiB, 1/1024 8.0 GiB
 _MAX_BAND_BYTES = 2 << 30
 
 
@@ -72,7 +72,8 @@ class HalfDomain:
         or the Newton band of the mesh over ``_MAX_BAND_BYTES``."""
         ext = self.extents()
         cells = [e / self.resolution for e in ext]
-        band = 8.0 * (cells[-1] + 1.0) * math.prod(c + 1.0 for c in cells)
+        kd = math.prod(cells[1:])  # the band's half-bandwidth: 1 in 1d, divisions[-1] in 2d
+        band = 8.0 * (kd + 1.0) * math.prod(c + 1.0 for c in cells)
         if not band <= _MAX_BAND_BYTES:
             raise ValueError(f"resolution {self.resolution} too fine for extents {ext}: a "
                              f"{band / 2 ** 30:.3g} GiB Newton band is over the "

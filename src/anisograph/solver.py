@@ -27,6 +27,9 @@ nonzero diagonal of its ``(kd + 1, nfree)`` lower band joins vertex pairs at
 one grid offset (rows 0, 1, kd - 1 and kd in two dimensions) and is written
 as a shifted sum over the cells sharing those edges; the band is factored in
 place with LAPACK's banded Cholesky, so at most one band is alive at a time.
+That is ``dpbtrf`` and ``dpbtrs`` of the ILP64 scipy-openblas that numpy's
+wheels bundle and numpy has already loaded, called through ``ctypes`` (which
+releases the GIL); a numpy without it ends every solve with a ``failure``.
 A Hessian that is not numerically positive definite, a non-finite step or a
 step that misses ``linear_solver_tol`` (checked against ``D^2 f`` and the
 step's own gradients, not the band) ends the solve with ``converged=False``
@@ -52,7 +55,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from numpy.linalg import LinAlgError
 
 from .domain import Mesh, Tag, _build
 from .integrand import EllipticIntegrand
@@ -177,10 +180,27 @@ def _free_box(mesh: Mesh, is_dir: np.ndarray) -> tuple[slice, ...]:
 def _newton_step(band: np.ndarray, res: np.ndarray) -> np.ndarray:
     """Solve ``H step = -res``, factoring the band in place (its contents are lost).
 
-    Raises ``LinAlgError`` when the band is not numerically positive definite.
+    Raises ``LinAlgError`` when the band is not numerically positive definite,
+    or when this numpy has no banded Cholesky to offer (``_NO_LAPACK``).
     """
-    factor = cholesky_banded(band, lower=True, overwrite_ab=True, check_finite=False)
-    return cho_solve_banded((factor, True), -res, check_finite=False)
+    if _lapack is None:
+        raise LinAlgError(_NO_LAPACK)
+    dpbtrf, dpbtrs = _lapack
+    step = -res
+    kd, n = band.shape[0] - 1, band.shape[1]
+    if step.shape != (n,):
+        raise ValueError("the residual must have one entry per band column")
+    n_, kd_, nrhs, ldab, ldb = (ctypes.byref(ctypes.c_int64(v))
+                                for v in (n, kd, 1, kd + 1, max(n, 1)))
+    info = ctypes.c_int64()
+    dpbtrf(b"L", n_, kd_, band, ldab, ctypes.byref(info), 1)
+    if info.value == 0:
+        dpbtrs(b"L", n_, kd_, nrhs, band, ldab, step, ldb, ctypes.byref(info), 1)
+    if info.value > 0:
+        raise LinAlgError(f"{info.value}-th leading minor not positive definite")
+    if info.value < 0:
+        raise ValueError(f"illegal value in argument {-info.value} of the banded Cholesky")
+    return step
 
 
 def wall_flux_residuals(integrand: EllipticIntegrand, u: GraphFunction) -> np.ndarray:
@@ -204,6 +224,22 @@ try:  # glibc only: return freed heap memory to the system
     _malloc_trim = ctypes.CDLL(None).malloc_trim
 except (AttributeError, OSError, TypeError):
     _malloc_trim = None
+
+_NO_LAPACK = ("the banded Cholesky needs LAPACK dpbtrf/dpbtrs from the scipy-openblas "
+              "that numpy's PyPI wheels bundle, and this numpy build has none")
+_INT = ctypes.POINTER(ctypes.c_int64)
+_BAND = np.ctypeslib.ndpointer(np.float64, 2, flags=("F_CONTIGUOUS", "WRITEABLE"))
+_VECTOR = np.ctypeslib.ndpointer(np.float64, 1, flags=("C_CONTIGUOUS", "WRITEABLE"))
+try:  # numpy has loaded its ILP64 OpenBLAS; dlsym on its extension finds the symbols
+    _openblas = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    _lapack = (_openblas.scipy_dpbtrf_64_, _openblas.scipy_dpbtrs_64_)
+except (AttributeError, OSError, TypeError):
+    _lapack = None
+else:  # Fortran arguments by reference, then the hidden length of the UPLO string
+    _lapack[0].argtypes = [ctypes.c_char_p, _INT, _INT, _BAND, _INT, _INT, ctypes.c_size_t]
+    _lapack[1].argtypes = [ctypes.c_char_p, _INT, _INT, _INT, _BAND, _INT, _VECTOR, _INT, _INT,
+                           ctypes.c_size_t]
+    _lapack[0].restype = _lapack[1].restype = None
 
 
 def _prolong(coarse: np.ndarray, counts: tuple[int, ...]) -> np.ndarray:
@@ -288,7 +324,8 @@ def solve(
         try:
             step = _newton_step(_hessian_band(mesh, d2f, free), res)
         except LinAlgError as exc:
-            failure = f"Newton Hessian is not numerically positive definite ({exc})"
+            failure = (str(exc) if _lapack is None
+                       else f"Newton Hessian is not numerically positive definite ({exc})")
             break
         if not np.all(np.isfinite(step)):
             failure = "Newton step is not finite"

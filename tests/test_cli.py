@@ -4,6 +4,8 @@ import inspect
 import json
 import math
 import operator
+import os
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -15,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from anisograph import HalfDomain, build_mesh, cli, verify
+from anisograph import HalfDomain, build_mesh, cli, solver, verify
 from anisograph.boundary_data import evaluate_data_spec
 from anisograph.cli import (
     ConfigError,
@@ -236,7 +238,9 @@ def test_too_coarse_mesh_exits_2_before_any_solve(tmp_path, capsys, no_mesh, com
     ({"domain.resolution": 1 / 1024}, "domain"),
     ({"domain.depth": 1e300, "domain.resolution": 1e-10}, "domain"),  # cells overflow a float
     ({"checks": [{"name": "liouville", "sizes": [4.0, 8.0, 1000.0]}]}, "check 'liouville'"),
-], ids=["1e-5", "1_1024", "overflow", "liouville"])
+    ({"integrand.dim": 2, "domain": {"n": 1, "depth": 1.0, "resolution": 1e-9},
+      "dirichlet": {"type": "table", "points": [[1.0, 0.3]]}}, "domain"),  # a 16 GB band
+], ids=["1e-5", "1_1024", "overflow", "liouville", "1d_1e-9"])
 def test_too_fine_mesh_exits_2_before_any_solve(tmp_path, capsys, no_mesh, edits, section):
     path = write_scenario(tmp_path, edited(sine_scenario_with("wall_condition"), edits))
     out = tmp_path / "out"
@@ -249,6 +253,14 @@ def test_too_fine_mesh_exits_2_before_any_solve(tmp_path, capsys, no_mesh, edits
 def test_band_limit_admits_the_reference_box_at_1_512():
     raw = sine_scenario_with("wall_condition", 1 / 512)
     assert scenario_from_dict(raw).domain.divisions() == (512, 512)
+
+
+def test_band_limit_admits_an_interval_of_17000_cells():
+    # its band has two rows, 272 KB: the limit must not charge it the 2d half-bandwidth
+    raw = minimal_scenario(integrand={"kind": "euclidean", "dim": 2},
+                           domain={"n": 1, "depth": 1.0, "resolution": 1 / 17000},
+                           dirichlet={"type": "table", "points": [[1.0, 0.3]]})
+    assert scenario_from_dict(raw).domain.divisions() == (17000,)
 
 
 def test_solve_accepts_two_by_two_mesh(tmp_path):
@@ -454,6 +466,27 @@ def test_failed_linear_solve_exits_3(tmp_path, capsys, command, p, eps, amplitud
     assert payload["converged"] is False and reason in payload["failure"]
     assert reason in (out / "run.log").read_text()
     assert reason in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_numpy_without_lapack_exits_3(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(solver, "_lapack", None)
+    path = write_scenario(tmp_path, sine_scenario_with("wall_condition"))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 3
+    payload = json.loads((out / "solve_report.json").read_text())
+    assert payload["converged"] is False and payload["failure"] == solver._NO_LAPACK
+    err = capsys.readouterr().err
+    assert solver._NO_LAPACK in err and "Traceback" not in err
+
+
+def test_the_runtime_does_not_import_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, anisograph.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("command", ["solve", "verify"])

@@ -439,6 +439,17 @@ def test_failed_linear_solve_ends_the_solve(monkeypatch, factor, reason):
     assert report.iterations == 0 and report.level_iterations == [0]
 
 
+def test_numpy_without_lapack_ends_the_solve(monkeypatch):
+    # a numpy not built on scipy-openblas (conda MKL, Accelerate) has no dpbtrf to find
+    monkeypatch.setattr(solver, "_lapack", None)
+    mesh = unit_mesh(1 / 8)
+    data = evaluate_data_spec(CURVED_DATA_SPEC, mesh.vertices)
+    _, report = solve(EllipticIntegrand.euclidean(3), mesh, data)
+    assert not report.converged
+    assert report.failure == solver._NO_LAPACK and "scipy-openblas" in report.failure
+    assert report.iterations == 0 and report.level_iterations == [0]
+
+
 # -- equation residual -------------------------------------------------------------
 
 
