@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import csv
 import inspect
 import json
@@ -31,6 +32,8 @@ from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
+
+import numpy as np
 
 from . import verify
 from .boundary_data import data_bound, evaluate_data_spec, parse_data_spec
@@ -277,40 +280,59 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _write_table(path, header: list, ids, columns: list) -> None:
-    """CSV of an integer id column then float array columns, one row per id.
+def _write_tables(tables: list, rows: int, prefix: Callable) -> None:
+    """CSVs whose rows share their leading text, written in step a block of rows at a time.
 
-    Rows end in CRLF, as csv.writer's do, and '%.17g' is the same C
-    formatting as ``_fmt`` (NaN and -0.0 included).  Rows are formatted a
-    block at a time, so no whole-column list or whole-file string is built.
+    ``tables`` holds each file's path, header and float columns, and
+    ``prefix(lo, hi)`` the shared text of rows ``lo`` to ``hi - 1``.  A row is
+    its prefix, then its columns, each '%.17g' (the same C formatting as
+    ``_fmt``, NaN and -0.0 included), and ends in CRLF, as csv.writer's rows
+    do.  Each block is written as one string, and no whole-column list or
+    whole-file string is built.
     """
-    row = "%d" + ",%.17g" * len(columns) + "\r\n"
     block = 1024
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for lo in range(0, len(ids), block):
-            cols = (c[lo:lo + block].tolist() for c in columns)
-            fh.writelines(map(row.__mod__, zip(ids[lo:lo + block], *cols)))
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(open(path, "w", newline="")) for path, _, _ in tables]
+        for fh, (_, header, _) in zip(files, tables):
+            fh.write(",".join(header) + "\r\n")
+        formats = ["%s" + ",%.17g" * len(columns) + "\r\n" for _, _, columns in tables]
+        for lo in range(0, rows, block):
+            hi = min(lo + block, rows)
+            head = prefix(lo, hi)
+            for fh, row, (_, _, columns) in zip(files, formats, tables):
+                values = (c[lo:hi].tolist() for c in columns)
+                fh.write("".join(map(row.__mod__, zip(head, *values))))
 
 
-def _write_solution_csv(path, result: RunResult) -> None:
-    mesh = result.mesh
-    coords = [f"x{i + 1}" for i in range(mesh.n)]
-    _write_table(path, ["id", *coords, "u"], range(mesh.num_vertices),
-                 [*mesh.vertices.T, result.solution.values])
+def _vertex_prefix(mesh: Mesh, u: np.ndarray) -> Callable:
+    """``prefix`` of the vertex tables: each vertex's id, coordinates and u.  Every
+    coordinate is a grid line's, so each line is formatted once."""
+    counts = tuple(d + 1 for d in mesh.divisions)
+    lines = [np.array(["%.17g" % x for x in line.tolist()], dtype=object)
+             for line in mesh.grid_lines()]
+    row = "%d" + ",%s" * mesh.n + ",%.17g"
+
+    def prefix(lo: int, hi: int) -> list:
+        at = np.unravel_index(np.arange(lo, hi), counts)
+        coords = (line[i].tolist() for line, i in zip(lines, at))
+        return list(map(row.__mod__, zip(range(lo, hi), *coords, u[lo:hi].tolist())))
+    return prefix
 
 
-def _write_geometry_csv(path, wall_path, result: RunResult) -> None:
-    geom = result.geometry
-    if geom is None:
-        return
-    mesh = result.mesh
-    coords = [f"x{i + 1}" for i in range(mesh.n)]
-    _write_table(path, ["id", *coords, "u", "W", "W_f", "H_F", "h_sq"], range(mesh.num_vertices),
-                 [*mesh.vertices.T, result.solution.values, geom.vertex_W, geom.vertex_Wf,
-                  geom.mean_curvature_aniso, geom.h_sq])
-    _write_table(wall_path, ["facet", "nuF_e1", "muF_e1", "measure"], range(len(mesh.wall_cells)),
-                 [geom.wall_nuF_e1, geom.wall_muF_e1, geom.wall_measure])
+def _write_csvs(out_dir: Path, result: RunResult) -> None:
+    """``solution.csv``; with a geometry also ``geometry.csv``, whose rows start with the
+    same id, coordinates and u and are written in step with it, and ``geometry_wall.csv``."""
+    mesh, geom = result.mesh, result.geometry
+    header = ["id", *(f"x{i + 1}" for i in range(mesh.n)), "u"]
+    tables = [(out_dir / "solution.csv", header, [])]
+    if geom is not None:
+        tables.append((out_dir / "geometry.csv", header + ["W", "W_f", "H_F", "h_sq"],
+                       [geom.vertex_W, geom.vertex_Wf, geom.mean_curvature_aniso, geom.h_sq]))
+    _write_tables(tables, mesh.num_vertices, _vertex_prefix(mesh, result.solution.values))
+    if geom is not None:
+        _write_tables([(out_dir / "geometry_wall.csv", ["facet", "nuF_e1", "muF_e1", "measure"],
+                        [geom.wall_nuF_e1, geom.wall_muF_e1, geom.wall_measure])],
+                      len(mesh.wall_cells), range)
 
 
 def _write_reports(out_dir: Path, result: RunResult) -> None:
@@ -339,11 +361,10 @@ def run(scenario_path, out_dir, solve_only: bool = False) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     log = [f"warning: {w.message}" for w in caught]
-    _write_solution_csv(out / "solution.csv", result)
+    _write_csvs(out, result)
     with open(out / "solve_report.json", "w") as fh:
         fh.write(json.dumps(asdict(result.solve_report), sort_keys=True, indent=1) + "\n")
     if not solve_only:
-        _write_geometry_csv(out / "geometry.csv", out / "geometry_wall.csv", result)
         _write_reports(out, result)
     if result.solve_report.converged:
         log.append(f"scenario={scenario.name} elapsed={time.perf_counter() - t0:.3f}s "
@@ -353,10 +374,15 @@ def run(scenario_path, out_dir, solve_only: bool = False) -> int:
         suffix = f": {failure}" if failure else ""
         log.append(f"non-convergence after {result.solve_report.iterations} iterations{suffix}")
         print(f"solver failed to converge{suffix}", file=sys.stderr)
-    stamp = time.strftime("%Y-%m-%dT%H:%M:%S")
-    with open(out / "run.log", "a") as fh:
-        fh.writelines(f"{stamp} {line}\n" for line in log)
+    _append_log(out / "run.log", log)
     return result.exit_code
+
+
+def _append_log(path: Path, lines: list) -> None:
+    """Append the lines to a run log, each stamped with the local time."""
+    stamp = time.strftime("%Y-%m-%dT%H:%M:%S")
+    with open(path, "a") as fh:
+        fh.writelines(f"{stamp} {line}\n" for line in lines)
 
 
 # -- parameter sweeps -------------------------------------------------------------
@@ -397,10 +423,11 @@ def sweep(scenario_path, axis: str, values, out_dir) -> int:
         return 2
 
     results: list[Optional[RunResult]] = [None] * len(variants)
-    # catch_warnings swaps the process-wide filter list, so it is entered
-    # once here: entered in each worker, one thread's exit unmutes the others
-    with warnings.catch_warnings(), concurrent.futures.ThreadPoolExecutor(workers) as pool:
-        warnings.simplefilter("ignore")
+    # catch_warnings swaps the process-wide filter list and warning hook, so it is
+    # entered once here: entered in each worker, one thread's exit would unhook the others
+    with warnings.catch_warnings(record=True) as caught, \
+            concurrent.futures.ThreadPoolExecutor(workers) as pool:
+        warnings.simplefilter("always")
         futures = {pool.submit(run_scenario, sc): i for i, sc in enumerate(variants)}
         for fut in concurrent.futures.as_completed(futures):
             results[futures[fut]] = fut.result()
@@ -444,6 +471,10 @@ def sweep(scenario_path, axis: str, values, out_dir) -> int:
         w = csv.DictWriter(fh, fieldnames=header)
         w.writeheader()
         w.writerows(rows)
+    # the workers' warnings interleave in no fixed order, so they are logged sorted
+    log = sorted(f"warning: {w.message}" for w in caught)
+    log += [f"{axis}={_fmt(value)} exit={res.exit_code}" for value, res in zip(values, results)]
+    _append_log(out / "run.log", log)
     return max(res.exit_code for res in results)
 
 

@@ -197,6 +197,13 @@ class Mesh:
     def cell_barycenters(self) -> np.ndarray:
         return self.vertices[self.cells].mean(axis=1)
 
+    def grid_lines(self) -> list[np.ndarray]:
+        """Each axis's coordinate lines, read off the vertex grid: every vertex coordinate
+        is one of them."""
+        grid = self.vertices.reshape(tuple(d + 1 for d in self.divisions) + (self.n,))
+        return [grid[(0,) * k + (slice(None),) + (0,) * (self.n - 1 - k) + (k,)]
+                for k in range(self.n)]
+
 
 def build_mesh(domain: HalfDomain) -> Mesh:
     """Mesh the domain at its requested resolution.
@@ -248,7 +255,9 @@ def vertex_stencils(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     cell = mesh.split.offsets
     ring1 = (cell[:, :, None] - cell[:, None]).reshape(-1, mesh.n)  # the cells' edges, and zero
-    offsets = np.unique((ring1[:, None, :] + ring1[None, :, :]).reshape(-1, mesh.n), axis=0)
+    # distinct, in lexicographic order (a plain np.unique would import numpy.ma)
+    ring2 = (ring1[:, None, :] + ring1[None, :, :]).reshape(-1, mesh.n)
+    offsets = np.array(sorted(set(map(tuple, ring2.tolist()))))
     counts = np.array(mesh.divisions) + 1
     index = np.stack(np.unravel_index(np.arange(mesh.num_vertices), counts), axis=1)
     target = index[:, None, :] + offsets[None, :, :]

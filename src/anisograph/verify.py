@@ -18,7 +18,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .integrand import EllipticIntegrand
 from .solver import SolveConfig, solve
 
 __all__ = [
+    "BoxFunction",
     "CheckReport",
     "GradientEstimateRecord",
     "CheckDefaults",
@@ -273,38 +274,58 @@ def check_first_variation(
         margin = max(4.0 * mesh.h, 0.15 * min(dom.extents()))
     half = np.array(dom.half())
 
-    def cutoff(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """chi and its spatial gradient at points (npts, n): chi is the product of one
-        ramp per axis, each falling from 1 to 0 as |x_k| nears half[k]."""
-        t = np.clip((np.abs(x) - (half - margin)) / margin, 0.0, 1.0)
-        ramps = np.cos(0.5 * np.pi * t) ** 2
-        slopes = np.where((t > 0) & (t < 1), -0.5 * np.pi * np.sin(np.pi * t) / margin, 0.0)
-        others = [np.prod(np.delete(ramps, k, axis=1), axis=1) for k in range(mesh.n)]
-        return np.prod(ramps, axis=1), slopes * np.stack(others, axis=1) * np.sign(x)
+    def ramp(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Axis k's factor of chi at coordinates x, falling from 1 to 0 as |x| nears
+        half[k], with its slope in |x| and the sign of x."""
+        t = np.clip((np.abs(x) - (half[k] - margin)) / margin, 0.0, 1.0)
+        slope = np.where((t > 0) & (t < 1), -0.5 * np.pi * np.sin(np.pi * t) / margin, 0.0)
+        return np.cos(0.5 * np.pi * t) ** 2, slope, np.sign(x)
 
-    # quadrature points per cell: the edge midpoints, degree 2 on triangles; in 1d both
-    # are the cell midpoint, degree 1
-    cell_verts = mesh.vertices[mesh.cells]
-    qpts = 0.5 * (cell_verts + np.roll(cell_verts, -1, axis=1))
-    nq = qpts.shape[1]
+    def cutoff(factors: list) -> tuple[np.ndarray, list]:
+        """chi, the product of the axes' ``ramp`` triples (broadcastable), and its spatial
+        gradient, one array per axis."""
+        ramps = [f[0] for f in factors]
+        grads = [slope * math.prod(ramps[:k] + ramps[k + 1:]) * sign
+                 for k, (_, slope, sign) in enumerate(factors)]
+        return math.prod(ramps), grads
+
+    # quadrature points per cell: the edge midpoints, degree 2 on triangles; in 1d both are
+    # the cell midpoint, degree 1.  They lie on the grid lines and half-lines, where each
+    # axis's factors are evaluated once: along each axis, point j of the type-t cell of
+    # box b is at doubled grid index 2 b + edge[t, j]
+    offsets = mesh.split.offsets
+    edge = offsets + np.roll(offsets, -1, axis=1)
+    nq = edge.shape[1]
+    factors = []
+    for k, x in enumerate(mesh.grid_lines()):
+        doubled = np.empty(2 * x.size - 1)
+        doubled[0::2], doubled[1::2] = x, 0.5 * (x[:-1] + x[1:])
+        factors.append(ramp(doubled, k))
     area = geom.graph_measure()
     hf_cell = np.nan_to_num(geom.mean_curvature_aniso, nan=0.0)[mesh.cells].mean(axis=1)
-    chi_w, _ = cutoff(mesh.vertices[mesh.wall_facets].mean(axis=1))
+    wall_mid = mesh.vertices[mesh.wall_facets].mean(axis=1)
+    chi_w, _ = cutoff([ramp(wall_mid[:, k], k) for k in range(mesh.n)])
 
-    chi_q = np.zeros((mesh.num_cells, nq))
-    dchi_q = np.zeros((mesh.num_cells, nq, mesh.n + 1))
-    # one quadrature point per cell at a time: all at once raised a 1/128 verify's peak RSS
-    # by 3 MiB
-    for j in range(nq):
-        chi_j, dchi_j = cutoff(qpts[:, j, :])
-        chi_q[:, j] = chi_j
-        dchi_q[:, j, : mesh.n] = dchi_j
+    # chi and its gradient at each quadrature point, box by box, then in cell order
+    chi_q = np.zeros(mesh.divisions + edge.shape[:2])
+    dchi_q = np.zeros(mesh.divisions + edge.shape[:2] + (mesh.n + 1,))
+    for t, j in np.ndindex(edge.shape[:2]):
+        at = []  # each axis's factors over the boxes, shaped to broadcast along its axis
+        for k, (axis, e, d) in enumerate(zip(factors, edge[t, j], mesh.divisions)):
+            at.append(tuple(f[e::2][:d].reshape((1,) * k + (d,) + (1,) * (mesh.n - 1 - k))
+                            for f in axis))
+        chi_q[..., t, j], grads = cutoff(at)
+        for k, g in enumerate(grads):
+            dchi_q[..., t, j, k] = g
+    chi_q = chi_q.reshape(mesh.num_cells, nq)
+    dchi_q = dchi_q.reshape(mesh.num_cells, nq, mesh.n + 1)
+    normal_dchi = np.einsum("cqi,ci->cq", dchi_q, geom.cell_aniso_normal)
 
     per_field = []
     for k in range(mesh.n + 1):
         divF = geom.cell_F_normal[:, None] * dchi_q[:, :, k] - geom.cell_normal[
             :, k, None
-        ] * np.einsum("cqi,ci->cq", dchi_q, geom.cell_aniso_normal)
+        ] * normal_dchi
         lhs = float((area * divF.mean(axis=1)).sum())
         mid = float((area * hf_cell * chi_q.mean(axis=1) * geom.cell_normal[:, k]).sum())
         bdry = float((geom.wall_measure * chi_w * geom.wall_mu_F[:, k]).sum())
@@ -577,29 +598,47 @@ def _pl_power_cellwise(vals: np.ndarray, measure: float, k: int) -> np.ndarray:
     """Exact per-cell integrals of phi^k (integer k >= 1) from phi's cell vertex values,
     on cells of the given measure."""
     m = vals.shape[1]
+    cols = vals.T.copy()  # each vertex's values contiguous
     hk = np.zeros(vals.shape[0])
-    for combo in combinations_with_replacement(range(m), k):
-        term = np.ones(vals.shape[0])
-        for idx in combo:
-            term = term * vals[:, idx]
+    for first, *rest in combinations_with_replacement(range(m), k):
+        term = cols[first]
+        for idx in rest:
+            term = term * cols[idx]
         hk += term
     coef = math.factorial(m - 1) * math.factorial(k) / math.factorial(m - 1 + k)
     return measure * coef * hk
 
 
-def test_function_bank(mesh: Mesh, seed: int, size: int) -> list[np.ndarray]:
+class BoxFunction(NamedTuple):
+    """A vertex function that vanishes off a box of the vertex grid: the box, one slice
+    per axis, and the function's values on it, in the box's shape."""
+
+    box: tuple
+    values: np.ndarray
+
+
+def _support_box(phi: np.ndarray, counts: tuple) -> BoxFunction:
+    """A full vertex vector as its values on the smallest grid box holding its nonzeros."""
+    grid = phi.reshape(counts)
+    box = tuple(slice(int(i.min()), int(i.max()) + 1) if i.size else slice(0, 0)
+                for i in np.nonzero(grid))
+    return BoxFunction(box, grid[box])
+
+
+def test_function_bank(mesh: Mesh, seed: int, size: int) -> list[BoxFunction]:
     """Deterministic bank of compactly supported nonnegative vertex functions.
 
     Mixes smooth radial bumps and tensor hats, all vanishing on (and near)
     the DIRICHLET boundary; wall contact is allowed.  Each function is
-    evaluated only on the box of grid vertices around its support.
+    evaluated only on, and returned as, the box of grid vertices around its
+    support.
     """
     rng = np.random.default_rng(seed)
     dom = mesh.domain
     margin = 2.0 * mesh.h
     half = np.array(dom.half())
     transverse = np.arange(mesh.n) > 0  # the centre is drawn from [0, room] along x_1
-    lines = [np.unique(mesh.vertices[:, k]) for k in range(mesh.n)]  # the grid lines
+    lines = mesh.grid_lines()
     ids = np.arange(mesh.num_vertices).reshape(tuple(d + 1 for d in mesh.divisions))
     is_dir = mesh.vertex_tags == Tag.DIRICHLET
     funcs = []
@@ -624,15 +663,13 @@ def test_function_bank(mesh: Mesh, seed: int, size: int) -> list[np.ndarray]:
             vals = np.prod(np.maximum(0.0, 1.0 - np.abs(x - center) / rho), axis=1)
         vals[is_dir[sub]] = 0.0
         if vals.max() > 1e-9:
-            phi = np.zeros(mesh.num_vertices)
-            phi[sub] = vals
-            funcs.append(phi)
+            funcs.append(BoxFunction(box, vals.reshape(ids[box].shape)))
     return funcs
 
 
 def functional_inequality_diagnostics(
     geom: GraphGeometry,
-    bank: Optional[Sequence[np.ndarray]] = None,
+    bank: Optional[Sequence] = None,
     seed: int = 0,
     bank_size: int = 60,
     radius_fractions: Sequence[float] = (0.25, 0.5, 1.0),
@@ -640,39 +677,50 @@ def functional_inequality_diagnostics(
     """Observed trace / stability / Sobolev ratios over a test-function bank.
 
     Informational: the assertion is finiteness and refinement stability of
-    the maximum ratios, not a specific constant.  Explicitly supplied bank
-    functions must vanish on the DIRICHLET boundary or they are rejected.
+    the maximum ratios, not a specific constant.  The bank holds full vertex
+    vectors or ``BoxFunction``s; explicitly supplied functions must vanish on
+    the DIRICHLET boundary or they are rejected.
     """
     mesh = geom.mesh
+    counts = tuple(d + 1 for d in mesh.divisions)
     if bank is None:
         bank = test_function_bank(mesh, seed, bank_size)
     else:
-        for phi in bank:
-            phi = np.asarray(phi, dtype=float)
-            if np.any(np.abs(phi[mesh.vertex_tags == Tag.DIRICHLET]) > 1e-13):
+        bank = [phi if isinstance(phi, BoxFunction)
+                else _support_box(np.asarray(phi, dtype=float), counts) for phi in bank]
+        dirichlet = (mesh.vertex_tags == Tag.DIRICHLET).reshape(counts)
+        for box, vals in bank:
+            if np.any(np.abs(vals[dirichlet[box]]) > 1e-13):
                 raise ValueError("bank function does not vanish on the DIRICHLET boundary")
     if len(bank) == 0:
         raise ValueError("empty test-function bank")
 
     area = geom.graph_measure()
     split = mesh.split
+    types = len(split.offsets)
     h_cell = np.nan_to_num(geom.h_sq, nan=0.0)[mesh.cells].mean(axis=1)
     scale = min(geom.mesh.domain.extents())
+    boxes = np.arange(mesh.num_cells // types).reshape(mesh.divisions)
+    phi = np.zeros(mesh.num_vertices)  # each function in turn, zero off its box
+    phi_grid = phi.reshape(counts)
 
     trace_max = 0.0
     stab_max = 0.0
     sob_max = 0.0
-    for phi in bank:
-        phi = np.asarray(phi, dtype=float)
-        # every cell integrand below is exactly zero where phi vanishes at all
-        # the cell's vertices, so only the cells touching its support are visited
-        touched = np.zeros(mesh.num_cells, dtype=bool)
+    for box, box_vals in bank:
+        phi_grid[box] = box_vals
+        # every cell integrand below is exactly zero where phi vanishes at all the cell's
+        # vertices, so only the cells touching its support are visited: those of the grid
+        # boxes whose lowest corner is at most one line below the function's box, in order
+        near = boxes[tuple(slice(max(b.start - 1, 0), b.stop) for b in box)]
+        near = (near.reshape(-1, 1) * types + np.arange(types)).ravel()
+        touched = np.zeros(near.size, dtype=bool)
         for corner in mesh.cells.T:
-            touched |= phi[corner] != 0.0
-        sel = np.flatnonzero(touched)
+            touched |= phi[corner[near]] != 0.0
+        sel = near[touched]
         vals = phi[mesh.cells[sel]]
         cell_W = geom.cell_W[sel]
-        dphi = np.einsum("cin,ci->cn", split.grad_lambda[sel % len(split.offsets)], vals)
+        dphi = np.einsum("cin,ci->cn", split.grad_lambda[sel % types], vals)
         grad_sq = np.einsum("ci,ci->c", dphi, dphi) - (
             np.einsum("ci,ci->c", geom.cell_gradient[sel], dphi) / cell_W
         ) ** 2
@@ -680,6 +728,7 @@ def functional_inequality_diagnostics(
         int_grad = float((area[sel] * np.sqrt(grad_sq)).sum())
         int_grad_sq = float((area[sel] * grad_sq).sum())
         bdry = float((geom.wall_measure * phi[mesh.wall_facets].mean(axis=1)).sum())
+        phi_grid[box] = 0.0
         if int_grad > 1e-14:
             trace_max = max(trace_max, bdry / int_grad)
         if int_grad_sq > 1e-14:

@@ -369,3 +369,47 @@ def functional_inequality_ratios(geom, bank, radius_fractions=(0.25, 0.5, 1.0)) 
                         sob_max = max(sob_max, lhs / rhs)
     return {"trace_ratio_max": trace_max, "stability_ratio_max": stab_max,
             "sobolev_ratio_max": sob_max}
+
+
+# -- first-variation identity -------------------------------------------------------
+
+
+def first_variation_per_field(geom, margin: Optional[float] = None) -> list[float]:
+    """``check_first_variation``'s per-field defects with the cutoff evaluated point by
+    point at every quadrature point."""
+    mesh = geom.mesh
+    dom = mesh.domain
+    if margin is None:
+        margin = max(4.0 * mesh.h, 0.15 * min(dom.extents()))
+    half = np.array(dom.half())
+
+    def cutoff(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        t = np.clip((np.abs(x) - (half - margin)) / margin, 0.0, 1.0)
+        ramps = np.cos(0.5 * np.pi * t) ** 2
+        slopes = np.where((t > 0) & (t < 1), -0.5 * np.pi * np.sin(np.pi * t) / margin, 0.0)
+        others = [np.prod(np.delete(ramps, k, axis=1), axis=1) for k in range(mesh.n)]
+        return np.prod(ramps, axis=1), slopes * np.stack(others, axis=1) * np.sign(x)
+
+    cell_verts = mesh.vertices[mesh.cells]
+    qpts = 0.5 * (cell_verts + np.roll(cell_verts, -1, axis=1))
+    nq = qpts.shape[1]
+    area = geom.graph_measure()
+    hf_cell = np.nan_to_num(geom.mean_curvature_aniso, nan=0.0)[mesh.cells].mean(axis=1)
+    chi_w, _ = cutoff(mesh.vertices[mesh.wall_facets].mean(axis=1))
+    chi_q = np.zeros((mesh.num_cells, nq))
+    dchi_q = np.zeros((mesh.num_cells, nq, mesh.n + 1))
+    for j in range(nq):
+        chi_j, dchi_j = cutoff(qpts[:, j, :])
+        chi_q[:, j] = chi_j
+        dchi_q[:, j, : mesh.n] = dchi_j
+
+    per_field = []
+    for k in range(mesh.n + 1):
+        divF = geom.cell_F_normal[:, None] * dchi_q[:, :, k] - geom.cell_normal[
+            :, k, None
+        ] * np.einsum("cqi,ci->cq", dchi_q, geom.cell_aniso_normal)
+        lhs = float((area * divF.mean(axis=1)).sum())
+        mid = float((area * hf_cell * chi_q.mean(axis=1) * geom.cell_normal[:, k]).sum())
+        bdry = float((geom.wall_measure * chi_w * geom.wall_mu_F[:, k]).sum())
+        per_field.append(abs(lhs - mid - bdry))
+    return per_field

@@ -489,6 +489,19 @@ def test_the_runtime_does_not_import_scipy():
     assert done.stdout.strip() == "[]"
 
 
+def test_verify_does_not_import_numpy_ma(tmp_path):
+    # numpy imports numpy.ma on the first plain np.unique, at about 13 ms
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, anisograph.cli as cli; "
+            f"assert cli.main(['verify', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0; "
+            "print('numpy.ma' in sys.modules)")
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(bundled_scenario_path("euclidean_freebdry_sine")),
+         str(tmp_path / "out")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert done.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize("command", ["solve", "verify"])
 def test_non_elliptic_integrand_exits_2(tmp_path, capsys, no_mesh, command):
     # p > 2 with eps = 1e-12: the tangential Hessian of F vanishes to rounding
@@ -674,6 +687,19 @@ def test_sweep_warnings_stay_inside(tmp_path, monkeypatch):
     assert [str(w.message) for w in caught] == []
 
 
+def test_sweep_logs_the_workers_warnings(tmp_path):
+    # r = 0.6 at the origin leaves the width-0.5 box, so gradient_estimate skips it
+    path = write_scenario(tmp_path, minimal_scenario(checks=[
+        {"name": "gradient_estimate", "x0_list": [[0.0, 0.0]], "r_list": [0.25, 0.6]}]))
+    values = [0.9, 0.7]
+    assert sweep(path, "theta", values, tmp_path / "out") == 0
+    lines = [line.split(" ", 1)[1] for line in
+             (tmp_path / "out" / "run.log").read_text().splitlines()]
+    skipped = "warning: radius 0.6 at [0.0, 0.0] leaves the truncated domain; skipped"
+    assert lines == [skipped, skipped, "theta=0.90000000000000002 exit=0",
+                     "theta=0.69999999999999996 exit=0"]
+
+
 @pytest.mark.parametrize("overrides, code", [
     ({"checks": [{"name": "boundary_tangency", "coef": 1e-12}]}, 1),  # unmeetable tolerance
     ({"solver": {"max_iter": 1}}, 3),
@@ -737,14 +763,17 @@ def test_sweep_malformed_scenario_exits_2(tmp_path, capsys, payload, axis):
 WRITER_DOMAINS = {
     "1d": HalfDomain(1, depth=1.0, resolution=1 / 7),
     "2d_dx_ne_dy": HalfDomain(2, depth=1.0, width=0.6, resolution=1 / 4),
+    "2d_1.3x0.55": HalfDomain(2, depth=1.3, width=0.55, resolution=1 / 40),
     # 41 x 50 vertices: more than one block of rows
     "2d_dx_ne_dy_large": HalfDomain(2, depth=1.0, width=0.61, resolution=1 / 40),
 }
 
 
-@pytest.mark.parametrize("name", sorted(WRITER_DOMAINS))
+@pytest.mark.parametrize("name", [*sorted(WRITER_DOMAINS),
+                                  *(f"{name}_solve_only" for name in sorted(WRITER_DOMAINS))])
 def test_table_writers_match_csv_writer(tmp_path, name):
-    mesh = build_mesh(WRITER_DOMAINS[name])
+    solve_only = name.endswith("_solve_only")  # no geometry: solution.csv alone
+    mesh = build_mesh(WRITER_DOMAINS[name.removesuffix("_solve_only")])
     rng = np.random.default_rng(11)
     special = np.array([-0.0, 0.0, 1e300, -1.7976931348623157e308, 5e-324, -1e-310,
                         1.0 / 3.0, np.inf, -123456789.0])
@@ -762,13 +791,22 @@ def test_table_writers_match_csv_writer(tmp_path, name):
         vertex_W=column(nv, 1), vertex_Wf=column(nv, 2), mean_curvature_aniso=column(nv, 3),
         h_sq=h_sq, wall_nuF_e1=column(nw, 5),
         wall_muF_e1=column(nw, 6), wall_measure=column(nw, 7))
-    result = SimpleNamespace(mesh=mesh, solution=SimpleNamespace(values=column(nv, 0)),
-                             geometry=geom)
-    cli._write_solution_csv(tmp_path / "solution.csv", result)
-    cli._write_geometry_csv(tmp_path / "geometry.csv", tmp_path / "geometry_wall.csv", result)
-    write_solution_csv(tmp_path / "ref_solution.csv", result)
-    write_geometry_csv(tmp_path / "ref_geometry.csv", tmp_path / "ref_geometry_wall.csv", result)
-    for out in ("solution.csv", "geometry.csv", "geometry_wall.csv"):
-        assert (tmp_path / out).read_bytes() == (tmp_path / f"ref_{out}").read_bytes(), out
-    text = (tmp_path / "geometry.csv").read_text()
-    assert all(token in text for token in (",nan", ",-0,", ",inf", "e+300", "e-324"))
+    u = column(nv, 0)
+    u[3::4] = np.nan
+    result = SimpleNamespace(mesh=mesh, solution=SimpleNamespace(values=u),
+                             geometry=None if solve_only else geom)
+    out_dir, ref_dir = tmp_path / "out", tmp_path / "ref"
+    out_dir.mkdir()
+    ref_dir.mkdir()
+    cli._write_csvs(out_dir, result)
+    write_solution_csv(ref_dir / "solution.csv", result)
+    if solve_only:
+        assert [p.name for p in out_dir.iterdir()] == ["solution.csv"]
+    else:
+        write_geometry_csv(ref_dir / "geometry.csv", ref_dir / "geometry_wall.csv", result)
+        text = (out_dir / "geometry.csv").read_text()
+        assert all(token in text for token in (",nan,", ",-0,", ",inf", "e+300", "e-324"))
+    for out in ref_dir.iterdir():
+        assert (out_dir / out.name).read_bytes() == out.read_bytes(), out.name
+    text = (out_dir / "solution.csv").read_bytes()
+    assert b",-0\r\n" in text and b",nan\r\n" in text

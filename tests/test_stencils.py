@@ -37,6 +37,16 @@ def test_stencils_match_cell_two_rings(mesh):
         assert np.array_equal(np.sort(got), reference[v]), v
 
 
+def test_stencil_offsets_keep_the_lexicographic_order(mesh):
+    # the order np.unique(axis=0) gave them, which numbers the fit patterns
+    cell = mesh.split.offsets
+    ring1 = (cell[:, :, None] - cell[:, None]).reshape(-1, mesh.n)
+    ring2 = (ring1[:, None, :] + ring1[None, :, :]).reshape(-1, mesh.n)
+    offsets, _, _ = vertex_stencils(mesh)
+    assert np.array_equal(offsets, np.unique(ring2, axis=0))
+    assert offsets.dtype == np.unique(ring2, axis=0).dtype
+
+
 def test_offset_patterns_are_few():
     # 5 index classes per axis (0, 1, middle, last-1, last) give 5^n patterns
     for dom, expect in ((MESHES["euclidean_freebdry_sine"], 25), (MESHES["1d_nx7"], 5)):

@@ -15,7 +15,8 @@ from anisograph import (
     compute_geometry,
 )
 from conftest import solve_capillary_flat, solve_curved
-from reference import full_grid_function_bank, functional_inequality_ratios
+from reference import (first_variation_per_field, full_grid_function_bank,
+                       functional_inequality_ratios)
 
 
 FLAT_CHECKS = (
@@ -72,6 +73,24 @@ def test_curved_checks_shrink_under_refinement(curved_32, curved_64):
         coarse = check(curved_32[3]).worst_residual
         fine = check(curved_64[3]).worst_residual
         assert fine <= 0.75 * coarse, check.__name__
+
+
+@pytest.mark.parametrize("domain", [
+    HalfDomain(1, depth=1.0, resolution=1 / 32),
+    HalfDomain(1, depth=1.0, resolution=1 / 13),
+    HalfDomain(2, depth=1.0, width=0.5, resolution=1 / 32),
+    HalfDomain(2, depth=1.3, width=0.55, resolution=1 / 40),
+    HalfDomain(2, depth=1.0, width=0.61, resolution=1 / 40),  # dx != dy
+    HalfDomain(2, depth=1.0, width=0.5, resolution=1 / 13),
+], ids=["1d", "1d_odd", "2d", "2d_1.3x0.55", "2d_dx_ne_dy", "2d_odd"])
+@pytest.mark.parametrize("margin", [None, 0.07, 0.2])
+def test_first_variation_matches_the_pointwise_cutoff(domain, margin):
+    mesh = build_mesh(domain)
+    x = mesh.vertices
+    vals = 0.3 * np.sin(3.0 * x[:, 0] + 0.2) + 0.2 * np.cos(2.0 * x[:, -1])
+    geom = compute_geometry(EllipticIntegrand.euclidean(mesh.n + 1), GraphFunction(mesh, vals))
+    rep = V.check_first_variation(geom, margin=margin)
+    assert rep.metadata["per_field"] == first_variation_per_field(geom, margin)
 
 
 def test_subharmonicity_quadratic_term_nonnegative(curved_32):
@@ -249,10 +268,17 @@ def test_mean_value_small_radius_skipped(flat_horizontal):
 # -- functional inequality diagnostics ---------------------------------------------
 
 
+def full_vector(mesh, f):
+    """A bank function scattered from its grid box to every vertex."""
+    phi = np.zeros(tuple(d + 1 for d in mesh.divisions))
+    phi[f.box] = f.values
+    return phi.ravel()
+
+
 def test_bank_is_admissible_and_deterministic(curved_32):
     mesh = curved_32[1]
-    bank_a = V.test_function_bank(mesh, seed=5, size=55)
-    bank_b = V.test_function_bank(mesh, seed=5, size=55)
+    bank_a = [full_vector(mesh, f) for f in V.test_function_bank(mesh, seed=5, size=55)]
+    bank_b = [full_vector(mesh, f) for f in V.test_function_bank(mesh, seed=5, size=55)]
     assert len(bank_a) >= 50
     for pa, pb in zip(bank_a, bank_b):
         np.testing.assert_array_equal(pa, pb)
@@ -273,7 +299,7 @@ def test_bank_matches_the_full_grid_reference(domain):
         ref = full_grid_function_bank(mesh, seed, 60)
         assert len(got) == len(ref)
         for a, b in zip(got, ref):
-            assert np.array_equal(a, b)
+            assert np.array_equal(full_vector(mesh, a), b)
 
 
 def test_diagnostics_flat_hat_anchor(flat_horizontal):
@@ -300,6 +326,15 @@ def test_diagnostics_interior_hat_sobolev_anchor(flat_horizontal):
     expect = math.sqrt(h * h / 5.0) / (h * h / 2.0 / r + r * 4.0)
     assert rep.metadata["sobolev_ratio_max"] == pytest.approx(expect, rel=1e-12)
     assert rep.metadata["trace_ratio_max"] == 0.0
+
+
+def test_diagnostics_read_full_vectors_and_grid_boxes_alike(curved_32):
+    geom = curved_32[3]
+    bank = V.test_function_bank(geom.mesh, 4, 20)
+    full = [full_vector(geom.mesh, f) for f in bank]
+    assert (V.functional_inequality_diagnostics(geom, bank=bank, seed=4).metadata
+            == V.functional_inequality_diagnostics(geom, bank=full, seed=4).metadata
+            == V.functional_inequality_diagnostics(geom, seed=4, bank_size=20).metadata)
 
 
 def test_diagnostics_rejects_unsupported_bank(curved_32):
@@ -333,8 +368,8 @@ def _assert_ratios_match(meta, expect):
 def test_diagnostics_match_full_mesh_reference(curved_32, curved_64, seed):
     for geom in (curved_32[3], curved_64[3]):
         meta = V.functional_inequality_diagnostics(geom, seed=seed).metadata
-        _assert_ratios_match(
-            meta, functional_inequality_ratios(geom, V.test_function_bank(geom.mesh, seed, 60)))
+        bank = [full_vector(geom.mesh, f) for f in V.test_function_bank(geom.mesh, seed, 60)]
+        _assert_ratios_match(meta, functional_inequality_ratios(geom, bank))
 
 
 def test_diagnostics_match_full_mesh_reference_1d():
@@ -343,8 +378,8 @@ def test_diagnostics_match_full_mesh_reference_1d():
     geom = compute_geometry(EllipticIntegrand.euclidean(2), GraphFunction(mesh, vals))
     meta = V.functional_inequality_diagnostics(geom, seed=0).metadata
     assert meta["trace_ratio_max"] > 0.0
-    _assert_ratios_match(meta,
-                         functional_inequality_ratios(geom, V.test_function_bank(mesh, 0, 60)))
+    bank = [full_vector(mesh, f) for f in V.test_function_bank(mesh, 0, 60)]
+    _assert_ratios_match(meta, functional_inequality_ratios(geom, bank))
 
 
 def test_diagnostics_match_full_mesh_reference_explicit_banks(curved_32):
