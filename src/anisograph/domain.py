@@ -194,8 +194,22 @@ class Mesh:
                 out[..., t, k] = sum(terms[1:], terms[0])
         return out.reshape(-1, self.n)
 
+    def cell_means(self, values: np.ndarray) -> np.ndarray:
+        """Each cell's mean of per-vertex values (one row per vertex), in cell order.
+
+        Summed on the vertex grid in the cell's vertex order, then divided by
+        the vertex count: the same operations as ``values[cells].mean(axis=1)``.
+        """
+        split = self.split
+        grid = values.reshape(tuple(d + 1 for d in self.divisions) + values.shape[1:])
+        out = np.empty(self.divisions + split.offsets.shape[:1] + values.shape[1:])
+        for t, offsets in enumerate(split.offsets):
+            at = [grid[self.offset_slices(o)] for o in offsets]
+            out[(slice(None),) * self.n + (t,)] = sum(at[1:], at[0]) / len(at)
+        return out.reshape((self.num_cells,) + values.shape[1:])
+
     def cell_barycenters(self) -> np.ndarray:
-        return self.vertices[self.cells].mean(axis=1)
+        return self.cell_means(self.vertices)
 
     def grid_lines(self) -> list[np.ndarray]:
         """Each axis's coordinate lines, read off the vertex grid: every vertex coordinate
@@ -258,10 +272,14 @@ def vertex_stencils(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # distinct, in lexicographic order (a plain np.unique would import numpy.ma)
     ring2 = (ring1[:, None, :] + ring1[None, :, :]).reshape(-1, mesh.n)
     offsets = np.array(sorted(set(map(tuple, ring2.tolist()))))
-    counts = np.array(mesh.divisions) + 1
-    index = np.stack(np.unravel_index(np.arange(mesh.num_vertices), counts), axis=1)
-    target = index[:, None, :] + offsets[None, :, :]
-    in_grid = np.all((target >= 0) & (target < counts), axis=2)
-    ids = np.ravel_multi_index(tuple(np.moveaxis(target, 2, 0)), counts, mode="clip")
-    return offsets, ids, in_grid
+    counts = tuple(d + 1 for d in mesh.divisions)
+    # row-by-row numbering: an offset moves every vertex id by the same amount, and the
+    # target is on the grid where each axis's index plus the offset is
+    strides = [math.prod(counts[k + 1:]) for k in range(mesh.n)]
+    ids = np.arange(mesh.num_vertices)[:, None] + offsets @ strides
+    in_grid = np.ones(counts + (len(offsets),), dtype=bool)
+    for k, c in enumerate(counts):
+        at = np.arange(c).reshape((1,) * k + (c,) + (1,) * (mesh.n - k)) + offsets[:, k]
+        in_grid &= (at >= 0) & (at < c)
+    return offsets, ids, in_grid.reshape(mesh.num_vertices, -1)
 

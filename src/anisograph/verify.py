@@ -302,7 +302,7 @@ def check_first_variation(
         doubled[0::2], doubled[1::2] = x, 0.5 * (x[:-1] + x[1:])
         factors.append(ramp(doubled, k))
     area = geom.graph_measure()
-    hf_cell = np.nan_to_num(geom.mean_curvature_aniso, nan=0.0)[mesh.cells].mean(axis=1)
+    hf_cell = mesh.cell_means(np.nan_to_num(geom.mean_curvature_aniso, nan=0.0))
     wall_mid = mesh.vertices[mesh.wall_facets].mean(axis=1)
     chi_w, _ = cutoff([ramp(wall_mid[:, k], k) for k in range(mesh.n)])
 
@@ -530,7 +530,7 @@ def _graph_ball_distances(geom: GraphGeometry, x0) -> tuple[np.ndarray, np.ndarr
     mesh = geom.mesh
     points = np.column_stack([mesh.vertices, geom.u.values])  # the graph's vertices
     center = points[_nearest_vertex(mesh, x0)]
-    return center, np.linalg.norm(points[mesh.cells].mean(axis=1) - center, axis=1)
+    return center, np.linalg.norm(mesh.cell_means(points) - center, axis=1)
 
 
 def area_growth_check(
@@ -698,7 +698,7 @@ def functional_inequality_diagnostics(
     area = geom.graph_measure()
     split = mesh.split
     types = len(split.offsets)
-    h_cell = np.nan_to_num(geom.h_sq, nan=0.0)[mesh.cells].mean(axis=1)
+    h_cell = mesh.cell_means(np.nan_to_num(geom.h_sq, nan=0.0))
     scale = min(geom.mesh.domain.extents())
     boxes = np.arange(mesh.num_cells // types).reshape(mesh.divisions)
     phi = np.zeros(mesh.num_vertices)  # each function in turn, zero off its box

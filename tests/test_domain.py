@@ -164,3 +164,15 @@ def test_grid_cell_gradients_equal_the_gathered_ones(domain):
     mesh = build_mesh(domain)
     values = np.random.default_rng(2).normal(size=mesh.num_vertices)
     assert np.array_equal(mesh.cell_gradients(values), cell_gradients_gather(mesh, values))
+
+
+@pytest.mark.parametrize("domain", [
+    HalfDomain(1, depth=1.3, resolution=0.1),
+    HalfDomain(2, depth=1.0, width=0.5, resolution=1 / 32),
+    HalfDomain(2, depth=1.3, width=0.53, resolution=1 / 20),  # 26 x 21, dx != dy
+], ids=["1d", "2d", "2d_dx_ne_dy"])
+@pytest.mark.parametrize("columns", [(), (3,)], ids=["scalar", "rows"])
+def test_grid_cell_means_equal_the_gathered_ones(domain, columns):
+    mesh = build_mesh(domain)
+    values = np.random.default_rng(3).normal(size=(mesh.num_vertices, *columns))
+    assert np.array_equal(mesh.cell_means(values), values[mesh.cells].mean(axis=1))
