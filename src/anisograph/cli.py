@@ -399,13 +399,12 @@ def _apply_axis(raw, axis: str, value: float) -> dict:
 
 def _max_workers(n_jobs: int) -> int:
     cap = os.environ.get("ANISO_THREADS")
-    if cap is not None:
-        try:
-            cap_val = max(1, int(cap))
-        except ValueError as exc:
-            raise ConfigError("ANISO_THREADS must be an integer") from exc
-        return min(n_jobs, cap_val)
-    return min(n_jobs, os.cpu_count() or 1, 4)
+    if cap is None:
+        return min(n_jobs, os.cpu_count() or 1, 4)
+    try:
+        return min(n_jobs, max(1, int(cap)))
+    except ValueError as exc:
+        raise ConfigError("ANISO_THREADS must be an integer") from exc
 
 
 def sweep(scenario_path, axis: str, values, out_dir) -> int:

@@ -13,6 +13,7 @@ construction and safe for shared reads.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import IntEnum
@@ -52,9 +53,8 @@ class HalfDomain:
             raise ValueError("graph dimension must be 1 or 2")
         if not self.depth > 0.0:
             raise ValueError("depth must be positive")
-        if self.n == 2:
-            if self.width is None or not self.width > 0.0:
-                raise ValueError("a 2d domain needs a positive width")
+        if self.n == 2 and (self.width is None or not self.width > 0.0):
+            raise ValueError("a 2d domain needs a positive width")
         if not self.resolution > 0.0:
             raise ValueError("resolution must be positive")
 
@@ -72,7 +72,8 @@ class HalfDomain:
         or the Newton band of the mesh over ``_MAX_BAND_BYTES``."""
         ext = self.extents()
         cells = [e / self.resolution for e in ext]
-        kd = math.prod(cells[1:])  # the band's half-bandwidth: 1 in 1d, divisions[-1] in 2d
+        free = [cells[0]] + [c - 1.0 for c in cells[1:]]  # the grid less its far and side faces
+        kd = max(band_rows(_box_split((1.0,) * self.n), free).values())
         band = 8.0 * (kd + 1.0) * math.prod(c + 1.0 for c in cells)
         if not band <= _MAX_BAND_BYTES:
             raise ValueError(f"resolution {self.resolution} too fine for extents {ext}: a "
@@ -87,14 +88,10 @@ class HalfDomain:
 
 @dataclass(frozen=True, eq=False)
 class BoxSplit:
-    """How each box of the grid is cut into cells, the same for every box.
-
-    ``offsets[t, i]`` is the grid-index offset, from the box's lowest corner,
-    of vertex ``i`` of a type-``t`` cell, and ``grad_lambda[t, i]`` the
-    constant gradient of that vertex's hat on it; every cell has measure
-    ``measure``.  One type in one dimension; in two, the lower triangle
-    (v00, v10, v11) and the upper one (v00, v11, v01) of the v00-v11 diagonal.
-    """
+    """How each box of the grid is cut into cells, the same for every box: the Kuhn split
+    of ``_box_split``.  ``offsets[t, i]`` is the grid-index offset, from the box's lowest
+    corner, of vertex ``i`` of a type-``t`` cell, and ``grad_lambda[t, i]`` the constant
+    gradient of that vertex's hat on it; every cell has measure ``measure``."""
 
     offsets: np.ndarray  # (types, n + 1, n) int
     grad_lambda: np.ndarray  # (types, n + 1, n)
@@ -102,15 +99,31 @@ class BoxSplit:
 
 
 def _box_split(spacing: tuple[float, ...]) -> BoxSplit:
-    """The split of a box with the given side lengths (one per axis)."""
-    if len(spacing) == 1:
-        (dx,) = spacing
-        return BoxSplit(np.array([[[0], [1]]]), np.array([[[-1.0 / dx], [1.0 / dx]]]), dx)
-    dx, dy = spacing
-    offsets = np.array([[[0, 0], [1, 0], [1, 1]], [[0, 0], [1, 1], [0, 1]]])
-    grads = np.array([[[-1.0 / dx, 0.0], [1.0 / dx, -1.0 / dy], [0.0, 1.0 / dy]],
-                      [[0.0, -1.0 / dy], [1.0 / dx, 0.0], [-1.0 / dx, 1.0 / dy]]])
-    return BoxSplit(offsets, grads, 0.5 * dx * dy)
+    """The Kuhn (Freudenthal) split of a box with the given side lengths (one per axis):
+    a cell per axis order ``s`` along the path ``0, e_s1, e_s1 + e_s2, ...``, its last two
+    vertices swapped for an odd ``s`` (positive orientation), with the hats ``y_sj -
+    y_s(j+1)`` of ``y_k = x_k / spacing_k`` (``y_s0 = 1``, ``y_s(n+1) = 0``).  Its edges are
+    the nonzero 0/1 offsets, and the splits of a grid and of its halving nest."""
+    n = len(spacing)
+    steps = np.eye(n + 2, n, -1, dtype=np.int64)  # 0, e_1, ..., e_n, 0
+    offsets, grads = [], []
+    for order in itertools.permutations(range(n)):
+        rise = steps[[0, *(1 + k for k in order), n + 1]]
+        odd = sum(a > b for a, b in itertools.combinations(order, 2)) % 2
+        keep = [*range(n - 1), n - 1 + odd, n - odd]
+        offsets.append(np.cumsum(rise[:-1], axis=0)[keep])
+        grads.append(((rise[:-1] - rise[1:]) / np.asarray(spacing))[keep])
+    return BoxSplit(np.array(offsets), np.array(grads), math.prod(spacing) / math.factorial(n))
+
+
+def band_rows(split: BoxSplit, shape) -> dict[tuple[int, ...], float]:
+    """The band row of each edge offset of ``split`` from its lower-numbered end (0 for the
+    zero offset), numbering a box of ``shape`` vertices row by row; the largest is the
+    half-bandwidth.  Lexicographic order is the numbering's: such an offset is >= 0 in it."""
+    strides = [math.prod(shape[k + 1:]) for k in range(len(shape))]
+    diffs = (split.offsets[:, :, None] - split.offsets[:, None]).reshape(-1, len(shape))
+    return {tuple(d): sum(dk * s for dk, s in zip(d, strides))
+            for d in diffs.tolist() if d >= [0] * len(d)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,9 +220,6 @@ class Mesh:
             at = [grid[self.offset_slices(o)] for o in offsets]
             out[(slice(None),) * self.n + (t,)] = sum(at[1:], at[0]) / len(at)
         return out.reshape((self.num_cells,) + values.shape[1:])
-
-    def cell_barycenters(self) -> np.ndarray:
-        return self.cell_means(self.vertices)
 
     def grid_lines(self) -> list[np.ndarray]:
         """Each axis's coordinate lines, read off the vertex grid: every vertex coordinate

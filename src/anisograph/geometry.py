@@ -126,15 +126,16 @@ def _fit_vertex_quadratics(mesh: Mesh, values: np.ndarray):
     return grad, hess, ok
 
 
-def compute_geometry(
-    integrand: EllipticIntegrand, u: GraphFunction, collar_factor: float = 2.0
-) -> GraphGeometry:
+_COLLAR = 2.0  # the width of the collar along the truncation boundary, in mesh sizes
+
+
+def compute_geometry(integrand: EllipticIntegrand, u: GraphFunction) -> GraphGeometry:
     """Compute every geometric field of the graph of ``u``.
 
     Requires at least two layers of interior vertices so the curvature fits
     have usable stencils.  Vertices whose fit is rank-deficient are flagged
-    and excluded from curvature-based checks; a ``collar_factor * h`` band
-    along the truncation boundary is marked for the same reason.
+    and excluded from curvature-based checks; a ``_COLLAR * h`` band along
+    the truncation boundary is marked for the same reason.
     """
     mesh = u.mesh
     if integrand.dim != mesh.n + 1:
@@ -174,7 +175,7 @@ def compute_geometry(
     h_sq[bad] = np.nan
 
     half = np.array(mesh.domain.half())
-    collar = np.any(np.abs(mesh.vertices) > half - collar_factor * mesh.h - 1e-12, axis=1)
+    collar = np.any(np.abs(mesh.vertices) > half - _COLLAR * mesh.h - 1e-12, axis=1)
 
     fa, wall_cells = mesh.wall_facets, mesh.wall_cells
     nu_w = normal[wall_cells]

@@ -262,10 +262,9 @@ class EllipticIntegrand:
             + e2 * zz * (sp2[..., :, None] + sp2[..., None, :])
             + (e2 * e2) * zz * u[..., None, None]
         )
-        hess = (1.0 - p) * big_g[..., None, None] ** (1.0 / p - 2.0) * np.einsum(
+        return (1.0 - p) * big_g[..., None, None] ** (1.0 / p - 2.0) * np.einsum(
             "...i,...j->...ij", h, h
         ) + big_g[..., None, None] ** (1.0 / p - 1.0) * k
-        return hess
 
     # -- graph Lagrangian f(y) = F(-y, 1) ------------------------------------
 

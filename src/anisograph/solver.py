@@ -20,16 +20,16 @@ of the structured box mesh, through the split of a grid box into cells that
 grid values, the energy gradient (and the Hessian applied to a vector) is a
 flux summed back by the mesh's one scatter (``Mesh.scatter_flux``), and each
 iterate's cell gradients are computed once and feed its energy, residual and
-Hessian.  The free vertices, numbered row by row, fill a box of the grid and
-give a Hessian whose half-bandwidth ``kd`` is the number of divisions along
-the last axis (1 in one dimension; 128 at h = 1/128 on the unit box).  Each
-nonzero diagonal of its ``(kd + 1, nfree)`` lower band joins vertex pairs at
-one grid offset (rows 0, 1, kd - 1 and kd in two dimensions) and is written
-as a shifted sum over the cells sharing those edges; the band is factored in
-place with LAPACK's banded Cholesky, so at most one band is alive at a time.
-That is ``dpbtrf`` and ``dpbtrs`` of the ILP64 scipy-openblas that numpy's
-wheels bundle and numpy has already loaded, called through ``ctypes`` (which
-releases the GIL); a numpy without it ends every solve with a ``failure``.
+Hessian.  The free vertices, numbered row by row, fill a box of the grid.
+Each nonzero diagonal of the Hessian's ``(kd + 1, nfree)`` lower band holds
+the vertex pairs of one edge offset of the split, in the row that
+``domain.band_rows`` gives it (``kd`` for ``(1, ..., 1)``: 1 in one dimension,
+128 at h = 1/128 on the unit box), as a shifted sum over the cells sharing
+those edges.  The band is factored in place with LAPACK's banded Cholesky,
+so at most one band is alive at a time.  That is ``dpbtrf`` and ``dpbtrs``
+of the ILP64 scipy-openblas that numpy's wheels bundle and numpy has already
+loaded, called through ``ctypes`` (which releases the GIL); a numpy without
+it ends every solve with a ``failure``.
 A Hessian that is not numerically positive definite, a non-finite step or a
 step that misses ``linear_solver_tol`` (checked against ``D^2 f`` and the
 step's own gradients, not the band) ends the solve with ``converged=False``
@@ -57,7 +57,7 @@ from typing import Optional
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .domain import Mesh, Tag, _build
+from .domain import Mesh, Tag, _build, band_rows
 from .integrand import EllipticIntegrand
 
 __all__ = [
@@ -134,11 +134,11 @@ def _hessian_band(mesh: Mesh, d2f: np.ndarray, free: tuple[slice, ...]) -> np.nd
     """Lower band ``(kd + 1, nfree)``, Fortran-ordered, of the free-free Hessian.
 
     ``free`` is the box of free vertices in the vertex grid, numbered row by
-    row.  Two free vertices at grid offset ``d`` sit a fixed number ``r`` of
-    free numbers apart, so their entries form band row ``r``.  That diagonal
-    is summed over the grid from ``|c| grad lambda_a . D^2 f . grad lambda_b``
-    of every cell with vertex ``a`` at the lower-numbered end and ``b`` at
-    the other; entries whose neighbour is Dirichlet are zeroed.
+    row.  The vertex pairs of each edge offset ``d`` of the split form one
+    band row, ``band_rows(split, free shape)[d]``, and the largest is ``kd``.
+    That diagonal is summed over the grid from ``|c| grad lambda_a . D^2 f .
+    grad lambda_b`` of every cell with vertex ``a`` at the lower-numbered end
+    and ``b`` at the other; entries whose neighbour is Dirichlet are zeroed.
     """
     split = mesh.split
     ntypes, m, n = split.offsets.shape
@@ -160,8 +160,7 @@ def _hessian_band(mesh: Mesh, d2f: np.ndarray, free: tuple[slice, ...]) -> np.nd
             diagonals[d][mesh.offset_slices(lo)] += w.reshape(mesh.divisions)
 
     shape = tuple(s.stop - s.start for s in free)
-    strides = [math.prod(shape[k + 1:]) for k in range(mesh.n)]
-    rows = {d: int(np.dot(d, strides)) for d in diagonals}
+    rows = band_rows(split, shape)
     band = np.zeros((max(rows.values()) + 1, math.prod(shape)), order="F")
     by_vertex = band.T.reshape(shape + (-1,))  # a view: free vertex grid x band row
     for d, diagonal in diagonals.items():
@@ -245,9 +244,9 @@ else:  # Fortran arguments by reference, then the hidden length of the UPLO stri
 def _prolong(coarse: np.ndarray, counts: tuple[int, ...]) -> np.ndarray:
     """P1 interpolant of coarse values on the nested mesh with ``counts`` vertices per axis.
 
-    Every level splits its squares along the same v00-v11 diagonal, so a fine
-    vertex is either a coarse vertex (even indices) or the midpoint of a
-    halved coarse edge, the diagonal included.
+    Every level cuts its boxes by the Kuhn split, which nests under halving and
+    has every 0/1 offset as an edge, so a fine vertex is either a coarse vertex
+    (even indices) or the midpoint of a halved coarse edge.
     """
     coarse = coarse.reshape(tuple(c // 2 + 1 for c in counts))
     fine = np.empty(counts)

@@ -369,7 +369,7 @@ def gradient_estimate_records(
             # vertex-centered fit: the evaluation point stays put under refinement
             grad_norm = float(np.linalg.norm(geom.vertex_gradient[v]))
         else:
-            c = int(np.argmin(np.linalg.norm(mesh.cell_barycenters() - xv, axis=1)))
+            c = int(np.argmin(np.linalg.norm(mesh.cell_means(mesh.vertices) - xv, axis=1)))
             grad_norm = float(np.linalg.norm(geom.cell_gradient[c]))
         lhs = math.log(max(grad_norm, 1e-300))
         dist = np.linalg.norm(mesh.vertices - xv, axis=1)
@@ -405,12 +405,8 @@ def fit_gradient_constants(
         return max(0.0, float((lhs - c2 * q).max()))
 
     pos = q > 1e-12
-    if pos.any():
-        hi = max(1.0, 1.2 * float(np.max(np.maximum(lhs[pos], 0.0) / q[pos])))
-    else:
-        hi = 1.0
-    lo = 0.0
-    best_c2 = 0.0
+    hi = max(1.0, 1.2 * float(np.max(np.maximum(lhs[pos], 0.0) / q[pos], initial=0.0)))
+    lo = best_c2 = 0.0
     for _ in range(4):
         grid = np.linspace(lo, hi, 129)
         objective = [c2 + c1_of(c2) for c2 in grid]
@@ -556,9 +552,7 @@ def area_growth_check(
     if len(radii) < 3:
         return _report("area_growth", 0.0, None, usable_radii=radii, measures=measures,
                        note="fewer than 3 usable radii")
-    logs_r = np.log(radii)
-    logs_m = np.log(measures)
-    slope = float(np.polyfit(logs_r, logs_m, 1)[0])
+    slope = float(np.polyfit(np.log(radii), np.log(measures), 1)[0])
     scaled = np.array(measures) / np.array(radii) ** n
     return _report(
         "area_growth", abs(slope - n), slope_tol,
@@ -583,10 +577,8 @@ def mean_value_probe(geom: GraphGeometry, x0, r: float) -> CheckReport:
     logs = np.abs(geom.cell_log_Wf)
     sup_half = float(logs[inner].max())
     mean_full = float((area[outer] * logs[outer]).sum() / area[outer].sum())
-    if sup_half < 1e-14 and mean_full < 1e-14:
-        ratio = 1.0
-    else:
-        ratio = sup_half / max(mean_full, 1e-300)
+    both_zero = sup_half < 1e-14 and mean_full < 1e-14
+    ratio = 1.0 if both_zero else sup_half / max(mean_full, 1e-300)
     return _report("mean_value", 0.0, None, ratio=ratio, sup_half=sup_half,
                    mean_full=mean_full, r=float(r), base_point=center.tolist())
 
@@ -645,9 +637,7 @@ def test_function_bank(mesh: Mesh, seed: int, size: int) -> list[BoxFunction]:
     guard = 0
     while len(funcs) < size and guard < 20 * size:
         guard += 1
-        lo_r = 2.0 * mesh.h
-        hi_r = max(0.25 * min(dom.extents()), 3.0 * mesh.h)
-        rho = float(rng.uniform(lo_r, hi_r))
+        rho = float(rng.uniform(2.0 * mesh.h, max(0.25 * min(dom.extents()), 3.0 * mesh.h)))
         room = np.maximum(half - rho - margin, 1e-9)
         center = rng.uniform(-room * transverse, room)
         # the support lies within rho of the center along each axis; a grid

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sps
 from scipy.sparse.linalg import spsolve
 
-from anisograph.domain import Tag, _build
+from anisograph.domain import BoxSplit, Tag, _build
 from anisograph.verify import _pl_power_cellwise
 
 
@@ -82,6 +82,23 @@ def normalize(integrand):
     """The integrand rescaled so the sphere minimum of F is one (idempotent)."""
     base_min = integrand.sphere_range()[0] / integrand.scale
     return replace(integrand, scale=1.0 / base_min, normalized=True)
+
+
+# -- the box split, as hand-written tables ----------------------------------------------
+
+
+def box_split_tables(spacing: tuple[float, ...]) -> BoxSplit:
+    """The split of a box for n <= 2 written out: one type in one dimension; in two,
+    the lower triangle (v00, v10, v11) and the upper one (v00, v11, v01) of the
+    v00-v11 diagonal."""
+    if len(spacing) == 1:
+        (dx,) = spacing
+        return BoxSplit(np.array([[[0], [1]]]), np.array([[[-1.0 / dx], [1.0 / dx]]]), dx)
+    dx, dy = spacing
+    offsets = np.array([[[0, 0], [1, 0], [1, 1]], [[0, 0], [1, 1], [0, 1]]])
+    grads = np.array([[[-1.0 / dx, 0.0], [1.0 / dx, -1.0 / dy], [0.0, 1.0 / dy]],
+                      [[0.0, -1.0 / dy], [1.0 / dx, 0.0], [-1.0 / dx, 1.0 / dy]]])
+    return BoxSplit(offsets, grads, 0.5 * dx * dy)
 
 
 # -- finite differences ----------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 
 from anisograph import HalfDomain, Tag, build_mesh
-from reference import cell_gradients_gather, cell_measures, refine
+from anisograph.domain import _box_split
+from reference import box_split_tables, cell_gradients_gather, cell_measures, refine
 
 
 def unit_square_mesh(resolution=0.25):
@@ -131,7 +133,7 @@ def test_box_split_describes_every_cell(domain):
     mesh = build_mesh(domain)
     split = mesh.split
     ntypes = split.offsets.shape[0]
-    assert ntypes == mesh.n  # one type in 1d, lower and upper in 2d
+    assert ntypes == math.factorial(mesh.n)  # one type per axis order
     counts = tuple(d + 1 for d in mesh.divisions)
     grid = np.stack(np.unravel_index(mesh.cells, counts), axis=-1)  # (cells, n + 1, n)
     corner = grid.min(axis=1, keepdims=True)
@@ -146,6 +148,38 @@ def test_box_split_describes_every_cell(domain):
     assert np.abs(det / math.factorial(mesh.n) - split.measure).max() <= 1e-14 * split.measure
     jacobian = np.einsum("cak,cal->ckl", x, split.grad_lambda[np.arange(mesh.num_cells) % ntypes])
     assert np.abs(jacobian - np.eye(mesh.n)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("spacing", [
+    (0.05,), (0.25,), (0.05, 0.0505), (1 / 128, 1 / 128), (0.1, 0.3), (1 / 3, 1 / 7),
+    (0.1, 0.2, 0.3), (1 / 3, 1 / 7, 0.5),
+])
+def test_box_split_is_the_kuhn_split(spacing):
+    n = len(spacing)
+    split = _box_split(spacing)
+    assert split.offsets.shape == split.grad_lambda.shape == (math.factorial(n), n + 1, n)
+    assert split.measure == pytest.approx(math.prod(spacing) / math.factorial(n), rel=1e-15)
+    # positively oriented cells of that measure, on which the hats reproduce the coordinates
+    x = split.offsets * np.array(spacing)
+    det = np.linalg.det(x[:, 1:] - x[:, :1])
+    assert np.all(det > 0.0)
+    assert np.abs(det / math.factorial(n) - split.measure).max() <= 1e-14 * split.measure
+    jacobian = np.einsum("tak,tal->tkl", x, split.grad_lambda)
+    assert np.abs(jacobian - np.eye(n)).max() <= 1e-13
+    for k, dx in enumerate(spacing):  # hat gradients of exactly +-1/dx_k
+        assert set(np.abs(split.grad_lambda[..., k]).ravel()) <= {0.0, 1.0 / dx}
+    # distinct cells, and every 0/1 offset an edge of one: the nesting under halving
+    cells = {frozenset(map(tuple, cell)) for cell in split.offsets.tolist()}
+    assert len(cells) == len(split.offsets)
+    edges = {tuple(b - a) for cell in split.offsets for a in cell for b in cell}
+    assert set(itertools.product((0, 1), repeat=n)) <= edges
+    if n <= 2:
+        tables = box_split_tables(spacing)
+        assert split.offsets.dtype == tables.offsets.dtype
+        assert np.array_equal(split.offsets, tables.offsets)
+        assert np.array_equal(split.grad_lambda, tables.grad_lambda)
+        assert np.array_equal(np.signbit(split.grad_lambda), np.signbit(tables.grad_lambda))
+        assert split.measure == tables.measure
 
 
 def test_mesh_vertex_count_must_fill_the_grid():

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from anisograph import HalfDomain, build_mesh
+from anisograph import HalfDomain, Tag, build_mesh, domain
 from anisograph.cli import bundled_scenario_path, load_scenario
 from anisograph.domain import vertex_stencils
 from anisograph.geometry import _fit_vertex_quadratics
+from anisograph.solver import _free_box, _hessian_band
 from reference import fit_vertex_quadratics, two_ring_stencils
 
 # the two capillary scenarios share euclidean_freebdry_sine's domain
@@ -65,3 +66,17 @@ def test_batched_fit_matches_per_vertex_lstsq(mesh):
     assert np.array_equal(ok, ok_ref)
     assert np.abs(grad - grad_ref).max() <= 1e-12
     assert np.abs(hess - hess_ref).max() <= 1e-10
+
+
+def test_band_limit_charges_the_newton_band(mesh, monkeypatch):
+    # HalfDomain.divisions charges 8 (kd + 1) bytes per vertex, on its unrounded cell
+    # counts: those of a unit-resolution box with the mesh's divisions are exact
+    d2f = np.broadcast_to(np.eye(mesh.n), (mesh.num_cells, mesh.n, mesh.n))
+    band = _hessian_band(mesh, d2f, _free_box(mesh, mesh.vertex_tags == Tag.DIRICHLET))
+    box = HalfDomain(mesh.n, mesh.divisions[0], *(d / 2 for d in mesh.divisions[1:]),
+                     resolution=1.0)
+    monkeypatch.setattr(domain, "_MAX_BAND_BYTES", 8 * band.shape[0] * mesh.num_vertices)
+    assert box.divisions() == mesh.divisions
+    monkeypatch.setattr(domain, "_MAX_BAND_BYTES", 8 * band.shape[0] * mesh.num_vertices - 1)
+    with pytest.raises(ValueError, match="too fine"):
+        box.divisions()
