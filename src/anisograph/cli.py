@@ -339,11 +339,10 @@ def _write_reports(out_dir: Path, result: RunResult) -> None:
     with open(out_dir / "report.jsonl", "w") as fh:
         for rep in result.reports:
             fh.write(json.dumps(rep.to_json_dict(), sort_keys=True) + "\n")
-    with open(out_dir / "summary.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["check", "status", "residual"])
-        for rep in result.reports:
-            w.writerow([rep.check_name, rep.status, _fmt(rep.worst_residual)])
+    prefixes = [f"{rep.check_name},{rep.status}" for rep in result.reports]
+    residuals = np.array([rep.worst_residual for rep in result.reports], dtype=float)
+    _write_tables([(out_dir / "summary.csv", ["check", "status", "residual"], [residuals])],
+                  len(prefixes), lambda lo, hi: prefixes[lo:hi])
 
 
 def run(scenario_path, out_dir, solve_only: bool = False) -> int:

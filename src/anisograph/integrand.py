@@ -335,11 +335,11 @@ class EllipticIntegrand:
             lo, hi = 1.0 - c, 1.0 + c
         return self.scale * lo, self.scale * hi
 
-    def sphere_range(self, n_samples: int = _SPHERE_SAMPLES) -> tuple[float, float]:
+    def sphere_range(self) -> tuple[float, float]:
         rng = self.analytic_sphere_range()
         if rng is not None:
             return rng
-        b = self.estimate_bounds(n_samples)
+        b = self.estimate_bounds(_SPHERE_SAMPLES)
         return b.f_min, b.f_max
 
     def flat_slope(self, lo: float = -1e3, hi: float = 1e3) -> float:

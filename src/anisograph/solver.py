@@ -35,15 +35,12 @@ step that misses ``linear_solver_tol`` (checked against ``D^2 f`` and the
 step's own gradients, not the band) ends the solve with ``converged=False``
 and a ``failure`` reason.  Solves on different meshes are independent.
 
-Without an initial guess, a mesh whose divisions are all even and at least 32
-is solved by nested iteration: the half-resolution mesh is solved first (by
-the same rule, recursively) and its P1 interpolant starts the fine Newton
-loop.  The ladder stops at a level whose Dirichlet data the half-resolution
-boundary does not resolve (its interpolant misses the data by more than
-``_DATA_DEFECT`` of the data's range): the coarse problem would not
-approximate the fine one.  A coarse level that does not converge is
-discarded, and the fine level starts cold from zero exactly as a
-single-level solve does.
+Every solve is a nested iteration over the levels that ``_ladder`` lists: a
+level whose divisions are all even and at least 32 is halved, unless the
+half-resolution boundary misses its Dirichlet data by more than
+``_DATA_DEFECT`` of the data's range (the coarse problem would then not
+approximate the fine one).  Each level starts from the P1 interpolant of the
+solution one level down, or cold from zero after a level that did not converge.
 """
 
 from __future__ import annotations
@@ -257,52 +254,34 @@ def _prolong(coarse: np.ndarray, counts: tuple[int, ...]) -> np.ndarray:
     return fine.ravel()
 
 
-def solve(
-    integrand: EllipticIntegrand,
-    mesh: Mesh,
-    dirichlet: np.ndarray,
-    config: SolveConfig = SolveConfig(),
-    u0: Optional[np.ndarray] = None,
-) -> tuple[GraphFunction, SolveReport]:
-    """Minimize the discrete graph area subject to Dirichlet data.
+def _ladder(mesh: Mesh, dirichlet: np.ndarray) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """The levels of the nested iteration as ``(divisions, data)``, coarsest first and ``mesh``'s
+    last (module notes).  A halved level's data and Dirichlet mask are the even-vertex injection
+    of the finer level's, so no coarse mesh is built to decide the ladder."""
+    divisions, data, is_dir = mesh.divisions, dirichlet, mesh.vertex_tags == Tag.DIRICHLET
+    levels = [(divisions, data)]
+    while all(d % 2 == 0 and d >= 32 for d in divisions):
+        counts = tuple(d + 1 for d in divisions)
+        even = (slice(None, None, 2),) * mesh.n
+        coarse_data = data.reshape(counts)[even].ravel()
+        defect = np.abs(_prolong(coarse_data, counts) - data)[is_dir].max()
+        if defect > _DATA_DEFECT * np.ptp(data[is_dir]):
+            break
+        divisions, data = tuple(d // 2 for d in divisions), coarse_data
+        is_dir = is_dir.reshape(counts)[even].ravel()
+        levels.append((divisions, data))
+    return levels[::-1]
 
-    ``dirichlet`` is a full-length vertex vector; only its entries at
-    DIRICHLET vertices are used.  Returns the solution and a report; running
-    out of iterations or a failed linear solve yields ``converged=False``
-    rather than an exception, the latter with its reason in ``failure``.  An
-    explicit ``u0`` skips the nested iteration described in the module notes.
-    """
-    if integrand.dim != mesh.n + 1:
-        raise ValueError("integrand ambient dimension must be mesh dimension + 1")
-    dirichlet = np.asarray(dirichlet, dtype=float)
-    if dirichlet.shape != (mesh.num_vertices,):
-        raise ValueError("dirichlet data must be a full vertex vector")
+
+def _newton(integrand: EllipticIntegrand, mesh: Mesh, dirichlet: np.ndarray, config: SolveConfig,
+            start: Optional[np.ndarray]) -> tuple[np.ndarray, SolveReport]:
+    """Newton on one mesh from ``start`` (zero if None), without the wall flux or level record."""
     is_dir = mesh.vertex_tags == Tag.DIRICHLET
-    if not np.all(np.isfinite(dirichlet[is_dir])):
-        raise ValueError("dirichlet data must be finite")
-
     free_idx = np.flatnonzero(~is_dir)
     free = _free_box(mesh, is_dir)
 
-    levels: list[int] = []
-    if u0 is None and all(d % 2 == 0 and d >= 32 for d in mesh.divisions):
-        counts = tuple(d + 1 for d in mesh.divisions)
-        coarse_data = dirichlet.reshape(counts)[(slice(None, None, 2),) * mesh.n].ravel()
-        # a coarse mesh that misses the data's detail solves another problem,
-        # and its solution is no better a start than zero
-        defect = np.abs(_prolong(coarse_data, counts) - dirichlet)[is_dir].max()
-        if defect <= _DATA_DEFECT * np.ptp(dirichlet[is_dir]):
-            coarse_mesh = _build(mesh.domain, tuple(d // 2 for d in mesh.divisions))
-            coarse, coarse_report = solve(integrand, coarse_mesh, coarse_data, config)
-            if coarse_report.converged:  # otherwise the fine level starts cold
-                u0 = _prolong(coarse.values, counts)
-                levels = coarse_report.level_iterations
-            del coarse_mesh, coarse, coarse_report
-        del coarse_data
-
-    values = np.zeros(mesh.num_vertices) if u0 is None else np.asarray(u0, dtype=float).copy()
+    values = np.zeros(mesh.num_vertices) if start is None else start.copy()
     values[is_dir] = dirichlet[is_dir]
-
     grads = mesh.cell_gradients(values)  # of the current iterate, one pass per iterate
     e_cur = _energy(integrand, mesh, grads)
     # an energy change this small is rounding: it cannot rank two trials
@@ -367,18 +346,44 @@ def solve(
         res_norm = float(np.linalg.norm(_gradient(integrand, mesh, grads)[free_idx]))
         converged = res_norm <= config.tol_residual
 
-    solution = GraphFunction(mesh, values)
-    flux = wall_flux_residuals(integrand, solution)
-    report = SolveReport(
-        iterations=iterations,
-        final_residual_norm=res_norm,
-        energy_trace=trace,
-        free_bc_residual=float(np.abs(flux).max()),
-        converged=converged,
-        level_iterations=levels + [iterations],
-        failure=failure,
-    )
-    if _malloc_trim is not None:  # the freed heap of this level and of the coarse ones
-        _malloc_trim(0)
-    return solution, report
+    return values, SolveReport(iterations, res_norm, trace, converged=converged, failure=failure)
 
+
+def solve(
+    integrand: EllipticIntegrand,
+    mesh: Mesh,
+    dirichlet: np.ndarray,
+    config: SolveConfig = SolveConfig(),
+) -> tuple[GraphFunction, SolveReport]:
+    """Minimize the discrete graph area subject to Dirichlet data.
+
+    ``dirichlet`` is a full-length vertex vector; only its entries at
+    DIRICHLET vertices are used.  Returns the solution and a report; running
+    out of iterations or a failed linear solve yields ``converged=False``
+    rather than an exception, the latter with its reason in ``failure``.  Each
+    level of ``_ladder`` gets its mesh when its turn comes (module notes).
+    """
+    if integrand.dim != mesh.n + 1:
+        raise ValueError("integrand ambient dimension must be mesh dimension + 1")
+    dirichlet = np.asarray(dirichlet, dtype=float)
+    if dirichlet.shape != (mesh.num_vertices,):
+        raise ValueError("dirichlet data must be a full vertex vector")
+    if not np.all(np.isfinite(dirichlet[mesh.vertex_tags == Tag.DIRICHLET])):
+        raise ValueError("dirichlet data must be finite")
+
+    coarse, record = None, []  # a converged level's values; the levels since the last cold start
+    for divisions, data in _ladder(mesh, dirichlet):
+        level = mesh if divisions == mesh.divisions else _build(mesh.domain, divisions)
+        start = None if coarse is None else _prolong(coarse, tuple(d + 1 for d in divisions))
+        coarse = values = None  # the coarser level's values go before this level's Newton loop
+        values, report = _newton(integrand, level, data, config, start)
+        record = (record if start is not None else []) + [report.iterations]
+        coarse = values if report.converged else None  # otherwise the next level starts cold
+        del level, start
+        if _malloc_trim is not None:  # the freed heap of this level's Newton loop and mesh
+            _malloc_trim(0)
+
+    solution = GraphFunction(mesh, values)
+    report.free_bc_residual = float(np.abs(wall_flux_residuals(integrand, solution)).max())
+    report.level_iterations = record
+    return solution, report

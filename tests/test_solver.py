@@ -13,12 +13,14 @@ from anisograph import (
     SolveConfig,
     Tag,
     build_mesh,
+    compute_geometry,
     solve,
     solver,
     wall_flux_residuals,
 )
 from anisograph.boundary_data import evaluate_data_spec
 from anisograph.cli import bundled_scenario_path, run_scenario, scenario_from_dict
+from anisograph.domain import _build
 from anisograph.solver import (
     _energy,
     _free_box,
@@ -181,11 +183,11 @@ def test_hard_capillary_solve_stops_at_rounding_floor():
     mesh = unit_mesh(1 / 64)
     data = evaluate_data_spec(CURVED_DATA_SPEC, mesh.vertices)
     integrand = EllipticIntegrand.capillary(0.5, 3)
-    u, rep = solve(integrand, mesh, data, u0=np.zeros(mesh.num_vertices))
+    values, rep = solver._newton(integrand, mesh, data, SolveConfig(), None)
     assert rep.converged
     assert rep.iterations <= 12
     trace = np.array(rep.energy_trace)
-    assert trace[-1] == energy(integrand, mesh, u.values)
+    assert trace[-1] == energy(integrand, mesh, values)
     # the last step was taken at the rounding floor, where the energy cannot
     # rank two trials, and Newton did not linger there; an exact tie is allowed
     at_floor = np.abs(np.diff(trace)) <= 16.0 * np.finfo(float).eps * np.abs(trace[1:])
@@ -236,28 +238,28 @@ def test_prolongation_keeps_the_coarse_graph(domain):
     assert energy(I, fine, got) == pytest.approx(e_coarse, rel=1e-13)
 
 
-def record_levels(monkeypatch):
-    """Wrap ``solver.solve`` so every level of a ladder records its mesh and data."""
-    levels = []
-    inner = solver.solve
-
-    def recording(integrand, mesh, dirichlet, *args, **kwargs):
-        levels.append((mesh, np.array(dirichlet)))
-        return inner(integrand, mesh, dirichlet, *args, **kwargs)
-
-    monkeypatch.setattr(solver, "solve", recording)
-    return levels
-
-
-def test_ladder_injects_the_data_of_each_coarse_mesh(monkeypatch):
-    mesh = build_mesh(HalfDomain(2, depth=1.0, width=0.55, resolution=1 / 64))  # 64 x 70
-    levels = record_levels(monkeypatch)
-    _, rep = solver.solve(EllipticIntegrand.euclidean(3), mesh,
-                          evaluate_data_spec(CURVED_DATA_SPEC, mesh.vertices))
-    assert [m.divisions for m, _ in levels] == [(64, 70), (32, 35)]
-    assert len(rep.level_iterations) == 2
-    coarse, data = levels[1]
-    assert np.abs(data - evaluate_data_spec(CURVED_DATA_SPEC, coarse.vertices)).max() <= 1e-15
+def test_ladder_injects_the_data_of_each_coarse_mesh():
+    # a level is halved while its divisions are even and at least 32; a coarse level's data
+    # and Dirichlet mask, injected from the finer level's, are those of its own mesh
+    for domain, ladder in [
+        (HalfDomain(1, depth=1.0, resolution=1 / 64), [(16,), (32,), (64,)]),
+        (HalfDomain(2, depth=1.0, width=0.55, resolution=1 / 64), [(32, 35), (64, 70)]),  # dx != dy
+        (HalfDomain(2, depth=1.0, width=0.5, resolution=1 / 128), [(16, 16), (32, 32), (64, 64),
+                                                                   (128, 128)]),
+        (HalfDomain(2, depth=1.0, width=65 / 128, resolution=1 / 64), [(64, 65)]),  # odd division
+    ]:
+        mesh = build_mesh(domain)
+        levels = solver._ladder(mesh, evaluate_data_spec(CURVED_DATA_SPEC, mesh.vertices))
+        assert [divisions for divisions, _ in levels] == ladder
+        is_dir, even = mesh.vertex_tags == Tag.DIRICHLET, (slice(None, None, 2),) * mesh.n
+        for (divisions, data), (_, finer) in zip(levels[-2::-1], levels[::-1]):
+            counts = tuple(2 * d + 1 for d in divisions)
+            coarse = _build(domain, divisions)
+            is_dir = is_dir.reshape(counts)[even].ravel()
+            assert np.array_equal(is_dir, coarse.vertex_tags == Tag.DIRICHLET)
+            assert np.array_equal(data, finer.reshape(counts)[even].ravel())
+            assert np.abs(data - evaluate_data_spec(CURVED_DATA_SPEC, coarse.vertices)).max() \
+                <= 1e-15
 
 
 @pytest.mark.parametrize(
@@ -269,11 +271,10 @@ def test_ladder_solve_matches_cold_solve(integrand):
     mesh = unit_mesh(1 / 64)
     data = evaluate_data_spec(CURVED_DATA_SPEC, mesh.vertices)
     u, rep = solve(integrand, mesh, data)
-    u_cold, rep_cold = solve(integrand, mesh, data, u0=np.zeros(mesh.num_vertices))
+    cold, rep_cold = solver._newton(integrand, mesh, data, SolveConfig(), None)
     assert rep.converged and rep_cold.converged
     assert len(rep.level_iterations) == 3 and rep.level_iterations[-1] == rep.iterations
-    assert rep_cold.level_iterations == [rep_cold.iterations]
-    assert np.abs(u.values - u_cold.values).max() <= 1e-9
+    assert np.abs(u.values - cold).max() <= 1e-9
 
 
 def test_failed_coarse_level_falls_back_to_cold_start():
@@ -284,9 +285,27 @@ def test_failed_coarse_level_falls_back_to_cold_start():
     assert not rep.converged
     assert rep.iterations == 1
     assert rep.level_iterations == [1]
-    u_cold, _ = solve(EllipticIntegrand.euclidean(3), mesh, data, config,
-                      u0=np.zeros(mesh.num_vertices))
-    assert np.array_equal(u.values, u_cold.values)
+    cold, _ = solver._newton(EllipticIntegrand.euclidean(3), mesh, data, config, None)
+    assert np.array_equal(u.values, cold)
+
+
+def test_failed_middle_level_restarts_the_ladder_cold(monkeypatch):
+    # the 32 x 32 level of a 1/128 solve fails: the 64 x 64 level starts from zero, and
+    # the level record leaves out the failed level and every level below it
+    mesh = unit_mesh(1 / 128)
+    calls, inner = [], solver._newton
+
+    def failing(integrand, level, dirichlet, config, start):
+        values, report = inner(integrand, level, dirichlet, config, start)
+        report.converged &= level.divisions != (32, 32)
+        calls.append((level.divisions[0], start is None, report.iterations))
+        return values, report
+
+    monkeypatch.setattr(solver, "_newton", failing)
+    _, rep = solve(EllipticIntegrand.euclidean(3), mesh,
+                   evaluate_data_spec(CURVED_DATA_SPEC, mesh.vertices))
+    assert [call[:2] for call in calls] == [(16, True), (32, False), (64, True), (128, False)]
+    assert rep.converged and rep.level_iterations == [calls[2][2], calls[3][2]]
 
 
 def test_theta_sweep_base_at_058_needs_few_fine_iterations():
@@ -319,11 +338,11 @@ def test_unresolved_data_skips_the_ladder():
     mesh = build_mesh(HalfDomain(2, depth=8.0, width=8.0, resolution=0.25))  # 32 x 64
     data = evaluate_data_spec(
         {"type": "bump", "center": [8.0, 0.0], "radius": 1.0, "height": 1.0}, mesh.vertices)
+    assert [divisions for divisions, _ in solver._ladder(mesh, data)] == [(32, 64)]
     u, rep = solve(EllipticIntegrand.euclidean(3), mesh, data)
-    u_cold, _ = solve(EllipticIntegrand.euclidean(3), mesh, data,
-                      u0=np.zeros(mesh.num_vertices))
+    cold, _ = solver._newton(EllipticIntegrand.euclidean(3), mesh, data, SolveConfig(), None)
     assert rep.converged and rep.level_iterations == [rep.iterations]
-    assert np.array_equal(u.values, u_cold.values)
+    assert np.array_equal(u.values, cold)
 
 
 def test_graph_function_invariants():
@@ -483,9 +502,6 @@ def test_amse_residual_capillary_euclidean_equivalence():
 
 def test_curved_solutions_cauchy_under_refinement():
     # nested structured grids: compare solutions at shared (parent) vertices
-    from anisograph.boundary_data import evaluate_data_spec
-    from conftest import CURVED_DATA_SPEC
-
     I = EllipticIntegrand.euclidean(3)
     meshes = [unit_mesh(1 / 8)]
     for _ in range(2):
@@ -506,10 +522,6 @@ def test_curved_solutions_cauchy_under_refinement():
 
 def test_capillary_wall_angle_on_curved_solve():
     # the solved free-boundary capillary graph meets the wall at cos(theta) + O(h)
-    from anisograph.boundary_data import evaluate_data_spec
-    from anisograph import compute_geometry
-    from conftest import CURVED_DATA_SPEC
-
     theta = math.pi / 4
     I = EllipticIntegrand.capillary(theta, 3)
     devs = []
