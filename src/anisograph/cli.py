@@ -10,9 +10,10 @@ a Dirichlet-data spec, solver settings, and a list of checks with optional
 parameter overrides.  Reports are JSON lines plus tidy CSV; all numbers are
 written with 17 significant digits and no timestamps, so repeated runs of
 the same scenario and seed are byte-identical (timestamps go to a sidecar
-log).  Exit codes: 0 all pass/fail checks passed, 2 malformed config,
-3 solver non-convergence (a failed linear solve included), 1 check failures;
-a sweep returns its worst row's.
+log).  Exit codes: 0 all pass/fail checks passed; 1 a check failed; 2 a
+malformed config or an ``--out`` that cannot be created, both found before
+any solve; 3 solver non-convergence (a failed linear solve included).  A
+sweep returns its worst row's.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import warnings
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -142,7 +143,6 @@ def bundled_scenario_path(name: str) -> Path:
 @dataclass
 class RunResult:
     scenario: Scenario
-    mesh: Mesh
     solution: GraphFunction
     solve_report: SolveReport
     geometry: Optional[GraphGeometry]
@@ -156,16 +156,60 @@ class RunResult:
         return 1 if any(r.status == "fail" for r in self.reports) else 0
 
 
-# -- the check table: a parser takes a scenario value and the graph dimension n,
-# and returns the value its probe gets or raises ValueError -----------------------
+# -- checks: a check's scenario keys are the parameters of its ``verify`` probe that
+# ``_KEYS`` names.  A parser takes a scenario value and the graph dimension n, and
+# returns the value its probe gets or raises ValueError -----------------------------
+
+_RADII = partial(_list, item=_positive)
+_KEYS = {
+    "coef": _positive, "margin": _positive, "x0": _point, "radii": _RADII,
+    "slope_tol": _positive, "r": _positive, "bank_size": partial(_real, low=1.0, integer=True),
+    "x0_list": partial(_list, item=_point), "r_list": _RADII, "beta": partial(_real, low=0.0),
+    "sizes": _RADII, "slope": partial(_list, length=2), "bump_height": _real,
+    "bump_radius": _positive, "resolution": _positive, "tol_flat": partial(_real, low=0.0),
+}
+# probe parameters that ``_scenario_default`` fills if a check leaves them unset
+_DERIVED = ("x0", "x0_list", "r", "radii", "r_list", "seed", "integrand", "config", "slope")
+# check name -> its ``verify`` probe, looked up per run, so a wrapper set on ``verify`` runs
+_CHECKS = {
+    "boundary_tangency": "check_boundary_tangency", "wall_condition": "check_wall_condition",
+    "interior_minimality": "check_interior_minimality",
+    "wall_principal_direction": "check_wall_principal_direction",
+    "first_variation": "check_first_variation",
+    "area_element_identity": "check_area_element_identity",
+    "subharmonicity": "check_subharmonicity", "area_growth": "area_growth_check",
+    "mean_value": "mean_value_probe",
+    "functional_inequalities": "functional_inequality_diagnostics",
+    "gradient_estimate": "gradient_estimate_probe", "liouville": "liouville_probe",
+}
 
 
-def _liouville_domains(check: dict) -> None:
+def _reads_geometry(name: str) -> bool:
+    """Whether a check's probe takes the geometry: its first parameter is ``geom``."""
+    return next(iter(inspect.signature(getattr(verify, _CHECKS[name])).parameters)) == "geom"
+
+
+def _parse_check(item, sc: Scenario) -> dict:
+    """A scenario check item (a name, or an object with one) as its name and the keyword
+    arguments of its probe: its parsed values and what the scenario derives."""
+    item = {"name": item} if isinstance(item, str) else item
+    name, probe = _variant(item, "name", _CHECKS, "check")
+    params = inspect.signature(getattr(verify, probe)).parameters
+    keys = {k: _KEYS[k] for k in params if k in _KEYS}
+    check = _section(item, {"name": _any, **keys}, f"check {name!r}", sc.domain.n)
+    with _named(f"check {name!r}:"):
+        check.update((p, _scenario_default(p, sc)) for p in params
+                     if p in _DERIVED and p not in check)
+        if name == "liouville":
+            _liouville_domains(check, params)
+    return check
+
+
+def _liouville_domains(check: dict, params) -> None:
     """Increasing sizes, at least two, each giving a domain whose ``divisions`` hold, and
     data that stay finite on the largest."""
-    params = inspect.signature(verify.liouville_probe).parameters
     args = {**{k: p.default for k, p in params.items()}, **check}
-    sizes = args["r_sizes"]
+    sizes = args["sizes"]
     if sorted(sizes) != list(sizes) or len(sizes) < 2:
         raise ValueError(f"'sizes' must be increasing, with at least two entries: {sizes}")
     for size in sizes:
@@ -176,64 +220,6 @@ def _liouville_domains(check: dict) -> None:
     _check_finite(data, dom, "'slope' and 'bump_height'")
 
 
-class _Check(NamedTuple):
-    """A check's ``verify`` probe (looked up per run, so a wrapper set on ``verify`` runs), the
-    parsers of its scenario keys, the probe parameters ``_scenario_default`` fills (others
-    keep the probe's defaults), renamed keys, a validator of the probe's keyword arguments,
-    and whether it reads the geometry."""
-
-    probe: str
-    keys: dict = {}
-    derived: tuple = ()
-    rename: dict = {}
-    validate: Optional[Callable[[dict], None]] = None
-    geometry: bool = True
-
-
-_COEF = {"coef": _positive}
-_RADII = partial(_list, item=_positive)
-_CHECKS = {
-    "boundary_tangency": _Check("check_boundary_tangency", _COEF),
-    "wall_condition": _Check("check_wall_condition", _COEF),
-    "interior_minimality": _Check("check_interior_minimality", _COEF),
-    "wall_principal_direction": _Check("check_wall_principal_direction", _COEF),
-    "first_variation": _Check("check_first_variation", {**_COEF, "margin": _positive}),
-    "area_element_identity": _Check("check_area_element_identity"),
-    "subharmonicity": _Check("check_subharmonicity", _COEF),
-    "area_growth": _Check("area_growth_check",
-                          {"x0": _point, "radii": _RADII, "slope_tol": _positive},
-                          ("x0", "r_list"), {"radii": "r_list"}),
-    "mean_value": _Check("mean_value_probe", {"x0": _point, "r": _positive}, ("x0", "r")),
-    "functional_inequalities": _Check("functional_inequality_diagnostics",
-                                      {"bank_size": partial(_real, low=1.0, integer=True)},
-                                      ("seed",)),
-    "gradient_estimate": _Check("gradient_estimate_probe",
-                                {"x0_list": partial(_list, item=_point), "r_list": _RADII},
-                                ("x0_list", "r_list")),
-    "liouville": _Check(
-        "liouville_probe",
-        {"beta": partial(_real, low=0.0), "sizes": _RADII, "slope": partial(_list, length=2),
-         "bump_height": _real, "bump_radius": _positive, "resolution": _positive,
-         "tol_flat": partial(_real, low=0.0)},
-        ("integrand", "config", "slope"), {"sizes": "r_sizes"},
-        validate=_liouville_domains, geometry=False),
-}
-
-
-def _parse_check(item, sc: Scenario) -> dict:
-    """A scenario check item (a name, or an object with one) as its name and the keyword
-    arguments of its probe: its parsed values, renamed, and what the scenario derives."""
-    item = {"name": item} if isinstance(item, str) else item
-    name, spec = _variant(item, "name", _CHECKS, "check")
-    check = _section(item, {"name": _any, **spec.keys}, f"check {name!r}", sc.domain.n)
-    with _named(f"check {name!r}:"):
-        check = {spec.rename.get(k, k): v for k, v in check.items()}
-        check.update((p, _scenario_default(p, sc)) for p in spec.derived if p not in check)
-        if spec.validate is not None:
-            spec.validate(check)
-    return check
-
-
 def _scenario_default(param: str, sc: Scenario):
     """Default of a probe parameter that the scenario determines."""
     if param == "slope":  # the integrand's wall-compatible flat profile
@@ -241,21 +227,21 @@ def _scenario_default(param: str, sc: Scenario):
     dom = sc.domain
     point = [0.25 * dom.depth, 0.0][: dom.n]
     scale = min(dom.extents())
+    radii = [f * scale for f in (0.15, 0.25, 0.35, 0.5)]
     return {"x0": point, "x0_list": [point, [0.0] * dom.n], "r": 0.5 * scale,
-            "r_list": [f * scale for f in (0.15, 0.25, 0.35, 0.5)],
-            "seed": sc.seed, "integrand": sc.integrand, "config": sc.solver}[param]
+            "radii": radii, "r_list": radii, "seed": sc.seed, "integrand": sc.integrand,
+            "config": sc.solver}[param]
 
 
 def _needs_geometry(checks) -> bool:
     """Whether running the checks computes the geometry (it does for no checks)."""
-    return not checks or any(_CHECKS[c["name"]].geometry for c in checks)
+    return not checks or any(_reads_geometry(c["name"]) for c in checks)
 
 
 def _run_check(check: dict, geom: Optional[GraphGeometry]) -> CheckReport:
-    spec = _CHECKS[check["name"]]
+    probe = getattr(verify, _CHECKS[check["name"]])
     params = {k: v for k, v in check.items() if k != "name"}
-    probe = getattr(verify, spec.probe)
-    return probe(geom, **params) if spec.geometry else probe(**params)
+    return probe(geom, **params) if _reads_geometry(check["name"]) else probe(**params)
 
 
 def run_scenario(scenario: Scenario, solve_only: bool = False) -> RunResult:
@@ -263,7 +249,7 @@ def run_scenario(scenario: Scenario, solve_only: bool = False) -> RunResult:
     mesh = build_mesh(scenario.domain)
     data = evaluate_data_spec(scenario.dirichlet, mesh.vertices)
     solution, solve_report = solve(scenario.integrand, mesh, data, scenario.solver)
-    result = RunResult(scenario, mesh, solution, solve_report, None)
+    result = RunResult(scenario, solution, solve_report, None)
     if solve_only or not solve_report.converged:
         return result
     if _needs_geometry(scenario.checks):
@@ -322,7 +308,7 @@ def _vertex_prefix(mesh: Mesh, u: np.ndarray) -> Callable:
 def _write_csvs(out_dir: Path, result: RunResult) -> None:
     """``solution.csv``; with a geometry also ``geometry.csv``, whose rows start with the
     same id, coordinates and u and are written in step with it, and ``geometry_wall.csv``."""
-    mesh, geom = result.mesh, result.geometry
+    mesh, geom = result.solution.mesh, result.geometry
     header = ["id", *(f"x{i + 1}" for i in range(mesh.n)), "u"]
     tables = [(out_dir / "solution.csv", header, [])]
     if geom is not None:
@@ -351,14 +337,13 @@ def run(scenario_path, out_dir, solve_only: bool = False) -> int:
     t0 = time.perf_counter()
     try:
         scenario = load_scenario(scenario_path, solve_only)
+        out = _output_dir(out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         result = run_scenario(scenario, solve_only)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     log = [f"warning: {w.message}" for w in caught]
     _write_csvs(out, result)
     with open(out / "solve_report.json", "w") as fh:
@@ -375,6 +360,15 @@ def run(scenario_path, out_dir, solve_only: bool = False) -> int:
         print(f"solver failed to converge{suffix}", file=sys.stderr)
     _append_log(out / "run.log", log)
     return result.exit_code
+
+
+def _output_dir(path) -> Path:
+    """The output directory, created if missing; one that cannot be is a ConfigError."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
+    return Path(path)
 
 
 def _append_log(path: Path, lines: list) -> None:
@@ -416,6 +410,7 @@ def sweep(scenario_path, axis: str, values, out_dir) -> int:
         raw = _read_json(scenario_path)
         variants = [scenario_from_dict(_apply_axis(raw, axis, v)) for v in values]
         workers = _max_workers(len(variants))
+        out = _output_dir(out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -431,8 +426,6 @@ def sweep(scenario_path, axis: str, values, out_dir) -> int:
             results[futures[fut]] = fut.result()
 
     check_names = sorted({rep.check_name for res in results for rep in res.reports})
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     header = [axis, "h", "converged", "iterations", "free_bc_residual"]
     for name in check_names:
         header += [f"{name}_residual", f"{name}_status"]
@@ -444,7 +437,7 @@ def sweep(scenario_path, axis: str, values, out_dir) -> int:
     for value, res in zip(values, results):
         row: dict = {
             axis: _fmt(value),
-            "h": _fmt(res.mesh.h),
+            "h": _fmt(res.solution.mesh.h),
             "converged": res.solve_report.converged,
             "iterations": res.solve_report.iterations,
             "free_bc_residual": _fmt(res.solve_report.free_bc_residual),

@@ -342,13 +342,13 @@ class EllipticIntegrand:
         b = self.estimate_bounds(_SPHERE_SAMPLES)
         return b.f_min, b.f_max
 
-    def flat_slope(self, lo: float = -1e3, hi: float = 1e3) -> float:
+    def flat_slope(self) -> float:
         """Wall-compatible affine slope: the a1 with d/da1 f(a1, 0, ...) = 0.
 
         The graph a1 * x1 then satisfies both the bulk equation and the
         natural wall condition exactly (for the capillary family this is
-        -cot(theta)).  Found by bisection on the strictly increasing
-        derivative of the convex profile.
+        -cot(theta)).  Found by bisection on [-1e3, 1e3] of the strictly
+        increasing derivative of the convex profile.
         """
         nres = self.dim - 1
 
@@ -357,8 +357,8 @@ class EllipticIntegrand:
             y[0] = a
             return float(self.grad_f(y)[0])
 
-        flo, fhi = dfda(lo), dfda(hi)
-        if flo > 0.0 or fhi < 0.0:
+        lo, hi = -1e3, 1e3
+        if dfda(lo) > 0.0 or dfda(hi) < 0.0:
             raise ValueError("flat-slope bracket does not straddle the minimizer")
         for _ in range(200):
             mid = 0.5 * (lo + hi)

@@ -295,7 +295,7 @@ def _newton(integrand: EllipticIntegrand, mesh: Mesh, dirichlet: np.ndarray, con
     for _ in range(config.max_iter):
         res = _gradient(integrand, mesh, grads)[free_idx]
         res_norm = float(np.linalg.norm(res))
-        if res_norm <= config.tol_residual:
+        if res_norm <= config.tol_residual * integrand.scale:  # the residual scales with it
             converged = True
             break
         d2f = integrand.hess_f(grads)
@@ -344,7 +344,7 @@ def _newton(integrand: EllipticIntegrand, mesh: Mesh, dirichlet: np.ndarray, con
         iterations += 1
     else:
         res_norm = float(np.linalg.norm(_gradient(integrand, mesh, grads)[free_idx]))
-        converged = res_norm <= config.tol_residual
+        converged = res_norm <= config.tol_residual * integrand.scale
 
     return values, SolveReport(iterations, res_norm, trace, converged=converged, failure=failure)
 

@@ -453,7 +453,7 @@ def gradient_estimate_probe(
 def liouville_probe(
     integrand: EllipticIntegrand,
     beta: float = 2.0,
-    r_sizes: Sequence[float] = (4.0, 8.0, 16.0),
+    sizes: Sequence[float] = (4.0, 8.0, 16.0),
     slope: Optional[Sequence[float]] = None,
     bump_height: float = 1.0,
     bump_radius: float = 1.0,
@@ -471,7 +471,7 @@ def liouville_probe(
     """
     if beta < 0.0:
         raise ValueError("growth bound beta must be nonnegative")
-    sizes = [float(r) for r in r_sizes]
+    sizes = [float(r) for r in sizes]
     if sorted(sizes) != sizes or len(sizes) < 2:
         raise ValueError("domain sizes must be increasing, with at least two entries")
     if tol_flat is None:
@@ -530,7 +530,7 @@ def _graph_ball_distances(geom: GraphGeometry, x0) -> tuple[np.ndarray, np.ndarr
 
 
 def area_growth_check(
-    geom: GraphGeometry, x0, r_list: Sequence[float], slope_tol: float = 0.2
+    geom: GraphGeometry, x0, radii: Sequence[float], slope_tol: float = 0.2
 ) -> CheckReport:
     """Growth exponent of graph-ball area around a base point on the graph.
 
@@ -540,24 +540,24 @@ def area_growth_check(
     """
     center, dist = _graph_ball_distances(geom, x0)
     area = geom.graph_measure()
-    radii, measures = [], []
-    for r in r_list:
+    usable, measures = [], []
+    for r in radii:
         if r <= 0.0:
             raise ValueError("radii must be positive")
         m = float(area[dist <= r].sum())
         if m > 0.0:
-            radii.append(float(r))
+            usable.append(float(r))
             measures.append(m)
     n = geom.mesh.n
-    if len(radii) < 3:
-        return _report("area_growth", 0.0, None, usable_radii=radii, measures=measures,
+    if len(usable) < 3:
+        return _report("area_growth", 0.0, None, usable_radii=usable, measures=measures,
                        note="fewer than 3 usable radii")
-    slope = float(np.polyfit(np.log(radii), np.log(measures), 1)[0])
-    scaled = np.array(measures) / np.array(radii) ** n
+    slope = float(np.polyfit(np.log(usable), np.log(measures), 1)[0])
+    scaled = np.array(measures) / np.array(usable) ** n
     return _report(
         "area_growth", abs(slope - n), slope_tol,
         fitted_exponent=slope, c_lower=float(scaled.min()), c_upper=float(scaled.max()),
-        radii=radii, measures=measures, base_point=center.tolist(),
+        radii=usable, measures=measures, base_point=center.tolist(),
     )
 
 
@@ -601,20 +601,15 @@ def _pl_power_cellwise(vals: np.ndarray, measure: float, k: int) -> np.ndarray:
     return measure * coef * hk
 
 
+_SOBOLEV_FRACTIONS = (0.25, 0.5, 1.0)  # the Sobolev ratio's scales over the smallest extent
+
+
 class BoxFunction(NamedTuple):
     """A vertex function that vanishes off a box of the vertex grid: the box, one slice
     per axis, and the function's values on it, in the box's shape."""
 
     box: tuple
     values: np.ndarray
-
-
-def _support_box(phi: np.ndarray, counts: tuple) -> BoxFunction:
-    """A full vertex vector as its values on the smallest grid box holding its nonzeros."""
-    grid = phi.reshape(counts)
-    box = tuple(slice(int(i.min()), int(i.max()) + 1) if i.size else slice(0, 0)
-                for i in np.nonzero(grid))
-    return BoxFunction(box, grid[box])
 
 
 def test_function_bank(mesh: Mesh, seed: int, size: int) -> list[BoxFunction]:
@@ -657,31 +652,15 @@ def test_function_bank(mesh: Mesh, seed: int, size: int) -> list[BoxFunction]:
     return funcs
 
 
-def functional_inequality_diagnostics(
-    geom: GraphGeometry,
-    bank: Optional[Sequence] = None,
-    seed: int = 0,
-    bank_size: int = 60,
-    radius_fractions: Sequence[float] = (0.25, 0.5, 1.0),
-) -> CheckReport:
-    """Observed trace / stability / Sobolev ratios over a test-function bank.
+def functional_inequality_diagnostics(geom: GraphGeometry, seed: int = 0,
+                                      bank_size: int = 60) -> CheckReport:
+    """Observed trace / stability / Sobolev ratios over the seeded test-function bank.
 
     Informational: the assertion is finiteness and refinement stability of
-    the maximum ratios, not a specific constant.  The bank holds full vertex
-    vectors or ``BoxFunction``s; explicitly supplied functions must vanish on
-    the DIRICHLET boundary or they are rejected.
+    the maximum ratios, not a specific constant.
     """
     mesh = geom.mesh
-    counts = tuple(d + 1 for d in mesh.divisions)
-    if bank is None:
-        bank = test_function_bank(mesh, seed, bank_size)
-    else:
-        bank = [phi if isinstance(phi, BoxFunction)
-                else _support_box(np.asarray(phi, dtype=float), counts) for phi in bank]
-        dirichlet = (mesh.vertex_tags == Tag.DIRICHLET).reshape(counts)
-        for box, vals in bank:
-            if np.any(np.abs(vals[dirichlet[box]]) > 1e-13):
-                raise ValueError("bank function does not vanish on the DIRICHLET boundary")
+    bank = test_function_bank(mesh, seed, bank_size)
     if len(bank) == 0:
         raise ValueError("empty test-function bank")
 
@@ -692,7 +671,7 @@ def functional_inequality_diagnostics(
     scale = min(geom.mesh.domain.extents())
     boxes = np.arange(mesh.num_cells // types).reshape(mesh.divisions)
     phi = np.zeros(mesh.num_vertices)  # each function in turn, zero off its box
-    phi_grid = phi.reshape(counts)
+    phi_grid = phi.reshape(tuple(d + 1 for d in mesh.divisions))
 
     trace_max = 0.0
     stab_max = 0.0
@@ -727,7 +706,7 @@ def functional_inequality_diagnostics(
             if mesh.n == 2:
                 phi_sq = float(phi2_W.sum())
                 lhs = math.sqrt(float((_pl_power_cellwise(vals, split.measure, 4) * cell_W).sum()))
-                for frac in radius_fractions:
+                for frac in _SOBOLEV_FRACTIONS:
                     r = frac * scale
                     rhs = phi_sq / r + r * int_grad_sq
                     if rhs > 1e-14:

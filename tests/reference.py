@@ -18,10 +18,17 @@ import scipy.sparse as sps
 from scipy.sparse.linalg import spsolve
 
 from anisograph.domain import BoxSplit, Tag, _build
-from anisograph.verify import _pl_power_cellwise
+from anisograph.verify import BoxFunction, _pl_power_cellwise
 
 
 # -- test-only helpers -----------------------------------------------------------
+
+
+def support_box(mesh, phi) -> BoxFunction:
+    """A full vertex vector as its values on the smallest grid box holding its nonzeros."""
+    grid = np.asarray(phi, dtype=float).reshape(tuple(d + 1 for d in mesh.divisions))
+    box = tuple(slice(int(i.min()), int(i.max()) + 1) for i in np.nonzero(grid))
+    return BoxFunction(box, grid[box])
 
 
 def cell_measures(mesh) -> np.ndarray:
@@ -264,7 +271,7 @@ def _fmt(x) -> str:
 
 def write_solution_csv(path, result) -> None:
     """``solution.csv`` written one ``csv.writer`` row at a time."""
-    mesh = result.mesh
+    mesh = result.solution.mesh
     coords = [f"x{i + 1}" for i in range(mesh.n)]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -276,7 +283,7 @@ def write_solution_csv(path, result) -> None:
 def write_geometry_csv(path, wall_path, result) -> None:
     """``geometry.csv`` and ``geometry_wall.csv`` written one ``csv.writer`` row at a time."""
     geom = result.geometry
-    mesh = result.mesh
+    mesh = result.solution.mesh
     coords = [f"x{i + 1}" for i in range(mesh.n)]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)

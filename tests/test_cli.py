@@ -9,7 +9,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
-from functools import reduce
+from functools import reduce, wraps
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -152,14 +152,35 @@ ACCEPTED_KEYS = {
 
 
 def test_check_table_matches_its_probes():
-    assert {name: set(spec.keys) for name, spec in cli._CHECKS.items()} == ACCEPTED_KEYS
-    for name, spec in cli._CHECKS.items():
-        params = inspect.signature(getattr(verify, spec.probe)).parameters
-        assert spec.probe in verify.__all__, name
-        assert (next(iter(params)) == "geom") == spec.geometry, name
-        for key in spec.keys:
-            assert spec.rename.get(key, key) in params, (name, key)
-        assert set(spec.derived) <= set(params), name
+    keys = {}
+    for name, probe in cli._CHECKS.items():
+        assert probe in verify.__all__, name
+        params = inspect.signature(getattr(verify, probe)).parameters
+        for param in params:  # every probe parameter is a key, derived, or the geometry
+            assert param in cli._KEYS or param in cli._DERIVED or param == "geom", (name, param)
+        keys[name] = {k for k in params if k in cli._KEYS}
+        # a check reads the geometry iff its probe takes it
+        assert cli._reads_geometry(name) == ("geom" in params), name
+    assert keys == ACCEPTED_KEYS
+
+
+def test_a_wrapped_probe_keeps_its_keys_and_runs(monkeypatch):
+    calls = []
+    original = verify.check_first_variation
+
+    @wraps(original)
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "check_first_variation", spy)
+    with pytest.raises(ConfigError, match="'cof'"):
+        scenario_from_dict(minimal_scenario(checks=[{"name": "first_variation", "cof": 0.1}]))
+    sc = scenario_from_dict(minimal_scenario(checks=[{"name": "first_variation",
+                                                      "margin": 0.2}]))
+    result = run_scenario(sc)
+    assert calls == [{"margin": 0.2}]
+    assert result.reports[0].metadata["margin"] == 0.2
 
 
 def sine_scenario_with(check, resolution=1 / 8):
@@ -432,6 +453,25 @@ def test_malformed_dirichlet_spec_exits_2(tmp_path, command, capsys):
     assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "config error: dirichlet 'bump': 'radius' must be a finite number > 0" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+@pytest.mark.parametrize("blocker", ["file", "parent_file"])
+def test_unusable_out_exits_2_before_any_solve(tmp_path, capsys, monkeypatch, command,
+                                               blocker):
+    def solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+    monkeypatch.setattr(cli, "solve", solve)
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" if blocker == "file" else tmp_path / "file" / "out"
+    argv = [command, "--config", str(bundled_scenario_path("liouville_bump")),
+            "--out", str(out)]
+    if command == "sweep":
+        argv += ["--axis", "resolution", "--values", "0.125,0.0625"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: cannot create output directory {out}: ")
+    assert (tmp_path / "file").read_text() == ""
 
 
 def test_run_exit_3_on_nonconvergence(tmp_path):
@@ -793,7 +833,7 @@ def test_table_writers_match_csv_writer(tmp_path, name):
         wall_muF_e1=column(nw, 6), wall_measure=column(nw, 7))
     u = column(nv, 0)
     u[3::4] = np.nan
-    result = SimpleNamespace(mesh=mesh, solution=SimpleNamespace(values=u),
+    result = SimpleNamespace(solution=SimpleNamespace(mesh=mesh, values=u),
                              geometry=None if solve_only else geom)
     out_dir, ref_dir = tmp_path / "out", tmp_path / "ref"
     out_dir.mkdir()

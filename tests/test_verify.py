@@ -16,7 +16,7 @@ from anisograph import (
 )
 from conftest import solve_capillary_flat, solve_curved
 from reference import (first_variation_per_field, full_grid_function_bank,
-                       functional_inequality_ratios)
+                       functional_inequality_ratios, support_box)
 
 
 FLAT_CHECKS = (
@@ -176,14 +176,14 @@ def test_holdout_satisfaction_bounds():
 
 def test_liouville_zero_perturbation_is_exactly_flat():
     rep = V.liouville_probe(EllipticIntegrand.euclidean(3), beta=0.0,
-                            r_sizes=[4.0, 8.0], bump_height=0.0)
+                            sizes=[4.0, 8.0], bump_height=0.0)
     assert rep.status == "pass"
     assert max(rep.metadata["deviations"]) <= 1e-10
 
 
 def test_liouville_decay_euclidean():
     rep = V.liouville_probe(EllipticIntegrand.euclidean(3), beta=0.1,
-                            r_sizes=[4.0, 8.0], resolution=0.5)
+                            sizes=[4.0, 8.0], resolution=0.5)
     d = rep.metadata["deviations"]
     assert d[1] < d[0]
     assert rep.metadata["hypothesis_ok"]
@@ -192,7 +192,7 @@ def test_liouville_decay_euclidean():
 def test_liouville_dent_flattens_like_the_bump():
     # a dent's default tolerance is 0.05 * |bump_height|, not a negative number
     rep = V.liouville_probe(EllipticIntegrand.euclidean(3), beta=0.1,
-                            r_sizes=[4.0, 8.0], bump_height=-1.0)
+                            sizes=[4.0, 8.0], bump_height=-1.0)
     d = rep.metadata["deviations"]
     assert rep.tolerance == 0.05
     assert d[1] < d[0] <= 0.05
@@ -201,16 +201,16 @@ def test_liouville_dent_flattens_like_the_bump():
 
 def test_liouville_aborts_on_nonconvergence():
     rep = V.liouville_probe(EllipticIntegrand.euclidean(3), beta=0.1,
-                            r_sizes=[4.0, 8.0], config=SolveConfig(max_iter=1))
+                            sizes=[4.0, 8.0], config=SolveConfig(max_iter=1))
     assert rep.status == "fail"
     assert "diagnostic" in rep.metadata
 
 
 def test_liouville_validates_sizes():
     with pytest.raises(ValueError):
-        V.liouville_probe(EllipticIntegrand.euclidean(3), beta=0.0, r_sizes=[8.0, 4.0])
+        V.liouville_probe(EllipticIntegrand.euclidean(3), beta=0.0, sizes=[8.0, 4.0])
     with pytest.raises(ValueError):
-        V.liouville_probe(EllipticIntegrand.euclidean(3), beta=-1.0, r_sizes=[4.0, 8.0])
+        V.liouville_probe(EllipticIntegrand.euclidean(3), beta=-1.0, sizes=[4.0, 8.0])
 
 
 # -- graph-ball probes ----------------------------------------------------------------
@@ -302,46 +302,38 @@ def test_bank_matches_the_full_grid_reference(domain):
             assert np.array_equal(full_vector(mesh, a), b)
 
 
-def test_diagnostics_flat_hat_anchor(flat_horizontal):
+def use_bank(monkeypatch, mesh, bank):
+    """Make the diagnostics read ``bank`` (full vertex vectors) as their test-function bank."""
+    boxes = [support_box(mesh, phi) for phi in bank]
+    monkeypatch.setattr(V, "test_function_bank", lambda *args: boxes)
+
+
+def vertex_hat(mesh, point):
+    phi = np.zeros(mesh.num_vertices)
+    phi[int(np.argmin(np.linalg.norm(mesh.vertices - point, axis=1)))] = 1.0
+    return phi
+
+
+def test_diagnostics_flat_hat_anchor(flat_horizontal, monkeypatch):
     # single wall hat: trace ratio has the closed form 2 / (2 + sqrt(2))
     integrand, mesh, u, geom = flat_horizontal
-    v = int(np.argmin(np.linalg.norm(mesh.vertices - [0.0, 0.31], axis=1)))
-    phi = np.zeros(mesh.num_vertices)
-    phi[v] = 1.0
-    rep = V.functional_inequality_diagnostics(geom, bank=[phi])
+    use_bank(monkeypatch, mesh, [vertex_hat(mesh, [0.0, 0.31])])
+    rep = V.functional_inequality_diagnostics(geom)
     assert rep.metadata["trace_ratio_max"] == pytest.approx(2.0 / (2.0 + math.sqrt(2.0)),
                                                             abs=1e-12)
     assert rep.metadata["stability_ratio_max"] == 0.0
 
 
-def test_diagnostics_interior_hat_sobolev_anchor(flat_horizontal):
+def test_diagnostics_interior_hat_sobolev_anchor(flat_horizontal, monkeypatch):
     integrand, mesh, u, geom = flat_horizontal
-    v = int(np.argmin(np.linalg.norm(mesh.vertices - [1.0, 0.0], axis=1)))
-    phi = np.zeros(mesh.num_vertices)
-    phi[v] = 1.0
-    rep = V.functional_inequality_diagnostics(geom, bank=[phi], radius_fractions=(0.5,))
+    use_bank(monkeypatch, mesh, [vertex_hat(mesh, [1.0, 0.0])])
+    rep = V.functional_inequality_diagnostics(geom)
     h = mesh.h
     scale = min(mesh.domain.extents())
-    r = 0.5 * scale
-    expect = math.sqrt(h * h / 5.0) / (h * h / 2.0 / r + r * 4.0)
+    expect = max(math.sqrt(h * h / 5.0) / (h * h / 2.0 / r + r * 4.0)
+                 for r in (0.25 * scale, 0.5 * scale, scale))
     assert rep.metadata["sobolev_ratio_max"] == pytest.approx(expect, rel=1e-12)
     assert rep.metadata["trace_ratio_max"] == 0.0
-
-
-def test_diagnostics_read_full_vectors_and_grid_boxes_alike(curved_32):
-    geom = curved_32[3]
-    bank = V.test_function_bank(geom.mesh, 4, 20)
-    full = [full_vector(geom.mesh, f) for f in bank]
-    assert (V.functional_inequality_diagnostics(geom, bank=bank, seed=4).metadata
-            == V.functional_inequality_diagnostics(geom, bank=full, seed=4).metadata
-            == V.functional_inequality_diagnostics(geom, seed=4, bank_size=20).metadata)
-
-
-def test_diagnostics_rejects_unsupported_bank(curved_32):
-    mesh = curved_32[1]
-    with pytest.raises(ValueError):
-        V.functional_inequality_diagnostics(curved_32[3],
-                                            bank=[np.ones(mesh.num_vertices)])
 
 
 def test_diagnostics_ratios_finite_on_curved(curved_32):
@@ -382,7 +374,7 @@ def test_diagnostics_match_full_mesh_reference_1d():
     _assert_ratios_match(meta, functional_inequality_ratios(geom, bank))
 
 
-def test_diagnostics_match_full_mesh_reference_explicit_banks(curved_32):
+def test_diagnostics_match_full_mesh_reference_explicit_banks(curved_32, monkeypatch):
     geom = curved_32[3]
     mesh = geom.mesh
     x = mesh.vertices
@@ -402,5 +394,6 @@ def test_diagnostics_match_full_mesh_reference_explicit_banks(curved_32):
     assert reaching_margin[np.isclose(x[:, 0], 1.0 - mesh.h)].max() > 0.0
     for bank in ([touching_wall], [reaching_margin], [whole_mesh],
                  [touching_wall, reaching_margin, whole_mesh]):
-        meta = V.functional_inequality_diagnostics(geom, bank=bank).metadata
+        use_bank(monkeypatch, mesh, bank)
+        meta = V.functional_inequality_diagnostics(geom).metadata
         _assert_ratios_match(meta, functional_inequality_ratios(geom, bank))
