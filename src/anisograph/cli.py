@@ -184,17 +184,23 @@ _CHECKS = {
 }
 
 
+# check name -> its probe's own parameters, read once: a wrapper set on ``verify`` later
+# keeps the probe's keys and geometry whatever its own signature
+_PARAMS = {name: inspect.signature(getattr(verify, probe)).parameters
+           for name, probe in _CHECKS.items()}
+
+
 def _reads_geometry(name: str) -> bool:
     """Whether a check's probe takes the geometry: its first parameter is ``geom``."""
-    return next(iter(inspect.signature(getattr(verify, _CHECKS[name])).parameters)) == "geom"
+    return next(iter(_PARAMS[name])) == "geom"
 
 
 def _parse_check(item, sc: Scenario) -> dict:
     """A scenario check item (a name, or an object with one) as its name and the keyword
     arguments of its probe: its parsed values and what the scenario derives."""
     item = {"name": item} if isinstance(item, str) else item
-    name, probe = _variant(item, "name", _CHECKS, "check")
-    params = inspect.signature(getattr(verify, probe)).parameters
+    name, _ = _variant(item, "name", _CHECKS, "check")
+    params = _PARAMS[name]
     keys = {k: _KEYS[k] for k in params if k in _KEYS}
     check = _section(item, {"name": _any, **keys}, f"check {name!r}", sc.domain.n)
     with _named(f"check {name!r}:"):

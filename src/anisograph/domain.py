@@ -31,6 +31,9 @@ __all__ = [
 # the largest mesh, by its Newton band, bounded by 8 (kd + 1) bytes per vertex for the
 # band's half-bandwidth kd: 1/512 on the unit reference box needs 1.0 GiB, 1/1024 8.0 GiB
 _MAX_BAND_BYTES = 2 << 30
+# the contraction order of ``Mesh.scatter_flux``: ``optimize=True``'s for two operands,
+# given so that no call searches for it
+_FLUX_PATH = ["einsum_path", (0, 1)]
 
 
 class Tag(IntEnum):
@@ -187,7 +190,7 @@ class Mesh:
         split = self.split
         q = q.reshape(-1, len(split.offsets), self.n)
         return self.scatter(np.einsum("ctk,tik->cti", q, split.measure * split.grad_lambda,
-                                      optimize=True))
+                                      optimize=_FLUX_PATH))
 
     def offset_slices(self, offset: np.ndarray) -> tuple[slice, ...]:
         """Vertex-grid slices picking each box's vertex at ``offset`` from its lowest corner."""

@@ -145,19 +145,22 @@ def compute_geometry(integrand: EllipticIntegrand, u: GraphFunction) -> GraphGeo
 
     du = u.cell_gradients()
     w = np.sqrt(1.0 + np.einsum("ci,ci->c", du, du))
-    normal = np.concatenate([-du, np.ones((mesh.num_cells, 1))], axis=1) / w[:, None]
-    nu_f = integrand.grad_F(normal)
-    f_normal = integrand.eval_F(normal)
-    wf = integrand.eval_f(du)
-    hess_f = integrand.hess_f(du)
-    af = integrand.hess_F(normal)
+    # one lift each of du, normal and grad_v, dropped once used
+    lifted = integrand.lift(du)  # (-du, 1)
+    normal = lifted[0] / w[:, None]
+    wf, hess_f = integrand.F(lifted), integrand.D2f(lifted)
+    at_normal = integrand.points(normal)
+    nu_f, f_normal, af = integrand.DF(at_normal), integrand.F(at_normal), integrand.D2F(at_normal)
+    del lifted, at_normal
 
     f_min = integrand.sphere_range()[0]
     cell_log_wf = np.log(wf / f_min)
 
     grad_v, hess_v, ok = _fit_vertex_quadratics(mesh, u.values)
     w_v = np.sqrt(1.0 + np.einsum("vi,vi->v", grad_v, grad_v))
-    wf_v = integrand.eval_f(grad_v)
+    lifted_v = integrand.lift(grad_v)
+    wf_v, b_v = integrand.F(lifted_v), integrand.D2f(lifted_v)
+    del lifted_v
     # fallback for flagged vertices: plain average of incident-cell values
     bad = ~ok
     if bad.any():
@@ -166,7 +169,6 @@ def compute_geometry(integrand: EllipticIntegrand, u: GraphFunction) -> GraphGeo
         w_v[bad] = mesh.scatter(w[:, None].repeat(mesh.n + 1, axis=1))[bad] / cnt[bad]
     log_wf_v = np.log(wf_v / f_min)
 
-    b_v = integrand.hess_f(grad_v)
     h_f_trace = np.einsum("vij,vji->v", hess_v, b_v)
     gm = np.einsum("vi,vij->vj", grad_v, hess_v)
     p = hess_v - np.einsum("vi,vj->vij", grad_v, gm) / (w_v ** 2)[:, None, None]

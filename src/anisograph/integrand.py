@@ -5,7 +5,10 @@ An integrand ``F`` is a positive, one-homogeneous ``C^2`` function on
 energy of a graph ``x -> (x, u(x))`` reduces to minimizing the convex bulk
 Lagrangian ``f(y) = F(-y, 1)`` of the gradient, so every integrand here
 exposes both the ambient calculus (``eval_F``/``grad_F``/``hess_F``) and the
-pulled-back one (``eval_f``/``grad_f``/``hess_f``).
+pulled-back one (``eval_f``/``grad_f``/``hess_f``).  Each also takes its
+points already checked and normed, by ``points`` for ``F``/``DF``/``D2F`` and
+by ``lift`` for ``F``/``Df``/``D2f`` (``f`` is ``F`` on the lift), so several
+quantities at the same points share one lift and one pass of norms.
 
 Built-in families:
 
@@ -109,7 +112,12 @@ def _as_points(z: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
     pts = np.asarray(z, dtype=float)
     if pts.shape[-1] != dim:
         raise ValueError(f"expected last axis {dim}, got shape {pts.shape}")
-    norms = np.linalg.norm(pts, axis=-1)
+    # the squares summed in axis order: np.linalg.norm(pts, axis=-1)'s bits, at a fraction
+    # of its cost
+    sq = pts[..., 0] * pts[..., 0]
+    for k in range(1, dim):
+        sq += pts[..., k] * pts[..., k]
+    norms = np.sqrt(sq)
     if np.any(norms == 0.0):
         raise ValueError("integrand is undefined at the zero vector")
     return pts, norms
@@ -181,9 +189,26 @@ class EllipticIntegrand:
         """``c`` of the capillary form ``|z| - c z_1``; the Euclidean norm has ``c = 0``."""
         return 0.0 if self.theta is None else math.cos(self.theta)
 
+    def points(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``z`` (last axis = dim) as float points and their norms, the argument of ``F``,
+        ``DF`` and ``D2F``; rejects zero vectors."""
+        return _as_points(z, self.dim)
+
     def eval_F(self, z: np.ndarray) -> np.ndarray:
         """Value of F at ``z`` (last axis = dim); rejects zero vectors."""
-        pts, norms = _as_points(z, self.dim)
+        return self.F(self.points(z))
+
+    def grad_F(self, z: np.ndarray) -> np.ndarray:
+        """Ambient gradient of F; zero-homogeneous in ``z``."""
+        return self.DF(self.points(z))
+
+    def hess_F(self, z: np.ndarray) -> np.ndarray:
+        """Ambient Hessian of F; annihilates ``z`` and scales like 1/|z|."""
+        return self.D2F(self.points(z))
+
+    def F(self, points: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """``eval_F`` on ``points(z)``."""
+        pts, norms = points
         if self.kind == "ellipsoid":
             # z^T A z term by term, row-major: einsum's order for a batch but not for a point
             vals = np.sqrt(sum(pts[..., i] * self.matrix[i, j] * pts[..., j]
@@ -196,28 +221,34 @@ class EllipticIntegrand:
             vals = norms - self._tilt * pts[..., 0]
         return self.scale * vals
 
-    def grad_F(self, z: np.ndarray) -> np.ndarray:
-        """Ambient gradient of F; zero-homogeneous in ``z``."""
-        pts, norms = _as_points(z, self.dim)
+    def DF(self, points: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """``grad_F`` on ``points(z)``."""
+        return self._grad_block(points, self.dim)
+
+    def _grad_block(self, points: tuple[np.ndarray, np.ndarray], k: int) -> np.ndarray:
+        """Leading ``k`` entries of the ambient gradient at ``points``."""
+        pts, norms = points
         if self.kind == "ellipsoid":
             az = pts @ self.matrix
             vals = np.sqrt(np.einsum("...i,...i->...", pts, az))
-            g = az / vals[..., None]
+            g = az[..., :k] / vals[..., None]
         elif self.kind == "pnorm":
             *_, big_g, h = self._pnorm_terms(pts)
-            g = big_g[..., None] ** (1.0 / self.p - 1.0) * h
-        else:
-            g = pts / norms[..., None]
+            g = big_g[..., None] ** (1.0 / self.p - 1.0) * h[..., :k]
+        else:  # entry by entry, as _hess_block
+            g = np.empty(norms.shape + (k,))
+            for i in range(k):
+                np.divide(pts[..., i], norms, out=g[..., i])
             g[..., 0] -= self._tilt
         return self.scale * g
 
-    def hess_F(self, z: np.ndarray) -> np.ndarray:
-        """Ambient Hessian of F; annihilates ``z`` and scales like 1/|z|."""
-        return self._hess_block(z, self.dim)
+    def D2F(self, points: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """``hess_F`` on ``points(z)``."""
+        return self._hess_block(points, self.dim)
 
-    def _hess_block(self, z: np.ndarray, k: int) -> np.ndarray:
-        """Leading ``k x k`` block of the ambient Hessian at ``z``."""
-        pts, norms = _as_points(z, self.dim)
+    def _hess_block(self, points: tuple[np.ndarray, np.ndarray], k: int) -> np.ndarray:
+        """Leading ``k x k`` block of the ambient Hessian at ``points``."""
+        pts, norms = points
         if self.kind == "ellipsoid":
             az = pts @ self.matrix
             vals = np.sqrt(np.einsum("...i,...i->...", pts, az))
@@ -228,10 +259,15 @@ class EllipticIntegrand:
         elif self.kind == "pnorm":
             hess = self._pnorm_hess(pts)[..., :k, :k]
         else:  # the capillary form: the tilt is linear
-            unit = pts[..., :k] / norms[..., None]
-            hess = np.einsum("...i,...j->...ij", unit, unit)
-            np.subtract(np.eye(k), hess, out=hess)
-            hess /= norms[..., None, None]
+            # (delta_ij - z_i z_j / |z|^2) / |z| entry by entry: each operation then runs
+            # along the points, not along an axis of length k
+            unit = [pts[..., i] / norms for i in range(k)]
+            hess = np.empty(norms.shape + (k, k))
+            for i, j in np.ndindex(k, k):
+                entry = hess[..., i, j]
+                np.multiply(unit[i], unit[j], out=entry)
+                np.subtract(float(i == j), entry, out=entry)
+                np.divide(entry, norms, out=entry)
         hess *= self.scale
         return hess
 
@@ -268,27 +304,37 @@ class EllipticIntegrand:
 
     # -- graph Lagrangian f(y) = F(-y, 1) ------------------------------------
 
-    def _lift(self, y: np.ndarray) -> np.ndarray:
-        """The points ``(-y, 1)`` of graph gradients ``y``."""
+    def lift(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The points ``(-y, 1)`` of graph gradients ``y`` and their norms: the argument of
+        ``F`` (``f`` there), ``Df`` and ``D2f``, so one lift serves all three."""
         y = np.asarray(y, dtype=float)
         if y.shape[-1] != self.dim - 1:
             raise ValueError(f"expected gradient dimension {self.dim - 1}")
         z = np.empty(y.shape[:-1] + (self.dim,))
-        np.negative(y, out=z[..., :-1])
+        for i in range(self.dim - 1):  # entry by entry, as _hess_block
+            np.negative(y[..., i], out=z[..., i])
         z[..., -1] = 1.0
-        return z
+        return self.points(z)
 
     def eval_f(self, y: np.ndarray) -> np.ndarray:
         """Graph Lagrangian ``f(y) = F(-y, 1)``."""
-        return self.eval_F(self._lift(y))
+        return self.F(self.lift(y))
 
     def grad_f(self, y: np.ndarray) -> np.ndarray:
         """Gradient of the graph Lagrangian: ``Df(y)_i = -d_i F(-y, 1)``."""
-        return -self.grad_F(self._lift(y))[..., : self.dim - 1]
+        return self.Df(self.lift(y))
 
     def hess_f(self, y: np.ndarray) -> np.ndarray:
         """Hessian of the graph Lagrangian (SPD for bounded gradients)."""
-        return self._hess_block(self._lift(y), self.dim - 1)
+        return self.D2f(self.lift(y))
+
+    def Df(self, lifted: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """``grad_f`` on ``lift(y)``."""
+        return -self._grad_block(lifted, self.dim - 1)
+
+    def D2f(self, lifted: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """``hess_f`` on ``lift(y)``."""
+        return self._hess_block(lifted, self.dim - 1)
 
     # -- sphere bounds -------------------------------------------------------
 
@@ -302,11 +348,12 @@ class EllipticIntegrand:
         if n_samples < 100:
             raise ValueError("need at least 100 sphere samples")
         pts = sphere_points(self.dim, n_samples)
-        vals = self.eval_F(pts)
-        gnorm = np.linalg.norm(self.grad_F(pts), axis=-1)
+        points = self.points(pts)
+        vals = self.F(points)
+        gnorm = np.linalg.norm(self.DF(points), axis=-1)
         f_min = float(min(vals.min(), gnorm.min()))
         f_max = float(max(vals.max(), gnorm.max()))
-        hess = self.hess_F(pts)
+        hess = self.D2F(points)
         if self.dim == 2:
             tang = np.stack([-pts[:, 1], pts[:, 0]], axis=1)
             rq = np.einsum("ki,kij,kj->k", tang, hess, tang)

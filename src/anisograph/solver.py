@@ -19,14 +19,17 @@ of the structured box mesh, through the split of a grid box into cells that
 ``Mesh.split`` records: per-cell gradients are shifted differences of the
 grid values, the energy gradient (and the Hessian applied to a vector) is a
 flux summed back by the mesh's one scatter (``Mesh.scatter_flux``), and each
-iterate's cell gradients are computed once and feed its energy, residual and
-Hessian.  The free vertices, numbered row by row, fill a box of the grid.
+iterate's cell gradients are computed and lifted (``EllipticIntegrand.lift``)
+once and feed its energy, residual and Hessian; the accepted line-search
+trial's lift is the next iterate's.  The free vertices, numbered row by row,
+fill a box of the grid.
 Each nonzero diagonal of the Hessian's ``(kd + 1, nfree)`` lower band holds
 the vertex pairs of one edge offset of the split, in the row that
 ``domain.band_rows`` gives it (``kd`` for ``(1, ..., 1)``: 1 in one dimension,
 128 at h = 1/128 on the unit box), as a shifted sum over the cells sharing
-those edges.  The band is factored in place with LAPACK's banded Cholesky,
-so at most one band is alive at a time.  That is ``dpbtrf`` and ``dpbtrs``
+those edges; what of that does not depend on the iterate is planned once per
+level (``_band_plan``).  The band is factored in place with LAPACK's banded
+Cholesky, so at most one band is alive at a time.  That is ``dpbtrf`` and ``dpbtrs``
 of the ILP64 scipy-openblas that numpy's wheels bundle and numpy has already
 loaded, called through ``ctypes`` (which releases the GIL); a numpy without
 it ends every solve with a ``failure``.
@@ -117,25 +120,25 @@ class SolveReport:
     failure: str = ""  # why a linear solve ended the Newton loop, if one did
 
 
-def _energy(integrand: EllipticIntegrand, mesh: Mesh, grads: np.ndarray) -> float:
-    """Discrete energy from the per-cell gradients."""
-    return mesh.split.measure * float(np.sum(integrand.eval_f(grads)))
+def _energy(integrand: EllipticIntegrand, mesh: Mesh, lifted: tuple) -> float:
+    """Discrete energy from the lifted per-cell gradients (``integrand.lift``)."""
+    return mesh.split.measure * float(np.sum(integrand.F(lifted)))
 
 
-def _gradient(integrand: EllipticIntegrand, mesh: Mesh, grads: np.ndarray) -> np.ndarray:
-    """Energy gradient at every vertex from the per-cell gradients."""
-    return mesh.scatter_flux(integrand.grad_f(grads))
+def _gradient(integrand: EllipticIntegrand, mesh: Mesh, lifted: tuple) -> np.ndarray:
+    """Energy gradient at every vertex from the lifted per-cell gradients."""
+    return mesh.scatter_flux(integrand.Df(lifted))
 
 
-def _hessian_band(mesh: Mesh, d2f: np.ndarray, free: tuple[slice, ...]) -> np.ndarray:
-    """Lower band ``(kd + 1, nfree)``, Fortran-ordered, of the free-free Hessian.
+def _band_plan(mesh: Mesh, free: tuple[slice, ...]) -> tuple:
+    """What ``_hessian_band`` needs of ``mesh`` and its free box ``free``, whatever the
+    iterate: ``coef``, the divisions, the free box's shape, ``kd`` and ``adds``.
 
-    ``free`` is the box of free vertices in the vertex grid, numbered row by
-    row.  The vertex pairs of each edge offset ``d`` of the split form one
-    band row, ``band_rows(split, free shape)[d]``, and the largest is ``kd``.
-    That diagonal is summed over the grid from ``|c| grad lambda_a . D^2 f .
-    grad lambda_b`` of every cell with vertex ``a`` at the lower-numbered end
-    and ``b`` at the other; entries whose neighbour is Dirichlet are zeroed.
+    ``coef[t, p]`` is the flattened ``|c| grad lambda_a (x) grad lambda_b`` of the
+    ``p``-th vertex pair ``(a, b)`` of a type-``t`` cell.  ``adds`` lists, per
+    ``(t, p)``, the band row of the pair's edge offset ``d``, the free-vertex slices
+    it adds to and the box slices it reads: the free vertices whose neighbour at ``d``
+    is free too and whose box has the pair's lower-numbered vertex there.
     """
     split = mesh.split
     ntypes, m, n = split.offsets.shape
@@ -143,27 +146,46 @@ def _hessian_band(mesh: Mesh, d2f: np.ndarray, free: tuple[slice, ...]) -> np.nd
     first, second = np.array(pairs).T
     coef = split.measure * np.einsum("tpk,tpl->tpkl", split.grad_lambda[:, first],
                                      split.grad_lambda[:, second])
-    coef = coef.reshape(ntypes, len(pairs), n * n)
-    # weights[t, p] = |c| grad lambda_a . D^2 f . grad lambda_b over the type-t cells
-    weights = coef @ d2f.reshape(-1, ntypes, n * n).transpose(1, 2, 0)
-    counts = tuple(d + 1 for d in mesh.divisions)
-    diagonals: dict[tuple[int, ...], np.ndarray] = {}
-    for offsets, type_weights in zip(split.offsets, weights):
-        for (a, b), w in zip(pairs, type_weights):
-            lo, hi = sorted((tuple(offsets[a]), tuple(offsets[b])))  # row by row: lo first
-            d = tuple(np.subtract(hi, lo))
-            if d not in diagonals:
-                diagonals[d] = np.zeros(counts)
-            diagonals[d][mesh.offset_slices(lo)] += w.reshape(mesh.divisions)
-
     shape = tuple(s.stop - s.start for s in free)
     rows = band_rows(split, shape)
-    band = np.zeros((max(rows.values()) + 1, math.prod(shape)), order="F")
+    adds = []
+    for t, offsets in enumerate(split.offsets):
+        for p, (a, b) in enumerate(pairs):
+            lo, hi = sorted((offsets[a].tolist(), offsets[b].tolist()))  # row by row: lo first
+            d = tuple(h - low for h, low in zip(hi, lo))
+            at, box = [], []
+            for dk, size, f, low, div in zip(d, shape, free, lo, mesh.divisions):
+                # free vertex i is grid vertex f.start + i, the corner-lo vertex of box
+                # f.start + i - low
+                start = max(0, -dk, low - f.start)
+                stop = max(start, min(size - max(0, dk), div + low - f.start))
+                at.append(slice(start, stop))
+                box.append(slice(start + f.start - low, stop + f.start - low))
+            adds.append((t, p, rows[d], tuple(at), tuple(box)))
+    return (coef.reshape(ntypes, len(pairs), n * n), mesh.divisions, shape, max(rows.values()),
+            adds)
+
+
+def _hessian_band(plan: tuple, d2f: np.ndarray) -> np.ndarray:
+    """Lower band ``(kd + 1, nfree)``, Fortran-ordered, of the free-free Hessian.
+
+    The free vertices fill a box of the vertex grid, numbered row by row.  The
+    vertex pairs of each edge offset ``d`` of the split form one band row,
+    ``band_rows(split, free shape)[d]``, and the largest is ``kd``.  That
+    diagonal is summed over the grid from ``|c| grad lambda_a . D^2 f . grad
+    lambda_b`` of every cell with vertex ``a`` at the lower-numbered end and
+    ``b`` at the other, cell type by cell type and pair by pair (``plan``);
+    entries whose neighbour is Dirichlet stay zero.
+    """
+    coef, divisions, shape, kd, adds = plan
+    ntypes, npairs, nn = coef.shape
+    # weights[t, p] = |c| grad lambda_a . D^2 f . grad lambda_b over the type-t cells
+    weights = coef @ d2f.reshape(-1, ntypes, nn).transpose(1, 2, 0)
+    weights = weights.reshape((ntypes, npairs) + divisions)
+    band = np.zeros((kd + 1, math.prod(shape)), order="F")
     by_vertex = band.T.reshape(shape + (-1,))  # a view: free vertex grid x band row
-    for d, diagonal in diagonals.items():
-        # the free vertices whose neighbour at offset d is free too
-        keep = tuple(slice(max(0, -dk), size - max(0, dk)) for dk, size in zip(d, shape))
-        by_vertex[keep + (rows[d],)] += diagonal[free][keep]
+    for t, p, row, at, box in adds:
+        by_vertex[at + (row,)] += weights[t, p][box]
     return band
 
 
@@ -278,12 +300,13 @@ def _newton(integrand: EllipticIntegrand, mesh: Mesh, dirichlet: np.ndarray, con
     """Newton on one mesh from ``start`` (zero if None), without the wall flux or level record."""
     is_dir = mesh.vertex_tags == Tag.DIRICHLET
     free_idx = np.flatnonzero(~is_dir)
-    free = _free_box(mesh, is_dir)
+    plan = _band_plan(mesh, _free_box(mesh, is_dir))  # once per level
 
     values = np.zeros(mesh.num_vertices) if start is None else start.copy()
     values[is_dir] = dirichlet[is_dir]
-    grads = mesh.cell_gradients(values)  # of the current iterate, one pass per iterate
-    e_cur = _energy(integrand, mesh, grads)
+    # the current iterate's lifted cell gradients, one lift per iterate
+    lifted = integrand.lift(mesh.cell_gradients(values))
+    e_cur = _energy(integrand, mesh, lifted)
     # an energy change this small is rounding: it cannot rank two trials
     e_floor = 16.0 * np.finfo(float).eps
     trace = [e_cur]
@@ -293,14 +316,15 @@ def _newton(integrand: EllipticIntegrand, mesh: Mesh, dirichlet: np.ndarray, con
     failure = ""
 
     for _ in range(config.max_iter):
-        res = _gradient(integrand, mesh, grads)[free_idx]
+        res = _gradient(integrand, mesh, lifted)[free_idx]
         res_norm = float(np.linalg.norm(res))
         if res_norm <= config.tol_residual * integrand.scale:  # the residual scales with it
             converged = True
             break
-        d2f = integrand.hess_f(grads)
+        d2f = integrand.D2f(lifted)
+        del lifted  # the line search lifts the next iterate: this one's lift is used up
         try:
-            step = _newton_step(_hessian_band(mesh, d2f, free), res)
+            step = _newton_step(_hessian_band(plan, d2f), res)
         except LinAlgError as exc:
             failure = (str(exc) if _lapack is None
                        else f"Newton Hessian is not numerically positive definite ({exc})")
@@ -312,6 +336,7 @@ def _newton(integrand: EllipticIntegrand, mesh: Mesh, dirichlet: np.ndarray, con
         full_step[free_idx] = step
         # H step from D^2 f and the step's gradients, independent of the band
         h_step = mesh.scatter_flux(np.einsum("cij,cj->ci", d2f, mesh.cell_gradients(full_step)))
+        del d2f  # so is D^2 f, which holds as much as a lift
         lin_res = np.linalg.norm(h_step[free_idx] + res) / max(res_norm, 1e-300)
         if lin_res > config.linear_solver_tol:
             failure = f"linear solve missed its tolerance ({lin_res:.3e})"
@@ -322,15 +347,15 @@ def _newton(integrand: EllipticIntegrand, mesh: Mesh, dirichlet: np.ndarray, con
         for _bt in range(60):
             trial = values.copy()
             trial[free_idx] += t * step
-            trial_grads = mesh.cell_gradients(trial)
-            e_trial = _energy(integrand, mesh, trial_grads)
+            trial_lifted = integrand.lift(mesh.cell_gradients(trial))
+            e_trial = _energy(integrand, mesh, trial_lifted)
             if e_trial <= e_cur + config.ls_decrease * t * slope:
                 accepted = True
                 break
             if abs(e_trial - e_cur) <= e_floor * abs(e_cur):
                 # energy stalled: accept on a sufficient decrease of the residual norm
                 res_trial = float(np.linalg.norm(
-                    _gradient(integrand, mesh, trial_grads)[free_idx]))
+                    _gradient(integrand, mesh, trial_lifted)[free_idx]))
                 if res_trial <= (1.0 - config.ls_decrease * t) * res_norm:
                     accepted = True
                     break
@@ -338,12 +363,12 @@ def _newton(integrand: EllipticIntegrand, mesh: Mesh, dirichlet: np.ndarray, con
         if not accepted and e_trial >= e_cur:
             # rounding floor: no step can lower the energy any further
             break
-        values, grads = trial, trial_grads
+        values, lifted = trial, trial_lifted
         e_cur = e_trial
         trace.append(e_cur)
         iterations += 1
     else:
-        res_norm = float(np.linalg.norm(_gradient(integrand, mesh, grads)[free_idx]))
+        res_norm = float(np.linalg.norm(_gradient(integrand, mesh, lifted)[free_idx]))
         converged = res_norm <= config.tol_residual * integrand.scale
 
     return values, SolveReport(iterations, res_norm, trace, converged=converged, failure=failure)

@@ -9,15 +9,14 @@ the package.  None of these may be used in a solver or geometry path.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import replace
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse as sps
-from scipy.sparse.linalg import spsolve
 
-from anisograph.domain import BoxSplit, Tag, _build
+from anisograph.domain import BoxSplit, Tag, _build, band_rows
 from anisograph.verify import BoxFunction, _pl_power_cellwise
 
 
@@ -229,8 +228,41 @@ def cell_gradients_gather(mesh, values: np.ndarray) -> np.ndarray:
     return np.einsum("cin,ci->cn", cell_hat_gradients(mesh), np.asarray(values, float)[mesh.cells])
 
 
-def assemble_hessian_coo(integrand, mesh, values: np.ndarray, free_pos: np.ndarray) -> sps.csc_matrix:
-    """Free-free Hessian of the discrete energy, built as COO and converted to CSC.
+def hessian_band_by_diagonals(mesh, d2f: np.ndarray, free: tuple[slice, ...]) -> np.ndarray:
+    """The lower band of the free-free Hessian, as ``solver._hessian_band`` gives it, summed
+    the way it was before the band had a plan: each edge offset's diagonal over the whole
+    vertex grid first, cell type by cell type and pair by pair, then copied into the band."""
+    split = mesh.split
+    ntypes, m, n = split.offsets.shape
+    pairs = list(itertools.combinations_with_replacement(range(m), 2))
+    first, second = np.array(pairs).T
+    coef = split.measure * np.einsum("tpk,tpl->tpkl", split.grad_lambda[:, first],
+                                     split.grad_lambda[:, second])
+    coef = coef.reshape(ntypes, len(pairs), n * n)
+    weights = coef @ d2f.reshape(-1, ntypes, n * n).transpose(1, 2, 0)
+    counts = tuple(d + 1 for d in mesh.divisions)
+    diagonals: dict[tuple[int, ...], np.ndarray] = {}
+    for offsets, type_weights in zip(split.offsets, weights):
+        for (a, b), w in zip(pairs, type_weights):
+            lo, hi = sorted((tuple(offsets[a]), tuple(offsets[b])))
+            d = tuple(np.subtract(hi, lo))
+            if d not in diagonals:
+                diagonals[d] = np.zeros(counts)
+            diagonals[d][mesh.offset_slices(lo)] += w.reshape(mesh.divisions)
+    shape = tuple(s.stop - s.start for s in free)
+    rows = band_rows(split, shape)
+    band = np.zeros((max(rows.values()) + 1, math.prod(shape)), order="F")
+    by_vertex = band.T.reshape(shape + (-1,))
+    for d, diagonal in diagonals.items():
+        keep = tuple(slice(max(0, -dk), size - max(0, dk)) for dk, size in zip(d, shape))
+        by_vertex[keep + (rows[d],)] += diagonal[free][keep]
+    return band
+
+
+def hessian_entries(integrand, mesh, values: np.ndarray,
+                    free_pos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every cell's free-free entries of the energy Hessian as (row, column, value) triples,
+    repeats unsummed (COO).
 
     ``free_pos`` maps each vertex to its free index, or -1 for a Dirichlet vertex.
     """
@@ -240,17 +272,24 @@ def assemble_hessian_coo(integrand, mesh, values: np.ndarray, free_pos: np.ndarr
     m = mesh.n + 1
     rows = free_pos[np.repeat(mesh.cells, m, axis=1).ravel()]
     cols = free_pos[np.tile(mesh.cells, (1, m)).ravel()]
-    vals = hc.reshape(-1)
     keep = (rows >= 0) & (cols >= 0)
+    return rows[keep], cols[keep], hc.reshape(-1)[keep]
+
+
+def dense_hessian(integrand, mesh, values: np.ndarray, free_pos: np.ndarray) -> np.ndarray:
+    """The free-free Hessian as a dense ``nfree x nfree`` array: the triples of
+    ``hessian_entries`` summed with ``np.add.at``."""
+    rows, cols, vals = hessian_entries(integrand, mesh, values, free_pos)
     nfree = int(free_pos.max()) + 1
-    mat = sps.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(nfree, nfree))
-    return mat.tocsc()
+    mat = np.zeros((nfree, nfree))
+    np.add.at(mat, (rows, cols), vals)
+    return mat
 
 
-def newton_step_superlu(integrand, mesh, values: np.ndarray, free_pos: np.ndarray,
-                        res: np.ndarray) -> np.ndarray:
-    """Newton step ``H step = -res`` on the free vertices, solved by SuperLU."""
-    return spsolve(assemble_hessian_coo(integrand, mesh, values, free_pos), -res)
+def newton_step_dense(integrand, mesh, values: np.ndarray, free_pos: np.ndarray,
+                      res: np.ndarray) -> np.ndarray:
+    """Newton step ``H step = -res`` on the free vertices, by a dense solve."""
+    return np.linalg.solve(dense_hessian(integrand, mesh, values, free_pos), -res)
 
 
 def raw_gradient_add_at(integrand, mesh, values: np.ndarray) -> np.ndarray:

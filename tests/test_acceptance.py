@@ -307,8 +307,8 @@ def test_criterion_11_determinism(tmp_path):
     assert run(src, tmp_path / "b") == 0
     same = all(
         (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-        for name in ("report.jsonl", "summary.csv", "solution.csv", "geometry.csv",
-                     "geometry_wall.csv")
+        for name in ("report.jsonl", "summary.csv", "solution.csv", "solve_report.json",
+                     "geometry.csv", "geometry_wall.csv")
     )
-    _verdict("11 determinism", same,
-             "report.jsonl/summary.csv/solution.csv/geometry.csv/geometry_wall.csv identical")
+    _verdict("11 determinism", same, "report.jsonl/summary.csv/solution.csv/solve_report.json/"
+             "geometry.csv/geometry_wall.csv identical")

@@ -183,6 +183,23 @@ def test_a_wrapped_probe_keeps_its_keys_and_runs(monkeypatch):
     assert result.reports[0].metadata["margin"] == 0.2
 
 
+def test_a_probe_wrapped_without_its_signature_keeps_its_keys_and_geometry(monkeypatch):
+    # the wrapper's own signature is (*a, **k): the probe's parameters were read at import
+    calls = []
+    probe = verify.check_first_variation
+
+    def wrapper(*a, **k):
+        calls.append(k)
+        return probe(*a, **k)
+
+    monkeypatch.setattr(verify, "check_first_variation", lambda *a, **k: wrapper(*a, **k))
+    sc = scenario_from_dict(minimal_scenario(checks=[{"name": "first_variation",
+                                                      "margin": 0.2}]))
+    result = run_scenario(sc)
+    assert calls == [{"margin": 0.2}]
+    assert result.geometry is not None and result.reports[0].metadata["margin"] == 0.2
+
+
 def sine_scenario_with(check, resolution=1 / 8):
     """``euclidean_freebdry_sine`` at a coarse resolution with one check."""
     raw = json.loads(bundled_scenario_path("euclidean_freebdry_sine").read_text())

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from anisograph import HalfDomain, Tag, build_mesh
-from anisograph.domain import _box_split
+from anisograph.domain import _FLUX_PATH, _box_split
 from reference import box_split_tables, cell_gradients_gather, cell_measures, refine
 
 
@@ -210,3 +210,18 @@ def test_grid_cell_means_equal_the_gathered_ones(domain, columns):
     mesh = build_mesh(domain)
     values = np.random.default_rng(3).normal(size=(mesh.num_vertices, *columns))
     assert np.array_equal(mesh.cell_means(values), values[mesh.cells].mean(axis=1))
+
+
+@pytest.mark.parametrize("domain", [
+    HalfDomain(1, depth=1.3, resolution=0.1),
+    HalfDomain(2, depth=1.0, width=0.5, resolution=1 / 32),
+], ids=["1d", "2d"])
+def test_scatter_flux_contracts_along_the_searched_path(domain):
+    mesh = build_mesh(domain)
+    split = mesh.split
+    q = np.random.default_rng(4).normal(size=(mesh.num_cells, mesh.n))
+    operands = ("ctk,tik->cti", q.reshape(-1, len(split.offsets), mesh.n),
+                split.measure * split.grad_lambda)
+    assert np.einsum_path(*operands, optimize=True)[0] == _FLUX_PATH
+    assert np.array_equal(mesh.scatter_flux(q),
+                          mesh.scatter(np.einsum(*operands, optimize=True)))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from anisograph import EllipticIntegrand, sphere_points
+from anisograph.integrand import _as_points
 from reference import bisect_flat_slope, fd_gradient, fd_hessian, normalize
 
 
@@ -356,10 +357,61 @@ def test_zero_vector_rejected():
     batch = np.random.default_rng(19).normal(size=(5, 3))
     batch[2] = 0.0
     for I in builtin_integrands():
-        for op in (I.eval_F, I.grad_F, I.hess_F):
+        for op in (I.eval_F, I.grad_F, I.hess_F, I.points):
             for z in (np.zeros(3), batch):
                 with pytest.raises(ValueError, match="zero vector"):
                     op(z)
+
+
+# -- shared lifts ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("magnitude", [1e-160, 1.0, 1e150])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_point_norms_are_the_linalg_norms_bit_for_bit(dim, magnitude):
+    z = magnitude * np.random.default_rng(dim).normal(size=(200_000, dim))
+    z = z[np.linalg.norm(z, axis=-1) > 0.0]  # tiny points whose squares all underflow
+    assert np.array_equal(_as_points(z, dim)[1], np.linalg.norm(z, axis=-1))
+    for point in z[:100]:  # numpy reduces a single point by another loop
+        assert np.array_equal(_as_points(point, dim)[1], np.linalg.norm(point, axis=-1))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_capillary_entries_are_the_batched_formulas_bit_for_bit(dim):
+    # entry by entry, the batched operations on whole points, in the same order
+    for I in (EllipticIntegrand.euclidean(dim), replace(EllipticIntegrand.capillary(1.1, dim),
+                                                        scale=1.7)):
+        z = np.random.default_rng(dim).normal(size=(300, dim))
+        z[0, :-1] = 0.0
+        norms = np.linalg.norm(z, axis=-1)
+        unit = z / norms[..., None]
+        grad = unit.copy()
+        grad[..., 0] -= I._tilt
+        hess = (np.eye(dim) - np.einsum("...i,...j->...ij", unit, unit)) / norms[..., None, None]
+        assert np.array_equal(I.grad_F(z), I.scale * grad)
+        assert np.array_equal(I.hess_F(z), hess * I.scale)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.7])
+@pytest.mark.parametrize("kind", range(4), ids=["euclidean", "capillary", "ellipsoid", "pnorm"])
+def test_shared_lift_kernels_are_the_public_methods_bit_for_bit(kind, scale):
+    for dim in (2, 3):
+        I = replace(builtin_integrands(dim)[kind], scale=scale)
+        y = 0.8 * np.random.default_rng(dim).normal(size=(200, dim - 1))
+        y[0] = 0.0
+        for ys in (y, y[3]):  # a batch and a single gradient
+            z = np.concatenate([-ys, np.ones(ys.shape[:-1] + (1,))], axis=-1)
+            lifted, points = I.lift(ys), I.points(z)
+            f, df, d2f = I.F(lifted), I.Df(lifted), I.D2f(lifted)
+            assert np.array_equal(lifted[0], z) and np.array_equal(lifted[1], points[1])
+            assert np.array_equal(f, I.eval_f(ys)) and np.array_equal(f, I.eval_F(z))
+            assert np.array_equal(df, I.grad_f(ys))
+            assert np.array_equal(df, -I.grad_F(z)[..., :-1])
+            assert np.array_equal(d2f, I.hess_f(ys))
+            assert np.array_equal(d2f, I.hess_F(z)[..., :-1, :-1])
+            assert np.array_equal(I.F(points), I.eval_F(z))
+            assert np.array_equal(I.DF(points), I.grad_F(z))
+            assert np.array_equal(I.D2F(points), I.hess_F(z))
 
 
 def _spd_matrix(seed, shift):

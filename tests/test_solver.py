@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sps
 from hypothesis import example, given, settings, strategies as st
 
 from anisograph import (
@@ -22,6 +21,7 @@ from anisograph.boundary_data import evaluate_data_spec
 from anisograph.cli import bundled_scenario_path, run_scenario, scenario_from_dict
 from anisograph.domain import _build
 from anisograph.solver import (
+    _band_plan,
     _energy,
     _free_box,
     _gradient,
@@ -30,8 +30,9 @@ from anisograph.solver import (
     _prolong,
 )
 from conftest import CURVED_DATA_SPEC
-from reference import (amse_residual, assemble_hessian_coo, bisect_flat_slope,
-                       newton_step_superlu, raw_gradient_add_at, refine, vertex_masses)
+from reference import (amse_residual, bisect_flat_slope, hessian_band_by_diagonals,
+                       hessian_entries, newton_step_dense, raw_gradient_add_at, refine,
+                       vertex_masses)
 
 
 def unit_mesh(resolution=1 / 16):
@@ -39,11 +40,11 @@ def unit_mesh(resolution=1 / 16):
 
 
 def energy(integrand, mesh, values):
-    return _energy(integrand, mesh, mesh.cell_gradients(values))
+    return _energy(integrand, mesh, integrand.lift(mesh.cell_gradients(values)))
 
 
 def gradient(integrand, mesh, values):
-    return _gradient(integrand, mesh, mesh.cell_gradients(values))
+    return _gradient(integrand, mesh, integrand.lift(mesh.cell_gradients(values)))
 
 
 # -- energy ---------------------------------------------------------------------
@@ -412,7 +413,8 @@ def random_newton_system(domain):
 
 def grid_band(integrand, mesh, values):
     d2f = integrand.hess_f(mesh.cell_gradients(values))
-    return _hessian_band(mesh, d2f, _free_box(mesh, mesh.vertex_tags == Tag.DIRICHLET))
+    free = _free_box(mesh, mesh.vertex_tags == Tag.DIRICHLET)
+    return _hessian_band(_band_plan(mesh, free), d2f)
 
 
 @GRID_DOMAINS
@@ -434,20 +436,35 @@ def test_fixed_pattern_hessian_matches_coo_assembly(domain):
     band = grid_band(integrand, mesh, values)
     kd, nfree = band.shape[0] - 1, int(free_pos.max()) + 1
     assert band.shape[1] == nfree and band.flags.f_contiguous
-    ref = assemble_hessian_coo(integrand, mesh, values, free_pos)
-    assert sps.tril(ref, -(kd + 1)).nnz == 0  # no entry lies outside the band
+    rows, cols, vals = hessian_entries(integrand, mesh, values, free_pos)
+    assert (rows - cols).max() <= kd  # no entry lies outside the band
+    # the COO triples summed by diagonal: ref[r, c] is entry (c + r, c), as in the band (a
+    # dense reference at 128 x 128 cells would take 2 GiB)
+    lower = rows >= cols
+    ref = np.zeros((kd + 1, nfree))
+    np.add.at(ref, (rows[lower] - cols[lower], cols[lower]), vals[lower])
     scale = np.abs(ref).max()
-    for r in range(kd + 1):  # band[r, c] holds entry (c + r, c)
-        assert np.abs(band[r, : nfree - r] - ref.diagonal(-r)).max() <= 1e-14 * scale
+    for r in range(kd + 1):
+        assert np.abs(band[r, : nfree - r] - ref[r, : nfree - r]).max() <= 1e-14 * scale
         assert not band[r, nfree - r:].any()
 
 
+@GRID_DOMAINS
+def test_planned_band_is_the_band_summed_by_diagonals(domain):
+    # the same sums in the same order, so the same bits
+    integrand, mesh, values, _ = random_newton_system(domain)
+    d2f = integrand.hess_f(mesh.cell_gradients(values))
+    free = _free_box(mesh, mesh.vertex_tags == Tag.DIRICHLET)
+    band = _hessian_band(_band_plan(mesh, free), d2f)
+    assert np.array_equal(band, hessian_band_by_diagonals(mesh, d2f, free))
+
+
 @pytest.mark.parametrize("domain", SMALL_DOMAINS, ids=SMALL_IDS)
-def test_banded_newton_step_matches_superlu(domain):
+def test_banded_newton_step_matches_dense_solve(domain):
     integrand, mesh, values, free_pos = random_newton_system(domain)
     res = gradient(integrand, mesh, values)[free_pos >= 0]
     got = _newton_step(grid_band(integrand, mesh, values), res)
-    ref = newton_step_superlu(integrand, mesh, values, free_pos, res)
+    ref = newton_step_dense(integrand, mesh, values, free_pos, res)
     assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
 

@@ -7,7 +7,7 @@ from anisograph import HalfDomain, Tag, build_mesh, domain
 from anisograph.cli import bundled_scenario_path, load_scenario
 from anisograph.domain import vertex_stencils
 from anisograph.geometry import _fit_vertex_quadratics
-from anisograph.solver import _free_box, _hessian_band
+from anisograph.solver import _band_plan, _free_box, _hessian_band
 from reference import fit_vertex_quadratics, two_ring_stencils
 
 # the two capillary scenarios share euclidean_freebdry_sine's domain
@@ -72,7 +72,8 @@ def test_band_limit_charges_the_newton_band(mesh, monkeypatch):
     # HalfDomain.divisions charges 8 (kd + 1) bytes per vertex, on its unrounded cell
     # counts: those of a unit-resolution box with the mesh's divisions are exact
     d2f = np.broadcast_to(np.eye(mesh.n), (mesh.num_cells, mesh.n, mesh.n))
-    band = _hessian_band(mesh, d2f, _free_box(mesh, mesh.vertex_tags == Tag.DIRICHLET))
+    plan = _band_plan(mesh, _free_box(mesh, mesh.vertex_tags == Tag.DIRICHLET))
+    band = _hessian_band(plan, d2f)
     box = HalfDomain(mesh.n, mesh.divisions[0], *(d / 2 for d in mesh.divisions[1:]),
                      resolution=1.0)
     monkeypatch.setattr(domain, "_MAX_BAND_BYTES", 8 * band.shape[0] * mesh.num_vertices)
