@@ -1,7 +1,7 @@
 """Named boundary-data functions evaluated from small JSON-able specs:
 
   affine        <a, x> + b
-  sine          amplitude * sin(kx x1 + phase) * cos(ky x2)
+  sine          amplitude * sin(kx x1 + phase) * cos(ky x2) ... cos(ky xn)
   bump          height * cos(pi d / (2 radius))^2 at a distance d < radius from center
   table         the value of the row [coords..., value] nearest to x
   sum           the sum of its terms
@@ -92,7 +92,9 @@ def evaluate_data_spec(spec: dict, points: np.ndarray) -> np.ndarray:
         return pts @ np.asarray(spec["a"]) + spec["b"]
     if kind == "sine":
         out = spec["amplitude"] * np.sin(spec["kx"] * pts[:, 0] + spec["phase"])
-        return out * np.cos(spec["ky"] * pts[:, 1]) if n == 2 else out
+        for k in range(1, n):  # every transverse axis
+            out = out * np.cos(spec["ky"] * pts[:, k])
+        return out
     if kind == "bump":
         d = np.linalg.norm(pts - np.asarray(spec["center"]), axis=1)
         out = np.zeros(pts.shape[0])

@@ -165,7 +165,7 @@ _KEYS = {
     "coef": _positive, "margin": _positive, "x0": _point, "radii": _RADII,
     "slope_tol": _positive, "r": _positive, "bank_size": partial(_real, low=1.0, integer=True),
     "x0_list": partial(_list, item=_point), "r_list": _RADII, "beta": partial(_real, low=0.0),
-    "sizes": _RADII, "slope": partial(_list, length=2), "bump_height": _real,
+    "sizes": _RADII, "slope": _point, "bump_height": _real,
     "bump_radius": _positive, "resolution": _positive, "tol_flat": partial(_real, low=0.0),
 }
 # probe parameters that ``_scenario_default`` fills if a check leaves them unset
@@ -219,7 +219,8 @@ def _liouville_domains(check: dict, params) -> None:
     if sorted(sizes) != list(sizes) or len(sizes) < 2:
         raise ValueError(f"'sizes' must be increasing, with at least two entries: {sizes}")
     for size in sizes:
-        dom = HalfDomain(2, depth=size, width=size, resolution=args["resolution"])
+        dom = HalfDomain(args["integrand"].dim - 1, depth=size, width=size,
+                         resolution=args["resolution"])
         dom.divisions()
     data = verify._liouville_data(args["slope"], dom.depth, args["bump_height"],
                                   args["bump_radius"])
@@ -228,10 +229,10 @@ def _liouville_domains(check: dict, params) -> None:
 
 def _scenario_default(param: str, sc: Scenario):
     """Default of a probe parameter that the scenario determines."""
-    if param == "slope":  # the integrand's wall-compatible flat profile
-        return [sc.integrand.flat_slope(), 0.0]
     dom = sc.domain
-    point = [0.25 * dom.depth, 0.0][: dom.n]
+    if param == "slope":  # the integrand's wall-compatible flat profile
+        return [sc.integrand.flat_slope()] + [0.0] * (dom.n - 1)
+    point = [0.25 * dom.depth] + [0.0] * (dom.n - 1)
     scale = min(dom.extents())
     radii = [f * scale for f in (0.15, 0.25, 0.35, 0.5)]
     return {"x0": point, "x0_list": [point, [0.0] * dom.n], "r": 0.5 * scale,

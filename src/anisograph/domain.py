@@ -1,8 +1,9 @@
 """Truncated half-space box domains and their structured simplicial meshes.
 
 The computational domain is the box ``{x : x_1 >= 0, |x_k| <= half[k]}``
-(``HalfDomain.half``): ``[0, depth] x [-width, width]``, or the interval
-``[0, depth]`` in one dimension, sitting inside the half space ``{x_1 > 0}``.
+(``HalfDomain.half``): ``[0, depth] x [-width, width]^(n - 1)`` for n = 1, 2
+or 3 (the interval ``[0, depth]`` for n = 1), sitting inside the half space
+``{x_1 > 0}``.
 The wall ``{x_1 = 0}`` carries the FREE tag and is left unconstrained by the
 solver; the remaining, artificial truncation boundary is DIRICHLET.  Meshes
 are structured: every box of a grid is cut into cells the same way, and that
@@ -44,7 +45,9 @@ class Tag(IntEnum):
 
 @dataclass(frozen=True)
 class HalfDomain:
-    """Box ``[0, depth] x [-width, width]`` (n = 2) or ``[0, depth]`` (n = 1)."""
+    """Box ``[0, depth] x [-width, width]^(n - 1)``, 1 <= n <= 3; ``width`` is unused for
+    n = 1.  The cap at 3 keeps the Sobolev exponent ``2n / (n - 1)`` of the functional
+    inequalities an integer, whose cell integrals are exact."""
 
     n: int
     depth: float
@@ -52,12 +55,12 @@ class HalfDomain:
     resolution: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.n not in (1, 2):
-            raise ValueError("graph dimension must be 1 or 2")
+        if not 1 <= self.n <= 3:
+            raise ValueError("graph dimension must be 1, 2 or 3")
         if not self.depth > 0.0:
             raise ValueError("depth must be positive")
-        if self.n == 2 and (self.width is None or not self.width > 0.0):
-            raise ValueError("a 2d domain needs a positive width")
+        if self.n > 1 and (self.width is None or not self.width > 0.0):
+            raise ValueError(f"a {self.n}d domain needs a positive width")
         if not self.resolution > 0.0:
             raise ValueError("resolution must be positive")
 
@@ -138,9 +141,10 @@ class Mesh:
     ``t = c % len(split.offsets)`` of box ``c // len(split.offsets)`` (boxes
     also row by row), with measure ``split.measure`` and hat gradients
     ``split.grad_lambda[t]``.  ``wall_facets`` holds the vertex ids of each
-    facet on the wall ``{x_1 = 0}`` (a vertex for n = 1, an edge for n = 2),
-    one ascending row per facet, in grid order along the wall; ``wall_cells``
-    is the cell that owns each.  The mesh answers no ball queries: a probe
+    facet on the wall ``{x_1 = 0}`` (a vertex, an edge or a triangle: the n
+    vertices of a cell on it), one ascending row per facet, wall box by wall
+    box in grid order and, within a box, by cell type; ``wall_cells`` is the
+    cell that owns each.  The mesh answers no ball queries: a probe
     compares one array of distances from its centre with each of its radii.
     """
 
@@ -262,12 +266,15 @@ def _build(domain: HalfDomain, divisions: tuple[int, ...]) -> Mesh:
     tags[(slice(1, -1),) * n] = Tag.INTERIOR
     tags[(0,) + (slice(1, -1),) * (n - 1)] = Tag.FREE  # its corners are truncation-dominated
     # the wall facets: the boxes at x_1 = 0 are the first prod(divisions[1:]), and in each
-    # the cell type with n vertices on x_1 = 0 owns one
+    # every cell type with n vertices on x_1 = 0 owns one ((n - 1)! types: the axis orders
+    # that step along x_1 last)
+    types = len(split.offsets)
     on_wall = split.offsets[:, :, 0] == 0
-    (t,) = np.flatnonzero(on_wall.sum(axis=1) == n)
-    owners = np.arange(math.prod(divisions[1:])) * len(split.offsets) + t
+    walled = np.flatnonzero(on_wall.sum(axis=1) == n)
+    owners = (np.arange(math.prod(divisions[1:]))[:, None] * types + walled).ravel()
+    facets = cells[owners][on_wall[owners % types]].reshape(-1, n)
     return Mesh(domain, divisions, max(spacing), verts, cells, tags.ravel(),
-                np.sort(cells[owners][:, on_wall[t]], axis=1), owners, split)
+                np.sort(facets, axis=1), owners, split)
 
 
 def vertex_stencils(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -17,12 +17,15 @@ Lagrangian Hessian ``D^2 f(Du)`` and ``G = I + Du Du^T``:
   residual, so anisotropic minimality means this trace vanishes.
 
 Everything is a pure function of (integrand, graph); results are immutable.
+The geometry takes the integrand divided by its ``scale``: a rescaled integrand
+has the same minimizers, so no field a check judges moves with it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations_with_replacement
+import math
+from dataclasses import dataclass, replace
+from itertools import combinations, combinations_with_replacement, permutations
 
 import numpy as np
 
@@ -45,7 +48,7 @@ class GraphGeometry:
     """All geometric fields of a solved graph, per cell / vertex / wall facet."""
 
     u: GraphFunction
-    integrand: EllipticIntegrand
+    integrand: EllipticIntegrand  # divided by its scale, as every field below is
 
     # per cell
     cell_gradient: np.ndarray      # Du
@@ -73,8 +76,9 @@ class GraphGeometry:
     wall_mu_F: np.ndarray
     wall_nuF_e1: np.ndarray      # <nu_F, e1>, the geometric wall condition
     wall_muF_e1: np.ndarray      # <mu_F, -e1>
-    wall_measure: np.ndarray     # boundary-curve measure of each wall facet
-    wall_hF_mu_tau: np.ndarray   # anisotropic shape form paired (tangent, mu)
+    wall_measure: np.ndarray     # measure of each wall facet lifted to the graph
+    wall_hF_mu_tau: np.ndarray   # (facets, n - 1): the shape form paired (tau_a, mu) over
+                                 # a g-orthonormal frame tau_a of the wall's tangents
 
     @property
     def mesh(self) -> Mesh:
@@ -126,6 +130,47 @@ def _fit_vertex_quadratics(mesh: Mesh, values: np.ndarray):
     return grad, hess, ok
 
 
+def _det(m: np.ndarray) -> np.ndarray:
+    """Determinants of a stack of k x k matrices by the Leibniz formula: the entry itself
+    for k = 1, and one for k = 0."""
+    k = m.shape[-1]
+    terms = []
+    for perm in permutations(range(k)):
+        term = math.prod((m[..., i, j] for i, j in enumerate(perm)), start=np.ones(m.shape[:-2]))
+        odd = sum(a > b for a, b in combinations(perm, 2)) % 2
+        terms.append(-term if odd else term)
+    return sum(terms[1:], terms[0])
+
+
+def _cramer(a: np.ndarray, b: np.ndarray, det: np.ndarray) -> np.ndarray:
+    """The solutions x of the stacked systems ``a x = b`` by Cramer's rule, ``det`` being
+    ``_det(a)``: exactly ``b / a`` for k = 1, which a LAPACK solve need not be."""
+    x = np.empty(b.shape)
+    for j in range(b.shape[-1]):
+        aj = a.copy()
+        aj[..., j] = b
+        x[..., j] = _det(aj) / det
+    return x
+
+
+def _wall_frame(slope: np.ndarray) -> list[np.ndarray]:
+    """A frame of the wall's tangents span(e_2, ..., e_n), one (facets, n) array per
+    tangent: Gram-Schmidt from e_2, ... in the metric g, which on these tangents is
+    ``v . w + (D_T u . v)(D_T u . w)`` for u's gradient ``slope`` = D_T u within the facet."""
+    def g(v, w):
+        return (np.einsum("fi,fi->f", v, w)
+                + np.einsum("fi,fi->f", slope, v) * np.einsum("fi,fi->f", slope, w))
+
+    frame = []
+    for k in range(slope.shape[1]):
+        v = np.zeros_like(slope)
+        v[:, k] = 1.0
+        for t in frame:
+            v = v - g(v, t)[:, None] * t
+        frame.append(v / np.sqrt(g(v, v))[:, None])
+    return [np.column_stack([np.zeros(len(slope)), t]) for t in frame]
+
+
 _COLLAR = 2.0  # the width of the collar along the truncation boundary, in mesh sizes
 
 
@@ -142,6 +187,7 @@ def compute_geometry(integrand: EllipticIntegrand, u: GraphFunction) -> GraphGeo
         raise ValueError("integrand ambient dimension must be mesh dimension + 1")
     if any(d < 3 for d in mesh.divisions):
         raise ValueError("geometry needs at least two interior vertex layers per axis")
+    integrand = replace(integrand, scale=1.0)
 
     du = u.cell_gradients()
     w = np.sqrt(1.0 + np.einsum("ci,ci->c", du, du))
@@ -191,24 +237,25 @@ def compute_geometry(integrand: EllipticIntegrand, u: GraphFunction) -> GraphGeo
     nuf_mu = np.einsum("fi,fi->f", nuf_w, mu)
     mu_f = nuf_nu[:, None] * mu - nuf_mu[:, None] * nu_w
 
-    if mesh.n == 2:  # the wall curve: its measure, and the shape form on (tangent, mu)
-        xa, xb = mesh.vertices[fa, 1].T
-        ua, ub = u.values[fa].T
-        dx2 = xb - xa
-        if np.any(np.abs(dx2) < 1e-14):
-            raise ValueError("degenerate wall facet of zero length")
-        slope = (ub - ua) / dx2
-        wall_measure = np.abs(dx2) * np.sqrt(1.0 + slope * slope)
-        m_f = 0.5 * (hess_v[fa[:, 0]] + hess_v[fa[:, 1]])
-        du_w = du[wall_cells]
-        g_w = np.eye(2)[None, :, :] + np.einsum("fi,fj->fij", du_w, du_w)
-        form = np.einsum("fij,fjk,fkl->fil", m_f, hess_f[wall_cells], g_w)
-        tau = np.stack([np.zeros(len(wall_cells)), 1.0 / np.sqrt(1.0 + slope * slope)], axis=1)
-        hf_mu_tau = np.einsum("fi,fij,fj->f", tau, form, mu[:, :2])
-        hf_mu_tau[~ok[fa].all(axis=1)] = np.nan
-    else:
-        wall_measure = np.ones(len(wall_cells))
-        hf_mu_tau = np.zeros(len(wall_cells))
+    # the lifted wall facets: each facet's edges from its first vertex along x_2 ... x_n, and
+    # u's rise along them, give its measure and the gradient D_T u of u within it
+    x_w, u_w = mesh.vertices[fa][:, :, 1:], u.values[fa]
+    edges = x_w[:, 1:] - x_w[:, :1]
+    det = _det(edges)
+    if np.any(np.abs(det) < 1e-14):
+        raise ValueError("degenerate wall facet of zero measure")
+    slope = _cramer(edges, u_w[:, 1:] - u_w[:, :1], det)
+    wall_measure = (np.abs(det) / math.factorial(mesh.n - 1)
+                    * np.sqrt(1.0 + np.einsum("fi,fi->f", slope, slope)))
+    # the shape form on (tangent, mu), for each tangent of a g-orthonormal wall frame
+    m_f = hess_v[fa].mean(axis=1)
+    du_w = du[wall_cells]
+    g_w = np.eye(mesh.n)[None, :, :] + np.einsum("fi,fj->fij", du_w, du_w)
+    form = np.einsum("fij,fjk,fkl->fil", m_f, hess_f[wall_cells], g_w)
+    hf_mu_tau = np.empty((len(fa), mesh.n - 1))
+    for a, tau in enumerate(_wall_frame(slope)):
+        hf_mu_tau[:, a] = np.einsum("fi,fij,fj->f", tau, form, mu[:, :mesh.n])
+    hf_mu_tau[~ok[fa].all(axis=1)] = np.nan
 
     return GraphGeometry(
         u=u,

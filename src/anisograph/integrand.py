@@ -108,7 +108,8 @@ def sphere_points(dim: int, count: int) -> np.ndarray:
 
 def _as_points(z: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """``z`` as float points of any leading shape (last axis ``dim``) and their norms;
-    the zero vector is rejected."""
+    the zero vector is rejected.  A nonzero point whose squares all underflow is normed
+    after dividing it by its largest entry."""
     pts = np.asarray(z, dtype=float)
     if pts.shape[-1] != dim:
         raise ValueError(f"expected last axis {dim}, got shape {pts.shape}")
@@ -118,8 +119,13 @@ def _as_points(z: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
     for k in range(1, dim):
         sq += pts[..., k] * pts[..., k]
     norms = np.sqrt(sq)
-    if np.any(norms == 0.0):
-        raise ValueError("integrand is undefined at the zero vector")
+    if np.any(norms == 0.0):  # the zero vector, or squares that all underflow
+        norms = np.array(norms)  # writable, 0-d for one point
+        zero = norms == 0.0
+        big = np.abs(pts[zero]).max(axis=-1)
+        if np.any(big == 0.0):
+            raise ValueError("integrand is undefined at the zero vector")
+        norms[zero] = big * np.sqrt(np.sum((pts[zero] / big[:, None]) ** 2, axis=-1))
     return pts, norms
 
 

@@ -409,6 +409,8 @@ def solve(
             _malloc_trim(0)
 
     solution = GraphFunction(mesh, values)
-    report.free_bc_residual = float(np.abs(wall_flux_residuals(integrand, solution)).max())
+    # divided by the scale, as the Newton stop is relative to it
+    report.free_bc_residual = (float(np.abs(wall_flux_residuals(integrand, solution)).max())
+                               / integrand.scale)
     report.level_iterations = record
     return solution, report

@@ -188,13 +188,15 @@ def check_interior_minimality(geom: GraphGeometry,
 def check_wall_principal_direction(
     geom: GraphGeometry, coef: float = DEFAULTS.wall_principal_coef
 ) -> CheckReport:
-    """Wall co-normal as an anisotropic principal direction (2d graphs only)."""
-    if geom.mesh.n != 2:
-        return _report("wall_principal_direction", 0.0, None, skipped="needs n=2")
+    """Wall co-normal as an anisotropic principal direction: the shape form pairs mu with
+    every wall tangent to zero.  The residual is the worst pairing over the wall frame; a
+    1d graph has no wall tangent."""
+    if geom.wall_hF_mu_tau.shape[1] == 0:
+        return _report("wall_principal_direction", 0.0, None, skipped="no wall tangent (n=1)")
     in_collar = geom.collar[geom.mesh.wall_facets].any(axis=1)
-    vals = geom.wall_hF_mu_tau[~in_collar]
+    vals = np.abs(geom.wall_hF_mu_tau[~in_collar]).max(axis=1)
     vals = vals[np.isfinite(vals)]
-    residual = float(np.abs(vals).max()) if vals.size else 0.0
+    residual = float(vals.max()) if vals.size else 0.0
     return _report(
         "wall_principal_direction", residual, coef * geom.mesh.h, h=geom.mesh.h
     )
@@ -289,12 +291,15 @@ def check_first_variation(
                  for k, (_, slope, sign) in enumerate(factors)]
         return math.prod(ramps), grads
 
-    # quadrature points per cell: the edge midpoints, degree 2 on triangles; in 1d both are
-    # the cell midpoint, degree 1.  They lie on the grid lines and half-lines, where each
-    # axis's factors are evaluated once: along each axis, point j of the type-t cell of
-    # box b is at doubled grid index 2 b + edge[t, j]
-    offsets = mesh.split.offsets
-    edge = offsets + np.roll(offsets, -1, axis=1)
+    # quadrature points per cell: the midpoints of its edges (i, i + g mod n + 1), by gap g
+    # and then i, each edge once; degree 2 on triangles, 1 on intervals and tetrahedra.
+    # They lie on the grid lines and half-lines, where each axis's factors are evaluated
+    # once: along each axis, point j of the type-t cell of box b is at doubled grid index
+    # 2 b + edge[t, j]
+    offsets, m = mesh.split.offsets, mesh.n + 1
+    ends = np.array(list(dict.fromkeys(tuple(sorted((i, (i + g) % m)))
+                                       for g in range(1, m) for i in range(m))))
+    edge = offsets[:, ends[:, 0]] + offsets[:, ends[:, 1]]
     nq = edge.shape[1]
     factors = []
     for k, x in enumerate(mesh.grid_lines()):
@@ -463,7 +468,8 @@ def liouville_probe(
 ) -> CheckReport:
     """Flatness under domain growth with a fixed far-boundary perturbation.
 
-    For each size R, solves on [0, R] x [-R, R] with Dirichlet data equal to
+    For each size R, solves on [0, R] x [-R, R]^(n - 1) (n = ``integrand.dim - 1``,
+    ``slope``'s length) with Dirichlet data equal to
     a flat profile (wall-compatible affine) plus a compactly supported bump
     on the far boundary, and measures the max deviation of the solution from
     its best-fit affine over the inner quarter box.  Passes when the
@@ -476,11 +482,12 @@ def liouville_probe(
         raise ValueError("domain sizes must be increasing, with at least two entries")
     if tol_flat is None:
         tol_flat = 0.05 * abs(bump_height)
-    a = np.zeros(2) if slope is None else np.asarray(slope, dtype=float)
+    n = integrand.dim - 1
+    a = np.zeros(n) if slope is None else np.asarray(slope, dtype=float)
     deviations = []
     observed_beta = 0.0
     for r_size in sizes:
-        dom = HalfDomain(2, depth=r_size, width=r_size, resolution=resolution)
+        dom = HalfDomain(n, depth=r_size, width=r_size, resolution=resolution)
         mesh = build_mesh(dom)
         data = evaluate_data_spec(_liouville_data(a.tolist(), r_size, bump_height, bump_radius),
                                   mesh.vertices)
@@ -510,10 +517,11 @@ def liouville_probe(
 
 def _liouville_data(slope: list, r_size: float, bump_height: float, bump_radius: float) -> dict:
     """``liouville_probe``'s Dirichlet data on its size-``r_size`` box: the affine ``slope``
-    plus a bump on the far boundary."""
+    (one entry per axis) plus a bump at the centre of the far boundary."""
     return {"type": "sum", "terms": [
         {"type": "affine", "a": slope, "b": 0.0},
-        {"type": "bump", "center": [r_size, 0.0], "radius": bump_radius, "height": bump_height},
+        {"type": "bump", "center": [r_size] + [0.0] * (len(slope) - 1), "radius": bump_radius,
+         "height": bump_height},
     ]}
 
 
@@ -703,9 +711,11 @@ def functional_inequality_diagnostics(geom: GraphGeometry, seed: int = 0,
         if int_grad_sq > 1e-14:
             phi2_W = _pl_power_cellwise(vals, split.measure, 2) * cell_W
             stab_max = max(stab_max, float((phi2_W * h_cell[sel]).sum()) / int_grad_sq)
-            if mesh.n == 2:
+            if mesh.n > 1:  # the Sobolev exponent p = 2n / (n - 1) is infinite for n = 1
                 phi_sq = float(phi2_W.sum())
-                lhs = math.sqrt(float((_pl_power_cellwise(vals, split.measure, 4) * cell_W).sum()))
+                p = 2 * mesh.n // (mesh.n - 1)
+                int_p = float((_pl_power_cellwise(vals, split.measure, p) * cell_W).sum())
+                lhs = math.sqrt(int_p) ** (4 / p)  # (int phi^p W)^(2/p); p = 4: a square root
                 for frac in _SOBOLEV_FRACTIONS:
                     r = frac * scale
                     rhs = phi_sq / r + r * int_grad_sq

@@ -17,6 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from anisograph.domain import BoxSplit, Tag, _build, band_rows
+from anisograph.geometry import _fit_vertex_quadratics
 from anisograph.verify import BoxFunction, _pl_power_cellwise
 
 
@@ -353,6 +354,27 @@ def write_geometry_csv(path, wall_path, result) -> None:
             )
 
 
+def wall_curve_fields(geom) -> tuple[np.ndarray, np.ndarray]:
+    """The 2d wall curve's measure ``|dx2| sqrt(1 + slope^2)`` per wall facet, and the shape
+    form paired with its unit tangent ``(0, 1) / sqrt(1 + slope^2)`` and mu."""
+    mesh, u = geom.mesh, geom.u
+    fa, wall_cells = mesh.wall_facets, mesh.wall_cells
+    xa, xb = mesh.vertices[fa, 1].T
+    ua, ub = u.values[fa].T
+    dx2 = xb - xa
+    slope = (ub - ua) / dx2
+    measure = np.abs(dx2) * np.sqrt(1.0 + slope * slope)
+    _, hess_v, ok = _fit_vertex_quadratics(mesh, u.values)
+    m_f = 0.5 * (hess_v[fa[:, 0]] + hess_v[fa[:, 1]])
+    du_w = geom.cell_gradient[wall_cells]
+    g_w = np.eye(2)[None, :, :] + np.einsum("fi,fj->fij", du_w, du_w)
+    form = np.einsum("fij,fjk,fkl->fil", m_f, geom.cell_hess_f[wall_cells], g_w)
+    tau = np.stack([np.zeros(len(wall_cells)), 1.0 / np.sqrt(1.0 + slope * slope)], axis=1)
+    hf_mu_tau = np.einsum("fi,fij,fj->f", tau, form, geom.wall_mu[:, :2])
+    hf_mu_tau[~ok[fa].all(axis=1)] = np.nan
+    return measure, hf_mu_tau
+
+
 def full_grid_function_bank(mesh, seed: int, size: int) -> list[np.ndarray]:
     """``verify.test_function_bank`` with every function evaluated at every vertex."""
     rng = np.random.default_rng(seed)
@@ -365,20 +387,18 @@ def full_grid_function_bank(mesh, seed: int, size: int) -> list[np.ndarray]:
         lo_r = 2.0 * mesh.h
         hi_r = max(0.25 * min(dom.extents()), 3.0 * mesh.h)
         rho = float(rng.uniform(lo_r, hi_r))
-        c1 = float(rng.uniform(0.0, max(dom.depth - rho - margin, 1e-9)))
-        if mesh.n == 2:
+        center = [float(rng.uniform(0.0, max(dom.depth - rho - margin, 1e-9)))]
+        for _ in range(1, mesh.n):
             half = max(dom.width - rho - margin, 1e-9)
-            c2 = float(rng.uniform(-half, half))
-            center = np.array([c1, c2])
-        else:
-            center = np.array([c1])
+            center.append(float(rng.uniform(-half, half)))
+        center = np.array(center)
         if rng.random() < 0.5:
             d = np.linalg.norm(mesh.vertices - center, axis=1)
             phi = np.where(d < rho, np.cos(0.5 * np.pi * np.minimum(d / rho, 1.0)) ** 2, 0.0)
         else:
             phi = np.maximum(0.0, 1.0 - np.abs(mesh.vertices[:, 0] - center[0]) / rho)
-            if mesh.n == 2:
-                phi = phi * np.maximum(0.0, 1.0 - np.abs(mesh.vertices[:, 1] - center[1]) / rho)
+            for k in range(1, mesh.n):
+                phi = phi * np.maximum(0.0, 1.0 - np.abs(mesh.vertices[:, k] - center[k]) / rho)
         phi[mesh.vertex_tags == Tag.DIRICHLET] = 0.0
         if phi.max() > 1e-9:
             funcs.append(phi)
@@ -410,21 +430,17 @@ def functional_inequality_ratios(geom, bank, radius_fractions=(0.25, 0.5, 1.0)) 
         grad_sq = np.maximum(grad_sq, 0.0)
         int_grad = float((area * np.sqrt(grad_sq)).sum())
         int_grad_sq = float((area * grad_sq).sum())
-        if mesh.n == 2:
-            bdry = float(
-                (geom.wall_measure * 0.5 * (phi[wall_b[:, 0]] + phi[wall_b[:, 1]])).sum()
-            )
-        else:
-            bdry = float(phi[wall_b[:, 0]].sum())
+        # phi's mean over each wall facet's vertices, times its lifted measure
+        bdry = float((geom.wall_measure * phi[wall_b].sum(axis=1) / mesh.n).sum())
         if int_grad > 1e-14:
             trace_max = max(trace_max, bdry / int_grad)
         phi_sq = integrate_pl_power(mesh, phi, 2, cell_weight=geom.cell_W)
         if int_grad_sq > 1e-14:
             num = integrate_pl_power(mesh, phi, 2, cell_weight=geom.cell_W * h_cell)
             stab_max = max(stab_max, num / int_grad_sq)
-            if mesh.n == 2:
-                phi_4 = integrate_pl_power(mesh, phi, 4, cell_weight=geom.cell_W)
-                lhs = math.sqrt(phi_4)
+            if mesh.n > 1:  # (int phi^p W)^(2/p) for the Sobolev exponent p = 2n / (n - 1)
+                p = 2 * mesh.n // (mesh.n - 1)
+                lhs = integrate_pl_power(mesh, phi, p, cell_weight=geom.cell_W) ** (2 / p)
                 for frac in radius_fractions:
                     r = frac * scale
                     rhs = phi_sq / r + r * int_grad_sq
@@ -454,7 +470,14 @@ def first_variation_per_field(geom, margin: Optional[float] = None) -> list[floa
         return np.prod(ramps, axis=1), slopes * np.stack(others, axis=1) * np.sign(x)
 
     cell_verts = mesh.vertices[mesh.cells]
-    qpts = 0.5 * (cell_verts + np.roll(cell_verts, -1, axis=1))
+    # every edge once, by gap g and then its first vertex i: (i, i + g mod n + 1)
+    m, edges = mesh.n + 1, []
+    for g in range(1, m):
+        for i in range(m):
+            edge = sorted((i, (i + g) % m))
+            if edge not in edges:
+                edges.append(edge)
+    qpts = np.stack([0.5 * (cell_verts[:, i] + cell_verts[:, j]) for i, j in edges], axis=1)
     nq = qpts.shape[1]
     area = geom.graph_measure()
     hf_cell = np.nan_to_num(geom.mean_curvature_aniso, nan=0.0)[mesh.cells].mean(axis=1)

@@ -91,6 +91,15 @@ def test_data_spec_errors():
         evaluate_data_spec({"type": "bump", "radius": -1.0}, pts)
 
 
+def test_data_spec_sine_takes_every_transverse_axis():
+    pts = np.random.default_rng(5).uniform(-1.0, 1.0, size=(20, 3))
+    spec = {"type": "sine", "amplitude": 0.3, "kx": 2.0, "ky": 1.5, "phase": 0.4}
+    expect = (0.3 * np.sin(2.0 * pts[:, 0] + 0.4) * np.cos(1.5 * pts[:, 1])
+              * np.cos(1.5 * pts[:, 2]))
+    assert np.array_equal(evaluate_data_spec(spec, pts), expect)
+    assert np.array_equal(evaluate_data_spec(spec, pts[:, :1]), 0.3 * np.sin(2.0 * pts[:, 0] + 0.4))
+
+
 # -- scenario parsing ------------------------------------------------------------
 
 
@@ -124,6 +133,62 @@ def test_scenario_rejects_non_spd_matrix():
         scenario_from_dict(minimal_scenario(
             integrand={"kind": "ellipsoid", "dim": 3,
                        "matrix": [[1, 2, 0], [2, 1, 0], [0, 0, 1]]}))
+
+
+# the n = 3 flat-profile scenario of CI's console-script step; its checks take their defaults
+THREE_D_FLAT = {
+    "name": "capillary_flat_3d",
+    "integrand": {"kind": "capillary", "theta": 1.0471975511965976, "dim": 4},
+    "domain": {"n": 3, "depth": 1.0, "width": 0.5, "resolution": 0.125},
+    "dirichlet": {"type": "flat_profile"},
+    "solver": {"tol_residual": 1e-12},
+    "checks": [name for name in cli._CHECKS if name != "liouville"],
+}
+
+
+def test_3d_flat_profile_is_reproduced_and_every_check_runs():
+    sc = scenario_from_dict({**THREE_D_FLAT, "domain": {**THREE_D_FLAT["domain"],
+                                                         "resolution": 1 / 16}})
+    result = run_scenario(sc)
+    mesh = result.solution.mesh
+    assert mesh.divisions == (16, 16, 16)
+    flat = sc.integrand.flat_slope() * mesh.vertices[:, 0]
+    assert np.abs(result.solution.values - flat).max() <= 1e-10
+    assert result.exit_code == 0
+    reports = {rep.check_name: rep for rep in result.reports}
+    assert len(reports) == len(cli._CHECKS) - 1
+    assert reports["wall_condition"].worst_residual <= 1e-10  # the wall angle
+    assert reports["wall_principal_direction"].status == "pass"
+    assert reports["functional_inequalities"].metadata["sobolev_ratio_max"] > 0.0
+    assert reports["gradient_estimate"].metadata["n_records"] > 0
+
+
+def test_3d_verify_console_run_exits_0(tmp_path):
+    path = write_scenario(tmp_path, THREE_D_FLAT)
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
+def test_3d_defaults_and_point_lengths():
+    sc = scenario_from_dict({**THREE_D_FLAT,
+                             "checks": ["mean_value", {"name": "liouville", "sizes": [1.0, 2.0]}]})
+    mean_value, liouville = sc.checks
+    assert mean_value["x0"] == [0.25, 0.0, 0.0]
+    assert liouville["slope"] == [sc.integrand.flat_slope(), 0.0, 0.0]
+    for check, key in (({"name": "liouville", "sizes": [1.0, 2.0], "slope": [0.5, 0.0]}, "slope"),
+                       ({"name": "mean_value", "x0": [0.4, 0.0]}, "x0")):
+        with pytest.raises(ConfigError, match=key):
+            scenario_from_dict({**THREE_D_FLAT, "checks": [check]})
+    # the Liouville domains are 3d too: the default sizes would need a 4 GiB band
+    with pytest.raises(ConfigError, match="check 'liouville': .* GiB Newton band"):
+        scenario_from_dict({**THREE_D_FLAT, "checks": ["liouville"]})
+    rep = run_scenario(sc).reports[1]
+    assert rep.status == "pass" and rep.metadata["monotone"]
+
+
+def test_3d_pnorm_is_a_config_error():
+    # sphere sampling covers R^2 and R^3 only, so a pnorm in R^4 has no sampled bounds
+    with pytest.raises(ConfigError, match="sphere sampling"):
+        scenario_from_dict({**THREE_D_FLAT, "integrand": {"kind": "pnorm", "dim": 4}})
 
 
 BUNDLED = ["capillary_flat", "capillary_theta_sweep", "euclidean_freebdry_sine", "liouville_bump"]

@@ -29,6 +29,15 @@ def test_2d_counting_example():
     assert mesh.num_cells == 16
 
 
+def test_3d_counting_example():
+    mesh = build_mesh(HalfDomain(3, depth=1.0, width=0.5, resolution=0.25))
+    assert mesh.divisions == (4, 4, 4)
+    assert mesh.num_vertices == 125
+    assert mesh.num_cells == 6 * 64  # the Kuhn split cuts a cube into 3! tetrahedra
+    assert len(mesh.wall_facets) == 2 * 16  # two triangles per wall square
+    assert np.count_nonzero(mesh.vertex_tags == Tag.FREE) == 9
+
+
 def test_refine_quadruples_cells_and_nests_vertices():
     mesh = unit_square_mesh(0.25)
     fine = refine(mesh)
@@ -46,9 +55,10 @@ def test_refine_inherits_wall_tags():
 
 def test_cell_measures_cover_domain_exactly():
     for dom in (HalfDomain(1, depth=1.3, resolution=0.1),
-                HalfDomain(2, depth=1.7, width=0.4, resolution=0.05)):
+                HalfDomain(2, depth=1.7, width=0.4, resolution=0.05),
+                HalfDomain(3, depth=1.1, width=0.3, resolution=0.1)):
         mesh = build_mesh(dom)
-        expect = dom.depth * (2.0 * dom.width if dom.n == 2 else 1.0)
+        expect = math.prod(dom.extents())
         assert cell_measures(mesh).sum() == pytest.approx(expect, abs=1e-12)
 
 
@@ -65,7 +75,8 @@ def test_wall_vertices_never_interior():
     HalfDomain(1, depth=1.0, resolution=1 / 7),
     HalfDomain(2, depth=1.0, width=0.875, resolution=1 / 4),  # 4 x 7 cells
     HalfDomain(2, depth=1.0, width=0.6, resolution=1 / 4),  # dx != dy
-], ids=["1d_nx7", "2d_4x7", "2d_dx_ne_dy"])
+    HalfDomain(3, depth=1.0, width=0.375, resolution=1 / 4),  # 4 x 3 x 3 cells
+], ids=["1d_nx7", "2d_4x7", "2d_dx_ne_dy", "3d_4x3x3"])
 def test_boundary_facets_partition_topological_boundary(domain):
     """The wall facets are exactly the topological boundary facets on x_1 = 0."""
     mesh = build_mesh(domain)
@@ -83,11 +94,18 @@ def test_boundary_facets_partition_topological_boundary(domain):
     # each facet knows its unique incident cell
     for facet, cell_id in zip(mesh.wall_facets, mesh.wall_cells):
         assert set(facet) <= set(mesh.cells[cell_id])
+    # box-major: each wall box owns (n - 1)! facets, one per cell type with n vertices
+    # on the wall, in type order
+    types = len(mesh.split.offsets)
+    walled = math.factorial(mesh.n - 1)
+    boxes = np.arange(math.prod(mesh.divisions[1:]))
+    assert np.array_equal(mesh.wall_cells // types, np.repeat(boxes, walled))
+    assert np.all(np.diff(mesh.wall_cells.reshape(-1, walled) % types, axis=1) > 0)
     # facet j joins grid vertices (0, j) and (0, j + 1) and is owned by the upper
     # triangle of box (0, j); in 1d it is vertex 0 of cell 0
     if mesh.n == 1:
         assert mesh.wall_facets.tolist() == [[0]] and mesh.wall_cells.tolist() == [0]
-    else:
+    elif mesh.n == 2:
         j = np.arange(mesh.divisions[1])
         assert np.array_equal(mesh.wall_facets, np.stack([j, j + 1], axis=1))
         assert np.array_equal(mesh.wall_cells, 2 * j + 1)
@@ -116,10 +134,12 @@ def test_too_coarse_resolution_rejected():
 
 
 def test_domain_validation():
-    with pytest.raises(ValueError):
-        HalfDomain(3, depth=1.0, width=1.0, resolution=0.1)
-    with pytest.raises(ValueError):
-        HalfDomain(2, depth=1.0, resolution=0.1)  # missing width
+    for n in (0, 4):  # n = 3 is the largest whose Sobolev exponent 2n / (n - 1) is an integer
+        with pytest.raises(ValueError, match="graph dimension"):
+            HalfDomain(n, depth=1.0, width=1.0, resolution=0.1)
+    for n in (2, 3):
+        with pytest.raises(ValueError, match="width"):
+            HalfDomain(n, depth=1.0, resolution=0.1)  # missing width
     with pytest.raises(ValueError):
         HalfDomain(1, depth=-1.0, resolution=0.1)
 
@@ -128,7 +148,8 @@ def test_domain_validation():
     HalfDomain(1, depth=1.3, resolution=0.1),
     HalfDomain(2, depth=1.0, width=0.875, resolution=1 / 4),
     HalfDomain(2, depth=1.3, width=0.53, resolution=1 / 20),  # 26 x 21, dx != dy
-], ids=["1d", "2d", "2d_dx_ne_dy"])
+    HalfDomain(3, depth=1.0, width=0.35, resolution=1 / 10),  # 10 x 7 x 7
+], ids=["1d", "2d", "2d_dx_ne_dy", "3d"])
 def test_box_split_describes_every_cell(domain):
     mesh = build_mesh(domain)
     split = mesh.split
@@ -192,7 +213,8 @@ def test_mesh_vertex_count_must_fill_the_grid():
     HalfDomain(1, depth=1.3, resolution=0.1),
     HalfDomain(2, depth=1.0, width=0.5, resolution=1 / 32),
     HalfDomain(2, depth=1.3, width=0.53, resolution=1 / 20),  # 26 x 21, dx != dy
-], ids=["1d", "2d", "2d_dx_ne_dy"])
+    HalfDomain(3, depth=1.0, width=0.35, resolution=1 / 10),  # 10 x 7 x 7
+], ids=["1d", "2d", "2d_dx_ne_dy", "3d"])
 def test_grid_cell_gradients_equal_the_gathered_ones(domain):
     # two nonzero hats per component: any summation order gives the same sum
     mesh = build_mesh(domain)
@@ -204,7 +226,8 @@ def test_grid_cell_gradients_equal_the_gathered_ones(domain):
     HalfDomain(1, depth=1.3, resolution=0.1),
     HalfDomain(2, depth=1.0, width=0.5, resolution=1 / 32),
     HalfDomain(2, depth=1.3, width=0.53, resolution=1 / 20),  # 26 x 21, dx != dy
-], ids=["1d", "2d", "2d_dx_ne_dy"])
+    HalfDomain(3, depth=1.0, width=0.35, resolution=1 / 10),  # 10 x 7 x 7
+], ids=["1d", "2d", "2d_dx_ne_dy", "3d"])
 @pytest.mark.parametrize("columns", [(), (3,)], ids=["scalar", "rows"])
 def test_grid_cell_means_equal_the_gathered_ones(domain, columns):
     mesh = build_mesh(domain)

@@ -12,10 +12,10 @@ from anisograph import (
     compute_geometry,
     surface_gradient,
 )
-from anisograph.geometry import _fit_vertex_quadratics
+from anisograph.geometry import _cramer, _det, _fit_vertex_quadratics, _wall_frame
 from anisograph.verify import _hat_forms
 
-from reference import integrate_pl_power, wall_nubar
+from reference import integrate_pl_power, wall_curve_fields, wall_nubar
 
 
 def unit_mesh(resolution=1 / 16):
@@ -91,6 +91,55 @@ def test_wall_frame_relations(curved_32):
     np.testing.assert_allclose(np.linalg.norm(mu, axis=1), 1.0, atol=1e-12)
     np.testing.assert_allclose(np.linalg.norm(nubar, axis=1), 1.0, atol=1e-12)
     np.testing.assert_allclose(np.einsum("fi,fi->f", mu, nu), 0.0, atol=1e-12)
+
+
+def test_wall_fields_are_the_wall_curve_formulas_bit_for_bit_in_2d(curved_32):
+    geom = curved_32[3]
+    measure, hf_mu_tau = wall_curve_fields(geom)
+    assert np.array_equal(geom.wall_measure, measure)
+    assert geom.wall_hF_mu_tau.shape == (len(measure), 1)
+    assert np.array_equal(geom.wall_hF_mu_tau[:, 0], hf_mu_tau, equal_nan=True)
+
+
+def test_det_and_cramer_of_small_stacks():
+    rng = np.random.default_rng(7)
+    a, b = rng.normal(size=(50, 2, 2)), rng.normal(size=(50, 2))
+    det = _det(a)
+    np.testing.assert_allclose(det, np.linalg.det(a), rtol=1e-12)
+    np.testing.assert_allclose(_cramer(a, b, det), np.linalg.solve(a, b[..., None])[..., 0],
+                               rtol=1e-10)
+    one, rhs = a[:, :1, :1], b[:, :1]  # 1 x 1: the entry, and the quotient, exactly
+    assert np.array_equal(_det(one), one[:, 0, 0])
+    assert np.array_equal(_cramer(one, rhs, _det(one))[:, 0], rhs[:, 0] / one[:, 0, 0])
+    empty = np.zeros((50, 0, 0))  # 0 x 0: one, and no unknowns
+    assert np.array_equal(_det(empty), np.ones(50))
+    assert _cramer(empty, np.zeros((50, 0)), np.ones(50)).shape == (50, 0)
+
+
+def test_wall_frame_is_orthonormal_in_the_wall_metric():
+    slope = np.random.default_rng(8).normal(size=(40, 2))
+    frame = _wall_frame(slope)
+    assert len(frame) == 2
+    for a, ta in enumerate(frame):
+        assert np.all(ta[:, 0] == 0.0)  # tangent to the wall
+        for b, tb in enumerate(frame):
+            rise_a, rise_b = (np.einsum("fi,fi->f", slope, t[:, 1:]) for t in (ta, tb))
+            g = np.einsum("fi,fi->f", ta, tb) + rise_a * rise_b
+            np.testing.assert_allclose(g, float(a == b), atol=1e-14)
+    assert np.all(frame[0][:, 2] == 0.0)  # Gram-Schmidt starts from e_2
+    assert _wall_frame(np.zeros((3, 0))) == []
+
+
+def test_3d_wall_fields_of_an_affine_graph():
+    mesh = build_mesh(HalfDomain(3, depth=1.0, width=0.5, resolution=1 / 8))
+    a = np.array([-0.4, 0.3, -0.7])
+    geom = compute_geometry(EllipticIntegrand.capillary(1.2, 4),
+                            GraphFunction(mesh, mesh.vertices @ a))
+    lift = math.sqrt(1.0 + a[1] ** 2 + a[2] ** 2)
+    np.testing.assert_allclose(geom.wall_measure, mesh.h ** 2 / 2.0 * lift, rtol=1e-13)
+    assert geom.wall_measure.sum() == pytest.approx(1.0 * lift, rel=1e-13)  # the 1 x 1 wall
+    assert geom.wall_hF_mu_tau.shape == (len(mesh.wall_facets), 2)
+    assert np.abs(geom.wall_hF_mu_tau[np.isfinite(geom.wall_hF_mu_tau)]).max() <= 1e-11
 
 
 def test_wall_frame_euclidean_mu_F_equals_mu():
@@ -288,3 +337,5 @@ def test_one_dimensional_geometry_capillary():
     assert geom.wall_nuF_e1.shape == (1,)
     assert abs(geom.wall_nuF_e1[0]) <= 1e-12
     assert geom.wall_muF_e1[0] == pytest.approx(math.sin(theta), abs=1e-12)
+    assert geom.wall_measure.tolist() == [1.0]  # the wall is a point
+    assert geom.wall_hF_mu_tau.shape == (1, 0)  # with no tangent

@@ -370,9 +370,16 @@ def test_zero_vector_rejected():
 @pytest.mark.parametrize("dim", [2, 3])
 def test_point_norms_are_the_linalg_norms_bit_for_bit(dim, magnitude):
     z = magnitude * np.random.default_rng(dim).normal(size=(200_000, dim))
-    z = z[np.linalg.norm(z, axis=-1) > 0.0]  # tiny points whose squares all underflow
-    assert np.array_equal(_as_points(z, dim)[1], np.linalg.norm(z, axis=-1))
-    for point in z[:100]:  # numpy reduces a single point by another loop
+    z[0] = 1e-163  # (1e-163, ...): a nonzero point whose squares all underflow
+    lost = np.linalg.norm(z, axis=-1) == 0.0  # tiny points whose squares all underflow
+    norms = _as_points(z, dim)[1]
+    assert np.array_equal(norms[~lost], np.linalg.norm(z[~lost], axis=-1))
+    # the lost rows, and only those, are normed after division by their largest entry
+    np.testing.assert_allclose(norms[lost], [math.hypot(*row) for row in z[lost]], rtol=1e-15)
+    assert _as_points(z[0], dim)[1] == pytest.approx(math.sqrt(dim) * 1e-163, rel=1e-15)
+    euclidean = EllipticIntegrand.euclidean(dim)
+    assert euclidean.eval_F(z[0]) == pytest.approx(math.sqrt(dim) * 1e-163, rel=1e-15)
+    for point in z[~lost][:100]:  # numpy reduces a single point by another loop
         assert np.array_equal(_as_points(point, dim)[1], np.linalg.norm(point, axis=-1))
 
 

@@ -82,7 +82,9 @@ def test_curved_checks_shrink_under_refinement(curved_32, curved_64):
     HalfDomain(2, depth=1.3, width=0.55, resolution=1 / 40),
     HalfDomain(2, depth=1.0, width=0.61, resolution=1 / 40),  # dx != dy
     HalfDomain(2, depth=1.0, width=0.5, resolution=1 / 13),
-], ids=["1d", "1d_odd", "2d", "2d_1.3x0.55", "2d_dx_ne_dy", "2d_odd"])
+    HalfDomain(3, depth=1.0, width=0.5, resolution=1 / 8),
+    HalfDomain(3, depth=1.0, width=0.35, resolution=1 / 10),  # dx != dy
+], ids=["1d", "1d_odd", "2d", "2d_1.3x0.55", "2d_dx_ne_dy", "2d_odd", "3d", "3d_dx_ne_dy"])
 @pytest.mark.parametrize("margin", [None, 0.07, 0.2])
 def test_first_variation_matches_the_pointwise_cutoff(domain, margin):
     mesh = build_mesh(domain)
@@ -91,6 +93,14 @@ def test_first_variation_matches_the_pointwise_cutoff(domain, margin):
     geom = compute_geometry(EllipticIntegrand.euclidean(mesh.n + 1), GraphFunction(mesh, vals))
     rep = V.check_first_variation(geom, margin=margin)
     assert rep.metadata["per_field"] == first_variation_per_field(geom, margin)
+
+
+def test_wall_principal_direction_skips_a_1d_graph():
+    mesh = build_mesh(HalfDomain(1, depth=1.0, resolution=1 / 16))
+    geom = compute_geometry(EllipticIntegrand.euclidean(2),
+                            GraphFunction(mesh, np.sin(mesh.vertices[:, 0])))
+    rep = V.check_wall_principal_direction(geom)
+    assert rep.status == "informational" and "skipped" in rep.metadata
 
 
 def test_subharmonicity_quadratic_term_nonnegative(curved_32):
@@ -291,7 +301,8 @@ def test_bank_is_admissible_and_deterministic(curved_32):
     HalfDomain(2, depth=1.0, width=0.5, resolution=1 / 32),
     HalfDomain(2, depth=1.3, width=0.55, resolution=1 / 40),  # dx != dy
     HalfDomain(2, depth=8.0, width=8.0, resolution=0.25),
-], ids=["1d", "2d", "2d_dx_ne_dy", "2d_wide"])
+    HalfDomain(3, depth=1.0, width=0.5, resolution=1 / 16),
+], ids=["1d", "2d", "2d_dx_ne_dy", "2d_wide", "3d"])
 def test_bank_matches_the_full_grid_reference(domain):
     mesh = build_mesh(domain)
     for seed in (0, 3, 9):
@@ -370,6 +381,18 @@ def test_diagnostics_match_full_mesh_reference_1d():
     geom = compute_geometry(EllipticIntegrand.euclidean(2), GraphFunction(mesh, vals))
     meta = V.functional_inequality_diagnostics(geom, seed=0).metadata
     assert meta["trace_ratio_max"] > 0.0
+    assert meta["sobolev_ratio_max"] == 0.0  # the 1d Sobolev exponent is infinite
+    bank = [full_vector(mesh, f) for f in V.test_function_bank(mesh, 0, 60)]
+    _assert_ratios_match(meta, functional_inequality_ratios(geom, bank))
+
+
+def test_diagnostics_match_full_mesh_reference_3d():
+    mesh = build_mesh(HalfDomain(3, depth=1.0, width=0.5, resolution=1 / 16))
+    x = mesh.vertices
+    vals = 0.3 * np.sin(3.0 * x[:, 0] + 0.2) + 0.2 * np.cos(2.0 * x[:, 1] - x[:, 2])
+    geom = compute_geometry(EllipticIntegrand.euclidean(4), GraphFunction(mesh, vals))
+    meta = V.functional_inequality_diagnostics(geom, seed=0).metadata
+    assert min(meta["trace_ratio_max"], meta["sobolev_ratio_max"]) > 0.0
     bank = [full_vector(mesh, f) for f in V.test_function_bank(mesh, 0, 60)]
     _assert_ratios_match(meta, functional_inequality_ratios(geom, bank))
 
