@@ -185,6 +185,16 @@ def test_3d_defaults_and_point_lengths():
     assert rep.status == "pass" and rep.metadata["monotone"]
 
 
+def test_1d_liouville_solves_on_intervals():
+    # a 1d minimal graph with the free wall is the flat profile: no deviation at any size
+    raw = {"integrand": {"kind": "capillary", "theta": 1.2, "dim": 2},
+           "domain": {"n": 1, "depth": 1.0, "resolution": 1 / 16}, "checks": ["liouville"]}
+    sc = scenario_from_dict(raw)
+    assert sc.checks[0]["slope"] == [sc.integrand.flat_slope()]
+    rep = run_scenario(sc).reports[0]
+    assert rep.status == "pass" and max(rep.metadata["deviations"]) <= 1e-12
+
+
 def test_3d_pnorm_is_a_config_error():
     # sphere sampling covers R^2 and R^3 only, so a pnorm in R^4 has no sampled bounds
     with pytest.raises(ConfigError, match="sphere sampling"):
