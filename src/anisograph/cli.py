@@ -80,8 +80,7 @@ class Scenario:
 # -- the scenario's sections (the integrand's and the Dirichlet data's are in their modules) --
 
 _DOMAIN = {"n": _integer, "depth": _real, "width": _real, "resolution": _real}
-_SOLVER = {"tol_residual": _real, "max_iter": _integer, "ls_shrink": _real,
-           "ls_decrease": _real, "linear_solver_tol": _real}
+_SOLVER = {"tol_residual": _real, "max_iter": _integer}
 _SCENARIO = {
     "name": partial(_instance, of=str),
     "seed": partial(_real, low=0.0, integer=True),

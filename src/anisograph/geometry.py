@@ -17,14 +17,12 @@ Lagrangian Hessian ``D^2 f(Du)`` and ``G = I + Du Du^T``:
   residual, so anisotropic minimality means this trace vanishes.
 
 Everything is a pure function of (integrand, graph); results are immutable.
-The geometry takes the integrand divided by its ``scale``: a rescaled integrand
-has the same minimizers, so no field a check judges moves with it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, permutations
 
 import numpy as np
@@ -48,7 +46,7 @@ class GraphGeometry:
     """All geometric fields of a solved graph, per cell / vertex / wall facet."""
 
     u: GraphFunction
-    integrand: EllipticIntegrand  # divided by its scale, as every field below is
+    integrand: EllipticIntegrand
 
     # per cell
     cell_gradient: np.ndarray      # Du
@@ -187,7 +185,6 @@ def compute_geometry(integrand: EllipticIntegrand, u: GraphFunction) -> GraphGeo
         raise ValueError("integrand ambient dimension must be mesh dimension + 1")
     if any(d < 3 for d in mesh.divisions):
         raise ValueError("geometry needs at least two interior vertex layers per axis")
-    integrand = replace(integrand, scale=1.0)
 
     du = u.cell_gradients()
     w = np.sqrt(1.0 + np.einsum("ci,ci->c", du, du))

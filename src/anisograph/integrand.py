@@ -31,14 +31,12 @@ its arguments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import partial
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .schema import (ConfigError, _any, _instance, _integer, _list, _named, _positive, _real,
-                     _section, _variant)
+from .schema import ConfigError, _any, _integer, _list, _named, _real, _section, _variant
 
 __all__ = [
     "EllipticIntegrand",
@@ -131,13 +129,10 @@ def _as_points(z: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class EllipticIntegrand:
-    """One of the built-in uniformly elliptic integrands, times a scale.
+    """One of the built-in uniformly elliptic integrands.
 
     Use the constructors :meth:`euclidean`, :meth:`capillary`,
     :meth:`ellipsoid`, :meth:`pnorm` rather than instantiating directly.
-    ``scale`` multiplies all values and derivatives; ``normalized`` is a flag of
-    the descriptor, carried through to ``to_descriptor``, that records whether
-    ``scale`` was chosen so that the sphere minimum of F equals one.
     """
 
     kind: str
@@ -146,8 +141,6 @@ class EllipticIntegrand:
     matrix: Optional[np.ndarray] = None
     p: Optional[float] = None
     eps: Optional[float] = None
-    scale: float = 1.0
-    normalized: bool = False
 
     # -- constructors ------------------------------------------------------
 
@@ -217,15 +210,13 @@ class EllipticIntegrand:
         pts, norms = points
         if self.kind == "ellipsoid":
             # z^T A z term by term, row-major: einsum's order for a batch but not for a point
-            vals = np.sqrt(sum(pts[..., i] * self.matrix[i, j] * pts[..., j]
+            return np.sqrt(sum(pts[..., i] * self.matrix[i, j] * pts[..., j]
                                for i, j in np.ndindex(self.matrix.shape)))
-        elif self.kind == "pnorm":
+        if self.kind == "pnorm":
             # the root of an array even for a point: numpy's scalar power rounds differently
             big_g = np.sum(self._pnorm_s(pts) ** (self.p / 2.0), axis=-1, keepdims=True)
-            vals = (big_g ** (1.0 / self.p))[..., 0]
-        else:
-            vals = norms - self._tilt * pts[..., 0]
-        return self.scale * vals
+            return (big_g ** (1.0 / self.p))[..., 0]
+        return norms - self._tilt * pts[..., 0]
 
     def DF(self, points: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         """``grad_F`` on ``points(z)``."""
@@ -246,7 +237,7 @@ class EllipticIntegrand:
             for i in range(k):
                 np.divide(pts[..., i], norms, out=g[..., i])
             g[..., 0] -= self._tilt
-        return self.scale * g
+        return g
 
     def D2F(self, points: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         """``hess_F`` on ``points(z)``."""
@@ -274,7 +265,6 @@ class EllipticIntegrand:
                 np.multiply(unit[i], unit[j], out=entry)
                 np.subtract(float(i == j), entry, out=entry)
                 np.divide(entry, norms, out=entry)
-        hess *= self.scale
         return hess
 
     def _pnorm_s(self, pts: np.ndarray) -> np.ndarray:
@@ -386,7 +376,7 @@ class EllipticIntegrand:
         else:
             c = abs(self._tilt)
             lo, hi = 1.0 - c, 1.0 + c
-        return self.scale * lo, self.scale * hi
+        return lo, hi
 
     def sphere_range(self) -> tuple[float, float]:
         rng = self.analytic_sphere_range()
@@ -430,10 +420,6 @@ class EllipticIntegrand:
         for key in _KINDS[self.kind][1]:  # the kind's own parameters
             value = getattr(self, key)
             out[key] = value.ravel().tolist() if isinstance(value, np.ndarray) else value
-        if self.scale != 1.0:
-            out["scale"] = self.scale
-        if self.normalized:
-            out["normalized"] = True
         return out
 
     @staticmethod
@@ -443,17 +429,12 @@ class EllipticIntegrand:
         kind, (make, keys, required) = _variant(desc, "kind", _KINDS, "integrand")
         where = f"integrand {kind!r}"
         integrand = _section(desc, {**_SHARED_KEYS, **keys}, where, required=required,
-                             make=partial(_from_keys, make))
+                             make=lambda kind, **params: make(**params))
         if dim not in (None, integrand.dim):
             raise ConfigError(f"integrand dim {integrand.dim} does not match domain n+1={dim}")
         with _named(f"{where}: not uniformly elliptic:"):
             integrand.sphere_range()  # samples F and its Hessian where no closed form exists
         return integrand
-
-
-def _from_keys(make, kind: str, **params) -> EllipticIntegrand:
-    shared = {key: params.pop(key) for key in ("scale", "normalized") if key in params}
-    return replace(make(**params), **shared)
 
 
 def _ellipsoid(matrix: np.ndarray, dim: int = 3) -> EllipticIntegrand:
@@ -468,8 +449,7 @@ def _matrix(value, n=None) -> np.ndarray:
 
 # descriptor keys of every kind; then kind -> (constructor, the parsers of its own keys,
 # the keys it requires)
-_SHARED_KEYS = {"kind": _any, "dim": _integer, "scale": _positive,
-                "normalized": partial(_instance, of=bool)}
+_SHARED_KEYS = {"kind": _any, "dim": _integer}
 _KINDS = {
     "euclidean": (EllipticIntegrand.euclidean, {}, ()),
     "capillary": (EllipticIntegrand.capillary, {"theta": _real}, ("theta",)),

@@ -34,8 +34,8 @@ of the ILP64 scipy-openblas that numpy's wheels bundle and numpy has already
 loaded, called through ``ctypes`` (which releases the GIL); a numpy without
 it ends every solve with a ``failure``.
 A Hessian that is not numerically positive definite, a non-finite step or a
-step that misses ``linear_solver_tol`` (checked against ``D^2 f`` and the
-step's own gradients, not the band) ends the solve with ``converged=False``
+step whose relative linear residual exceeds 1e-8 (checked against ``D^2 f`` and
+the step's own gradients, not the band) ends the solve with ``converged=False``
 and a ``failure`` reason.  Solves on different meshes are independent.
 
 Every solve is a nested iteration over the levels that ``_ladder`` lists: a
@@ -92,21 +92,12 @@ class GraphFunction:
 class SolveConfig:
     tol_residual: float = 1e-10
     max_iter: int = 50
-    ls_shrink: float = 0.5
-    ls_decrease: float = 1e-4
-    linear_solver_tol: float = 1e-8
 
     def __post_init__(self) -> None:
         if not self.tol_residual > 0.0:
             raise ValueError("tol_residual must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if not (0.0 < self.ls_shrink < 1.0):
-            raise ValueError("ls_shrink must lie in (0, 1)")
-        if not (0.0 < self.ls_decrease < 1.0):
-            raise ValueError("ls_decrease must lie in (0, 1)")
-        if not self.linear_solver_tol > 0.0:
-            raise ValueError("linear_solver_tol must be positive")
 
 
 @dataclass
@@ -237,6 +228,9 @@ def wall_flux_residuals(integrand: EllipticIntegrand, u: GraphFunction) -> np.nd
 # smooth bundled data leaves 5e-3 or less at 32 divisions, a bump spanning a few
 # boundary cells 0.1
 _DATA_DEFECT = 1e-2
+# the backtracking factor and the Armijo fraction of the line search, and the relative
+# residual a Newton step's linear solve must reach
+_LS_SHRINK, _LS_DECREASE, _LINEAR_TOL = 0.5, 1e-4, 1e-8
 
 try:  # glibc only: return freed heap memory to the system
     _malloc_trim = ctypes.CDLL(None).malloc_trim
@@ -318,7 +312,7 @@ def _newton(integrand: EllipticIntegrand, mesh: Mesh, dirichlet: np.ndarray, con
     for _ in range(config.max_iter):
         res = _gradient(integrand, mesh, lifted)[free_idx]
         res_norm = float(np.linalg.norm(res))
-        if res_norm <= config.tol_residual * integrand.scale:  # the residual scales with it
+        if res_norm <= config.tol_residual:
             converged = True
             break
         d2f = integrand.D2f(lifted)
@@ -338,7 +332,7 @@ def _newton(integrand: EllipticIntegrand, mesh: Mesh, dirichlet: np.ndarray, con
         h_step = mesh.scatter_flux(np.einsum("cij,cj->ci", d2f, mesh.cell_gradients(full_step)))
         del d2f  # so is D^2 f, which holds as much as a lift
         lin_res = np.linalg.norm(h_step[free_idx] + res) / max(res_norm, 1e-300)
-        if lin_res > config.linear_solver_tol:
+        if lin_res > _LINEAR_TOL:
             failure = f"linear solve missed its tolerance ({lin_res:.3e})"
             break
         slope = float(res @ step)  # negative: step is a descent direction
@@ -349,17 +343,17 @@ def _newton(integrand: EllipticIntegrand, mesh: Mesh, dirichlet: np.ndarray, con
             trial[free_idx] += t * step
             trial_lifted = integrand.lift(mesh.cell_gradients(trial))
             e_trial = _energy(integrand, mesh, trial_lifted)
-            if e_trial <= e_cur + config.ls_decrease * t * slope:
+            if e_trial <= e_cur + _LS_DECREASE * t * slope:
                 accepted = True
                 break
             if abs(e_trial - e_cur) <= e_floor * abs(e_cur):
                 # energy stalled: accept on a sufficient decrease of the residual norm
                 res_trial = float(np.linalg.norm(
                     _gradient(integrand, mesh, trial_lifted)[free_idx]))
-                if res_trial <= (1.0 - config.ls_decrease * t) * res_norm:
+                if res_trial <= (1.0 - _LS_DECREASE * t) * res_norm:
                     accepted = True
                     break
-            t *= config.ls_shrink
+            t *= _LS_SHRINK
         if not accepted and e_trial >= e_cur:
             # rounding floor: no step can lower the energy any further
             break
@@ -369,7 +363,7 @@ def _newton(integrand: EllipticIntegrand, mesh: Mesh, dirichlet: np.ndarray, con
         iterations += 1
     else:
         res_norm = float(np.linalg.norm(_gradient(integrand, mesh, lifted)[free_idx]))
-        converged = res_norm <= config.tol_residual * integrand.scale
+        converged = res_norm <= config.tol_residual
 
     return values, SolveReport(iterations, res_norm, trace, converged=converged, failure=failure)
 
@@ -409,8 +403,6 @@ def solve(
             _malloc_trim(0)
 
     solution = GraphFunction(mesh, values)
-    # divided by the scale, as the Newton stop is relative to it
-    report.free_bc_residual = (float(np.abs(wall_flux_residuals(integrand, solution)).max())
-                               / integrand.scale)
+    report.free_bc_residual = float(np.abs(wall_flux_residuals(integrand, solution)).max())
     report.level_iterations = record
     return solution, report

@@ -474,6 +474,10 @@ def liouville_probe(
     on the far boundary, and measures the max deviation of the solution from
     its best-fit affine over the inner quarter box.  Passes when the
     deviation is nonincreasing in R and the final one is at most tol_flat.
+    ``observed_beta`` is the smaller of the largest growths ``-u / (1 + |x|)``
+    (from below) and ``u / (1 + |x|)`` (from above) over all sizes: the
+    hypothesis is one-sided growth on either side, and the capillary
+    reflection swaps the sides.  ``hypothesis_ok`` compares it with ``beta``.
     """
     if beta < 0.0:
         raise ValueError("growth bound beta must be nonnegative")
@@ -485,7 +489,7 @@ def liouville_probe(
     n = integrand.dim - 1
     a = np.zeros(n) if slope is None else np.asarray(slope, dtype=float)
     deviations = []
-    observed_beta = 0.0
+    below = above = 0.0  # the linear growth of u from below and from above
     for r_size in sizes:
         dom = HalfDomain(n, depth=r_size, width=r_size, resolution=resolution)
         mesh = build_mesh(dom)
@@ -496,8 +500,8 @@ def liouville_probe(
             return _report("liouville_flatness", 2.0 * tol_flat + 1.0, tol_flat,
                            diagnostic=f"solve at R={r_size} failed to converge",
                            residual=rep.final_residual_norm)
-        growth = -u.values / (1.0 + np.linalg.norm(mesh.vertices, axis=1))
-        observed_beta = max(observed_beta, float(growth.max()))
+        growth = u.values / (1.0 + np.linalg.norm(mesh.vertices, axis=1))
+        below, above = max(below, float(-growth.min())), max(above, float(growth.max()))
         inner = np.all(np.abs(mesh.vertices) <= r_size / 4.0 + 1e-12, axis=1)
         cols = np.column_stack([np.ones(inner.sum()), mesh.vertices[inner]])
         coef, *_ = np.linalg.lstsq(cols, u.values[inner], rcond=None)
@@ -506,6 +510,7 @@ def liouville_probe(
     increases = [deviations[i + 1] - deviations[i] for i in range(len(deviations) - 1)]
     monotone = all(inc <= 1e-12 for inc in increases)
     residual = deviations[-1] if monotone else tol_flat + max(increases) + deviations[-1]
+    observed_beta = min(below, above)
     return _report(
         "liouville_flatness", residual, tol_flat,
         deviations=deviations, sizes=sizes, monotone=monotone,

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -83,12 +82,6 @@ def amse_residual(integrand, u) -> np.ndarray:
     interior = mesh.vertex_tags == Tag.INTERIOR
     out[interior] = g[interior] / vertex_masses(mesh)[interior]
     return out
-
-
-def normalize(integrand):
-    """The integrand rescaled so the sphere minimum of F is one (idempotent)."""
-    base_min = integrand.sphere_range()[0] / integrand.scale
-    return replace(integrand, scale=1.0 / base_min, normalized=True)
 
 
 # -- the box split, as hand-written tables ----------------------------------------------

@@ -5,11 +5,13 @@ import json
 import math
 import operator
 import os
+import re
 import subprocess
 import sys
 import tempfile
 import warnings
 from functools import reduce, wraps
+from itertools import takewhile
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -17,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from anisograph import HalfDomain, build_mesh, cli, solver, verify
+from anisograph import HalfDomain, boundary_data, build_mesh, cli, integrand, solver, verify
 from anisograph.boundary_data import evaluate_data_spec
 from anisograph.cli import (
     ConfigError,
@@ -413,8 +415,16 @@ SINE = {"type": "sine", "amplitude": 0.25, "kx": 2.0, "ky": math.pi, "phase": ma
     pytest.param({"seed": "3"}, "'seed'", id="string-seed"),
     pytest.param({"dirichlet.bb": 1}, "'bb'", id="unknown-flat-profile-key"),
     pytest.param({"solver.max_iter": 1.5}, "'max_iter'", id="fractional-max-iter"),
-    pytest.param({"solver.linear_solver_tol": -1}, "linear_solver_tol", id="negative-lin-tol"),
-    pytest.param({"solver.ls_decrease": 2.0}, "ls_decrease", id="ls-decrease-above-1"),
+    # F and cF have the same minimal graphs, and the line search and the linear solve use
+    # fixed constants: none of them is a setting
+    pytest.param({"integrand.scale": 2.0}, "unknown key 'scale'", id="integrand-scale"),
+    pytest.param({"integrand.normalized": True}, "unknown key 'normalized'",
+                 id="integrand-normalized"),
+    pytest.param({"solver.ls_shrink": 0.5}, "unknown key 'ls_shrink'", id="solver-ls-shrink"),
+    pytest.param({"solver.ls_decrease": 1e-4}, "unknown key 'ls_decrease'",
+                 id="solver-ls-decrease"),
+    pytest.param({"solver.linear_solver_tol": 1e-8}, "unknown key 'linear_solver_tol'",
+                 id="solver-linear-solver-tol"),
     pytest.param({"solver.tol_residual": math.nan}, "'tol_residual'", id="nan-tol-residual"),
     pytest.param({"dirichlet": {"type": "affine", "slope": [0.5, 0.0]}}, "'slope'",
                  id="misspelt-affine-slope"),
@@ -450,6 +460,35 @@ def test_malformed_scenario_exits_2_before_any_mesh(tmp_path, capsys, no_mesh, e
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and key in err
     assert not out.exists()
+
+
+def readme_names(text: str) -> set:
+    """The backquoted names of a README cell or sentence, less those in parentheses."""
+    while re.search(r"\([^()]*\)", text):
+        text = re.sub(r"\([^()]*\)", "", text)
+    return set(re.findall(r"`([^`]*)`", text))
+
+
+def readme_table(lines: list, header: str) -> list:
+    """The cells of the README table under ``header``, row by row."""
+    rows = takewhile(lambda line: line.startswith("|"), lines[lines.index(header) + 2:])
+    return [[cell.strip() for cell in row.strip("|").split("|")] for row in rows]
+
+
+def test_readme_scenario_tables_name_exactly_the_parsed_keys():
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    sections, section = {}, None
+    for name, key, *_ in readme_table(lines, "| Section | Key | Default | Range |"):
+        section = name or section
+        sections.setdefault(section, set()).update(readme_names(key))
+    assert sections == {"top level": set(cli._SCENARIO), "`domain`": set(cli._DOMAIN),
+                        "`solver`": set(cli._SOLVER)}
+    data = {kind.strip("`"): readme_names(keys) for kind, keys, _ in
+            readme_table(lines, "| Dirichlet `type` | Keys (default) | Data |")}
+    assert data == {kind: set(keys) for kind, keys in boundary_data._SPECS.items()}
+    start = next(i for i, line in enumerate(lines) if line.startswith("Integrands: every `kind`"))
+    sentence = " ".join(lines[start:lines.index("", start)])
+    assert readme_names(sentence) == set(integrand._SHARED_KEYS)
 
 
 # -- contract fuzzer: any input ends with a documented exit code --------------------

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from anisograph import EllipticIntegrand, sphere_points
 from anisograph.integrand import _as_points
-from reference import bisect_flat_slope, fd_gradient, fd_hessian, normalize
+from reference import bisect_flat_slope, fd_gradient, fd_hessian
 
 
 def builtin_integrands(dim=3):
@@ -162,7 +161,7 @@ def test_hess_f_eigenvalue_window():
     # eigenvalues of D^2 f at |y| <= C stay within the elliptic window
     for integrand in (EllipticIntegrand.euclidean(3),
                       EllipticIntegrand.capillary(2.0, 3)):
-        lam = big = integrand.scale  # closed form for euclidean and capillary
+        lam = big = 1.0  # closed form for euclidean and capillary
         rng = np.random.default_rng(16)
         y = rng.uniform(-10, 10, size=(300, 2))
         y = y[np.linalg.norm(y, axis=1) <= 10.0]
@@ -193,7 +192,7 @@ def test_capillary_euclidean_gradient_shift():
     np.testing.assert_allclose(shift[:, 1], 0.0, atol=1e-15)
 
 
-# -- sphere bounds and normalization --------------------------------------------
+# -- sphere bounds ----------------------------------------------------------------
 
 
 def test_bounds_euclidean_exact():
@@ -243,27 +242,6 @@ def test_bounds_require_enough_samples():
         EllipticIntegrand.euclidean(3).estimate_bounds(50)
 
 
-def test_normalize_euclidean_unchanged():
-    I = normalize(EllipticIntegrand.euclidean(3))
-    assert I.scale == pytest.approx(1.0, abs=1e-12)
-    assert I.normalized
-
-
-def test_normalize_capillary_doubles():
-    I = EllipticIntegrand.capillary(math.pi / 3, 3)
-    J = normalize(I)
-    z = np.array([0.2, -0.4, 1.0])
-    assert J.eval_F(z) == pytest.approx(2.0 * I.eval_F(z), rel=1e-12)
-    assert J.sphere_range()[0] == pytest.approx(1.0, abs=1e-12)
-
-
-def test_normalize_idempotent():
-    for I in (EllipticIntegrand.capillary(1.0, 3), EllipticIntegrand.pnorm(3.0, 3)):
-        once = normalize(I)
-        twice = normalize(once)
-        assert twice.scale == once.scale
-
-
 def test_flat_slope_capillary():
     for theta in (math.pi / 6, math.pi / 3, math.pi / 2, 2 * math.pi / 3):
         I = EllipticIntegrand.capillary(theta, 3)
@@ -286,8 +264,7 @@ def test_hess_f_is_the_graph_block_of_hess_F(dim):
     z = np.random.default_rng(5).normal(size=(200, dim))
     lift = np.concatenate([-y, np.ones((200, 1))], axis=1)
     matrix = np.diag([2.0, 1.0, 1.5][:dim]) + 0.2 * (1 - np.eye(dim))
-    kinds = [*builtin_integrands(dim), EllipticIntegrand.ellipsoid(matrix)]
-    for I in [*kinds, *(replace(I, scale=1.7) for I in kinds)]:
+    for I in [*builtin_integrands(dim), EllipticIntegrand.ellipsoid(matrix)]:
         block = I.hess_F(lift)[..., : dim - 1, : dim - 1]
         assert np.array_equal(I.hess_f(y), block), I.kind
         # a single point takes the batch's path: it gets exactly its row's values
@@ -297,7 +274,7 @@ def test_hess_f_is_the_graph_block_of_hess_F(dim):
             for row, point in enumerate(points[:20]):
                 single = method(point)
                 assert single.shape == batch.shape[1:], (I.kind, method.__name__)
-                assert np.array_equal(single, batch[row]), (I.kind, I.scale, method.__name__, row)
+                assert np.array_equal(single, batch[row]), (I.kind, method.__name__, row)
 
 
 # -- descriptors and validation ---------------------------------------------------
@@ -306,15 +283,12 @@ def test_hess_f_is_the_graph_block_of_hess_F(dim):
 def test_descriptor_roundtrip():
     off_diagonal = EllipticIntegrand.ellipsoid(
         np.array([[2.0, 0.5, 0.1], [0.5, 1.0, 0.2], [0.1, 0.2, 1.5]]))
-    scaled = replace(EllipticIntegrand.capillary(1.1, 3), scale=2.5, normalized=True)
-    for I in [*builtin_integrands(), off_diagonal, scaled]:
+    for I in [*builtin_integrands(), off_diagonal]:
         desc = I.to_descriptor()
         J = EllipticIntegrand.from_descriptor(desc)
         assert J.to_descriptor() == desc, I.kind
         z = np.array([0.3, -0.2, 0.9])
         assert J.eval_F(z) == I.eval_F(z), I.kind
-    assert scaled.to_descriptor() == {"kind": "capillary", "dim": 3, "theta": 1.1,
-                                      "scale": 2.5, "normalized": True}
     assert off_diagonal.to_descriptor()["matrix"] == [2.0, 0.5, 0.1, 0.5, 1.0, 0.2,
                                                       0.1, 0.2, 1.5]
 
@@ -386,8 +360,7 @@ def test_point_norms_are_the_linalg_norms_bit_for_bit(dim, magnitude):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_capillary_entries_are_the_batched_formulas_bit_for_bit(dim):
     # entry by entry, the batched operations on whole points, in the same order
-    for I in (EllipticIntegrand.euclidean(dim), replace(EllipticIntegrand.capillary(1.1, dim),
-                                                        scale=1.7)):
+    for I in (EllipticIntegrand.euclidean(dim), EllipticIntegrand.capillary(1.1, dim)):
         z = np.random.default_rng(dim).normal(size=(300, dim))
         z[0, :-1] = 0.0
         norms = np.linalg.norm(z, axis=-1)
@@ -395,15 +368,14 @@ def test_capillary_entries_are_the_batched_formulas_bit_for_bit(dim):
         grad = unit.copy()
         grad[..., 0] -= I._tilt
         hess = (np.eye(dim) - np.einsum("...i,...j->...ij", unit, unit)) / norms[..., None, None]
-        assert np.array_equal(I.grad_F(z), I.scale * grad)
-        assert np.array_equal(I.hess_F(z), hess * I.scale)
+        assert np.array_equal(I.grad_F(z), grad)
+        assert np.array_equal(I.hess_F(z), hess)
 
 
-@pytest.mark.parametrize("scale", [1.0, 1.7])
 @pytest.mark.parametrize("kind", range(4), ids=["euclidean", "capillary", "ellipsoid", "pnorm"])
-def test_shared_lift_kernels_are_the_public_methods_bit_for_bit(kind, scale):
+def test_shared_lift_kernels_are_the_public_methods_bit_for_bit(kind):
     for dim in (2, 3):
-        I = replace(builtin_integrands(dim)[kind], scale=scale)
+        I = builtin_integrands(dim)[kind]
         y = 0.8 * np.random.default_rng(dim).normal(size=(200, dim - 1))
         y[0] = 0.0
         for ys in (y, y[3]):  # a batch and a single gradient

@@ -320,20 +320,6 @@ def test_theta_sweep_base_at_058_needs_few_fine_iterations():
     assert rep.iterations <= 6
 
 
-def test_tol_residual_is_relative_to_the_integrand_scale():
-    # the residual is linear in the scale: at 1e-12 an absolute tolerance passed the zero start
-    raw = json.loads(bundled_scenario_path("euclidean_freebdry_sine").read_text())
-    runs = []
-    for scale in (1.0, 1e-12):
-        raw.update(checks=[], integrand={**raw["integrand"], "scale": scale},
-                   domain={**raw["domain"], "resolution": 1 / 16})
-        runs.append(run_scenario(scenario_from_dict(raw), solve_only=True))
-    one, tiny = runs
-    assert tiny.solve_report.converged and tiny.solve_report.iterations > 0
-    assert tiny.solve_report.level_iterations == one.solve_report.level_iterations
-    assert np.abs(tiny.solution.values - one.solution.values).max() <= 1e-10
-
-
 @pytest.mark.parametrize("h, levels, ladder", [(1 / 64, 3, [7, 6, 9]), (1 / 128, 4, None)],
                          ids=["h64", "h128"])
 def test_hard_capillary_ladder_fine_iterations(h, levels, ladder):
