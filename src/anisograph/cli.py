@@ -19,7 +19,6 @@ sweep returns its worst row's.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import contextlib
 import csv
 import inspect
@@ -141,7 +140,6 @@ def bundled_scenario_path(name: str) -> Path:
 
 @dataclass
 class RunResult:
-    scenario: Scenario
     solution: GraphFunction
     solve_report: SolveReport
     geometry: Optional[GraphGeometry]
@@ -161,11 +159,10 @@ class RunResult:
 
 _RADII = partial(_list, item=_positive)
 _KEYS = {
-    "coef": _positive, "margin": _positive, "x0": _point, "radii": _RADII,
-    "slope_tol": _positive, "r": _positive, "bank_size": partial(_real, low=1.0, integer=True),
-    "x0_list": partial(_list, item=_point), "r_list": _RADII, "beta": partial(_real, low=0.0),
-    "sizes": _RADII, "slope": _point, "bump_height": _real,
-    "bump_radius": _positive, "resolution": _positive, "tol_flat": partial(_real, low=0.0),
+    "x0": _point, "radii": _RADII, "r": _positive,
+    "bank_size": partial(_real, low=1.0, integer=True), "x0_list": partial(_list, item=_point),
+    "r_list": _RADII, "beta": partial(_real, low=0.0), "sizes": _RADII, "slope": _point,
+    "bump_height": _real, "bump_radius": _positive, "resolution": _positive,
 }
 # probe parameters that ``_scenario_default`` fills if a check leaves them unset
 _DERIVED = ("x0", "x0_list", "r", "radii", "r_list", "seed", "integrand", "config", "slope")
@@ -214,16 +211,11 @@ def _liouville_domains(check: dict, params) -> None:
     """Increasing sizes, at least two, each giving a domain whose ``divisions`` hold, and
     data that stay finite on the largest."""
     args = {**{k: p.default for k, p in params.items()}, **check}
-    sizes = args["sizes"]
-    if sorted(sizes) != list(sizes) or len(sizes) < 2:
-        raise ValueError(f"'sizes' must be increasing, with at least two entries: {sizes}")
-    for size in sizes:
-        dom = HalfDomain(args["integrand"].dim - 1, depth=size, width=size,
-                         resolution=args["resolution"])
+    boxes = verify._liouville_boxes(args["slope"], args["sizes"], args["bump_height"],
+                                    args["bump_radius"], args["resolution"])
+    for dom, _ in boxes:
         dom.divisions()
-    data = verify._liouville_data(args["slope"], dom.depth, args["bump_height"],
-                                  args["bump_radius"])
-    _check_finite(data, dom, "'slope' and 'bump_height'")
+    _check_finite(boxes[-1][1], boxes[-1][0], "'slope' and 'bump_height'")
 
 
 def _scenario_default(param: str, sc: Scenario):
@@ -255,7 +247,7 @@ def run_scenario(scenario: Scenario, solve_only: bool = False) -> RunResult:
     mesh = build_mesh(scenario.domain)
     data = evaluate_data_spec(scenario.dirichlet, mesh.vertices)
     solution, solve_report = solve(scenario.integrand, mesh, data, scenario.solver)
-    result = RunResult(scenario, solution, solve_report, None)
+    result = RunResult(solution, solve_report, None)
     if solve_only or not solve_report.converged:
         return result
     if _needs_geometry(scenario.checks):
@@ -408,6 +400,8 @@ def _max_workers(n_jobs: int) -> int:
 
 def sweep(scenario_path, axis: str, values, out_dir) -> int:
     """Run the base scenario once per axis value; one CSV row per value."""
+    import concurrent.futures  # only a sweep needs it, and it imports logging
+
     try:
         if not values:
             raise ConfigError("empty sweep value list")

@@ -2,11 +2,12 @@
 
 Each probe inspects a solved graph (or a family of them) and emits a
 structured :class:`CheckReport`.  Pass/fail probes compare a worst residual
-against a tolerance; algebraic identities get 1e-12-class tolerances, while
-discretization-limited probes use ``coef * h`` with coefficients frozen from
-the reference curved scenario (Euclidean integrand, sine Dirichlet data) and
-validated by refinement studies.  Informational probes report fitted
-constants or observed ratios instead of a verdict.
+against a tolerance read from :data:`DEFAULTS` when it runs; algebraic
+identities get 1e-12-class tolerances, while discretization-limited probes use
+a coefficient times h, frozen from the reference curved scenario (Euclidean
+integrand, sine Dirichlet data) and validated by refinement studies.
+Informational probes report fitted constants or observed ratios instead of a
+verdict.
 
 Every probe is deterministic given its inputs and an explicit seed, and
 independent probes may run concurrently.
@@ -121,11 +122,16 @@ class GradientEstimateRecord:
 
 @dataclass(frozen=True)
 class CheckDefaults:
-    """Tolerance coefficients (times mesh size h) for the O(h) probes.
+    """Every pass bar of the pass/fail probes; no probe parameter or scenario key sets one.
 
-    Calibrated once on the reference curved scenario at h = 1/32 with
-    roughly 4x headroom, then frozen; refinement studies confirm the
-    residuals decay at first order or better.
+    The ``*_coef`` fields are coefficients of the mesh size h for the O(h)
+    probes, calibrated once on the reference curved scenario at h = 1/32 with
+    roughly 4x headroom, then frozen; refinement studies confirm the residuals
+    decay at first order or better.  ``area_growth_tol`` bounds the fitted
+    area exponent's distance from n, and ``liouville_flat_frac`` times
+    ``|bump_height|`` bounds the final Liouville deviation.  ``identity_tol``
+    is the rounding slack of the exact statements: the area-element identity
+    and sandwich, and the Liouville deviations' monotonicity.
     """
 
     boundary_tangency_coef: float = 0.04
@@ -134,6 +140,8 @@ class CheckDefaults:
     wall_principal_coef: float = 0.8
     first_variation_coef: float = 0.35
     subharmonicity_coef: float = 0.01
+    area_growth_tol: float = 0.2
+    liouville_flat_frac: float = 0.05
     identity_tol: float = 1e-12
 
 
@@ -143,8 +151,7 @@ DEFAULTS = CheckDefaults()
 # -- identity / O(h) checks on a single solved graph ---------------------------
 
 
-def check_boundary_tangency(geom: GraphGeometry,
-                            coef: float = DEFAULTS.boundary_tangency_coef) -> CheckReport:
+def check_boundary_tangency(geom: GraphGeometry) -> CheckReport:
     """Tangency of the anisotropic surface gradient of W_f along the wall.
 
     Measures max over wall facets of |g(grad_F W_f, mu)|; exactly zero for
@@ -154,23 +161,21 @@ def check_boundary_tangency(geom: GraphGeometry,
     vals = np.einsum("fi,fi->f", grad_f[geom.mesh.wall_cells], geom.wall_mu)
     residual = float(np.abs(vals).max()) if vals.size else 0.0
     return _report(
-        "boundary_tangency", residual, coef * geom.mesh.h,
+        "boundary_tangency", residual, DEFAULTS.boundary_tangency_coef * geom.mesh.h,
         h=geom.mesh.h, integrand=geom.integrand.to_descriptor(),
     )
 
 
-def check_wall_condition(geom: GraphGeometry,
-                         coef: float = DEFAULTS.wall_condition_coef) -> CheckReport:
+def check_wall_condition(geom: GraphGeometry) -> CheckReport:
     """Geometric free-boundary condition <nu_F, e1> = 0 on wall facets."""
     residual = float(np.abs(geom.wall_nuF_e1).max()) if geom.wall_nuF_e1.size else 0.0
     return _report(
-        "wall_condition", residual, coef * geom.mesh.h,
+        "wall_condition", residual, DEFAULTS.wall_condition_coef * geom.mesh.h,
         h=geom.mesh.h, integrand=geom.integrand.to_descriptor(),
     )
 
 
-def check_interior_minimality(geom: GraphGeometry,
-                              coef: float = DEFAULTS.interior_minimality_coef) -> CheckReport:
+def check_interior_minimality(geom: GraphGeometry) -> CheckReport:
     """Max anisotropic mean curvature over interior vertices off the collar."""
     mask = (
         (geom.mesh.vertex_tags == Tag.INTERIOR)
@@ -180,14 +185,12 @@ def check_interior_minimality(geom: GraphGeometry,
     vals = geom.mean_curvature_aniso[mask]
     residual = float(np.abs(vals).max()) if vals.size else 0.0
     return _report(
-        "interior_minimality", residual, coef * geom.mesh.h,
+        "interior_minimality", residual, DEFAULTS.interior_minimality_coef * geom.mesh.h,
         h=geom.mesh.h, n_vertices=int(mask.sum()),
     )
 
 
-def check_wall_principal_direction(
-    geom: GraphGeometry, coef: float = DEFAULTS.wall_principal_coef
-) -> CheckReport:
+def check_wall_principal_direction(geom: GraphGeometry) -> CheckReport:
     """Wall co-normal as an anisotropic principal direction: the shape form pairs mu with
     every wall tangent to zero.  The residual is the worst pairing over the wall frame; a
     1d graph has no wall tangent."""
@@ -197,9 +200,8 @@ def check_wall_principal_direction(
     vals = np.abs(geom.wall_hF_mu_tau[~in_collar]).max(axis=1)
     vals = vals[np.isfinite(vals)]
     residual = float(vals.max()) if vals.size else 0.0
-    return _report(
-        "wall_principal_direction", residual, coef * geom.mesh.h, h=geom.mesh.h
-    )
+    return _report("wall_principal_direction", residual,
+                   DEFAULTS.wall_principal_coef * geom.mesh.h, h=geom.mesh.h)
 
 
 def check_area_element_identity(geom: GraphGeometry) -> CheckReport:
@@ -236,8 +238,7 @@ def _hat_forms(geom: GraphGeometry, phi: np.ndarray) -> tuple[np.ndarray, np.nda
             mesh.scatter(quad_cell[:, None].repeat(mesh.n + 1, axis=1)))
 
 
-def check_subharmonicity(geom: GraphGeometry,
-                         coef: float = DEFAULTS.subharmonicity_coef) -> CheckReport:
+def check_subharmonicity(geom: GraphGeometry) -> CheckReport:
     """Weak subharmonicity of log W_f against every admissible vertex hat.
 
     For each nonnegative hat psi off the Dirichlet boundary the weak form of
@@ -254,27 +255,34 @@ def check_subharmonicity(geom: GraphGeometry,
     quad_min = float(quad[admissible].min()) if slack.size else 0.0
     residual = max(0.0, -min_slack)
     return _report(
-        "subharmonicity", residual, coef * geom.mesh.h,
+        "subharmonicity", residual, DEFAULTS.subharmonicity_coef * geom.mesh.h,
         min_slack=min_slack, quad_min=quad_min, n_hats=int(admissible.sum()),
         h=geom.mesh.h,
     )
 
 
-def check_first_variation(
-    geom: GraphGeometry, coef: float = DEFAULTS.first_variation_coef,
-    margin: Optional[float] = None,
-) -> CheckReport:
+def check_first_variation(geom: GraphGeometry) -> CheckReport:
     """Integral first-variation identity tested with cutoff coordinate fields.
 
     For X = chi(x) v with chi a smooth cutoff vanishing near the truncation
-    boundary, quadrature of the weighted surface divergence must balance the
-    curvature and wall co-normal terms up to O(h).
+    boundary, within ``max(4 h, 0.15 L)`` of it (L the smallest extent),
+    quadrature of the weighted surface divergence must balance the curvature
+    and wall co-normal terms up to O(h).
     """
     mesh = geom.mesh
-    dom = mesh.domain
-    if margin is None:
-        margin = max(4.0 * mesh.h, 0.15 * min(dom.extents()))
-    half = np.array(dom.half())
+    margin = max(4.0 * mesh.h, 0.15 * min(mesh.domain.extents()))
+    per_field = _first_variation_fields(geom, margin)
+    return _report(
+        "first_variation", max(0.0, *per_field), DEFAULTS.first_variation_coef * mesh.h,
+        per_field=per_field, margin=margin, h=mesh.h,
+    )
+
+
+def _first_variation_fields(geom: GraphGeometry, margin: float) -> list[float]:
+    """``check_first_variation``'s imbalance for each coordinate field, with the cutoff
+    falling to zero over the last ``margin`` before the truncation boundary."""
+    mesh = geom.mesh
+    half = np.array(mesh.domain.half())
 
     def ramp(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Axis k's factor of chi at coordinates x, falling from 1 to 0 as |x| nears
@@ -335,10 +343,7 @@ def check_first_variation(
         mid = float((area * hf_cell * chi_q.mean(axis=1) * geom.cell_normal[:, k]).sum())
         bdry = float((geom.wall_measure * chi_w * geom.wall_mu_F[:, k]).sum())
         per_field.append(abs(lhs - mid - bdry))
-    return _report(
-        "first_variation", max(0.0, *per_field), coef * geom.mesh.h,
-        per_field=per_field, margin=margin, h=geom.mesh.h,
-    )
+    return per_field
 
 
 # -- gradient estimate probe ----------------------------------------------------
@@ -464,7 +469,6 @@ def liouville_probe(
     bump_radius: float = 1.0,
     resolution: float = 0.25,
     config: SolveConfig = SolveConfig(),
-    tol_flat: Optional[float] = None,
 ) -> CheckReport:
     """Flatness under domain growth with a fixed far-boundary perturbation.
 
@@ -473,7 +477,8 @@ def liouville_probe(
     a flat profile (wall-compatible affine) plus a compactly supported bump
     on the far boundary, and measures the max deviation of the solution from
     its best-fit affine over the inner quarter box.  Passes when the
-    deviation is nonincreasing in R and the final one is at most tol_flat.
+    deviation is nonincreasing in R and the final one is at most
+    ``DEFAULTS.liouville_flat_frac * |bump_height|``.
     ``observed_beta`` is the smaller of the largest growths ``-u / (1 + |x|)``
     (from below) and ``u / (1 + |x|)`` (from above) over all sizes: the
     hypothesis is one-sided growth on either side, and the capillary
@@ -481,21 +486,15 @@ def liouville_probe(
     """
     if beta < 0.0:
         raise ValueError("growth bound beta must be nonnegative")
-    sizes = [float(r) for r in sizes]
-    if sorted(sizes) != sizes or len(sizes) < 2:
-        raise ValueError("domain sizes must be increasing, with at least two entries")
-    if tol_flat is None:
-        tol_flat = 0.05 * abs(bump_height)
-    n = integrand.dim - 1
-    a = np.zeros(n) if slope is None else np.asarray(slope, dtype=float)
+    tol_flat = DEFAULTS.liouville_flat_frac * abs(bump_height)
+    a = [0.0] * (integrand.dim - 1) if slope is None else slope
+    boxes = _liouville_boxes(a, sizes, bump_height, bump_radius, resolution)
     deviations = []
     below = above = 0.0  # the linear growth of u from below and from above
-    for r_size in sizes:
-        dom = HalfDomain(n, depth=r_size, width=r_size, resolution=resolution)
+    for dom, spec in boxes:
+        r_size = dom.depth
         mesh = build_mesh(dom)
-        data = evaluate_data_spec(_liouville_data(a.tolist(), r_size, bump_height, bump_radius),
-                                  mesh.vertices)
-        u, rep = solve(integrand, mesh, data, config)
+        u, rep = solve(integrand, mesh, evaluate_data_spec(spec, mesh.vertices), config)
         if not rep.converged:
             return _report("liouville_flatness", 2.0 * tol_flat + 1.0, tol_flat,
                            diagnostic=f"solve at R={r_size} failed to converge",
@@ -508,26 +507,33 @@ def liouville_probe(
         deviations.append(float(np.abs(u.values[inner] - cols @ coef).max()))
 
     increases = [deviations[i + 1] - deviations[i] for i in range(len(deviations) - 1)]
-    monotone = all(inc <= 1e-12 for inc in increases)
+    monotone = all(inc <= DEFAULTS.identity_tol for inc in increases)
     residual = deviations[-1] if monotone else tol_flat + max(increases) + deviations[-1]
     observed_beta = min(below, above)
     return _report(
         "liouville_flatness", residual, tol_flat,
-        deviations=deviations, sizes=sizes, monotone=monotone,
+        deviations=deviations, sizes=[dom.depth for dom, _ in boxes], monotone=monotone,
         bump_height=bump_height, bump_radius=bump_radius,
         observed_beta=observed_beta, beta=beta,
         hypothesis_ok=bool(observed_beta <= beta + 1e-9),
     )
 
 
-def _liouville_data(slope: list, r_size: float, bump_height: float, bump_radius: float) -> dict:
-    """``liouville_probe``'s Dirichlet data on its size-``r_size`` box: the affine ``slope``
-    (one entry per axis) plus a bump at the centre of the far boundary."""
-    return {"type": "sum", "terms": [
+def _liouville_boxes(slope: Sequence[float], sizes: Sequence[float], bump_height: float,
+                     bump_radius: float, resolution: float) -> list[tuple[HalfDomain, dict]]:
+    """``liouville_probe``'s domain and Dirichlet data for each size R: the box
+    [0, R] x [-R, R]^(n - 1) (n = ``len(slope)``), and the affine ``slope`` plus a bump at
+    the centre of its far boundary.  ValueError unless the sizes increase, with at least
+    two."""
+    sizes = [float(r) for r in sizes]
+    if sorted(sizes) != sizes or len(sizes) < 2:
+        raise ValueError(f"'sizes' must be increasing, with at least two entries: {sizes}")
+    slope = [float(s) for s in slope]
+    n = len(slope)
+    return [(HalfDomain(n, depth=r, width=r, resolution=resolution), {"type": "sum", "terms": [
         {"type": "affine", "a": slope, "b": 0.0},
-        {"type": "bump", "center": [r_size] + [0.0] * (len(slope) - 1), "radius": bump_radius,
-         "height": bump_height},
-    ]}
+        {"type": "bump", "center": [r] + [0.0] * (n - 1), "radius": bump_radius,
+         "height": bump_height}]}) for r in sizes]
 
 
 # -- graph-ball probes ------------------------------------------------------------
@@ -542,9 +548,7 @@ def _graph_ball_distances(geom: GraphGeometry, x0) -> tuple[np.ndarray, np.ndarr
     return center, np.linalg.norm(mesh.cell_means(points) - center, axis=1)
 
 
-def area_growth_check(
-    geom: GraphGeometry, x0, radii: Sequence[float], slope_tol: float = 0.2
-) -> CheckReport:
+def area_growth_check(geom: GraphGeometry, x0, radii: Sequence[float]) -> CheckReport:
     """Growth exponent of graph-ball area around a base point on the graph.
 
     Sums the surface measure of cells whose barycenter image falls in the
@@ -568,7 +572,7 @@ def area_growth_check(
     slope = float(np.polyfit(np.log(usable), np.log(measures), 1)[0])
     scaled = np.array(measures) / np.array(usable) ** n
     return _report(
-        "area_growth", abs(slope - n), slope_tol,
+        "area_growth", abs(slope - n), DEFAULTS.area_growth_tol,
         fitted_exponent=slope, c_lower=float(scaled.min()), c_upper=float(scaled.max()),
         radii=usable, measures=measures, base_point=center.tolist(),
     )

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import replace
 from functools import reduce, wraps
 from itertools import takewhile
 from pathlib import Path
@@ -211,20 +212,20 @@ def test_bundled_scenarios_load(name):
     assert load_scenario(bundled_scenario_path(name)).checks
 
 
+# no key sets a pass bar: those are the fields of ``verify.CheckDefaults``
 ACCEPTED_KEYS = {
-    "boundary_tangency": {"coef"},
-    "wall_condition": {"coef"},
-    "interior_minimality": {"coef"},
-    "wall_principal_direction": {"coef"},
-    "subharmonicity": {"coef"},
-    "first_variation": {"coef", "margin"},
+    "boundary_tangency": set(),
+    "wall_condition": set(),
+    "interior_minimality": set(),
+    "wall_principal_direction": set(),
+    "subharmonicity": set(),
+    "first_variation": set(),
     "area_element_identity": set(),
-    "area_growth": {"x0", "radii", "slope_tol"},
+    "area_growth": {"x0", "radii"},
     "mean_value": {"x0", "r"},
     "functional_inequalities": {"bank_size"},
     "gradient_estimate": {"x0_list", "r_list"},
-    "liouville": {"beta", "sizes", "slope", "bump_height", "bump_radius", "resolution",
-                  "tol_flat"},
+    "liouville": {"beta", "sizes", "slope", "bump_height", "bump_radius", "resolution"},
 }
 
 
@@ -243,38 +244,40 @@ def test_check_table_matches_its_probes():
 
 def test_a_wrapped_probe_keeps_its_keys_and_runs(monkeypatch):
     calls = []
-    original = verify.check_first_variation
+    original = verify.functional_inequality_diagnostics
 
     @wraps(original)
     def spy(*args, **kwargs):
         calls.append(kwargs)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(verify, "check_first_variation", spy)
-    with pytest.raises(ConfigError, match="'cof'"):
-        scenario_from_dict(minimal_scenario(checks=[{"name": "first_variation", "cof": 0.1}]))
-    sc = scenario_from_dict(minimal_scenario(checks=[{"name": "first_variation",
-                                                      "margin": 0.2}]))
+    monkeypatch.setattr(verify, "functional_inequality_diagnostics", spy)
+    with pytest.raises(ConfigError, match="'bank'"):
+        scenario_from_dict(minimal_scenario(checks=[{"name": "functional_inequalities",
+                                                     "bank": 7}]))
+    sc = scenario_from_dict(minimal_scenario(checks=[{"name": "functional_inequalities",
+                                                      "bank_size": 7}]))
     result = run_scenario(sc)
-    assert calls == [{"margin": 0.2}]
-    assert result.reports[0].metadata["margin"] == 0.2
+    assert calls == [{"bank_size": 7, "seed": 0}]
+    assert result.reports[0].metadata["bank_size"] == 7
 
 
 def test_a_probe_wrapped_without_its_signature_keeps_its_keys_and_geometry(monkeypatch):
     # the wrapper's own signature is (*a, **k): the probe's parameters were read at import
     calls = []
-    probe = verify.check_first_variation
+    probe = verify.functional_inequality_diagnostics
 
     def wrapper(*a, **k):
         calls.append(k)
         return probe(*a, **k)
 
-    monkeypatch.setattr(verify, "check_first_variation", lambda *a, **k: wrapper(*a, **k))
-    sc = scenario_from_dict(minimal_scenario(checks=[{"name": "first_variation",
-                                                      "margin": 0.2}]))
+    monkeypatch.setattr(verify, "functional_inequality_diagnostics",
+                        lambda *a, **k: wrapper(*a, **k))
+    sc = scenario_from_dict(minimal_scenario(checks=[{"name": "functional_inequalities",
+                                                      "bank_size": 7}]))
     result = run_scenario(sc)
-    assert calls == [{"margin": 0.2}]
-    assert result.geometry is not None and result.reports[0].metadata["margin"] == 0.2
+    assert calls == [{"bank_size": 7, "seed": 0}]
+    assert result.geometry is not None and result.reports[0].metadata["bank_size"] == 7
 
 
 def sine_scenario_with(check, resolution=1 / 8):
@@ -298,18 +301,19 @@ def no_mesh(monkeypatch):
     ({"name": "liouville", "sizes": [4.0]}, "sizes"),
     ({"name": "area_growth", "radii": [-0.1, 0.2, 0.3]}, "radii"),
     ({"name": "mean_value", "r": 0}, "r"),
-    ({"name": "wall_condition", "coef": "x"}, "coef"),
+    ({"name": "wall_condition", "coef": 1e-12}, "coef"),
     ({"name": "functional_inequalities", "bank_size": 0}, "bank_size"),
     ({"name": "mean_value", "x0": [0.4]}, "x0"),
     ({"name": "gradient_estimate", "r_list": [-0.1]}, "r_list"),
     ({"name": "liouville", "sizes": [1.0, 2.0], "resolution": 1.0}, "resolution"),
     ({"name": "area_growth", "radii": "abc"}, "radii"),
     ({"name": "wall_condition", "cof": 0.1}, "cof"),
-    ({"name": "first_variation", "margin": True}, "margin"),
+    ({"name": "first_variation", "margin": 0.2}, "margin"),
     ({"name": "liouville", "beta": -1.0}, "beta"),
     ({"name": "liouville", "slope": [0.5]}, "slope"),
     ({"name": "gradient_estimate", "x0_list": [[0.1, 0.0, 0.0]]}, "x0_list"),
-    ({"name": "liouville", "tol_flat": -0.05}, "tol_flat"),
+    ({"name": "liouville", "tol_flat": 0.5}, "tol_flat"),
+    ({"name": "area_growth", "slope_tol": 1.0}, "slope_tol"),
 ])
 def test_bad_check_parameter_exits_2_before_any_solve(tmp_path, capsys, no_mesh, check, key):
     path = write_scenario(tmp_path, sine_scenario_with(check))
@@ -318,6 +322,8 @@ def test_bad_check_parameter_exits_2_before_any_solve(tmp_path, capsys, no_mesh,
     err = capsys.readouterr().err
     assert err.startswith(f"config error: check {check['name']!r}: ")
     assert key in err
+    if key not in cli._KEYS:  # a pass bar's name is no key, like a misspelt one
+        assert f"unknown key {key!r}" in err
     assert not out.exists()
 
 
@@ -332,8 +338,9 @@ def test_sweep_with_bad_check_parameter_exits_2(tmp_path, capsys, no_mesh):
 
 
 def test_null_check_parameter_takes_the_default():
-    sc = scenario_from_dict(minimal_scenario(checks=[{"name": "wall_condition", "coef": None}]))
-    assert sc.checks == ({"name": "wall_condition"},)
+    sc = scenario_from_dict(minimal_scenario(checks=[{"name": "functional_inequalities",
+                                                      "bank_size": None}]))
+    assert sc.checks == ({"name": "functional_inequalities", "seed": 0},)
 
 
 @pytest.mark.parametrize("command, resolution", [
@@ -489,6 +496,10 @@ def test_readme_scenario_tables_name_exactly_the_parsed_keys():
     start = next(i for i, line in enumerate(lines) if line.startswith("Integrands: every `kind`"))
     sentence = " ".join(lines[start:lines.index("", start)])
     assert readme_names(sentence) == set(integrand._SHARED_KEYS)
+    checks = {name.strip("`"): readme_names(keys) for name, keys, *_ in
+              readme_table(lines, "| Check | Keys (default) | Verdict |")}
+    assert checks == {name: {k for k in params if k in cli._KEYS}
+                      for name, params in cli._PARAMS.items()}
 
 
 # -- contract fuzzer: any input ends with a documented exit code --------------------
@@ -689,13 +700,16 @@ def test_elliptic_pnorm_loads(p, eps):
     assert scenario_from_dict(pnorm_reproducer(p, eps, 2.0)).integrand.p == p
 
 
-def test_run_exit_1_on_failed_check(tmp_path):
+def test_run_exit_1_on_failed_check(tmp_path, monkeypatch):
+    # an unmeetable tolerance, read when the probe runs
+    monkeypatch.setattr(verify, "DEFAULTS",
+                        replace(verify.DEFAULTS, boundary_tangency_coef=1e-12))
     payload = minimal_scenario(
         dirichlet={"type": "sum", "terms": [
             {"type": "flat_profile"},
             {"type": "sine", "amplitude": 0.2, "kx": 2.0, "ky": math.pi,
              "phase": math.pi / 2}]},
-        checks=[{"name": "boundary_tangency", "coef": 1e-12}],  # unmeetable tolerance
+        checks=["boundary_tangency"],
     )
     path = write_scenario(tmp_path, payload)
     assert run(path, tmp_path / "out") == 1
@@ -872,7 +886,8 @@ def test_sweep_logs_the_workers_warnings(tmp_path):
 
 
 @pytest.mark.parametrize("overrides, code", [
-    ({"checks": [{"name": "boundary_tangency", "coef": 1e-12}]}, 1),  # unmeetable tolerance
+    # balls past the box hold the whole graph: the fitted area exponent is 0, not n = 2
+    ({"checks": [{"name": "area_growth", "radii": [4.0, 5.0, 6.0]}]}, 1),
     ({"solver": {"max_iter": 1}}, 3),
 ])
 def test_sweep_exit_code_is_worst_row(tmp_path, overrides, code):

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -67,6 +68,28 @@ def test_check_report_invariant():
     assert kinds(rep.to_json_dict()["metadata"]) == {bool, float, int}
 
 
+def test_every_pass_bar_is_a_check_default_read_when_the_probe_runs(curved_32, monkeypatch):
+    doubled = V.CheckDefaults(**{f.name: 2.0 * getattr(V.DEFAULTS, f.name)
+                                 for f in fields(V.CheckDefaults)})
+    monkeypatch.setattr(V, "DEFAULTS", doubled)
+    geom = curved_32[3]
+    h = geom.mesh.h
+    tolerances = [
+        (V.check_boundary_tangency(geom), doubled.boundary_tangency_coef * h),
+        (V.check_wall_condition(geom), doubled.wall_condition_coef * h),
+        (V.check_interior_minimality(geom), doubled.interior_minimality_coef * h),
+        (V.check_wall_principal_direction(geom), doubled.wall_principal_coef * h),
+        (V.check_first_variation(geom), doubled.first_variation_coef * h),
+        (V.check_subharmonicity(geom), doubled.subharmonicity_coef * h),
+        (V.check_area_element_identity(geom), doubled.identity_tol),
+        (V.area_growth_check(geom, [0.25, 0.0], [0.1, 0.2, 0.3]), doubled.area_growth_tol),
+        (V.liouville_probe(EllipticIntegrand.euclidean(3), sizes=[1.0, 2.0], bump_height=-0.5),
+         doubled.liouville_flat_frac * 0.5),
+    ]
+    for rep, tolerance in tolerances:
+        assert rep.tolerance == tolerance, rep.check_name
+
+
 def test_curved_checks_shrink_under_refinement(curved_32, curved_64):
     for check in (V.check_boundary_tangency, V.check_wall_condition,
                   V.check_interior_minimality, V.check_first_variation):
@@ -91,8 +114,11 @@ def test_first_variation_matches_the_pointwise_cutoff(domain, margin):
     x = mesh.vertices
     vals = 0.3 * np.sin(3.0 * x[:, 0] + 0.2) + 0.2 * np.cos(2.0 * x[:, -1])
     geom = compute_geometry(EllipticIntegrand.euclidean(mesh.n + 1), GraphFunction(mesh, vals))
-    rep = V.check_first_variation(geom, margin=margin)
-    assert rep.metadata["per_field"] == first_variation_per_field(geom, margin)
+    if margin is None:  # the probe's own margin
+        per_field = V.check_first_variation(geom).metadata["per_field"]
+    else:
+        per_field = V._first_variation_fields(geom, margin)
+    assert per_field == first_variation_per_field(geom, margin)
 
 
 def test_wall_principal_direction_skips_a_1d_graph():
@@ -200,7 +226,7 @@ def test_liouville_decay_euclidean():
 
 
 def test_liouville_dent_flattens_like_the_bump():
-    # a dent's default tolerance is 0.05 * |bump_height|, not a negative number
+    # a dent's tolerance is 0.05 * |bump_height|, not a negative number
     rep = V.liouville_probe(EllipticIntegrand.euclidean(3), beta=0.1,
                             sizes=[4.0, 8.0], bump_height=-1.0)
     d = rep.metadata["deviations"]
