@@ -101,7 +101,7 @@ def sphere_points(dim: int, count: int) -> np.ndarray:
         z = 1.0 - 2.0 * _van_der_corput(k)
         rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
         return np.stack([rho * np.cos(azimuth), rho * np.sin(azimuth), z], axis=1)
-    raise ValueError("sphere sampling is implemented for dim in {2, 3}")
+    raise ValueError(f"sphere sampling is implemented for dim in {{2, 3}}, not dim {dim}")
 
 
 def _as_points(z: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -424,14 +424,18 @@ class EllipticIntegrand:
 
     @staticmethod
     def from_descriptor(desc: dict, dim: Optional[int] = None) -> "EllipticIntegrand":
-        """Parse a JSON descriptor; a malformed one, one whose dim is not ``dim`` (if given) or
-        one not uniformly elliptic as sampled (checked last) is a ConfigError."""
+        """Parse a JSON descriptor; a malformed one, one whose dim is not ``dim`` (if given),
+        one with no closed-form sphere range in a dim the sampler lacks, or one not uniformly
+        elliptic as sampled (checked last) is a ConfigError."""
         kind, (make, keys, required) = _variant(desc, "kind", _KINDS, "integrand")
         where = f"integrand {kind!r}"
         integrand = _section(desc, {**_SHARED_KEYS, **keys}, where, required=required,
                              make=lambda kind, **params: make(**params))
         if dim not in (None, integrand.dim):
             raise ConfigError(f"integrand dim {integrand.dim} does not match domain n+1={dim}")
+        if integrand.analytic_sphere_range() is None:
+            with _named(f"{where}:"):
+                sphere_points(integrand.dim, 1)  # the sampler's dim limit, apart from ellipticity
         with _named(f"{where}: not uniformly elliptic:"):
             integrand.sphere_range()  # samples F and its Hessian where no closed form exists
         return integrand

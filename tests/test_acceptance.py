@@ -28,7 +28,8 @@ from anisograph import (
     solve,
 )
 from anisograph.boundary_data import evaluate_data_spec
-from anisograph.cli import bundled_scenario_path, run
+from anisograph.cli import (_apply_axis, bundled_scenario_path, run, run_scenario,
+                            scenario_from_dict)
 from conftest import CURVED_DATA_SPEC
 from reference import amse_residual
 
@@ -59,30 +60,24 @@ def curved_ladder():
 
 @pytest.fixture(scope="module")
 def theta_suite():
-    """Capillary angle sweep (flat profile + sine), at h = 1/32 and 1/64."""
-    x0_list = [[0.0, 0.0], [0.0, 0.25], [0.0, -0.25], [0.1, 0.0], [0.25, 0.0],
-               [0.25, 0.2], [0.25, -0.2], [0.5, 0.0], [0.4, 0.15]]
-    r_list = [0.08, 0.12, 0.18, 0.25, 0.35, 0.5]
+    """The bundled capillary angle sweep (flat profile + sine) at h = 1/32 and 1/64, with
+    the records of its gradient_estimate check."""
+    raw = json.loads(bundled_scenario_path("capillary_theta_sweep").read_text())
+    probes = next(c for c in scenario_from_dict(raw).checks if c["name"] == "gradient_estimate")
     records = {}
     geoms = {}
     for res in (1 / 32, 1 / 64):
         recs = []
         gs = []
         for theta in THETAS_SWEEP:
-            integrand = EllipticIntegrand.capillary(theta, dim=3)
-            mesh = build_mesh(HalfDomain(2, depth=1.0, width=0.5, resolution=res))
-            spec = {"type": "sum", "terms": [
-                {"type": "affine", "a": [integrand.flat_slope(), 0.0], "b": 0.0},
-                dict(CURVED_DATA_SPEC),
-            ]}
-            data = evaluate_data_spec(spec, mesh.vertices)
-            u, rep = solve(integrand, mesh, data)
-            assert rep.converged
-            geom = compute_geometry(integrand, u)
-            gs.append(geom)
+            varied = _apply_axis(_apply_axis(raw, "theta", theta), "resolution", res)
+            result = run_scenario(scenario_from_dict({**varied, "checks": []}))
+            assert result.solve_report.converged
+            gs.append(result.geometry)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                recs.extend(V.gradient_estimate_records(geom, x0_list, r_list))
+                recs.extend(V.gradient_estimate_records(result.geometry, probes["x0_list"],
+                                                        probes["r_list"]))
         records[res] = recs
         geoms[res] = gs
     return records, geoms

@@ -443,6 +443,10 @@ SINE = {"type": "sine", "amplitude": 0.25, "kx": 2.0, "ky": math.pi, "phase": ma
     # the dim is checked before the sphere is sampled, which works only in dim 2 and 3
     pytest.param({"integrand": {"kind": "pnorm", "dim": 4}}, "integrand dim 4 does not match",
                  id="pnorm-dim-4"),
+    # with a matching dim, the sampler's limit is named, not ellipticity
+    pytest.param({"integrand": {"kind": "pnorm", "dim": 4}, "domain.n": 3},
+                 "integrand 'pnorm': sphere sampling is implemented for dim in {2, 3}, not dim 4",
+                 id="pnorm-dim-4-n-3"),
     # |cot(theta)| > 1e3 leaves the flat-slope bisection's bracket
     pytest.param({"integrand.theta": 1e-4}, "dirichlet: flat-slope bracket",
                  id="flat-profile-bracket"),

@@ -145,10 +145,15 @@ def test_subharmonicity_flat_slack_zero(capillary_flat):
 
 def test_gradient_records_basic(curved_32):
     geom = curved_32[3]
-    recs = V.gradient_estimate_records(geom, [[0.0, 0.0], [0.5, 0.0]], [0.1, 0.2, 0.4])
-    assert all(r.osc >= 0.0 for r in recs)
+    # base points on a vertex, off every vertex and on the wall: each snaps to its nearest
+    # vertex, and the ball around it holds that vertex, so the oscillation is never negative
+    x0_list = [[0.0, 0.0], [0.5, 0.0], [0.31, 0.07], [0.0, -0.05]]
+    recs = V.gradient_estimate_records(geom, x0_list, [0.1, 0.2, 0.4])
+    assert len(recs) == 12
+    assert [r.x0 for r in recs[::3]] == [(0.0, 0.0), (0.5, 0.0), (0.3125, 0.0625),
+                                         (0.0, -0.0625)]
+    assert all(r.osc_over_r >= 0.0 for r in recs)
     assert all(r.r > 0 for r in recs)
-    assert len(recs) == 6
 
 
 def test_gradient_records_skip_out_of_domain(curved_32):
@@ -156,6 +161,10 @@ def test_gradient_records_skip_out_of_domain(curved_32):
     with pytest.warns(UserWarning):
         recs = V.gradient_estimate_records(geom, [[0.9, 0.4]], [0.5])
     assert recs == []
+    with pytest.warns(UserWarning):
+        report = V.gradient_estimate_probe(geom, [[0.9, 0.4]], [0.5])
+    assert report.worst_residual == 0.0
+    assert report.metadata == {"n_records": 0, "skipped": "no admissible records"}
 
 
 def test_fit_satisfies_all_records(curved_32):
@@ -167,8 +176,8 @@ def test_fit_satisfies_all_records(curved_32):
     assert c1 >= 0.0 and c2 >= 0.0 and math.isfinite(c1) and math.isfinite(c2)
     for rec in recs:
         assert rec.lhs <= c1 + c2 * rec.osc_over_r + 1e-9
-    assert report.status == "informational"
-    assert report.metadata["in_sample_satisfaction"] == 1.0
+    assert report.status == "informational" and report.worst_residual == 0.0
+    assert report.metadata == {"c1": c1, "c2": c2, "n_records": len(recs)}
 
 
 def test_fit_affine_case_reduces_to_log_slope():
@@ -201,9 +210,9 @@ def test_bound_tightens_with_radius_once_oscillation_saturates():
 
 
 def test_holdout_satisfaction_bounds():
-    recs = [V.GradientEstimateRecord((0.0, 0.0), 1.0, 0.0, 1.0, 1.0)]
+    recs = [V.GradientEstimateRecord((0.0, 0.0), 1.0, 0.0, 1.0)]
     assert V.holdout_satisfaction((0.0, 0.0), recs) == 1.0
-    bad = [V.GradientEstimateRecord((0.0, 0.0), 1.0, 5.0, 0.0, 0.0)]
+    bad = [V.GradientEstimateRecord((0.0, 0.0), 1.0, 5.0, 0.0)]
     assert V.holdout_satisfaction((0.0, 0.0), bad) == 0.0
 
 
