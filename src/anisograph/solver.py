@@ -44,6 +44,23 @@ half-resolution boundary misses its Dirichlet data by more than
 ``_DATA_DEFECT`` of the data's range (the coarse problem would then not
 approximate the fine one).  Each level starts from the P1 interpolant of the
 solution one level down, or cold from zero after a level that did not converge.
+
+A 2d warm start is first corrected at the wall corners by nonlinear elimination
+(Lanzkron, Rose and Wilkes, SIAM J. Sci. Comput. 17, 1996; Cai and Li, SIAM
+J. Sci. Comput. 33, 2011).  Where the wall meets the sides ``x_2 = +-width``,
+data that miss the contact angle make the solution singular, and the start is
+wrong near those two points alone, which global Newton would fix with a full
+factorization per step.  A corner box spans ``ceil(_CORNER_BOX * divisions)``
+cells along each axis (at least 2, at most half the divisions) from the wall and
+from its side.  When the start has not converged and more than ``_CORNER_GATE``
+of its residual norm lies at the boxes' free vertices, each box's local problem
+(its wall side free, the rest of its boundary fixed to the current values) is
+solved to ``tol_residual`` by ``_newton`` on its own small mesh, one box after
+the other, and the global loop starts from the result.  The share is read off
+the first residual the global loop needs anyway, so a start the gate leaves
+alone costs nothing more.  A 1d wall is one vertex and has no corner, and in 3d
+the singular set is the wall's four edges, which a corner box does not cover:
+neither eliminates.
 """
 
 from __future__ import annotations
@@ -57,7 +74,7 @@ from typing import Optional
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .domain import Mesh, Tag, _build, band_rows
+from .domain import HalfDomain, Mesh, Tag, _build, band_rows
 from .integrand import EllipticIntegrand
 
 __all__ = [
@@ -231,6 +248,11 @@ _DATA_DEFECT = 1e-2
 # the backtracking factor and the Armijo fraction of the line search, and the relative
 # residual a Newton step's linear solve must reach
 _LS_SHRINK, _LS_DECREASE, _LINEAR_TOL = 0.5, 1e-4, 1e-8
+# a wall corner's box spans this share of each axis's divisions, and a warm start has its
+# corner problems solved first when more than this share of its residual norm lies in the
+# two boxes (module notes): corner-incompatible data read 0.62 to 0.66, the bundled
+# scenarios 0.1 or less
+_CORNER_BOX, _CORNER_GATE = 0.1, 0.25
 
 try:  # glibc only: return freed heap memory to the system
     _malloc_trim = ctypes.CDLL(None).malloc_trim
@@ -289,29 +311,80 @@ def _ladder(mesh: Mesh, dirichlet: np.ndarray) -> list[tuple[tuple[int, ...], np
     return levels[::-1]
 
 
+def _corner_boxes(divisions: tuple[int, ...]) -> list[tuple[slice, ...]]:
+    """The vertex-grid boxes of a 2d mesh's two wall corners, ``k`` cells along each axis
+    from the wall and from the side: ``ceil(_CORNER_BOX * divisions)``, but at least 2 and at
+    most half the divisions."""
+    k0, k1 = (min(max(2, math.ceil(_CORNER_BOX * d)), d // 2) for d in divisions)
+    d1 = divisions[1]
+    return [(slice(0, k0 + 1), slice(0, k1 + 1)), (slice(0, k0 + 1), slice(d1 - k1, d1 + 1))]
+
+
+def _corner_share(res: np.ndarray, free: tuple[slice, ...], divisions: tuple[int, ...]) -> float:
+    """The share of the residual norm (``res`` on the free box ``free``, row by row) that lies
+    at the free vertices of the two corner boxes."""
+    grid = res.reshape(tuple(f.stop - f.start for f in free))
+    at = [grid[tuple(slice(max(b.start - f.start, 0), b.stop - f.start) for b, f in zip(box, free))]
+          for box in _corner_boxes(divisions)]
+    return math.sqrt(sum(float(np.sum(a * a)) for a in at)) / float(np.linalg.norm(res))
+
+
+def _eliminate_corners(integrand: EllipticIntegrand, mesh: Mesh, values: np.ndarray,
+                       config: SolveConfig) -> None:
+    """Solve the local problem of each wall corner's box in turn, in place in ``values``.
+
+    A corner box is a ``HalfDomain`` of its own: its wall side is free and the rest of its
+    boundary is Dirichlet, fixed to ``values``; the Kuhn split is the same in every grid box,
+    and both numberings go row by row, so the box's slice of the vertex grid is its vertex
+    vector.  The cells at a box's free vertices are the box's own, so a local Newton step
+    lowers the global energy by what it lowers the local one.
+    """
+    grid = values.reshape(tuple(d + 1 for d in mesh.divisions))
+    boxes = _corner_boxes(mesh.divisions)
+    cells = tuple(b.stop - b.start - 1 for b in boxes[0])
+    spacing = [e / d for e, d in zip(mesh.domain.extents(), mesh.divisions)]
+    local = _build(HalfDomain(2, cells[0] * spacing[0], cells[1] * spacing[1] / 2, mesh.h), cells)
+    for box in boxes:
+        sub = grid[box].ravel()
+        grid[box] = _newton(integrand, local, sub, config, sub, eliminate=False)[0].reshape(
+            grid[box].shape)
+
+
 def _newton(integrand: EllipticIntegrand, mesh: Mesh, dirichlet: np.ndarray, config: SolveConfig,
-            start: Optional[np.ndarray]) -> tuple[np.ndarray, SolveReport]:
-    """Newton on one mesh from ``start`` (zero if None), without the wall flux or level record."""
+            start: Optional[np.ndarray], eliminate: bool = True) -> tuple[np.ndarray, SolveReport]:
+    """Newton on one mesh from ``start`` (zero if None), without the wall flux or level record.
+
+    With ``eliminate``, a 2d start that has not converged and holds more than ``_CORNER_GATE``
+    of its residual norm in the corner boxes has its corner problems solved first, and the
+    energy trace begins at the start so improved (module notes).  Only n = 2 eliminates: a 1d
+    wall has no corner, and the 3d corner set, the wall's four edges, is no corner box.
+    """
     is_dir = mesh.vertex_tags == Tag.DIRICHLET
     free_idx = np.flatnonzero(~is_dir)
-    plan = _band_plan(mesh, _free_box(mesh, is_dir))  # once per level
+    free = _free_box(mesh, is_dir)
+    plan = _band_plan(mesh, free)  # once per level
 
     values = np.zeros(mesh.num_vertices) if start is None else start.copy()
     values[is_dir] = dirichlet[is_dir]
-    # the current iterate's lifted cell gradients, one lift per iterate
+    # the current iterate's lifted cell gradients, one lift per iterate, and its residual
     lifted = integrand.lift(mesh.cell_gradients(values))
+    res = _gradient(integrand, mesh, lifted)[free_idx]
+    res_norm = float(np.linalg.norm(res))
+    if (eliminate and start is not None and mesh.n == 2 and res_norm > config.tol_residual
+            and _corner_share(res, free, mesh.divisions) > _CORNER_GATE):
+        _eliminate_corners(integrand, mesh, values, config)
+        lifted = integrand.lift(mesh.cell_gradients(values))
+        res = _gradient(integrand, mesh, lifted)[free_idx]
+        res_norm = float(np.linalg.norm(res))
     e_cur = _energy(integrand, mesh, lifted)
     # an energy change this small is rounding: it cannot rank two trials
     e_floor = 16.0 * np.finfo(float).eps
     trace = [e_cur]
     converged = False
-    res_norm = np.inf
     iterations = 0
     failure = ""
 
     for _ in range(config.max_iter):
-        res = _gradient(integrand, mesh, lifted)[free_idx]
-        res_norm = float(np.linalg.norm(res))
         if res_norm <= config.tol_residual:
             converged = True
             break
@@ -361,8 +434,9 @@ def _newton(integrand: EllipticIntegrand, mesh: Mesh, dirichlet: np.ndarray, con
         e_cur = e_trial
         trace.append(e_cur)
         iterations += 1
+        res = _gradient(integrand, mesh, lifted)[free_idx]
+        res_norm = float(np.linalg.norm(res))
     else:
-        res_norm = float(np.linalg.norm(_gradient(integrand, mesh, lifted)[free_idx]))
         converged = res_norm <= config.tol_residual
 
     return values, SolveReport(iterations, res_norm, trace, converged=converged, failure=failure)

@@ -3,7 +3,8 @@
 The paper's hypotheses do not change under the capillary reflection (u solves
 at theta with data g exactly when -u solves at pi - theta with data -g) or
 under a vertical shift of the data, so no check's status may change under
-them, and no residual beyond rounding.
+them, and no residual beyond rounding.  The solve itself is reflected to rounding,
+also where it eliminates the corner problems first.
 """
 
 import json
@@ -12,7 +13,10 @@ import math
 import numpy as np
 import pytest
 
+from anisograph import EllipticIntegrand, HalfDomain, build_mesh, solve
+from anisograph.boundary_data import evaluate_data_spec
 from anisograph.cli import _CHECKS, bundled_scenario_path, run_scenario, scenario_from_dict
+from conftest import CURVED_DATA_SPEC
 
 BASE = json.loads(bundled_scenario_path("capillary_theta_sweep").read_text())
 THETA = BASE["integrand"]["theta"]
@@ -74,3 +78,14 @@ def test_vertical_shift(original):
     shifted = run_scenario(scenario(shift=SHIFT))
     assert np.abs(shifted.solution.values - SHIFT - original.solution.values).max() <= 1e-12
     assert_same_verdicts(original.reports, shifted.reports)
+
+
+def test_capillary_reflection_with_corner_elimination():
+    # corner-incompatible data at 1/64: every warm level has its corners eliminated first
+    mesh = build_mesh(HalfDomain(2, depth=1.0, width=0.5, resolution=1 / 64))
+    data = evaluate_data_spec(CURVED_DATA_SPEC, mesh.vertices)
+    u, rep = solve(EllipticIntegrand.capillary(0.5, 3), mesh, data)
+    reflected, rep_reflected = solve(EllipticIntegrand.capillary(math.pi - 0.5, 3), mesh, -data)
+    assert rep.converged and rep_reflected.converged
+    assert rep.level_iterations == rep_reflected.level_iterations == [7, 4, 4]
+    assert np.abs(reflected.values + u.values).max() <= 1e-14

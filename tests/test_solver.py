@@ -320,17 +320,101 @@ def test_theta_sweep_base_at_058_needs_few_fine_iterations():
     assert rep.iterations <= 6
 
 
-@pytest.mark.parametrize("h, levels, ladder", [(1 / 64, 3, [7, 6, 9]), (1 / 128, 4, None)],
+@pytest.mark.parametrize("h, ladder", [(1 / 64, [7, 4, 4]), (1 / 128, [7, 4, 4, 3])],
                          ids=["h64", "h128"])
-def test_hard_capillary_ladder_fine_iterations(h, levels, ladder):
+def test_hard_capillary_ladder_fine_iterations(h, ladder):
+    # the corners of every warm level are eliminated first: [7, 6, 9] and [7, 6, 9, 8] without
     mesh = unit_mesh(h)
     data = evaluate_data_spec(CURVED_DATA_SPEC, mesh.vertices)
     _, rep = solve(EllipticIntegrand.capillary(0.5, 3), mesh, data)
     assert rep.converged
-    assert len(rep.level_iterations) == levels
-    assert rep.iterations <= 12
-    if ladder is not None:
-        assert rep.level_iterations == ladder
+    assert rep.level_iterations == ladder
+
+
+# -- corner elimination ----------------------------------------------------------------
+
+
+def record_newton(monkeypatch):
+    """Wrap ``solver._newton``; the list returned gets the local solves of each level, one
+    count per level (``eliminate`` is off for a corner's local solve alone)."""
+    counts, inner = [], solver._newton
+
+    def recorded(integrand, mesh, dirichlet, config, start, eliminate=True):
+        if eliminate:
+            counts.append(0)
+        else:
+            counts[-1] += 1
+        return inner(integrand, mesh, dirichlet, config, start, eliminate)
+
+    monkeypatch.setattr(solver, "_newton", recorded)
+    return counts
+
+
+def test_corner_elimination_matches_the_plain_ladder(monkeypatch):
+    mesh = unit_mesh(1 / 64)
+    data = evaluate_data_spec(CURVED_DATA_SPEC, mesh.vertices)
+    integrand = EllipticIntegrand.capillary(0.5, 3)
+    u, rep = solve(integrand, mesh, data)
+    monkeypatch.setattr(solver, "_CORNER_GATE", math.inf)
+    plain, rep_plain = solve(integrand, mesh, data)
+    assert rep.converged and rep_plain.converged
+    assert rep.level_iterations == [7, 4, 4] and rep_plain.level_iterations == [7, 6, 9]
+    assert np.abs(u.values - plain.values).max() <= 1e-9
+    assert rep.energy_trace[-1] == pytest.approx(rep_plain.energy_trace[-1], rel=1e-12)
+
+
+def test_corner_gate_fires_on_corner_incompatible_data_alone(monkeypatch):
+    counts = record_newton(monkeypatch)
+    mesh = unit_mesh(1 / 128)
+    data = evaluate_data_spec(CURVED_DATA_SPEC, mesh.vertices)
+    assert solve(EllipticIntegrand.capillary(0.5, 3), mesh, data)[1].converged
+    assert counts == [0, 2, 2, 2]  # two local solves on each warm level
+    counts.clear()
+    assert solve(EllipticIntegrand.euclidean(3), mesh, data)[1].converged
+    assert counts == [0, 0, 0, 0]
+    counts.clear()
+    raw = json.loads(bundled_scenario_path("capillary_theta_sweep").read_text())
+    raw.update(checks=[], domain={**raw["domain"], "resolution": 1 / 64})
+    assert run_scenario(scenario_from_dict(raw), solve_only=True).solve_report.converged
+    assert counts == [0, 0, 0]
+
+
+def test_corner_gate_leaves_other_dimensions_alone(monkeypatch):
+    # n = 1 has no corner; for n = 3 the corner set is the wall's four edges
+    counts = record_newton(monkeypatch)
+    mesh = build_mesh(HalfDomain(1, depth=1.0, resolution=1 / 64))
+    data = np.full(mesh.num_vertices, -0.3)
+    assert solve(EllipticIntegrand.capillary(0.5, 2), mesh, data)[1].converged
+    assert counts == [0, 0, 0]
+    counts.clear()
+    mesh = build_mesh(HalfDomain(3, depth=1.0, width=0.5, resolution=1 / 8))
+    data = evaluate_data_spec(CURVED_DATA_SPEC, mesh.vertices)
+    _, rep = solver._newton(EllipticIntegrand.capillary(0.5, 4), mesh, data, SolveConfig(),
+                            np.zeros(mesh.num_vertices))  # warm, from zero
+    assert rep.converged and counts == [0]
+
+
+def test_converged_warm_start_is_not_eliminated(monkeypatch):
+    # the flat capillary graph at theta = 2.6 is exact on every level, and the warm start's
+    # rounding-level residual lies mostly in the corner boxes: that is noise, not a corner
+    counts = record_newton(monkeypatch)
+    mesh = unit_mesh(1 / 64)
+    integrand = EllipticIntegrand.capillary(2.6, 3)
+    data = mesh.vertices @ np.array([integrand.flat_slope(), 0.0])
+    levels, inner = [], solver._newton
+
+    def share(integrand, level, dirichlet, config, start, eliminate=True):
+        if start is not None and eliminate:
+            is_dir = level.vertex_tags == Tag.DIRICHLET
+            res = gradient(integrand, level, np.where(is_dir, dirichlet, start))[~is_dir]
+            levels.append(solver._corner_share(res, _free_box(level, is_dir), level.divisions))
+        return inner(integrand, level, dirichlet, config, start, eliminate)
+
+    monkeypatch.setattr(solver, "_newton", share)
+    _, rep = solve(integrand, mesh, data, SolveConfig(tol_residual=1e-13))
+    assert rep.converged and rep.level_iterations[1:] == [0, 0]
+    assert min(levels) > solver._CORNER_GATE
+    assert counts == [0, 0, 0]
 
 
 def test_unresolved_data_skips_the_ladder():
