@@ -276,30 +276,3 @@ def _build(domain: HalfDomain, divisions: tuple[int, ...]) -> Mesh:
     return Mesh(domain, divisions, max(spacing), verts, cells, tags.ravel(),
                 np.sort(facets, axis=1), owners, split)
 
-
-def vertex_stencils(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Two-ring vertex neighbourhoods (including the vertex) from grid indices.
-
-    Returns ``(offsets, ids, in_grid)``: ``offsets`` is the fixed ``(k, n)``
-    list of grid-index offsets of a full two-ring; ``ids[v, s]`` is the vertex
-    at offset ``s`` from vertex ``v`` and is meaningful only where
-    ``in_grid[v, s]``.  On a box every intermediate one-ring vertex of an
-    in-grid two-ring vertex lies in the grid too, so the in-grid offsets are
-    exactly the two-ring of the triangulation.
-    """
-    cell = mesh.split.offsets
-    ring1 = (cell[:, :, None] - cell[:, None]).reshape(-1, mesh.n)  # the cells' edges, and zero
-    # distinct, in lexicographic order (a plain np.unique would import numpy.ma)
-    ring2 = (ring1[:, None, :] + ring1[None, :, :]).reshape(-1, mesh.n)
-    offsets = np.array(sorted(set(map(tuple, ring2.tolist()))))
-    counts = tuple(d + 1 for d in mesh.divisions)
-    # row-by-row numbering: an offset moves every vertex id by the same amount, and the
-    # target is on the grid where each axis's index plus the offset is
-    strides = [math.prod(counts[k + 1:]) for k in range(mesh.n)]
-    ids = np.arange(mesh.num_vertices)[:, None] + offsets @ strides
-    in_grid = np.ones(counts + (len(offsets),), dtype=bool)
-    for k, c in enumerate(counts):
-        at = np.arange(c).reshape((1,) * k + (c,) + (1,) * (mesh.n - k)) + offsets[:, k]
-        in_grid &= (at >= 0) & (at < c)
-    return offsets, ids, in_grid.reshape(mesh.num_vertices, -1)
-

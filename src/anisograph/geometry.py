@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 import numpy as np
 
-from .domain import Mesh, vertex_stencils
+from .domain import Mesh
 from .integrand import EllipticIntegrand
 from .solver import GraphFunction
 
@@ -87,45 +87,51 @@ class GraphGeometry:
         return self.mesh.split.measure * self.cell_W
 
 
-def _fit_vertex_quadratics(mesh: Mesh, values: np.ndarray):
-    """Weighted quadratic LS fit on the two-ring of every vertex.
+def _two_ring_classes(mesh: Mesh) -> list[tuple[tuple[slice, ...], np.ndarray]]:
+    """The vertex grid's index classes: blocks of grid slices, each with the grid-index
+    offsets of its vertices' two-ring (the vertex included) in lexicographic order.  Along
+    an axis an index is 0, 1, in the middle, the last but one or the last; over a product
+    of such ranges the same offsets stay on the grid, so there are at most 5^n classes."""
+    cell = mesh.split.offsets
+    edges = {*map(tuple, (cell[:, :, None] - cell[:, None]).reshape(-1, mesh.n).tolist())}
+    # distinct, in lexicographic order (a plain np.unique would import numpy.ma)
+    ring2 = np.array(sorted({tuple(map(sum, zip(a, b))) for a in edges for b in edges}))
+    axes = []  # per axis, each range's slice and the offsets that keep all of it on the grid
+    for k, d in enumerate(mesh.divisions):
+        cuts = sorted({min(max(i, 0), d + 1) for i in (0, 1, 2, d - 1, d, d + 1)})
+        axes.append([(slice(a, b), (a + ring2[:, k] >= 0) & (b - 1 + ring2[:, k] <= d))
+                     for a, b in zip(cuts, cuts[1:])])
+    return [(tuple(s for s, _ in c), ring2[np.logical_and.reduce([m for _, m in c])])
+            for c in product(*axes)]
 
-    On the structured grid a two-ring is fixed, up to rounding in the vertex
-    coordinates, by which of its offsets fall inside the grid.  Vertices are
-    grouped by that offset pattern, and each group is fitted with one
-    weighted pseudo-inverse built from its first vertex's stencil.
-    """
-    n = mesh.n
+
+def _fit_vertex_quadratics(mesh: Mesh, values: np.ndarray):
+    """Weighted quadratic LS fit on the two-ring of every vertex: one weighted
+    pseudo-inverse per index class (``_two_ring_classes``), built from the stencil of its
+    first vertex, and the class flagged if that stencil has fewer vertices than the fit
+    has coefficients or its weighted design is nearly singular."""
+    n, nv = mesh.n, mesh.num_vertices
     pairs = list(combinations_with_replacement(range(n), 2))  # the Hessian's entries
-    ncoef = 1 + n + len(pairs)
-    _, ids, in_grid = vertex_stencils(mesh)
-    nv = mesh.num_vertices
-    coef = np.zeros((nv, ncoef))
-    ok = np.zeros(nv, dtype=bool)
-    sigma = 2.0 * mesh.h
-    key = in_grid.astype(np.int64) @ (1 << np.arange(in_grid.shape[1], dtype=np.int64))
-    _, first, pattern = np.unique(key, return_index=True, return_inverse=True)
-    for p, v in enumerate(first):
-        idx = ids[v, in_grid[v]]
-        dx = mesh.vertices[idx] - mesh.vertices[v]
-        cols = np.stack([np.ones(idx.size), *dx.T,
-                         *((0.5 if i == j else 1.0) * dx[:, i] * dx[:, j] for i, j in pairs)],
-                        axis=1)
-        w = np.exp(-np.sum(dx * dx, axis=1) / (sigma * sigma))
-        a = cols * w[:, None]
+    counts = tuple(d + 1 for d in mesh.divisions)
+    strides = [math.prod(counts[k + 1:]) for k in range(n)]  # of the row-by-row numbering
+    grid_ids = np.arange(nv).reshape(counts)
+    coef, ok = np.zeros((nv, 1 + n + len(pairs))), np.zeros(nv, dtype=bool)
+    for block, offsets in _two_ring_classes(mesh):
+        block_ids, shift = grid_ids[block].ravel(), offsets @ strides
+        dx = mesh.vertices[block_ids[0] + shift] - mesh.vertices[block_ids[0]]
+        w = np.exp(-np.sum(dx * dx, axis=1) / (2.0 * mesh.h) ** 2)  # sigma = 2h
+        a = np.stack([np.ones(shift.size), *dx.T,
+                      *((0.5 if i == j else 1.0) * dx[:, i] * dx[:, j] for i, j in pairs)],
+                     axis=1) * w[:, None]
         left, sv, right = np.linalg.svd(a, full_matrices=False)
-        # the rank np.linalg.lstsq reports with its default rcond
-        rank = int(np.count_nonzero(sv > np.finfo(float).eps * max(a.shape) * sv[0]))
-        if rank < ncoef or sv[-1] <= 1e-10 * sv[0]:
+        if a.shape[0] < a.shape[1] or sv[-1] <= 1e-10 * sv[0]:
             continue
-        members = np.flatnonzero(pattern == p)
         pinv = (right.T / sv) @ (left.T * w)
-        coef[members] = values[ids[members][:, in_grid[v]]] @ pinv.T
-        ok[members] = True
-    grad = coef[:, 1 : 1 + n].copy()
+        # gathered in F order: a C-ordered gather moves the 3d fits in their last bits
+        coef[block_ids] = values[(shift[:, None] + block_ids).T] @ pinv.T
+        ok[block_ids] = True
     entry = [1 + n + pairs.index((min(i, j), max(i, j))) for i in range(n) for j in range(n)]
-    hess = coef[:, entry].reshape(nv, n, n)
-    return grad, hess, ok
+    return coef[:, 1 : 1 + n].copy(), coef[:, entry].reshape(nv, n, n), ok
 
 
 def _det(m: np.ndarray) -> np.ndarray:

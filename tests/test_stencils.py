@@ -1,12 +1,11 @@
-"""Grid-index two-ring stencils and batched curvature fits against slow references."""
+"""Index-class two-ring stencils and batched curvature fits against slow references."""
 
 import numpy as np
 import pytest
 
 from anisograph import HalfDomain, Tag, build_mesh, domain
 from anisograph.cli import bundled_scenario_path, load_scenario
-from anisograph.domain import vertex_stencils
-from anisograph.geometry import _fit_vertex_quadratics
+from anisograph.geometry import _fit_vertex_quadratics, _two_ring_classes
 from anisograph.solver import _band_plan, _free_box, _hessian_band
 from reference import fit_vertex_quadratics, two_ring_stencils
 
@@ -30,29 +29,38 @@ def mesh(request):
 
 
 def test_stencils_match_cell_two_rings(mesh):
-    offsets, ids, in_grid = vertex_stencils(mesh)
-    assert ids.shape == in_grid.shape == (mesh.num_vertices, offsets.shape[0])
+    # the classes cover every vertex once, and a class's offsets reach exactly the two-ring
+    # of each vertex of its block, without leaving the grid
+    counts = tuple(d + 1 for d in mesh.divisions)
+    grid = np.arange(mesh.num_vertices).reshape(counts)
     reference = two_ring_stencils(mesh)
-    for v in range(mesh.num_vertices):
-        got = ids[v, in_grid[v]]
-        assert np.array_equal(np.sort(got), reference[v]), v
+    seen = np.zeros(mesh.num_vertices, dtype=int)
+    for block, offsets in _two_ring_classes(mesh):
+        for v in grid[block].ravel():
+            seen[v] += 1
+            at = np.array(np.unravel_index(v, counts)) + offsets
+            assert np.array_equal(np.sort(np.ravel_multi_index(tuple(at.T), counts)),
+                                  reference[v]), v
+    assert np.array_equal(seen, np.ones(mesh.num_vertices, dtype=int))
 
 
 def test_stencil_offsets_keep_the_lexicographic_order(mesh):
-    # the order np.unique(axis=0) gave them, which numbers the fit patterns
+    # each class's offsets are the full two-ring's in the order np.unique(axis=0) gives
+    # them, which orders the rows of every fit
     cell = mesh.split.offsets
     ring1 = (cell[:, :, None] - cell[:, None]).reshape(-1, mesh.n)
-    ring2 = (ring1[:, None, :] + ring1[None, :, :]).reshape(-1, mesh.n)
-    offsets, _, _ = vertex_stencils(mesh)
-    assert np.array_equal(offsets, np.unique(ring2, axis=0))
-    assert offsets.dtype == np.unique(ring2, axis=0).dtype
+    ring2 = np.unique((ring1[:, None, :] + ring1[None, :, :]).reshape(-1, mesh.n), axis=0)
+    for _, offsets in _two_ring_classes(mesh):
+        assert np.array_equal(offsets, np.unique(offsets, axis=0))
+        assert offsets.dtype == ring2.dtype
+        assert set(map(tuple, offsets.tolist())) <= set(map(tuple, ring2.tolist()))
 
 
 def test_offset_patterns_are_few():
     # 5 index classes per axis (0, 1, middle, last-1, last) give 5^n patterns
     for dom, expect in ((MESHES["euclidean_freebdry_sine"], 25), (MESHES["1d_nx7"], 5)):
-        _, _, in_grid = vertex_stencils(build_mesh(dom))
-        assert len({row.tobytes() for row in in_grid}) == expect
+        classes = _two_ring_classes(build_mesh(dom))
+        assert len({offsets.tobytes() for _, offsets in classes}) == len(classes) == expect
 
 
 def test_batched_fit_matches_per_vertex_lstsq(mesh):
