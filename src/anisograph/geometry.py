@@ -109,8 +109,9 @@ def _fit_vertex_quadratics(mesh: Mesh, values: np.ndarray):
     """Weighted quadratic LS fit on the two-ring of every vertex: one weighted
     pseudo-inverse per index class (``_two_ring_classes``), built from the stencil of its
     first vertex, and the class flagged if that stencil has fewer vertices than the fit
-    has coefficients or its weighted design is nearly singular."""
-    n, nv = mesh.n, mesh.num_vertices
+    has coefficients or its weighted design is nearly singular.  The design is in units
+    of the mesh size h, so the flag rule does not depend on the scale of the domain."""
+    n, nv, h = mesh.n, mesh.num_vertices, mesh.h
     pairs = list(combinations_with_replacement(range(n), 2))  # the Hessian's entries
     counts = tuple(d + 1 for d in mesh.divisions)
     strides = [math.prod(counts[k + 1:]) for k in range(n)]  # of the row-by-row numbering
@@ -118,8 +119,8 @@ def _fit_vertex_quadratics(mesh: Mesh, values: np.ndarray):
     coef, ok = np.zeros((nv, 1 + n + len(pairs))), np.zeros(nv, dtype=bool)
     for block, offsets in _two_ring_classes(mesh):
         block_ids, shift = grid_ids[block].ravel(), offsets @ strides
-        dx = mesh.vertices[block_ids[0] + shift] - mesh.vertices[block_ids[0]]
-        w = np.exp(-np.sum(dx * dx, axis=1) / (2.0 * mesh.h) ** 2)  # sigma = 2h
+        dx = (mesh.vertices[block_ids[0] + shift] - mesh.vertices[block_ids[0]]) / h
+        w = np.exp(-np.sum(dx * dx, axis=1) / 4.0)  # a Gaussian of width 2h
         a = np.stack([np.ones(shift.size), *dx.T,
                       *((0.5 if i == j else 1.0) * dx[:, i] * dx[:, j] for i, j in pairs)],
                      axis=1) * w[:, None]
@@ -131,7 +132,7 @@ def _fit_vertex_quadratics(mesh: Mesh, values: np.ndarray):
         coef[block_ids] = values[(shift[:, None] + block_ids).T] @ pinv.T
         ok[block_ids] = True
     entry = [1 + n + pairs.index((min(i, j), max(i, j))) for i in range(n) for j in range(n)]
-    return coef[:, 1 : 1 + n].copy(), coef[:, entry].reshape(nv, n, n), ok
+    return coef[:, 1 : 1 + n] / h, coef[:, entry].reshape(nv, n, n) / h ** 2, ok
 
 
 def _det(m: np.ndarray) -> np.ndarray:

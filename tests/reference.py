@@ -173,44 +173,32 @@ def two_ring_stencils(mesh) -> list[np.ndarray]:
 
 
 def fit_vertex_quadratics(mesh, values: np.ndarray):
-    """Weighted quadratic fit on each vertex's two-ring, one ``lstsq`` per vertex."""
-    n = mesh.n
-    ncoef = 1 + n + n * (n + 1) // 2
+    """Weighted quadratic fit on each vertex's two-ring, one ``lstsq`` per vertex, posed in
+    units of the mesh size h and scaled back."""
+    n, h = mesh.n, mesh.h
+    pairs = list(itertools.combinations_with_replacement(range(n), 2))
+    ncoef = 1 + n + len(pairs)
     stencils = two_ring_stencils(mesh)
     nv = mesh.num_vertices
     grad = np.zeros((nv, n))
     hess = np.zeros((nv, n, n))
     ok = np.zeros(nv, dtype=bool)
-    sigma = 2.0 * mesh.h
     for v in range(nv):
         idx = stencils[v]
         if idx.size < ncoef:
             continue
-        dx = mesh.vertices[idx] - mesh.vertices[v]
-        if n == 1:
-            cols = np.stack([np.ones(idx.size), dx[:, 0], 0.5 * dx[:, 0] ** 2], axis=1)
-        else:
-            cols = np.stack(
-                [
-                    np.ones(idx.size),
-                    dx[:, 0],
-                    dx[:, 1],
-                    0.5 * dx[:, 0] ** 2,
-                    dx[:, 0] * dx[:, 1],
-                    0.5 * dx[:, 1] ** 2,
-                ],
-                axis=1,
-            )
-        w = np.exp(-np.sum(dx * dx, axis=1) / (sigma * sigma))
-        coef, _, rank, sv = np.linalg.lstsq(cols * w[:, None], values[idx] * w, rcond=None)
+        y = (mesh.vertices[idx] - mesh.vertices[v]) / h
+        cols = [np.ones(idx.size), *y.T]
+        cols += [(0.5 if i == j else 1.0) * y[:, i] * y[:, j] for i, j in pairs]
+        w = np.exp(-np.sum(y * y, axis=1) / 4.0)  # a Gaussian of width 2h
+        coef, _, rank, sv = np.linalg.lstsq(np.stack(cols, axis=1) * w[:, None],
+                                            values[idx] * w, rcond=None)
         if rank < ncoef or sv[-1] <= 1e-10 * sv[0]:
             continue
         ok[v] = True
-        grad[v] = coef[1 : 1 + n]
-        if n == 1:
-            hess[v, 0, 0] = coef[2]
-        else:
-            hess[v] = [[coef[3], coef[4]], [coef[4], coef[5]]]
+        grad[v] = coef[1 : 1 + n] / h
+        for (i, j), c in zip(pairs, coef[1 + n :]):
+            hess[v, i, j] = hess[v, j, i] = c / h ** 2
     return grad, hess, ok
 
 

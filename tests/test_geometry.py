@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from anisograph import (
     compute_geometry,
     surface_gradient,
 )
+from anisograph.cli import bundled_scenario_path, run_scenario, scenario_from_dict
 from anisograph.geometry import _cramer, _det, _fit_vertex_quadratics, _wall_frame
 from anisograph.verify import _hat_forms
 
@@ -339,3 +341,22 @@ def test_one_dimensional_geometry_capillary():
     assert geom.wall_muF_e1[0] == pytest.approx(math.sin(theta), abs=1e-12)
     assert geom.wall_measure.tolist() == [1.0]  # the wall is a point
     assert geom.wall_hF_mu_tau.shape == (1, 0)  # with no tangent
+
+
+def test_fits_do_not_depend_on_the_scale_of_the_domain():
+    # the reference scenario shrunk by 1e-4 in x and u alike: every vertex still fits, and
+    # interior_minimality measures as many vertices as at scale 1
+    raw = json.loads(bundled_scenario_path("euclidean_freebdry_sine").read_text())
+    raw["checks"] = ["interior_minimality"]
+    measured = []
+    for scale in (1.0, 1e-4):
+        shrunk = json.loads(json.dumps(raw))
+        for key in ("depth", "width", "resolution"):
+            shrunk["domain"][key] *= scale
+        shrunk["dirichlet"]["amplitude"] *= scale
+        shrunk["dirichlet"]["kx"] /= scale
+        shrunk["dirichlet"]["ky"] /= scale
+        result = run_scenario(scenario_from_dict(shrunk))
+        assert result.geometry.fit_ok.all()
+        measured.append(result.reports[0].metadata["n_vertices"])
+    assert measured[1] == measured[0] > 0

@@ -21,13 +21,22 @@ MESHES = {
     "2d_dx_ne_dy": HalfDomain(2, depth=1.0, width=0.6, resolution=1 / 4),
     **{name: load_scenario(bundled_scenario_path(name)).domain for name in BUNDLED},
 }
+# the two-ring and fit tests also run in 3d
+MESHES_3D = {
+    "3d_3x3x3": HalfDomain(3, depth=1.0, width=0.5, resolution=1 / 3),
+    "3d_dx_ne_dy": HalfDomain(3, depth=1.0, width=0.6, resolution=1 / 4),  # 4x5x5
+}
 
 
 @pytest.fixture(params=sorted(MESHES), scope="module")
 def mesh(request):
-    return build_mesh(MESHES[request.param])
+    return build_mesh({**MESHES, **MESHES_3D}[request.param])
 
 
+WITH_3D = pytest.mark.parametrize("mesh", sorted({**MESHES, **MESHES_3D}), indirect=True)
+
+
+@WITH_3D
 def test_stencils_match_cell_two_rings(mesh):
     # the classes cover every vertex once, and a class's offsets reach exactly the two-ring
     # of each vertex of its block, without leaving the grid
@@ -44,6 +53,7 @@ def test_stencils_match_cell_two_rings(mesh):
     assert np.array_equal(seen, np.ones(mesh.num_vertices, dtype=int))
 
 
+@WITH_3D
 def test_stencil_offsets_keep_the_lexicographic_order(mesh):
     # each class's offsets are the full two-ring's in the order np.unique(axis=0) gives
     # them, which orders the rows of every fit
@@ -63,12 +73,13 @@ def test_offset_patterns_are_few():
         assert len({offsets.tobytes() for _, offsets in classes}) == len(classes) == expect
 
 
+@WITH_3D
 def test_batched_fit_matches_per_vertex_lstsq(mesh):
     rng = np.random.default_rng(7)
     x = mesh.vertices
     values = np.sin(3.0 * x[:, 0] + 0.4) + 0.05 * rng.standard_normal(mesh.num_vertices)
-    if mesh.n == 2:
-        values = values * np.cos(2.0 * x[:, 1])
+    for k in range(1, mesh.n):
+        values = values * np.cos((k + 1.0) * x[:, k])
     grad, hess, ok = _fit_vertex_quadratics(mesh, values)
     grad_ref, hess_ref, ok_ref = fit_vertex_quadratics(mesh, values)
     assert np.array_equal(ok, ok_ref)
