@@ -173,14 +173,18 @@ def check_wall_condition(geom: GraphGeometry) -> CheckReport:
 
 
 def check_interior_minimality(geom: GraphGeometry) -> CheckReport:
-    """Max anisotropic mean curvature over interior vertices off the collar."""
+    """Max anisotropic mean curvature over interior vertices off the collar; informational
+    if there are none."""
     mask = (
         (geom.mesh.vertex_tags == Tag.INTERIOR)
         & geom.fit_ok
         & ~geom.collar
     )
     vals = geom.mean_curvature_aniso[mask]
-    residual = float(np.abs(vals).max()) if vals.size else 0.0
+    if not vals.size:
+        return _report("interior_minimality", 0.0, None, h=geom.mesh.h, n_vertices=0,
+                       skipped="no fitted interior vertex off the collar")
+    residual = float(np.abs(vals).max())
     return _report(
         "interior_minimality", residual, DEFAULTS.interior_minimality_coef * geom.mesh.h,
         h=geom.mesh.h, n_vertices=int(mask.sum()),
@@ -190,13 +194,17 @@ def check_interior_minimality(geom: GraphGeometry) -> CheckReport:
 def check_wall_principal_direction(geom: GraphGeometry) -> CheckReport:
     """Wall co-normal as an anisotropic principal direction: the shape form pairs mu with
     every wall tangent to zero.  The residual is the worst pairing over the wall frame; a
-    1d graph has no wall tangent."""
+    1d graph has no wall tangent, and a wall without a fitted facet off the collar is not
+    measured."""
     if geom.wall_hF_mu_tau.shape[1] == 0:
         return _report("wall_principal_direction", 0.0, None, skipped="no wall tangent (n=1)")
     in_collar = geom.collar[geom.mesh.wall_facets].any(axis=1)
     vals = np.abs(geom.wall_hF_mu_tau[~in_collar]).max(axis=1)
     vals = vals[np.isfinite(vals)]
-    residual = float(vals.max()) if vals.size else 0.0
+    if not vals.size:
+        return _report("wall_principal_direction", 0.0, None, h=geom.mesh.h,
+                       skipped="no fitted wall facet off the collar")
+    residual = float(vals.max())
     return _report("wall_principal_direction", residual,
                    DEFAULTS.wall_principal_coef * geom.mesh.h, h=geom.mesh.h)
 

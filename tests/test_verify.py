@@ -129,6 +129,18 @@ def test_wall_principal_direction_skips_a_1d_graph():
     assert rep.status == "informational" and "skipped" in rep.metadata
 
 
+
+def test_curvature_checks_skip_a_mesh_all_collar():
+    # the reference scenario at resolution 1/3: every vertex lies in the collar, so neither
+    # check measures anything, and neither may pass
+    integrand, _, u, _ = solve_curved(1 / 3)
+    geom = compute_geometry(integrand, u)
+    assert geom.collar.all()
+    for check in (V.check_interior_minimality, V.check_wall_principal_direction):
+        rep = check(geom)
+        assert rep.status == "informational" and rep.tolerance is None, rep
+        assert "skipped" in rep.metadata
+
 def test_subharmonicity_quadratic_term_nonnegative(curved_32):
     rep = V.check_subharmonicity(curved_32[3])
     assert rep.metadata["quad_min"] >= -1e-15
