@@ -12,8 +12,9 @@ written with 17 significant digits and no timestamps, so repeated runs of
 the same scenario and seed are byte-identical (timestamps go to a sidecar
 log).  Exit codes: 0 all pass/fail checks passed; 1 a check failed; 2 a
 malformed config or an ``--out`` that cannot be created, both found before
-any solve; 3 solver non-convergence (a failed linear solve included).  A
-sweep returns its worst row's.
+any solve, or an output file that cannot be written; 3 solver
+non-convergence (a failed linear solve included).  A sweep returns its
+worst row's.
 """
 
 from __future__ import annotations
@@ -343,21 +344,31 @@ def run(scenario_path, out_dir, solve_only: bool = False) -> int:
         warnings.simplefilter("always")
         result = run_scenario(scenario, solve_only)
     log = [f"warning: {w.message}" for w in caught]
-    _write_csvs(out, result)
-    with open(out / "solve_report.json", "w") as fh:
-        fh.write(json.dumps(asdict(result.solve_report), sort_keys=True, indent=1) + "\n")
-    if not solve_only:
-        _write_reports(out, result)
-    if result.solve_report.converged:
-        log.append(f"scenario={scenario.name} elapsed={time.perf_counter() - t0:.3f}s "
-                   f"iters={result.solve_report.iterations}")
-    else:
-        failure = result.solve_report.failure
-        suffix = f": {failure}" if failure else ""
-        log.append(f"non-convergence after {result.solve_report.iterations} iterations{suffix}")
-        print(f"solver failed to converge{suffix}", file=sys.stderr)
-    _append_log(out / "run.log", log)
+    try:
+        _write_csvs(out, result)
+        with open(out / "solve_report.json", "w") as fh:
+            fh.write(json.dumps(asdict(result.solve_report), sort_keys=True, indent=1) + "\n")
+        if not solve_only:
+            _write_reports(out, result)
+        if result.solve_report.converged:
+            log.append(f"scenario={scenario.name} elapsed={time.perf_counter() - t0:.3f}s "
+                       f"iters={result.solve_report.iterations}")
+        else:
+            failure = result.solve_report.failure
+            suffix = f": {failure}" if failure else ""
+            log.append(f"non-convergence after {result.solve_report.iterations} iterations"
+                       f"{suffix}")
+            print(f"solver failed to converge{suffix}", file=sys.stderr)
+        _append_log(out / "run.log", log)
+    except OSError as exc:
+        return _unwritable(exc)
     return result.exit_code
+
+
+def _unwritable(exc: OSError) -> int:
+    """Report an output file that cannot be written; its exit code is a config error's."""
+    print(f"cannot write output: {exc}", file=sys.stderr)
+    return 2
 
 
 def _output_dir(path) -> Path:
@@ -458,14 +469,17 @@ def sweep(scenario_path, axis: str, values, out_dir) -> int:
             row["gradient_c1"] = _fmt(grad.metadata["c1"])
             row["gradient_c2"] = _fmt(grad.metadata["c2"])
         rows.append(row)
-    with open(out / "sweep.csv", "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=header)
-        w.writeheader()
-        w.writerows(rows)
     # the workers' warnings interleave in no fixed order, so they are logged sorted
     log = sorted(f"warning: {w.message}" for w in caught)
     log += [f"{axis}={_fmt(value)} exit={res.exit_code}" for value, res in zip(values, results)]
-    _append_log(out / "run.log", log)
+    try:
+        with open(out / "sweep.csv", "w", newline="") as fh:
+            w = csv.DictWriter(fh, fieldnames=header)
+            w.writeheader()
+            w.writerows(rows)
+        _append_log(out / "run.log", log)
+    except OSError as exc:
+        return _unwritable(exc)
     return max(res.exit_code for res in results)
 
 

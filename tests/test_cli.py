@@ -620,6 +620,24 @@ def test_unusable_out_exits_2_before_any_solve(tmp_path, capsys, monkeypatch, co
     assert (tmp_path / "file").read_text() == ""
 
 
+
+@pytest.mark.parametrize("command, blocked", [
+    ("verify", "solution.csv"), ("verify", "run.log"), ("sweep", "sweep.csv"),
+    ("sweep", "run.log"),
+])
+def test_unwritable_output_exits_2(tmp_path, capsys, command, blocked):
+    # an output file that is a directory: a message and the config-error code, not a
+    # traceback and the failed-check code
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    argv = [command, "--config", str(bundled_scenario_path("capillary_flat")),
+            "--out", str(out)]
+    if command == "sweep":
+        argv += ["--axis", "theta", "--values", "1.0"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write output: ") and blocked in err
+
 def test_run_exit_3_on_nonconvergence(tmp_path):
     payload = minimal_scenario(
         dirichlet={"type": "sine", "amplitude": 0.4, "kx": 3.0, "ky": math.pi,
