@@ -390,8 +390,10 @@ class EllipticIntegrand:
 
         The graph a1 * x1 then satisfies both the bulk equation and the
         natural wall condition exactly (for the capillary family this is
-        -cot(theta)).  Found by bisection on [-1e3, 1e3] of the strictly
-        increasing derivative of the convex profile.
+        -cot(theta)).  Exactly 0 where the derivative vanishes there (a
+        symmetric profile, such as euclidean's or pnorm's); otherwise found by
+        bisection on [-1e3, 1e3] of the strictly increasing derivative of the
+        convex profile.
         """
         nres = self.dim - 1
 
@@ -400,6 +402,8 @@ class EllipticIntegrand:
             y[0] = a
             return float(self.grad_f(y)[0])
 
+        if dfda(0.0) == 0.0:
+            return 0.0
         lo, hi = -1e3, 1e3
         if dfda(lo) > 0.0 or dfda(hi) < 0.0:
             raise ValueError("flat-slope bracket does not straddle the minimizer")

@@ -258,6 +258,15 @@ def test_flat_slope_stops_at_the_rounding_floor_with_the_full_bisection_value(in
     assert integrand.flat_slope() == bisect_flat_slope(integrand, -1e3, 1e3)
 
 
+
+@pytest.mark.parametrize("integrand", [
+    EllipticIntegrand.euclidean(2), EllipticIntegrand.euclidean(3),
+    EllipticIntegrand.pnorm(3.0, 2), EllipticIntegrand.pnorm(3.0, 3),
+], ids=["euclidean_d2", "euclidean_d3", "pnorm_d2", "pnorm_d3"])
+def test_flat_slope_of_a_symmetric_profile_is_exactly_zero(integrand):
+    # f(a, 0) = f(-a, 0): the wall-compatible slope is 0, not a bisection's last midpoint
+    assert integrand.flat_slope() == 0.0
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_hess_f_is_the_graph_block_of_hess_F(dim):
     y = np.random.default_rng(4).normal(size=(200, dim - 1)) * 3.0
