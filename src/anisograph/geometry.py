@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, permutations, product
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 
@@ -61,7 +61,8 @@ class GraphGeometry:
 
     # per vertex (quadratic two-ring fit)
     vertex_gradient: np.ndarray
-    fit_ok: np.ndarray
+    fit_ok: np.ndarray  # all True, since a singular fit raises; kept for perfbench's
+                        # geometry.fit_ok_frac
     vertex_W: np.ndarray
     vertex_Wf: np.ndarray
     vertex_log_Wf: np.ndarray
@@ -105,57 +106,43 @@ def _two_ring_classes(mesh: Mesh) -> list[tuple[tuple[slice, ...], np.ndarray]]:
             for c in product(*axes)]
 
 
+def _weighted_design(dx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The weighted design matrix of a quadratic fit through points at offsets ``dx`` (in
+    mesh sizes) from its centre, and the weights: a Gaussian of width 2h."""
+    w = np.exp(-np.sum(dx * dx, axis=1) / 4.0)
+    pairs = combinations_with_replacement(range(dx.shape[1]), 2)  # the Hessian's entries
+    return np.stack([np.ones(len(dx)), *dx.T,
+                     *((0.5 if i == j else 1.0) * dx[:, i] * dx[:, j] for i, j in pairs)],
+                    axis=1) * w[:, None], w
+
+
 def _fit_vertex_quadratics(mesh: Mesh, values: np.ndarray):
     """Weighted quadratic LS fit on the two-ring of every vertex: one weighted
     pseudo-inverse per index class (``_two_ring_classes``), built from the stencil of its
-    first vertex, and the class flagged if that stencil has fewer vertices than the fit
-    has coefficients or its weighted design is nearly singular.  The design is in units
-    of the mesh size h, so the flag rule does not depend on the scale of the domain."""
+    first vertex.  ValueError if that stencil has fewer vertices than the fit has
+    coefficients or its weighted design is nearly singular.  No mesh of ``build_mesh`` with
+    at least three cells per axis does either: its spacings are within a factor 7/5 of each
+    other.  The design is in units of the mesh size h, so the rule does not depend on the
+    scale of the domain."""
     n, nv, h = mesh.n, mesh.num_vertices, mesh.h
-    pairs = list(combinations_with_replacement(range(n), 2))  # the Hessian's entries
+    pairs = list(combinations_with_replacement(range(n), 2))
     counts = tuple(d + 1 for d in mesh.divisions)
     strides = [math.prod(counts[k + 1:]) for k in range(n)]  # of the row-by-row numbering
     grid_ids = np.arange(nv).reshape(counts)
-    coef, ok = np.zeros((nv, 1 + n + len(pairs))), np.zeros(nv, dtype=bool)
+    coef = np.zeros((nv, 1 + n + len(pairs)))
     for block, offsets in _two_ring_classes(mesh):
         block_ids, shift = grid_ids[block].ravel(), offsets @ strides
-        dx = (mesh.vertices[block_ids[0] + shift] - mesh.vertices[block_ids[0]]) / h
-        w = np.exp(-np.sum(dx * dx, axis=1) / 4.0)  # a Gaussian of width 2h
-        a = np.stack([np.ones(shift.size), *dx.T,
-                      *((0.5 if i == j else 1.0) * dx[:, i] * dx[:, j] for i, j in pairs)],
-                     axis=1) * w[:, None]
+        a, w = _weighted_design((mesh.vertices[block_ids[0] + shift]
+                                 - mesh.vertices[block_ids[0]]) / h)
         left, sv, right = np.linalg.svd(a, full_matrices=False)
         if a.shape[0] < a.shape[1] or sv[-1] <= 1e-10 * sv[0]:
-            continue
+            raise ValueError("singular curvature fit on the grid indices "
+                             + " x ".join(f"[{s.start}, {s.stop})" for s in block))
         pinv = (right.T / sv) @ (left.T * w)
         # gathered in F order: a C-ordered gather moves the 3d fits in their last bits
         coef[block_ids] = values[(shift[:, None] + block_ids).T] @ pinv.T
-        ok[block_ids] = True
     entry = [1 + n + pairs.index((min(i, j), max(i, j))) for i in range(n) for j in range(n)]
-    return coef[:, 1 : 1 + n] / h, coef[:, entry].reshape(nv, n, n) / h ** 2, ok
-
-
-def _det(m: np.ndarray) -> np.ndarray:
-    """Determinants of a stack of k x k matrices by the Leibniz formula: the entry itself
-    for k = 1, and one for k = 0."""
-    k = m.shape[-1]
-    terms = []
-    for perm in permutations(range(k)):
-        term = math.prod((m[..., i, j] for i, j in enumerate(perm)), start=np.ones(m.shape[:-2]))
-        odd = sum(a > b for a, b in combinations(perm, 2)) % 2
-        terms.append(-term if odd else term)
-    return sum(terms[1:], terms[0])
-
-
-def _cramer(a: np.ndarray, b: np.ndarray, det: np.ndarray) -> np.ndarray:
-    """The solutions x of the stacked systems ``a x = b`` by Cramer's rule, ``det`` being
-    ``_det(a)``: exactly ``b / a`` for k = 1, which a LAPACK solve need not be."""
-    x = np.empty(b.shape)
-    for j in range(b.shape[-1]):
-        aj = a.copy()
-        aj[..., j] = b
-        x[..., j] = _det(aj) / det
-    return x
+    return coef[:, 1 : 1 + n] / h, coef[:, entry].reshape(nv, n, n) / h ** 2
 
 
 def _wall_frame(slope: np.ndarray) -> list[np.ndarray]:
@@ -183,9 +170,9 @@ def compute_geometry(integrand: EllipticIntegrand, u: GraphFunction) -> GraphGeo
     """Compute every geometric field of the graph of ``u``.
 
     Requires at least two layers of interior vertices so the curvature fits
-    have usable stencils.  Vertices whose fit is rank-deficient are flagged
-    and excluded from curvature-based checks; a ``_COLLAR * h`` band along
-    the truncation boundary is marked for the same reason.
+    have usable stencils.  A ``_COLLAR * h`` band along the truncation
+    boundary, where those stencils are one-sided, is marked for the
+    curvature-based checks to leave out.
     """
     mesh = u.mesh
     if integrand.dim != mesh.n + 1:
@@ -206,25 +193,17 @@ def compute_geometry(integrand: EllipticIntegrand, u: GraphFunction) -> GraphGeo
     f_min = integrand.sphere_range()[0]
     cell_log_wf = np.log(wf / f_min)
 
-    grad_v, hess_v, ok = _fit_vertex_quadratics(mesh, u.values)
+    grad_v, hess_v = _fit_vertex_quadratics(mesh, u.values)
     w_v = np.sqrt(1.0 + np.einsum("vi,vi->v", grad_v, grad_v))
     lifted_v = integrand.lift(grad_v)
     wf_v, b_v = integrand.F(lifted_v), integrand.D2f(lifted_v)
     del lifted_v
-    # fallback for flagged vertices: plain average of incident-cell values
-    bad = ~ok
-    if bad.any():
-        cnt = np.maximum(mesh.scatter(np.ones(mesh.cells.shape)), 1.0)
-        wf_v[bad] = mesh.scatter(wf[:, None].repeat(mesh.n + 1, axis=1))[bad] / cnt[bad]
-        w_v[bad] = mesh.scatter(w[:, None].repeat(mesh.n + 1, axis=1))[bad] / cnt[bad]
     log_wf_v = np.log(wf_v / f_min)
 
     h_f_trace = np.einsum("vij,vji->v", hess_v, b_v)
     gm = np.einsum("vi,vij->vj", grad_v, hess_v)
     p = hess_v - np.einsum("vi,vj->vij", grad_v, gm) / (w_v ** 2)[:, None, None]
     h_sq = np.einsum("vij,vji->v", p, p) / w_v ** 2
-    h_f_trace[bad] = np.nan
-    h_sq[bad] = np.nan
 
     half = np.array(mesh.domain.half())
     collar = np.any(np.abs(mesh.vertices) > half - _COLLAR * mesh.h - 1e-12, axis=1)
@@ -241,25 +220,21 @@ def compute_geometry(integrand: EllipticIntegrand, u: GraphFunction) -> GraphGeo
     nuf_mu = np.einsum("fi,fi->f", nuf_w, mu)
     mu_f = nuf_nu[:, None] * mu - nuf_mu[:, None] * nu_w
 
-    # the lifted wall facets: each facet's edges from its first vertex along x_2 ... x_n, and
-    # u's rise along them, give its measure and the gradient D_T u of u within it
-    x_w, u_w = mesh.vertices[fa][:, :, 1:], u.values[fa]
-    edges = x_w[:, 1:] - x_w[:, :1]
-    det = _det(edges)
-    if np.any(np.abs(det) < 1e-14):
-        raise ValueError("degenerate wall facet of zero measure")
-    slope = _cramer(edges, u_w[:, 1:] - u_w[:, :1], det)
-    wall_measure = (np.abs(det) / math.factorial(mesh.n - 1)
+    # the lifted wall facets: a facet lies in x_1 = 0 and u is linear on its owning cell, so
+    # u's gradient D_T u within it is the cell's along x_2 ... x_n; unlifted, each facet is a
+    # cell of the wall's split, of measure prod(spacing_2 ... spacing_n) / (n - 1)!
+    du_w = du[wall_cells]
+    slope = du_w[:, 1:]
+    spacing = [e / d for e, d in zip(mesh.domain.extents()[1:], mesh.divisions[1:])]
+    wall_measure = (math.prod(spacing) / math.factorial(mesh.n - 1)
                     * np.sqrt(1.0 + np.einsum("fi,fi->f", slope, slope)))
     # the shape form on (tangent, mu), for each tangent of a g-orthonormal wall frame
     m_f = hess_v[fa].mean(axis=1)
-    du_w = du[wall_cells]
     g_w = np.eye(mesh.n)[None, :, :] + np.einsum("fi,fj->fij", du_w, du_w)
     form = np.einsum("fij,fjk,fkl->fil", m_f, hess_f[wall_cells], g_w)
     hf_mu_tau = np.empty((len(fa), mesh.n - 1))
     for a, tau in enumerate(_wall_frame(slope)):
         hf_mu_tau[:, a] = np.einsum("fi,fij,fj->f", tau, form, mu[:, :mesh.n])
-    hf_mu_tau[~ok[fa].all(axis=1)] = np.nan
 
     return GraphGeometry(
         u=u,
@@ -274,7 +249,7 @@ def compute_geometry(integrand: EllipticIntegrand, u: GraphFunction) -> GraphGeo
         cell_AF=af,
         cell_log_Wf=cell_log_wf,
         vertex_gradient=grad_v,
-        fit_ok=ok,
+        fit_ok=np.ones(mesh.num_vertices, dtype=bool),
         vertex_W=w_v,
         vertex_Wf=wf_v,
         vertex_log_Wf=log_wf_v,

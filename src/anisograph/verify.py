@@ -175,15 +175,11 @@ def check_wall_condition(geom: GraphGeometry) -> CheckReport:
 def check_interior_minimality(geom: GraphGeometry) -> CheckReport:
     """Max anisotropic mean curvature over interior vertices off the collar; informational
     if there are none."""
-    mask = (
-        (geom.mesh.vertex_tags == Tag.INTERIOR)
-        & geom.fit_ok
-        & ~geom.collar
-    )
+    mask = (geom.mesh.vertex_tags == Tag.INTERIOR) & ~geom.collar
     vals = geom.mean_curvature_aniso[mask]
     if not vals.size:
         return _report("interior_minimality", 0.0, None, h=geom.mesh.h, n_vertices=0,
-                       skipped="no fitted interior vertex off the collar")
+                       skipped="no interior vertex off the collar")
     residual = float(np.abs(vals).max())
     return _report(
         "interior_minimality", residual, DEFAULTS.interior_minimality_coef * geom.mesh.h,
@@ -194,16 +190,15 @@ def check_interior_minimality(geom: GraphGeometry) -> CheckReport:
 def check_wall_principal_direction(geom: GraphGeometry) -> CheckReport:
     """Wall co-normal as an anisotropic principal direction: the shape form pairs mu with
     every wall tangent to zero.  The residual is the worst pairing over the wall frame; a
-    1d graph has no wall tangent, and a wall without a fitted facet off the collar is not
+    1d graph has no wall tangent, and a wall without a facet off the collar is not
     measured."""
     if geom.wall_hF_mu_tau.shape[1] == 0:
         return _report("wall_principal_direction", 0.0, None, skipped="no wall tangent (n=1)")
     in_collar = geom.collar[geom.mesh.wall_facets].any(axis=1)
     vals = np.abs(geom.wall_hF_mu_tau[~in_collar]).max(axis=1)
-    vals = vals[np.isfinite(vals)]
     if not vals.size:
         return _report("wall_principal_direction", 0.0, None, h=geom.mesh.h,
-                       skipped="no fitted wall facet off the collar")
+                       skipped="no wall facet off the collar")
     residual = float(vals.max())
     return _report("wall_principal_direction", residual,
                    DEFAULTS.wall_principal_coef * geom.mesh.h, h=geom.mesh.h)
@@ -320,7 +315,7 @@ def _first_variation_fields(geom: GraphGeometry, margin: float) -> list[float]:
         doubled[0::2], doubled[1::2] = x, 0.5 * (x[:-1] + x[1:])
         factors.append(ramp(doubled, k))
     area = geom.graph_measure()
-    hf_cell = mesh.cell_means(np.nan_to_num(geom.mean_curvature_aniso, nan=0.0))
+    hf_cell = mesh.cell_means(geom.mean_curvature_aniso)
     wall_mid = mesh.vertices[mesh.wall_facets].mean(axis=1)
     chi_w, _ = cutoff([ramp(wall_mid[:, k], k) for k in range(mesh.n)])
 
@@ -368,9 +363,8 @@ def gradient_estimate_records(
 
     Base points snap to the nearest vertex and the gradient comes from the
     vertex-centered fit there (its location does not move under refinement,
-    which keeps the fitted constants stable); flagged vertices fall back to
-    the nearest cell gradient.  Radii whose half-ball would cross the
-    truncation boundary are skipped with a warning.
+    which keeps the fitted constants stable).  Radii whose half-ball would
+    cross the truncation boundary are skipped with a warning.
     """
     mesh = geom.mesh
     half = np.array(mesh.domain.half())
@@ -380,12 +374,7 @@ def gradient_estimate_records(
     for x0 in x0_list:
         v = _nearest_vertex(mesh, x0)
         xv = mesh.vertices[v]
-        if geom.fit_ok[v]:
-            # vertex-centered fit: the evaluation point stays put under refinement
-            grad_norm = float(np.linalg.norm(geom.vertex_gradient[v]))
-        else:
-            c = int(np.argmin(np.linalg.norm(mesh.cell_means(mesh.vertices) - xv, axis=1)))
-            grad_norm = float(np.linalg.norm(geom.cell_gradient[c]))
+        grad_norm = float(np.linalg.norm(geom.vertex_gradient[v]))
         lhs = math.log(max(grad_norm, 1e-300))
         dist = np.linalg.norm(mesh.vertices - xv, axis=1)
         for r in r_list:
@@ -684,7 +673,7 @@ def functional_inequality_diagnostics(geom: GraphGeometry, seed: int = 0,
     area = geom.graph_measure()
     split = mesh.split
     types = len(split.offsets)
-    h_cell = mesh.cell_means(np.nan_to_num(geom.h_sq, nan=0.0))
+    h_cell = mesh.cell_means(geom.h_sq)
     scale = min(geom.mesh.domain.extents())
     boxes = np.arange(mesh.num_cells // types).reshape(mesh.divisions)
     phi = np.zeros(mesh.num_vertices)  # each function in turn, zero off its box

@@ -345,14 +345,13 @@ def wall_curve_fields(geom) -> tuple[np.ndarray, np.ndarray]:
     dx2 = xb - xa
     slope = (ub - ua) / dx2
     measure = np.abs(dx2) * np.sqrt(1.0 + slope * slope)
-    _, hess_v, ok = _fit_vertex_quadratics(mesh, u.values)
+    _, hess_v = _fit_vertex_quadratics(mesh, u.values)
     m_f = 0.5 * (hess_v[fa[:, 0]] + hess_v[fa[:, 1]])
     du_w = geom.cell_gradient[wall_cells]
     g_w = np.eye(2)[None, :, :] + np.einsum("fi,fj->fij", du_w, du_w)
     form = np.einsum("fij,fjk,fkl->fil", m_f, geom.cell_hess_f[wall_cells], g_w)
     tau = np.stack([np.zeros(len(wall_cells)), 1.0 / np.sqrt(1.0 + slope * slope)], axis=1)
     hf_mu_tau = np.einsum("fi,fij,fj->f", tau, form, geom.wall_mu[:, :2])
-    hf_mu_tau[~ok[fa].all(axis=1)] = np.nan
     return measure, hf_mu_tau
 
 
@@ -395,7 +394,7 @@ def functional_inequality_ratios(geom, bank, radius_fractions=(0.25, 0.5, 1.0)) 
     mesh = geom.mesh
     area = geom.graph_measure()
     wall_b = mesh.wall_facets
-    h_cell = np.nan_to_num(geom.h_sq, nan=0.0)[mesh.cells].mean(axis=1)
+    h_cell = geom.h_sq[mesh.cells].mean(axis=1)
     scale = min(geom.mesh.domain.extents())
 
     trace_max = 0.0
@@ -461,7 +460,7 @@ def first_variation_per_field(geom, margin: Optional[float] = None) -> list[floa
     qpts = np.stack([0.5 * (cell_verts[:, i] + cell_verts[:, j]) for i, j in edges], axis=1)
     nq = qpts.shape[1]
     area = geom.graph_measure()
-    hf_cell = np.nan_to_num(geom.mean_curvature_aniso, nan=0.0)[mesh.cells].mean(axis=1)
+    hf_cell = geom.mean_curvature_aniso[mesh.cells].mean(axis=1)
     chi_w, _ = cutoff(mesh.vertices[mesh.wall_facets].mean(axis=1))
     chi_q = np.zeros((mesh.num_cells, nq))
     dchi_q = np.zeros((mesh.num_cells, nq, mesh.n + 1))
