@@ -160,8 +160,7 @@ class RunResult:
 
 _RADII = partial(_list, item=_positive)
 _KEYS = {
-    "x0": _point, "radii": _RADII, "r": _positive,
-    "bank_size": partial(_real, low=1.0, integer=True), "x0_list": partial(_list, item=_point),
+    "x0": _point, "radii": _RADII, "r": _positive, "x0_list": partial(_list, item=_point),
     "r_list": _RADII, "beta": partial(_real, low=0.0), "sizes": _RADII, "slope": _point,
     "bump_height": _real, "bump_radius": _positive, "resolution": _positive,
 }
@@ -209,7 +208,7 @@ def _parse_check(item, sc: Scenario) -> dict:
 
 
 def _liouville_domains(check: dict, params) -> None:
-    """Increasing sizes, at least two, each giving a domain whose ``divisions`` hold, and
+    """Strictly increasing sizes, at least two, each giving a domain whose ``divisions`` hold, and
     data that stay finite on the largest."""
     args = {**{k: p.default for k, p in params.items()}, **check}
     boxes = verify._liouville_boxes(args["slope"], args["sizes"], args["bump_height"],
@@ -444,7 +443,7 @@ def sweep(scenario_path, axis: str, values, out_dir) -> int:
             header.append(f"{name}_rate")
     header += ["gradient_c1", "gradient_c2"]
     rows = []
-    prev_res: dict[str, float] = {}
+    prev_res: dict[str, float] = {}  # each check's residual in the previous row, if reported
     for value, res in zip(values, results):
         row: dict = {
             axis: _fmt(value),
@@ -456,13 +455,14 @@ def sweep(scenario_path, axis: str, values, out_dir) -> int:
         by_name = {rep.check_name: rep for rep in res.reports}
         for name in check_names:
             rep = by_name.get(name)
+            prev = prev_res.pop(name, 0.0)
             if rep is None:  # DictWriter leaves absent cells empty
                 continue
             row[f"{name}_residual"] = _fmt(rep.worst_residual)
             row[f"{name}_status"] = rep.status
             if axis == "resolution":
-                if prev_res.get(name, 0.0) > 0.0 and rep.worst_residual > 0.0:
-                    row[f"{name}_rate"] = _fmt(math.log2(prev_res[name] / rep.worst_residual))
+                if prev > 0.0 and rep.worst_residual > 0.0:
+                    row[f"{name}_rate"] = _fmt(math.log2(prev / rep.worst_residual))
                 prev_res[name] = rep.worst_residual
         grad = by_name.get("gradient_estimate")
         if grad and "c1" in grad.metadata:

@@ -512,11 +512,12 @@ def _liouville_boxes(slope: Sequence[float], sizes: Sequence[float], bump_height
                      bump_radius: float, resolution: float) -> list[tuple[HalfDomain, dict]]:
     """``liouville_probe``'s domain and Dirichlet data for each size R: the box
     [0, R] x [-R, R]^(n - 1) (n = ``len(slope)``), and the affine ``slope`` plus a bump at
-    the centre of its far boundary.  ValueError unless the sizes increase, with at least
-    two."""
+    the centre of its far boundary.  ValueError unless the sizes strictly increase, with at
+    least two."""
     sizes = [float(r) for r in sizes]
-    if sorted(sizes) != sizes or len(sizes) < 2:
-        raise ValueError(f"'sizes' must be increasing, with at least two entries: {sizes}")
+    if len(sizes) < 2 or any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise ValueError(f"'sizes' must be strictly increasing, with at least two entries: "
+                         f"{sizes}")
     slope = [float(s) for s in slope]
     n = len(slope)
     return [(HalfDomain(n, depth=r, width=r, resolution=resolution), {"type": "sum", "terms": [
@@ -608,6 +609,7 @@ def _pl_power_cellwise(vals: np.ndarray, measure: float, k: int) -> np.ndarray:
 
 
 _SOBOLEV_FRACTIONS = (0.25, 0.5, 1.0)  # the Sobolev ratio's scales over the smallest extent
+_BANK_SIZE = 60  # test functions drawn for the functional inequalities
 
 
 class BoxFunction(NamedTuple):
@@ -658,15 +660,14 @@ def test_function_bank(mesh: Mesh, seed: int, size: int) -> list[BoxFunction]:
     return funcs
 
 
-def functional_inequality_diagnostics(geom: GraphGeometry, seed: int = 0,
-                                      bank_size: int = 60) -> CheckReport:
+def functional_inequality_diagnostics(geom: GraphGeometry, seed: int = 0) -> CheckReport:
     """Observed trace / stability / Sobolev ratios over the seeded test-function bank.
 
     Informational: the assertion is finiteness and refinement stability of
     the maximum ratios, not a specific constant.
     """
     mesh = geom.mesh
-    bank = test_function_bank(mesh, seed, bank_size)
+    bank = test_function_bank(mesh, seed, _BANK_SIZE)
     if len(bank) == 0:
         raise ValueError("empty test-function bank")
 

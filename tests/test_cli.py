@@ -223,7 +223,7 @@ ACCEPTED_KEYS = {
     "area_element_identity": set(),
     "area_growth": {"x0", "radii"},
     "mean_value": {"x0", "r"},
-    "functional_inequalities": {"bank_size"},
+    "functional_inequalities": set(),
     "gradient_estimate": {"x0_list", "r_list"},
     "liouville": {"beta", "sizes", "slope", "bump_height", "bump_radius", "resolution"},
 }
@@ -244,40 +244,36 @@ def test_check_table_matches_its_probes():
 
 def test_a_wrapped_probe_keeps_its_keys_and_runs(monkeypatch):
     calls = []
-    original = verify.functional_inequality_diagnostics
+    original = verify.mean_value_probe
 
     @wraps(original)
     def spy(*args, **kwargs):
         calls.append(kwargs)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(verify, "functional_inequality_diagnostics", spy)
-    with pytest.raises(ConfigError, match="'bank'"):
-        scenario_from_dict(minimal_scenario(checks=[{"name": "functional_inequalities",
-                                                     "bank": 7}]))
-    sc = scenario_from_dict(minimal_scenario(checks=[{"name": "functional_inequalities",
-                                                      "bank_size": 7}]))
+    monkeypatch.setattr(verify, "mean_value_probe", spy)
+    with pytest.raises(ConfigError, match="'radius'"):
+        scenario_from_dict(minimal_scenario(checks=[{"name": "mean_value", "radius": 0.3}]))
+    sc = scenario_from_dict(minimal_scenario(checks=[{"name": "mean_value", "r": 0.3}]))
     result = run_scenario(sc)
-    assert calls == [{"bank_size": 7, "seed": 0}]
-    assert result.reports[0].metadata["bank_size"] == 7
+    assert calls == [{"r": 0.3, "x0": [0.25, 0.0]}]
+    assert result.reports[0].metadata["r"] == 0.3
 
 
 def test_a_probe_wrapped_without_its_signature_keeps_its_keys_and_geometry(monkeypatch):
     # the wrapper's own signature is (*a, **k): the probe's parameters were read at import
     calls = []
-    probe = verify.functional_inequality_diagnostics
+    probe = verify.mean_value_probe
 
     def wrapper(*a, **k):
         calls.append(k)
         return probe(*a, **k)
 
-    monkeypatch.setattr(verify, "functional_inequality_diagnostics",
-                        lambda *a, **k: wrapper(*a, **k))
-    sc = scenario_from_dict(minimal_scenario(checks=[{"name": "functional_inequalities",
-                                                      "bank_size": 7}]))
+    monkeypatch.setattr(verify, "mean_value_probe", lambda *a, **k: wrapper(*a, **k))
+    sc = scenario_from_dict(minimal_scenario(checks=[{"name": "mean_value", "r": 0.3}]))
     result = run_scenario(sc)
-    assert calls == [{"bank_size": 7, "seed": 0}]
-    assert result.geometry is not None and result.reports[0].metadata["bank_size"] == 7
+    assert calls == [{"r": 0.3, "x0": [0.25, 0.0]}]
+    assert result.geometry is not None and result.reports[0].metadata["r"] == 0.3
 
 
 def sine_scenario_with(check, resolution=1 / 8):
@@ -314,6 +310,8 @@ def no_mesh(monkeypatch):
     ({"name": "gradient_estimate", "x0_list": [[0.1, 0.0, 0.0]]}, "x0_list"),
     ({"name": "liouville", "tol_flat": 0.5}, "tol_flat"),
     ({"name": "area_growth", "slope_tol": 1.0}, "slope_tol"),
+    ({"name": "liouville", "sizes": [2.0, 2.0], "resolution": 0.5}, "sizes"),
+    ({"name": "functional_inequalities", "bank_size": 60}, "bank_size"),
 ])
 def test_bad_check_parameter_exits_2_before_any_solve(tmp_path, capsys, no_mesh, check, key):
     path = write_scenario(tmp_path, sine_scenario_with(check))
@@ -338,9 +336,9 @@ def test_sweep_with_bad_check_parameter_exits_2(tmp_path, capsys, no_mesh):
 
 
 def test_null_check_parameter_takes_the_default():
-    sc = scenario_from_dict(minimal_scenario(checks=[{"name": "functional_inequalities",
-                                                      "bank_size": None}]))
-    assert sc.checks == ({"name": "functional_inequalities", "seed": 0},)
+    sc = scenario_from_dict(minimal_scenario(checks=[{"name": "liouville", "beta": None}]))
+    assert "beta" not in sc.checks[0]  # so the probe's own default applies
+    assert sc.checks[0]["name"] == "liouville"
 
 
 @pytest.mark.parametrize("command, resolution", [
@@ -942,6 +940,23 @@ def test_sweep_leaves_cells_of_unconverged_rows_empty(tmp_path):
     assert rows[0]["wall_condition_status"] and rows[0]["gradient_c1"]
     for row in rows[1:]:
         assert [row[k] for k in cells] == [""] * len(cells)
+
+
+def test_sweep_rate_after_an_unconverged_row_is_empty(tmp_path):
+    # a rate compares a row with the one before it, not with the last row that had a report
+    path = write_scenario(tmp_path, minimal_scenario(
+        dirichlet={"type": "sum", "terms": [
+            {"type": "flat_profile"},
+            {"type": "sine", "amplitude": 0.2, "kx": 2.0, "ky": math.pi,
+             "phase": math.pi / 2}]},
+        solver={"max_iter": 5},
+        checks=[{"name": "wall_condition"}],
+    ))
+    assert sweep(path, "resolution", [0.25, 0.125, 0.25], tmp_path / "out") == 3
+    rows = list(csv.DictReader((tmp_path / "out" / "sweep.csv").open()))
+    assert [r["converged"] for r in rows] == ["True", "False", "True"]
+    assert rows[2]["wall_condition_residual"] == rows[0]["wall_condition_residual"] != ""
+    assert [r["wall_condition_rate"] for r in rows] == ["", "", ""]
 
 
 def test_sweep_row_with_failed_linear_solve_reports_3(tmp_path):

@@ -266,6 +266,9 @@ def test_liouville_aborts_on_nonconvergence():
 def test_liouville_validates_sizes():
     with pytest.raises(ValueError):
         V.liouville_probe(EllipticIntegrand.euclidean(3), beta=0.0, sizes=[8.0, 4.0])
+    # a repeated size is no growth of the domain
+    with pytest.raises(ValueError, match="strictly increasing"):
+        V.liouville_probe(EllipticIntegrand.euclidean(3), sizes=[2.0, 2.0], resolution=0.5)
     with pytest.raises(ValueError):
         V.liouville_probe(EllipticIntegrand.euclidean(3), beta=-1.0, sizes=[4.0, 8.0])
 
@@ -395,7 +398,7 @@ def test_diagnostics_interior_hat_sobolev_anchor(flat_horizontal, monkeypatch):
 
 
 def test_diagnostics_ratios_finite_on_curved(curved_32):
-    rep = V.functional_inequality_diagnostics(curved_32[3], seed=3, bank_size=50)
+    rep = V.functional_inequality_diagnostics(curved_32[3], seed=3)
     meta = rep.metadata
     for key in ("trace_ratio_max", "stability_ratio_max", "sobolev_ratio_max"):
         assert math.isfinite(meta[key])
@@ -403,8 +406,8 @@ def test_diagnostics_ratios_finite_on_curved(curved_32):
 
 
 def test_diagnostics_stability_under_refinement(curved_32, curved_64):
-    a = V.functional_inequality_diagnostics(curved_32[3], seed=9, bank_size=40).metadata
-    b = V.functional_inequality_diagnostics(curved_64[3], seed=9, bank_size=40).metadata
+    a = V.functional_inequality_diagnostics(curved_32[3], seed=9).metadata
+    b = V.functional_inequality_diagnostics(curved_64[3], seed=9).metadata
     for key in ("trace_ratio_max", "sobolev_ratio_max"):
         assert abs(a[key] - b[key]) <= 0.3 * max(a[key], b[key])
 
