@@ -8,12 +8,13 @@
   flat_profile  the integrand's wall-compatible affine profile a1 * x1 + b
 
 ``parse_data_spec`` checks a spec against its type's keys and fills in the
-defaults; a scenario's loader and ``evaluate_data_spec`` share it, and the
-loader refuses data whose ``data_bound`` on the box overflows a float.
+defaults; a scenario's loader and ``evaluate_data_spec`` share it, and
+``check_finite`` refuses data whose ``data_bound`` on the box overflows a float.
 """
 
 from __future__ import annotations
 
+import math
 from functools import partial
 from typing import Callable, Optional
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .schema import ConfigError, _any, _list, _named, _point, _positive, _real, _section, _variant
 
-__all__ = ["data_bound", "evaluate_data_spec", "parse_data_spec"]
+__all__ = ["check_finite", "data_bound", "evaluate_data_spec", "parse_data_spec"]
 
 
 def _nonempty(value, n) -> list:
@@ -77,6 +78,12 @@ def data_bound(spec: dict, half) -> float:
     if kind == "table":
         return max(abs(row[-1]) for row in spec["points"])
     return abs(spec["amplitude" if kind == "sine" else "height"])
+
+
+def check_finite(spec: dict, half: tuple) -> None:
+    """ValueError unless a parsed spec's ``data_bound`` on the box is finite."""
+    if not math.isfinite(data_bound(spec, half)):
+        raise ValueError(f"the data overflow a float on the box of half-extents {half}")
 
 
 def evaluate_data_spec(spec: dict, points: np.ndarray) -> np.ndarray:

@@ -37,7 +37,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import verify
-from .boundary_data import data_bound, evaluate_data_spec, parse_data_spec
+from .boundary_data import check_finite, evaluate_data_spec, parse_data_spec
 from .domain import HalfDomain, Mesh, build_mesh
 from .geometry import GraphGeometry, compute_geometry
 from .integrand import EllipticIntegrand
@@ -65,8 +65,10 @@ _SWEEP_AXES = {"theta": ("integrand", ("theta",)), "resolution": ("domain", ("re
 
 @dataclass(frozen=True)
 class Scenario:
-    """A parsed scenario.  Its ``dirichlet`` and check arguments are resolved against the
-    sections it was loaded with: to vary one, edit the JSON and parse again, not ``replace``."""
+    """A parsed scenario.  Its ``dirichlet`` is resolved against the integrand it was loaded
+    with, and each check holds its probe's keyword arguments: the keys the scenario sets and
+    the scenario's own ``seed``, integrand and solver settings where the probe takes them.
+    To vary one, edit the JSON and parse again, not ``replace``."""
 
     integrand: EllipticIntegrand
     domain: HalfDomain
@@ -106,14 +108,8 @@ def scenario_from_dict(raw: dict, solve_only: bool = False) -> Scenario:
         sc.domain.divisions(2 if solve_only or not _needs_geometry(checks) else 3)
     dirichlet = parse_data_spec(sc.dirichlet, n, sc.integrand.flat_slope)
     with _named("dirichlet:"):
-        _check_finite(dirichlet, sc.domain, "the data")
+        check_finite(dirichlet, sc.domain.half())
     return replace(sc, checks=checks, dirichlet=dirichlet)
-
-
-def _check_finite(data: dict, domain: HalfDomain, what: str) -> None:
-    """ValueError unless the parsed data's magnitude bound on the domain's box is finite."""
-    if not math.isfinite(data_bound(data, domain.half())):
-        raise ValueError(f"{what} overflow a float on the box of half-extents {domain.half()}")
 
 
 def _read_json(path) -> dict:
@@ -159,13 +155,12 @@ class RunResult:
 # returns the value its probe gets or raises ValueError -----------------------------
 
 _RADII = partial(_list, item=_positive)
-_KEYS = {
-    "x0": _point, "radii": _RADII, "r": _positive, "x0_list": partial(_list, item=_point),
-    "r_list": _RADII, "beta": partial(_real, low=0.0), "sizes": _RADII, "slope": _point,
-    "bump_height": _real, "bump_radius": _positive, "resolution": _positive,
-}
-# probe parameters that ``_scenario_default`` fills if a check leaves them unset
-_DERIVED = ("x0", "x0_list", "r", "radii", "r_list", "seed", "integrand", "config", "slope")
+_KEYS = {"x0": _point, "radii": _RADII, "r": _positive, "x0_list": partial(_list, item=_point),
+         "r_list": _RADII, "beta": partial(_real, low=0.0), "sizes": _RADII,
+         "bump_height": _real, "resolution": _positive}
+# probe parameter -> the ``Scenario`` field it is given; every other parameter takes the key
+# the scenario sets, or the probe's own default
+_DERIVED = {"seed": "seed", "integrand": "integrand", "config": "solver"}
 # check name -> its ``verify`` probe, looked up per run, so a wrapper set on ``verify`` runs
 _CHECKS = {
     "boundary_tangency": "check_boundary_tangency", "wall_condition": "check_wall_condition",
@@ -193,42 +188,20 @@ def _reads_geometry(name: str) -> bool:
 
 def _parse_check(item, sc: Scenario) -> dict:
     """A scenario check item (a name, or an object with one) as its name and the keyword
-    arguments of its probe: its parsed values and what the scenario derives."""
+    arguments of its probe: the keys it sets and the scenario fields of ``_DERIVED``.  A
+    Liouville check's boxes are checked here, before any mesh is built."""
     item = {"name": item} if isinstance(item, str) else item
     name, _ = _variant(item, "name", _CHECKS, "check")
     params = _PARAMS[name]
     keys = {k: _KEYS[k] for k in params if k in _KEYS}
     check = _section(item, {"name": _any, **keys}, f"check {name!r}", sc.domain.n)
-    with _named(f"check {name!r}:"):
-        check.update((p, _scenario_default(p, sc)) for p in params
-                     if p in _DERIVED and p not in check)
-        if name == "liouville":
-            _liouville_domains(check, params)
+    check.update((p, getattr(sc, field)) for p, field in _DERIVED.items() if p in params)
+    if name == "liouville":
+        args = {**{k: p.default for k, p in params.items()}, **check}
+        with _named(f"check {name!r}:"):
+            verify._liouville_boxes(args["integrand"], args["sizes"], args["bump_height"],
+                                    args["resolution"])
     return check
-
-
-def _liouville_domains(check: dict, params) -> None:
-    """Strictly increasing sizes, at least two, each giving a domain whose ``divisions`` hold, and
-    data that stay finite on the largest."""
-    args = {**{k: p.default for k, p in params.items()}, **check}
-    boxes = verify._liouville_boxes(args["slope"], args["sizes"], args["bump_height"],
-                                    args["bump_radius"], args["resolution"])
-    for dom, _ in boxes:
-        dom.divisions()
-    _check_finite(boxes[-1][1], boxes[-1][0], "'slope' and 'bump_height'")
-
-
-def _scenario_default(param: str, sc: Scenario):
-    """Default of a probe parameter that the scenario determines."""
-    dom = sc.domain
-    if param == "slope":  # the integrand's wall-compatible flat profile
-        return [sc.integrand.flat_slope()] + [0.0] * (dom.n - 1)
-    point = [0.25 * dom.depth] + [0.0] * (dom.n - 1)
-    scale = min(dom.extents())
-    radii = [f * scale for f in (0.15, 0.25, 0.35, 0.5)]
-    return {"x0": point, "x0_list": [point, [0.0] * dom.n], "r": 0.5 * scale,
-            "radii": radii, "r_list": radii, "seed": sc.seed, "integrand": sc.integrand,
-            "config": sc.solver}[param]
 
 
 def _needs_geometry(checks) -> bool:

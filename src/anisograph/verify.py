@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .boundary_data import evaluate_data_spec
+from .boundary_data import check_finite, evaluate_data_spec
 from .domain import HalfDomain, Mesh, Tag, build_mesh
 from .geometry import GraphGeometry, surface_gradient
 from .integrand import EllipticIntegrand
@@ -349,6 +349,18 @@ def _first_variation_fields(geom: GraphGeometry, margin: float) -> list[float]:
 # -- gradient estimate probe ----------------------------------------------------
 
 
+def _with_defaults(geom: GraphGeometry, **args) -> list:
+    """A probe's arguments in order, each None replaced by its default on the geometry's
+    domain: the probe point [0.25 depth, 0, ...] (x0), it and the origin (x0_list), radii
+    [0.15, 0.25, 0.35, 0.5] * L (radii, r_list) and 0.5 L (r), L the smallest extent."""
+    dom = geom.mesh.domain
+    point, scale = [0.25 * dom.depth] + [0.0] * (dom.n - 1), min(dom.extents())
+    radii = [f * scale for f in (0.15, 0.25, 0.35, 0.5)]
+    default = {"x0": point, "x0_list": [point, [0.0] * dom.n], "r": 0.5 * scale,
+               "radii": radii, "r_list": radii}
+    return [default[k] if v is None else v for k, v in args.items()]
+
+
 def _nearest_vertex(mesh: Mesh, x0) -> int:
     x0 = np.asarray(x0, dtype=float).reshape(mesh.n)
     return int(np.argmin(np.linalg.norm(mesh.vertices - x0, axis=1)))
@@ -433,12 +445,13 @@ def holdout_satisfaction(
 
 def gradient_estimate_probe(
     geom: GraphGeometry,
-    x0_list: Sequence[Sequence[float]],
-    r_list: Sequence[float],
+    x0_list: Optional[Sequence[Sequence[float]]] = None,
+    r_list: Optional[Sequence[float]] = None,
 ) -> CheckReport:
     """Fit gradient-bound constants on one solved graph (informational).  The fit covers
     every record by construction, so there is no residual to report."""
-    records = gradient_estimate_records(geom, x0_list, r_list)
+    records = gradient_estimate_records(geom, *_with_defaults(geom, x0_list=x0_list,
+                                                              r_list=r_list))
     if not records:
         return _report("gradient_estimate", 0.0, None,
                        n_records=0, skipped="no admissible records")
@@ -448,23 +461,22 @@ def gradient_estimate_probe(
 
 # -- Liouville flatness probe ----------------------------------------------------
 
+_BUMP_RADIUS = 1.0  # the radius of the Liouville probe's far-boundary bump
+
 
 def liouville_probe(
     integrand: EllipticIntegrand,
     beta: float = 2.0,
     sizes: Sequence[float] = (4.0, 8.0, 16.0),
-    slope: Optional[Sequence[float]] = None,
     bump_height: float = 1.0,
-    bump_radius: float = 1.0,
     resolution: float = 0.25,
     config: SolveConfig = SolveConfig(),
 ) -> CheckReport:
     """Flatness under domain growth with a fixed far-boundary perturbation.
 
-    For each size R, solves on [0, R] x [-R, R]^(n - 1) (n = ``integrand.dim - 1``,
-    ``slope``'s length) with Dirichlet data equal to
-    a flat profile (wall-compatible affine) plus a compactly supported bump
-    on the far boundary, and measures the max deviation of the solution from
+    For each size R, solves on the ``_liouville_boxes`` box with their Dirichlet
+    data, the integrand's flat profile (wall-compatible affine) plus a bump on the
+    far boundary, and measures the max deviation of the solution from
     its best-fit affine over the inner quarter box.  Passes when the
     deviation is nonincreasing in R and the final one is at most
     ``DEFAULTS.liouville_flat_frac * |bump_height|``.
@@ -476,8 +488,7 @@ def liouville_probe(
     if beta < 0.0:
         raise ValueError("growth bound beta must be nonnegative")
     tol_flat = DEFAULTS.liouville_flat_frac * abs(bump_height)
-    a = [0.0] * (integrand.dim - 1) if slope is None else slope
-    boxes = _liouville_boxes(a, sizes, bump_height, bump_radius, resolution)
+    boxes = _liouville_boxes(integrand, sizes, bump_height, resolution)
     deviations = []
     below = above = 0.0  # the linear growth of u from below and from above
     for dom, spec in boxes:
@@ -502,28 +513,33 @@ def liouville_probe(
     return _report(
         "liouville_flatness", residual, tol_flat,
         deviations=deviations, sizes=[dom.depth for dom, _ in boxes], monotone=monotone,
-        bump_height=bump_height, bump_radius=bump_radius,
+        bump_height=bump_height, bump_radius=_BUMP_RADIUS,
         observed_beta=observed_beta, beta=beta,
         hypothesis_ok=bool(observed_beta <= beta + 1e-9),
     )
 
 
-def _liouville_boxes(slope: Sequence[float], sizes: Sequence[float], bump_height: float,
-                     bump_radius: float, resolution: float) -> list[tuple[HalfDomain, dict]]:
-    """``liouville_probe``'s domain and Dirichlet data for each size R: the box
-    [0, R] x [-R, R]^(n - 1) (n = ``len(slope)``), and the affine ``slope`` plus a bump at
-    the centre of its far boundary.  ValueError unless the sizes strictly increase, with at
-    least two."""
+def _liouville_boxes(integrand: EllipticIntegrand, sizes: Sequence[float], bump_height: float,
+                     resolution: float) -> list[tuple[HalfDomain, dict]]:
+    """``liouville_probe``'s domain and Dirichlet data for each size R: the box [0, R] x
+    [-R, R]^(n - 1) (n = ``integrand.dim - 1``), and the integrand's flat profile plus a bump
+    of radius ``_BUMP_RADIUS`` at the centre of its far boundary.  ValueError unless the sizes
+    strictly increase, at least two, each box's ``divisions()`` hold and the data stay finite
+    on the largest."""
     sizes = [float(r) for r in sizes]
     if len(sizes) < 2 or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError(f"'sizes' must be strictly increasing, with at least two entries: "
                          f"{sizes}")
-    slope = [float(s) for s in slope]
-    n = len(slope)
-    return [(HalfDomain(n, depth=r, width=r, resolution=resolution), {"type": "sum", "terms": [
+    n = integrand.dim - 1
+    slope = [integrand.flat_slope()] + [0.0] * (n - 1)
+    boxes = [(HalfDomain(n, depth=r, width=r, resolution=resolution), {"type": "sum", "terms": [
         {"type": "affine", "a": slope, "b": 0.0},
-        {"type": "bump", "center": [r] + [0.0] * (n - 1), "radius": bump_radius,
+        {"type": "bump", "center": [r] + [0.0] * (n - 1), "radius": _BUMP_RADIUS,
          "height": bump_height}]}) for r in sizes]
+    for dom, _ in boxes:
+        dom.divisions()
+    check_finite(boxes[-1][1], boxes[-1][0].half())
+    return boxes
 
 
 # -- graph-ball probes ------------------------------------------------------------
@@ -538,13 +554,14 @@ def _graph_ball_distances(geom: GraphGeometry, x0) -> tuple[np.ndarray, np.ndarr
     return center, np.linalg.norm(mesh.cell_means(points) - center, axis=1)
 
 
-def area_growth_check(geom: GraphGeometry, x0, radii: Sequence[float]) -> CheckReport:
+def area_growth_check(geom: GraphGeometry, x0=None, radii=None) -> CheckReport:
     """Growth exponent of graph-ball area around a base point on the graph.
 
     Sums the surface measure of cells whose barycenter image falls in the
     ambient ball of each radius, then fits log(area) against log(r); the
     exponent should match the graph dimension.
     """
+    x0, radii = _with_defaults(geom, x0=x0, radii=radii)
     center, dist = _graph_ball_distances(geom, x0)
     area = geom.graph_measure()
     usable, measures = [], []
@@ -568,12 +585,13 @@ def area_growth_check(geom: GraphGeometry, x0, radii: Sequence[float]) -> CheckR
     )
 
 
-def mean_value_probe(geom: GraphGeometry, x0, r: float) -> CheckReport:
+def mean_value_probe(geom: GraphGeometry, x0=None, r=None) -> CheckReport:
     """Ratio of the sup of log W_f on the half ball to its mean on the ball.
 
     Uses the normalized log area element (nonnegative by construction); a
     constant field gives ratio one, and the 0/0 case reports ratio one too.
     """
+    x0, r = _with_defaults(geom, x0=x0, r=r)
     if r <= 0.0:
         raise ValueError("radius must be positive")
     center, dist = _graph_ball_distances(geom, x0)

@@ -263,8 +263,7 @@ def test_criterion_09_liouville_flatness():
     """Deviation from affine decays strictly as the domain grows (< 2 min)."""
     t0 = time.perf_counter()
     rep = V.liouville_probe(EllipticIntegrand.euclidean(3), beta=0.1,
-                            sizes=[4.0, 8.0, 16.0], bump_height=1.0,
-                            bump_radius=1.0, resolution=0.25)
+                            sizes=[4.0, 8.0, 16.0], bump_height=1.0, resolution=0.25)
     elapsed = time.perf_counter() - t0
     d = rep.metadata["deviations"]
     strictly = all(d[k + 1] < d[k] for k in range(len(d) - 1))

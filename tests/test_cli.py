@@ -174,18 +174,20 @@ def test_3d_verify_console_run_exits_0(tmp_path):
 def test_3d_defaults_and_point_lengths():
     sc = scenario_from_dict({**THREE_D_FLAT,
                              "checks": ["mean_value", {"name": "liouville", "sizes": [1.0, 2.0]}]})
+    # a parsed check holds the keys it sets and the scenario's own settings, no defaults
     mean_value, liouville = sc.checks
-    assert mean_value["x0"] == [0.25, 0.0, 0.0]
-    assert liouville["slope"] == [sc.integrand.flat_slope(), 0.0, 0.0]
-    for check, key in (({"name": "liouville", "sizes": [1.0, 2.0], "slope": [0.5, 0.0]}, "slope"),
-                       ({"name": "mean_value", "x0": [0.4, 0.0]}, "x0")):
-        with pytest.raises(ConfigError, match=key):
-            scenario_from_dict({**THREE_D_FLAT, "checks": [check]})
+    assert mean_value == {"name": "mean_value"}
+    assert liouville == {"name": "liouville", "sizes": [1.0, 2.0], "integrand": sc.integrand,
+                         "config": sc.solver}
+    with pytest.raises(ConfigError, match="check 'mean_value': 'x0'"):
+        scenario_from_dict({**THREE_D_FLAT, "checks": [{"name": "mean_value", "x0": [0.4, 0.0]}]})
     # the Liouville domains are 3d too: the default sizes would need a 4 GiB band
     with pytest.raises(ConfigError, match="check 'liouville': .* GiB Newton band"):
         scenario_from_dict({**THREE_D_FLAT, "checks": ["liouville"]})
-    rep = run_scenario(sc).reports[1]
-    assert rep.status == "pass" and rep.metadata["monotone"]
+    mean_value, liouville = run_scenario(sc).reports
+    # the probe's default point is the 3d probe point [0.25 depth, 0, 0]
+    assert mean_value.metadata["base_point"][:3] == [0.25, 0.0, 0.0]
+    assert liouville.status == "pass" and liouville.metadata["monotone"]
 
 
 def test_1d_liouville_solves_on_intervals():
@@ -193,9 +195,11 @@ def test_1d_liouville_solves_on_intervals():
     raw = {"integrand": {"kind": "capillary", "theta": 1.2, "dim": 2},
            "domain": {"n": 1, "depth": 1.0, "resolution": 1 / 16}, "checks": ["liouville"]}
     sc = scenario_from_dict(raw)
-    assert sc.checks[0]["slope"] == [sc.integrand.flat_slope()]
     rep = run_scenario(sc).reports[0]
     assert rep.status == "pass" and max(rep.metadata["deviations"]) <= 1e-12
+    # the scenario adds only its integrand and solver settings to the probe's defaults
+    probe = verify.liouville_probe(sc.integrand, config=sc.solver)
+    assert probe.to_json_dict() == rep.to_json_dict()
 
 
 def test_3d_pnorm_is_a_config_error():
@@ -225,17 +229,21 @@ ACCEPTED_KEYS = {
     "mean_value": {"x0", "r"},
     "functional_inequalities": set(),
     "gradient_estimate": {"x0_list", "r_list"},
-    "liouville": {"beta", "sizes", "slope", "bump_height", "bump_radius", "resolution"},
+    "liouville": {"beta", "sizes", "bump_height", "resolution"},
 }
 
 
 def test_check_table_matches_its_probes():
+    # the scenario supplies only what it owns; every other default is the probe's
+    assert set(cli._DERIVED) == {"seed", "integrand", "config"}
     keys = {}
     for name, probe in cli._CHECKS.items():
         assert probe in verify.__all__, name
         params = inspect.signature(getattr(verify, probe)).parameters
         for param in params:  # every probe parameter is a key, derived, or the geometry
             assert param in cli._KEYS or param in cli._DERIVED or param == "geom", (name, param)
+            if param in cli._KEYS:  # so a check that leaves a key unset runs the probe's default
+                assert params[param].default is not inspect.Parameter.empty, (name, param)
         keys[name] = {k for k in params if k in cli._KEYS}
         # a check reads the geometry iff its probe takes it
         assert cli._reads_geometry(name) == ("geom" in params), name
@@ -256,8 +264,9 @@ def test_a_wrapped_probe_keeps_its_keys_and_runs(monkeypatch):
         scenario_from_dict(minimal_scenario(checks=[{"name": "mean_value", "radius": 0.3}]))
     sc = scenario_from_dict(minimal_scenario(checks=[{"name": "mean_value", "r": 0.3}]))
     result = run_scenario(sc)
-    assert calls == [{"r": 0.3, "x0": [0.25, 0.0]}]
+    assert calls == [{"r": 0.3}]  # the probe takes its default x0 itself
     assert result.reports[0].metadata["r"] == 0.3
+    assert result.reports[0].metadata["base_point"][:2] == [0.25, 0.0]
 
 
 def test_a_probe_wrapped_without_its_signature_keeps_its_keys_and_geometry(monkeypatch):
@@ -272,8 +281,24 @@ def test_a_probe_wrapped_without_its_signature_keeps_its_keys_and_geometry(monke
     monkeypatch.setattr(verify, "mean_value_probe", lambda *a, **k: wrapper(*a, **k))
     sc = scenario_from_dict(minimal_scenario(checks=[{"name": "mean_value", "r": 0.3}]))
     result = run_scenario(sc)
-    assert calls == [{"r": 0.3, "x0": [0.25, 0.0]}]
+    assert calls == [{"r": 0.3}]
     assert result.geometry is not None and result.reports[0].metadata["r"] == 0.3
+    assert result.reports[0].metadata["base_point"][:2] == [0.25, 0.0]
+
+
+def test_python_probes_take_the_scenario_defaults():
+    # a check named with no keys and its probe called with no arguments are the same run
+    sc = scenario_from_dict(minimal_scenario(checks=["area_growth", "mean_value",
+                                                     "gradient_estimate"]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the default radii that leave the box are skipped
+        result = run_scenario(sc)
+        geom = result.geometry
+        probes = [verify.area_growth_check(geom), verify.mean_value_probe(geom),
+                  verify.gradient_estimate_probe(geom)]
+    assert [rep.to_json_dict() for rep in probes] == [
+        rep.to_json_dict() for rep in result.reports]
+    assert probes[2].metadata["n_records"] > 0
 
 
 def sine_scenario_with(check, resolution=1 / 8):
@@ -306,7 +331,9 @@ def no_mesh(monkeypatch):
     ({"name": "wall_condition", "cof": 0.1}, "cof"),
     ({"name": "first_variation", "margin": 0.2}, "margin"),
     ({"name": "liouville", "beta": -1.0}, "beta"),
+    # the Liouville data are always the flat profile plus a bump of radius 1
     ({"name": "liouville", "slope": [0.5]}, "slope"),
+    ({"name": "liouville", "bump_radius": 1.0}, "bump_radius"),
     ({"name": "gradient_estimate", "x0_list": [[0.1, 0.0, 0.0]]}, "x0_list"),
     ({"name": "liouville", "tol_flat": 0.5}, "tol_flat"),
     ({"name": "area_growth", "slope_tol": 1.0}, "slope_tol"),
@@ -456,9 +483,10 @@ SINE = {"type": "sine", "amplitude": 0.25, "kx": 2.0, "ky": math.pi, "phase": ma
                  "dirichlet: the data overflow a float", id="overflowing-affine"),
     pytest.param({"dirichlet": {"type": "sum", "terms": [{**SINE, "amplitude": 1e308}] * 2}},
                  "dirichlet: the data overflow a float", id="overflowing-sine-sum"),
-    pytest.param({"checks": [{"name": "liouville", "slope": [1e308, 0]}]},
-                 "check 'liouville': 'slope' and 'bump_height' overflow a float",
-                 id="overflowing-liouville-slope"),
+    # the flat profile's slope -cot(pi / 3) times R = 8e307, plus the bump, overflows
+    pytest.param({"checks": [{"name": "liouville", "sizes": [4e307, 8e307],
+                              "bump_height": 1.7e308, "resolution": 2e307}]},
+                 "check 'liouville': the data overflow a float", id="overflowing-liouville-slope"),
 ])
 def test_malformed_scenario_exits_2_before_any_mesh(tmp_path, capsys, no_mesh, edits, key):
     raw = json.loads(bundled_scenario_path("capillary_flat").read_text())
@@ -498,10 +526,19 @@ def test_readme_scenario_tables_name_exactly_the_parsed_keys():
     start = next(i for i, line in enumerate(lines) if line.startswith("Integrands: every `kind`"))
     sentence = " ".join(lines[start:lines.index("", start)])
     assert readme_names(sentence) == set(integrand._SHARED_KEYS)
-    checks = {name.strip("`"): readme_names(keys) for name, keys, *_ in
-              readme_table(lines, "| Check | Keys (default) | Verdict |")}
+    rows = readme_table(lines, "| Check | Keys (default) | Verdict |")
+    checks = {name.strip("`"): readme_names(keys) for name, keys, *_ in rows}
     assert checks == {name: {k for k in params if k in cli._KEYS}
                       for name, params in cli._PARAMS.items()}
+    # a default the table gives as a number or a list of them is the probe's own; one read
+    # off the domain (the probe point, L) is None in the probe's signature
+    for name, keys, *_ in rows:
+        params = cli._PARAMS[name.strip("`")]
+        for key, default in re.findall(r"`(\w+)` \(([^()]*)\)", keys):
+            literal = re.fullmatch(r"`?([-\d., \[\]]+)`?", default)
+            expect = params[key].default
+            assert (json.loads(literal[1]) if literal else None) == (
+                list(expect) if isinstance(expect, tuple) else expect), (name, key)
 
 
 # -- contract fuzzer: any input ends with a documented exit code --------------------

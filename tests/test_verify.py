@@ -256,6 +256,21 @@ def test_liouville_dent_flattens_like_the_bump():
     assert rep.status == "pass"
 
 
+@pytest.mark.parametrize("integrand", [
+    EllipticIntegrand.capillary(1.0, 3),
+    # the tilted ellipsoid couples e1 to the wall tangent
+    EllipticIntegrand.ellipsoid(np.array([[2, 0.3, 0.5], [0.3, 1, 0.3], [0.5, 0.3, 1.5]])),
+], ids=["capillary", "tilted-ellipsoid"])
+def test_liouville_solves_around_the_flat_profile(integrand):
+    # a nonzero flat slope: zero affine data would not be a free-boundary solution, and the
+    # deviations would grow with R instead of falling
+    assert integrand.flat_slope() != 0.0
+    rep = V.liouville_probe(integrand, beta=0.1, sizes=[4, 8], resolution=0.5)
+    d = rep.metadata["deviations"]
+    assert rep.status == "pass" and d[1] < d[0] and d[1] <= 0.01
+    assert rep.metadata["bump_radius"] == 1.0
+
+
 def test_liouville_aborts_on_nonconvergence():
     rep = V.liouville_probe(EllipticIntegrand.euclidean(3), beta=0.1,
                             sizes=[4.0, 8.0], config=SolveConfig(max_iter=1))
