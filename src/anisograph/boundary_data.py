@@ -108,11 +108,14 @@ def evaluate_data_spec(spec: dict, points: np.ndarray) -> np.ndarray:
         inside = d < spec["radius"]
         out[inside] = spec["height"] * np.cos(0.5 * np.pi * d[inside] / spec["radius"]) ** 2
         return out
-    if kind == "table":
+    if kind == "table":  # a running minimum over the rows, the first of equals winning
         rows = np.asarray(spec["points"])
-        locs, vals = rows[:, :n], rows[:, n]
-        d2 = ((pts[:, None, :] - locs[None, :, :]) ** 2).sum(axis=2)
-        return vals[np.argmin(d2, axis=1)]
+        best, out = np.full(pts.shape[0], np.inf), np.full(pts.shape[0], rows[0, n])
+        for row in rows:
+            d2 = sum((pts[:, k] - row[k]) ** 2 for k in range(n))
+            out = np.where(d2 < best, row[n], out)
+            best = np.minimum(best, d2)
+        return out
     out = np.zeros(pts.shape[0])
     for term in spec["terms"]:
         out = out + evaluate_data_spec(term, pts)

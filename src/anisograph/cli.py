@@ -98,12 +98,17 @@ _SCENARIO = {
 
 def scenario_from_dict(raw: dict, solve_only: bool = False) -> Scenario:
     """Parse and validate a whole scenario; a malformed one is a ConfigError, raised before
-    any mesh is built.  The mesh needs two cells per axis, three where the checks (unless
-    ``solve_only``) compute the geometry, and the Dirichlet data must stay finite on it."""
+    any mesh is built.  Each check name appears once, the mesh needs two cells per axis,
+    three where the checks (unless ``solve_only``) compute the geometry, and the Dirichlet
+    data must stay finite on it."""
     sc = _section(raw, _SCENARIO, "scenario", required=("integrand", "domain"), make=Scenario)
     n = sc.domain.n
     sc = replace(sc, integrand=EllipticIntegrand.from_descriptor(sc.integrand, dim=n + 1))
     checks = tuple(_parse_check(item, sc) for item in sc.checks)
+    names = [check["name"] for check in checks]
+    for i, name in enumerate(names):  # reports, sweep columns and gates key by name
+        if name in names[:i]:
+            raise ConfigError(f"check {name!r}: named more than once; a name may appear once")
     with _named("domain:"):
         sc.domain.divisions(2 if solve_only or not _needs_geometry(checks) else 3)
     dirichlet = parse_data_spec(sc.dirichlet, n, sc.integrand.flat_slope)

@@ -84,6 +84,35 @@ def test_data_spec_table_nearest():
     np.testing.assert_allclose(evaluate_data_spec(spec, pts), [5.0, -3.0])
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_data_spec_table_is_the_broadcast_nearest_row(n):
+    rng = np.random.default_rng(n)
+    # coordinates on a coarse lattice, so that many points are equally near two rows
+    pts = rng.integers(-4, 5, size=(300, n)) / 4.0
+    rows = np.column_stack([rng.integers(-4, 5, size=(40, n)) / 2.0, rng.normal(size=40)])
+    rows[7, :n] = rows[3, :n]  # a repeated location: the first row wins
+    d2 = ((pts[:, None, :] - rows[None, :, :n]) ** 2).sum(axis=2)
+    assert (d2 == d2.min(axis=1, keepdims=True)).sum(axis=1).max() > 1  # ties occur
+    expect = rows[np.argmin(d2, axis=1), n]
+    got = evaluate_data_spec({"type": "table", "points": rows.tolist()}, pts)
+    assert np.array_equal(got, expect)
+
+
+def test_data_spec_table_memory_is_linear_in_the_vertices():
+    import tracemalloc
+
+    pts = build_mesh(HalfDomain(2, depth=1.0, width=0.5, resolution=1 / 64)).vertices
+    rows = np.random.default_rng(0).uniform(-0.5, 1.0, size=(1000, 3)).tolist()
+    tracemalloc.start()
+    try:
+        evaluate_data_spec({"type": "table", "points": rows}, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a (vertices, rows, n) difference array alone would take 4225 * 1000 * 2 * 8 B = 64 MiB
+    assert peak < 8 * 2 ** 20
+
+
 def test_data_spec_errors():
     pts = np.zeros((2, 2))
     with pytest.raises(ValueError):
@@ -360,6 +389,22 @@ def test_sweep_with_bad_check_parameter_exits_2(tmp_path, capsys, no_mesh):
     assert main(argv) == 2
     assert "config error: check 'mean_value': 'r'" in capsys.readouterr().err
     assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_a_repeated_check_name_exits_2_before_any_solve(tmp_path, capsys, no_mesh, command):
+    # a sweep keys its columns by check name: the r = 0.2 report would be silently lost
+    raw = sine_scenario_with({"name": "mean_value", "r": 0.2})
+    raw["checks"] += ["wall_condition", {"name": "mean_value", "r": 0.4}]
+    path = write_scenario(tmp_path, raw)
+    out = tmp_path / "out"
+    argv = [command, "--config", str(path), "--out", str(out)]
+    if command == "sweep":
+        argv += ["--axis", "resolution", "--values", "0.125,0.0625"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "config error: check 'mean_value': named more than once; a name may appear once\n")
+    assert not out.exists()
 
 
 def test_null_check_parameter_takes_the_default():
