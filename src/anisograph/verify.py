@@ -474,9 +474,9 @@ def liouville_probe(
 ) -> CheckReport:
     """Flatness under domain growth with a fixed far-boundary perturbation.
 
-    For each size R, solves on the ``_liouville_boxes`` box with their Dirichlet
-    data, the integrand's flat profile (wall-compatible affine) plus a bump on the
-    far boundary, and measures the max deviation of the solution from
+    For each size R, solves on its ``_liouville_boxes`` box with the data there:
+    the integrand's flat profile (wall-compatible affine) plus a bump on the far
+    boundary.  Measures the max deviation of the solution from
     its best-fit affine over the inner quarter box.  Passes when the
     deviation is nonincreasing in R and the final one is at most
     ``DEFAULTS.liouville_flat_frac * |bump_height|``.

@@ -319,12 +319,10 @@ def test_python_probes_take_the_scenario_defaults():
     # a check named with no keys and its probe called with no arguments are the same run
     sc = scenario_from_dict(minimal_scenario(checks=["area_growth", "mean_value",
                                                      "gradient_estimate"]))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the default radii that leave the box are skipped
-        result = run_scenario(sc)
-        geom = result.geometry
-        probes = [verify.area_growth_check(geom), verify.mean_value_probe(geom),
-                  verify.gradient_estimate_probe(geom)]
+    result = run_scenario(sc)
+    geom = result.geometry
+    probes = [verify.area_growth_check(geom), verify.mean_value_probe(geom),
+              verify.gradient_estimate_probe(geom)]
     assert [rep.to_json_dict() for rep in probes] == [
         rep.to_json_dict() for rep in result.reports]
     assert probes[2].metadata["n_records"] > 0
@@ -360,14 +358,14 @@ def no_mesh(monkeypatch):
     ({"name": "wall_condition", "cof": 0.1}, "cof"),
     ({"name": "first_variation", "margin": 0.2}, "margin"),
     ({"name": "liouville", "beta": -1.0}, "beta"),
-    # the Liouville data are always the flat profile plus a bump of radius 1
     ({"name": "liouville", "slope": [0.5]}, "slope"),
-    ({"name": "liouville", "bump_radius": 1.0}, "bump_radius"),
     ({"name": "gradient_estimate", "x0_list": [[0.1, 0.0, 0.0]]}, "x0_list"),
     ({"name": "liouville", "tol_flat": 0.5}, "tol_flat"),
     ({"name": "area_growth", "slope_tol": 1.0}, "slope_tol"),
     ({"name": "liouville", "sizes": [2.0, 2.0], "resolution": 0.5}, "sizes"),
     ({"name": "functional_inequalities", "bank_size": 60}, "bank_size"),
+    # the Liouville data are always the flat profile plus a bump of radius 1
+    ({"name": "liouville", "bump_radius": 1.0}, "bump_radius"),
 ])
 def test_bad_check_parameter_exits_2_before_any_solve(tmp_path, capsys, no_mesh, check, key):
     path = write_scenario(tmp_path, sine_scenario_with(check))
