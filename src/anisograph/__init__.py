@@ -18,7 +18,7 @@ from .geometry import (
     compute_geometry,
     surface_gradient,
 )
-from .integrand import EllipticIntegrand, IntegrandBounds, sphere_points
+from .integrand import EllipticIntegrand
 from .solver import (
     GraphFunction,
     SolveConfig,

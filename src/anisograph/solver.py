@@ -33,10 +33,20 @@ Cholesky, so at most one band is alive at a time.  That is ``dpbtrf`` and ``dpbt
 of the ILP64 scipy-openblas that numpy's wheels bundle and numpy has already
 loaded, called through ``ctypes`` (which releases the GIL); a numpy without
 it ends every solve with a ``failure``.
+A level whose float64 band would exceed ``_MIXED_BAND_BYTES`` (1/128 on the unit
+box, not 1/64) first tries each step with half the memory: the band is built and
+factored in float32 (``spbtrf``), and its solve (``spbtrs``) preconditions
+conjugate gradients in float64 on the matrix-free ``H v`` of ``_hessian_times``
+(Carson and Higham, SIAM J. Sci. Comput. 40, 2018).  A float32 factor that is
+not positive definite, conjugate gradients that miss ``_LINEAR_TOL / 10`` within
+``_CG_CAP`` iterations, or a step the check below rejects, has that step redone by
+the float64 band, built once the float32 one is freed; so the float64 path
+alone decides which solves fail and why.
 A Hessian that is not numerically positive definite, a non-finite step or a
 step whose relative linear residual exceeds 1e-8 (checked against ``D^2 f`` and
-the step's own gradients, not the band) ends the solve with ``converged=False``
-and a ``failure`` reason.  Solves on different meshes are independent.
+the step's own gradients by ``_hessian_times``, not the band) ends the solve
+with ``converged=False`` and a ``failure`` reason.  Solves on different meshes
+are independent.
 
 Every solve is a nested iteration over the levels that ``_ladder`` lists: a
 level whose divisions are all even and at least 32 is halved, unless the
@@ -66,10 +76,11 @@ neither eliminates.
 from __future__ import annotations
 
 import ctypes
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -174,8 +185,9 @@ def _band_plan(mesh: Mesh, free: tuple[slice, ...]) -> tuple:
             adds)
 
 
-def _hessian_band(plan: tuple, d2f: np.ndarray) -> np.ndarray:
-    """Lower band ``(kd + 1, nfree)``, Fortran-ordered, of the free-free Hessian.
+def _hessian_band(plan: tuple, d2f: np.ndarray, dtype: type = np.float64) -> np.ndarray:
+    """Lower band ``(kd + 1, nfree)``, Fortran-ordered and of ``dtype``, of the free-free
+    Hessian.
 
     The free vertices fill a box of the vertex grid, numbered row by row.  The
     vertex pairs of each edge offset ``d`` of the split form one band row,
@@ -183,14 +195,15 @@ def _hessian_band(plan: tuple, d2f: np.ndarray) -> np.ndarray:
     diagonal is summed over the grid from ``|c| grad lambda_a . D^2 f . grad
     lambda_b`` of every cell with vertex ``a`` at the lower-numbered end and
     ``b`` at the other, cell type by cell type and pair by pair (``plan``);
-    entries whose neighbour is Dirichlet stay zero.
+    entries whose neighbour is Dirichlet stay zero.  A float32 band adds the float64
+    weights into its float32 entries, so no float64 band is ever held.
     """
     coef, divisions, shape, kd, adds = plan
     ntypes, npairs, nn = coef.shape
     # weights[t, p] = |c| grad lambda_a . D^2 f . grad lambda_b over the type-t cells
     weights = coef @ d2f.reshape(-1, ntypes, nn).transpose(1, 2, 0)
     weights = weights.reshape((ntypes, npairs) + divisions)
-    band = np.zeros((kd + 1, math.prod(shape)), order="F")
+    band = np.zeros((kd + 1, math.prod(shape)), dtype, order="F")
     by_vertex = band.T.reshape(shape + (-1,))  # a view: free vertex grid x band row
     for t, p, row, at, box in adds:
         by_vertex[at + (row,)] += weights[t, p][box]
@@ -203,30 +216,77 @@ def _free_box(mesh: Mesh, is_dir: np.ndarray) -> tuple[slice, ...]:
     return tuple(slice(int(w.min()), int(w.max()) + 1) for w in where)
 
 
-def _newton_step(band: np.ndarray, res: np.ndarray) -> np.ndarray:
+def _hessian_times(mesh: Mesh, d2f: np.ndarray, free_idx: np.ndarray,
+                   v: np.ndarray) -> np.ndarray:
+    """``H v`` at the free vertices ``free_idx``, for ``v`` on them: the flux of ``D^2 f``
+    times ``v``'s own cell gradients (zero at the Dirichlet vertices), not the band."""
+    full = np.zeros(mesh.num_vertices)
+    full[free_idx] = v
+    return mesh.scatter_flux(np.einsum("cij,cj->ci", d2f, mesh.cell_gradients(full)))[free_idx]
+
+
+def _newton_step(band: np.ndarray, res: np.ndarray,
+                 times: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> np.ndarray:
     """Solve ``H step = -res``, factoring the band in place (its contents are lost).
 
-    Raises ``LinAlgError`` when the band is not numerically positive definite,
-    or when this numpy has no banded Cholesky to offer (``_NO_LAPACK``).
+    A float64 band's factor gives the step.  A float32 band's factor preconditions
+    conjugate gradients in float64 on ``times`` (``v -> H v``), which must reach a
+    relative residual of ``_LINEAR_TOL / 10`` within ``_CG_CAP`` iterations.
+
+    Raises ``LinAlgError`` when the band is not numerically positive definite, when
+    conjugate gradients miss their tolerance, or when this numpy has no banded
+    Cholesky to offer (``_NO_LAPACK``).
     """
     if _lapack is None:
         raise LinAlgError(_NO_LAPACK)
-    dpbtrf, dpbtrs = _lapack
-    step = -res
+    factor, substitute = _lapack[band.dtype.type]
     kd, n = band.shape[0] - 1, band.shape[1]
-    if step.shape != (n,):
+    if res.shape != (n,):
         raise ValueError("the residual must have one entry per band column")
     n_, kd_, nrhs, ldab, ldb = (ctypes.byref(ctypes.c_int64(v))
                                 for v in (n, kd, 1, kd + 1, max(n, 1)))
     info = ctypes.c_int64()
-    dpbtrf(b"L", n_, kd_, band, ldab, ctypes.byref(info), 1)
-    if info.value == 0:
-        dpbtrs(b"L", n_, kd_, nrhs, band, ldab, step, ldb, ctypes.byref(info), 1)
-    if info.value > 0:
-        raise LinAlgError(f"{info.value}-th leading minor not positive definite")
-    if info.value < 0:
-        raise ValueError(f"illegal value in argument {-info.value} of the banded Cholesky")
-    return step
+
+    def solve(rhs: np.ndarray) -> np.ndarray:  # in place, in the band's dtype
+        if info.value == 0:
+            substitute(b"L", n_, kd_, nrhs, band, ldab, rhs, ldb, ctypes.byref(info), 1)
+        if info.value > 0:
+            raise LinAlgError(f"{info.value}-th leading minor not positive definite")
+        if info.value < 0:
+            raise ValueError(f"illegal value in argument {-info.value} of the banded Cholesky")
+        return rhs
+
+    factor(b"L", n_, kd_, band, ldab, ctypes.byref(info), 1)
+    if band.dtype == np.float64:
+        return solve(-res)
+    return _conjugate_gradients(times, res, lambda r: solve(r.astype(band.dtype)).astype(float))
+
+
+def _conjugate_gradients(times: Callable[[np.ndarray], np.ndarray], res: np.ndarray,
+                         precondition: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Solve ``H step = -res`` by preconditioned conjugate gradients from zero, stopping
+    when the recurrence residual is at most ``_LINEAR_TOL / 10`` of ``res``.
+
+    Inner products and norms are ``np.sum`` of products, not BLAS ``ddot``: OpenBLAS
+    splits a long ``ddot`` over its threads, so its rounding, and every output after
+    it, would depend on the thread count.
+    """
+    step = np.zeros_like(res)
+    r = -res
+    tol = _LINEAR_TOL / 10 * math.sqrt(np.sum(res * res))
+    p = z = precondition(r)
+    rz = np.sum(r * z)
+    for _ in range(_CG_CAP):
+        hp = times(p)
+        alpha = rz / np.sum(p * hp)
+        step += alpha * p
+        r -= alpha * hp
+        if math.sqrt(np.sum(r * r)) <= tol:
+            return step
+        z = precondition(r)
+        rz, rz_old = np.sum(r * z), rz
+        p = z + (rz / rz_old) * p
+    raise LinAlgError(f"conjugate gradients missed {_LINEAR_TOL / 10:g} in {_CG_CAP} iterations")
 
 
 def wall_flux_residuals(integrand: EllipticIntegrand, u: GraphFunction) -> np.ndarray:
@@ -253,6 +313,11 @@ _LS_SHRINK, _LS_DECREASE, _LINEAR_TOL = 0.5, 1e-4, 1e-8
 # two boxes (module notes): corner-incompatible data read 0.62 to 0.66, the bundled
 # scenarios 0.1 or less
 _CORNER_BOX, _CORNER_GATE = 0.1, 0.25
+# a level whose float64 band would hold more bytes than this tries each step with a float32
+# band preconditioning conjugate gradients, capped at this many iterations (module notes):
+# that way one Newton step takes about as long at 1/128 (a 16 MiB float64 band) and 8% less
+# at 1/256, but 25% more at 1/64 (2 MiB) for a 1 MiB saving
+_MIXED_BAND_BYTES, _CG_CAP = 8 << 20, 10
 
 try:  # glibc only: return freed heap memory to the system
     _malloc_trim = ctypes.CDLL(None).malloc_trim
@@ -262,18 +327,27 @@ except (AttributeError, OSError, TypeError):
 _NO_LAPACK = ("the banded Cholesky needs LAPACK dpbtrf/dpbtrs from the scipy-openblas "
               "that numpy's PyPI wheels bundle, and this numpy build has none")
 _INT = ctypes.POINTER(ctypes.c_int64)
-_BAND = np.ctypeslib.ndpointer(np.float64, 2, flags=("F_CONTIGUOUS", "WRITEABLE"))
-_VECTOR = np.ctypeslib.ndpointer(np.float64, 1, flags=("C_CONTIGUOUS", "WRITEABLE"))
+
+
+def _bind(lib: ctypes.CDLL, prefix: str, dtype: type) -> tuple:
+    """The banded Cholesky factor and solve of ``lib`` for ``dtype`` (LAPACK's ``?pbtrf`` and
+    ``?pbtrs``): Fortran arguments by reference, then the hidden length of the UPLO string."""
+    band = np.ctypeslib.ndpointer(dtype, 2, flags=("F_CONTIGUOUS", "WRITEABLE"))
+    vector = np.ctypeslib.ndpointer(dtype, 1, flags=("C_CONTIGUOUS", "WRITEABLE"))
+    factor, solve = (getattr(lib, f"scipy_{prefix}pbtr{op}_64_") for op in "fs")
+    factor.argtypes = [ctypes.c_char_p, _INT, _INT, band, _INT, _INT, ctypes.c_size_t]
+    solve.argtypes = [ctypes.c_char_p, _INT, _INT, _INT, band, _INT, vector, _INT, _INT,
+                      ctypes.c_size_t]
+    factor.restype = solve.restype = None
+    return factor, solve
+
+
 try:  # numpy has loaded its ILP64 OpenBLAS; dlsym on its extension finds the symbols
     _openblas = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    _lapack = (_openblas.scipy_dpbtrf_64_, _openblas.scipy_dpbtrs_64_)
+    _lapack = {np.float64: _bind(_openblas, "d", np.float64),
+               np.float32: _bind(_openblas, "s", np.float32)}
 except (AttributeError, OSError, TypeError):
     _lapack = None
-else:  # Fortran arguments by reference, then the hidden length of the UPLO string
-    _lapack[0].argtypes = [ctypes.c_char_p, _INT, _INT, _BAND, _INT, _INT, ctypes.c_size_t]
-    _lapack[1].argtypes = [ctypes.c_char_p, _INT, _INT, _INT, _BAND, _INT, _VECTOR, _INT, _INT,
-                           ctypes.c_size_t]
-    _lapack[0].restype = _lapack[1].restype = None
 
 
 def _prolong(coarse: np.ndarray, counts: tuple[int, ...]) -> np.ndarray:
@@ -363,6 +437,9 @@ def _newton(integrand: EllipticIntegrand, mesh: Mesh, dirichlet: np.ndarray, con
     free_idx = np.flatnonzero(~is_dir)
     free = _free_box(mesh, is_dir)
     plan = _band_plan(mesh, free)  # once per level
+    # the float64 band alone, or a float32 band first (module notes)
+    mixed = 8 * (plan[3] + 1) * free_idx.size > _MIXED_BAND_BYTES
+    dtypes = (np.float32, np.float64) if mixed else (np.float64,)
 
     values = np.zeros(mesh.num_vertices) if start is None else start.copy()
     values[is_dir] = dirichlet[is_dir]
@@ -390,23 +467,25 @@ def _newton(integrand: EllipticIntegrand, mesh: Mesh, dirichlet: np.ndarray, con
             break
         d2f = integrand.D2f(lifted)
         del lifted  # the line search lifts the next iterate: this one's lift is used up
-        try:
-            step = _newton_step(_hessian_band(plan, d2f), res)
-        except LinAlgError as exc:
-            failure = (str(exc) if _lapack is None
-                       else f"Newton Hessian is not numerically positive definite ({exc})")
+        times = functools.partial(_hessian_times, mesh, d2f, free_idx)
+        for dtype in dtypes:  # the last, float64, attempt's failure is the solve's
+            try:
+                step = _newton_step(_hessian_band(plan, d2f, dtype), res, times)
+            except LinAlgError as exc:
+                failure = (str(exc) if _lapack is None
+                           else f"Newton Hessian is not numerically positive definite ({exc})")
+                continue
+            if not np.all(np.isfinite(step)):
+                failure = "Newton step is not finite"
+                continue
+            lin_res = np.linalg.norm(times(step) + res) / max(res_norm, 1e-300)
+            if lin_res > _LINEAR_TOL:
+                failure = f"linear solve missed its tolerance ({lin_res:.3e})"
+                continue
+            failure = ""
             break
-        if not np.all(np.isfinite(step)):
-            failure = "Newton step is not finite"
-            break
-        full_step = np.zeros(mesh.num_vertices)
-        full_step[free_idx] = step
-        # H step from D^2 f and the step's gradients, independent of the band
-        h_step = mesh.scatter_flux(np.einsum("cij,cj->ci", d2f, mesh.cell_gradients(full_step)))
-        del d2f  # so is D^2 f, which holds as much as a lift
-        lin_res = np.linalg.norm(h_step[free_idx] + res) / max(res_norm, 1e-300)
-        if lin_res > _LINEAR_TOL:
-            failure = f"linear solve missed its tolerance ({lin_res:.3e})"
+        del d2f, times  # so is D^2 f, which holds as much as a lift
+        if failure:
             break
         slope = float(res @ step)  # negative: step is a descent direction
         t = 1.0

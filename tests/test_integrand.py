@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from anisograph import EllipticIntegrand, sphere_points
-from anisograph.integrand import _as_points
+from anisograph import EllipticIntegrand
+from anisograph.integrand import _as_points, sphere_points
 from reference import bisect_flat_slope, fd_gradient, fd_hessian
 
 

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -26,6 +27,7 @@ from anisograph.solver import (
     _free_box,
     _gradient,
     _hessian_band,
+    _hessian_times,
     _newton_step,
     _prolong,
 )
@@ -538,6 +540,88 @@ def test_banded_newton_step_matches_dense_solve(domain):
     assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
+@GRID_DOMAINS
+def test_float32_band_is_the_float64_band_rounded(domain):
+    integrand, mesh, values, _ = random_newton_system(domain)
+    d2f = integrand.hess_f(mesh.cell_gradients(values))
+    plan = _band_plan(mesh, _free_box(mesh, mesh.vertex_tags == Tag.DIRICHLET))
+    band, single = _hessian_band(plan, d2f), _hessian_band(plan, d2f, np.float32)
+    assert single.dtype == np.float32 and single.flags.f_contiguous and single.shape == band.shape
+    # each float32 entry rounds each of its partial sums by at most half an ulp, and sums at
+    # most six cells' weights in these meshes (a 2d vertex's cells)
+    assert np.abs(single - band).max() <= 6 * np.finfo(np.float32).eps / 2 * np.abs(band).max()
+    assert np.array_equal(single == 0, band == 0)
+
+
+@pytest.mark.parametrize("domain", SMALL_DOMAINS, ids=SMALL_IDS)
+def test_float32_preconditioned_step_matches_dense_solve(domain):
+    integrand, mesh, values, free_pos = random_newton_system(domain)
+    res = gradient(integrand, mesh, values)[free_pos >= 0]
+    d2f = integrand.hess_f(mesh.cell_gradients(values))
+    plan = _band_plan(mesh, _free_box(mesh, mesh.vertex_tags == Tag.DIRICHLET))
+    times = functools.partial(_hessian_times, mesh, d2f, np.flatnonzero(free_pos >= 0))
+    got = _newton_step(_hessian_band(plan, d2f, np.float32), res, times)
+    ref = newton_step_dense(integrand, mesh, values, free_pos, res)
+    assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def refuse_float32_factor(monkeypatch) -> list:
+    """Make the float32 banded Cholesky report its 7th pivot non-positive; return the list
+    that records the dtype of every band built from then on."""
+    def refuse(uplo, n, kd, band, ldab, info, length):
+        info._obj.value = 7
+
+    lapack = dict(solver._lapack)
+    lapack[np.float32] = (refuse, lapack[np.float32][1])
+    monkeypatch.setattr(solver, "_lapack", lapack)
+    built = []
+
+    def recorded(plan, d2f, dtype=np.float64):
+        built.append(dtype)
+        return _hessian_band(plan, d2f, dtype)
+
+    monkeypatch.setattr(solver, "_hessian_band", recorded)
+    return built
+
+
+def test_refused_float32_factor_falls_back_to_the_float64_band(monkeypatch):
+    # 1/128 lies above the size crossover: each fine step tries float32 first
+    mesh = unit_mesh(1 / 128)
+    data = evaluate_data_spec(CURVED_DATA_SPEC, mesh.vertices)
+    integrand = EllipticIntegrand.euclidean(3)
+    built = refuse_float32_factor(monkeypatch)
+    u, report = solve(integrand, mesh, data)
+    assert report.converged and report.failure == ""
+    fine = report.level_iterations[-1]
+    assert fine > 0 and built[-2 * fine:] == [np.float32, np.float64] * fine
+    # every step was the float64 band's, so the solve is the float64-only solve, bit for bit
+    monkeypatch.setattr(solver, "_MIXED_BAND_BYTES", math.inf)
+    count = len(built)
+    plain, plain_report = solve(integrand, mesh, data)
+    assert set(built[count:]) == {np.float64}
+    assert np.array_equal(u.values, plain.values)
+    assert report.level_iterations == plain_report.level_iterations
+
+
+def test_levels_below_the_crossover_build_float64_bands_alone(monkeypatch):
+    built = refuse_float32_factor(monkeypatch)
+    mesh = unit_mesh(1 / 64)
+    _, report = solve(EllipticIntegrand.euclidean(3), mesh,
+                      evaluate_data_spec(CURVED_DATA_SPEC, mesh.vertices))
+    assert report.converged and built and set(built) == {np.float64}
+
+
+def spoil_first_pivot(monkeypatch, factor) -> None:
+    hessian_band = solver._hessian_band
+
+    def spoiled(*args):  # the first pivot of the band, scaled by hand
+        band = hessian_band(*args)
+        band[0, 0] *= factor
+        return band
+
+    monkeypatch.setattr(solver, "_hessian_band", spoiled)
+
+
 @pytest.mark.parametrize("factor, reason", [
     (-1.0, "not numerically positive definite"),
     (np.nan, "step is not finite"),
@@ -546,16 +630,27 @@ def test_banded_newton_step_matches_dense_solve(domain):
 def test_failed_linear_solve_ends_the_solve(monkeypatch, factor, reason):
     mesh = unit_mesh(1 / 8)
     data = evaluate_data_spec(CURVED_DATA_SPEC, mesh.vertices)
-
-    def spoiled(*args):  # the first pivot of the band, scaled by hand
-        band = _hessian_band(*args)
-        band[0, 0] *= factor
-        return band
-
-    monkeypatch.setattr(solver, "_hessian_band", spoiled)
+    spoil_first_pivot(monkeypatch, factor)
     _, report = solve(EllipticIntegrand.euclidean(3), mesh, data)
     assert not report.converged
     assert reason in report.failure
+    assert report.iterations == 0 and report.level_iterations == [0]
+
+
+@pytest.mark.parametrize("factor", [-1.0, np.nan, 1.01], ids=["indefinite", "nan", "inexact"])
+def test_float64_fallback_decides_the_failure(monkeypatch, factor):
+    mesh = unit_mesh(1 / 128)
+    data = evaluate_data_spec(CURVED_DATA_SPEC, mesh.vertices)
+    integrand = EllipticIntegrand.euclidean(3)
+    spoil_first_pivot(monkeypatch, factor)
+    monkeypatch.setattr(solver, "_MIXED_BAND_BYTES", math.inf)
+    _, plain = solve(integrand, mesh, data)  # the float64 band alone
+    monkeypatch.undo()
+    built = refuse_float32_factor(monkeypatch)
+    spoil_first_pivot(monkeypatch, factor)
+    _, report = solve(integrand, mesh, data)
+    assert np.float32 in built and "7-th" not in report.failure
+    assert not report.converged and report.failure == plain.failure != ""
     assert report.iterations == 0 and report.level_iterations == [0]
 
 
