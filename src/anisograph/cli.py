@@ -118,13 +118,14 @@ def scenario_from_dict(raw: dict, solve_only: bool = False) -> Scenario:
 
 
 def _read_json(path) -> dict:
-    """Parse a scenario file; an unreadable or malformed file is a ConfigError."""
+    """Parse a scenario file; an unreadable file, or one that is not JSON text (malformed,
+    not in the locale's encoding, or nested too deeply for the parser), is a ConfigError."""
     try:
         with open(path) as fh:
             return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read scenario: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"invalid JSON: {exc}") from exc
 
 

@@ -154,7 +154,9 @@ class EllipticIntegrand:
         _check_dim(dim)
         if not (0.0 < theta < math.pi):
             raise ValueError("capillary angle must lie strictly inside (0, pi)")
-        return EllipticIntegrand(kind="capillary", dim=dim, theta=float(theta))
+        integrand = EllipticIntegrand(kind="capillary", dim=dim, theta=float(theta))
+        integrand.analytic_sphere_range()  # 1 -/+ |cos theta|: 0 where it rounds to 1
+        return integrand
 
     @staticmethod
     def ellipsoid(matrix: np.ndarray) -> "EllipticIntegrand":
@@ -376,6 +378,9 @@ class EllipticIntegrand:
         else:
             c = abs(self._tilt)
             lo, hi = 1.0 - c, 1.0 + c
+        if not 0.0 < lo <= hi:  # as ``IntegrandBounds`` requires of a sampled range
+            raise ValueError(f"not uniformly elliptic: F ranges over [{lo!r}, {hi!r}] on "
+                             f"the unit sphere; need 0 < min <= max")
         return lo, hi
 
     def sphere_range(self) -> tuple[float, float]:

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -13,6 +14,7 @@ from anisograph import (
     solve,
 )
 from anisograph.boundary_data import evaluate_data_spec
+from anisograph.cli import bundled_scenario_path, scenario_from_dict
 
 # derandomized: every run, in CI too, draws the same examples
 settings.register_profile("numerics", deadline=None, max_examples=25, derandomize=True)
@@ -21,14 +23,26 @@ settings.load_profile("numerics")
 warnings.filterwarnings("ignore", message="no vertices within radius")
 warnings.filterwarnings("ignore", message="radius .* leaves the truncated domain")
 
+
+def bundled(name: str) -> dict:
+    """A bundled scenario's JSON, as a fresh dict."""
+    return json.loads(bundled_scenario_path(name).read_text())
+
+
 # the reference curved scenario: Euclidean integrand, corner-compatible sine data
-CURVED_DATA_SPEC = {
-    "type": "sine",
-    "amplitude": 0.25,
-    "kx": 2.0,
-    "ky": math.pi,
-    "phase": math.pi / 2,
-}
+REFERENCE = bundled("euclidean_freebdry_sine")
+CURVED_DATA_SPEC = REFERENCE["dirichlet"]
+
+
+def hard_case(resolution=None):
+    """The integrand, mesh and Dirichlet data of the bundled corner-incompatible run
+    (``capillary_hard``: theta = 0.5 on the reference sine data), at ``resolution`` if given."""
+    raw = bundled("capillary_hard")
+    if resolution is not None:
+        raw["domain"]["resolution"] = resolution
+    sc = scenario_from_dict(raw, solve_only=True)
+    mesh = build_mesh(sc.domain)
+    return sc.integrand, mesh, evaluate_data_spec(sc.dirichlet, mesh.vertices)
 
 
 def solve_capillary_flat(theta: float, resolution: float):
@@ -44,7 +58,7 @@ def solve_capillary_flat(theta: float, resolution: float):
 def solve_curved(resolution: float, integrand=None, extra_affine=None):
     """Reference curved solve (optionally with an affine part added)."""
     integrand = integrand or EllipticIntegrand.euclidean(3)
-    mesh = build_mesh(HalfDomain(2, depth=1.0, width=0.5, resolution=resolution))
+    mesh = build_mesh(HalfDomain(**{**REFERENCE["domain"], "resolution": resolution}))
     data = evaluate_data_spec(CURVED_DATA_SPEC, mesh.vertices)
     if extra_affine is not None:
         data = data + mesh.vertices @ np.asarray(extra_affine)

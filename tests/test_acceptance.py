@@ -8,7 +8,6 @@ constants, flatness under domain growth, quadratic graph-ball area growth,
 and byte-identical reruns.
 """
 
-import json
 import math
 import time
 import warnings
@@ -30,7 +29,7 @@ from anisograph import (
 from anisograph.boundary_data import evaluate_data_spec
 from anisograph.cli import (_apply_axis, bundled_scenario_path, run, run_scenario,
                             scenario_from_dict)
-from conftest import CURVED_DATA_SPEC
+from conftest import CURVED_DATA_SPEC, bundled
 from reference import amse_residual
 
 warnings.filterwarnings("ignore", message="no vertices within radius")
@@ -62,7 +61,7 @@ def curved_ladder():
 def theta_suite():
     """The bundled capillary angle sweep (flat profile + sine) at h = 1/32 and 1/64, with
     the records of its gradient_estimate check."""
-    raw = json.loads(bundled_scenario_path("capillary_theta_sweep").read_text())
+    raw = bundled("capillary_theta_sweep")
     probes = next(c for c in scenario_from_dict(raw).checks if c["name"] == "gradient_estimate")
     records = {}
     geoms = {}

@@ -32,6 +32,7 @@ from anisograph.cli import (
     scenario_from_dict,
     sweep,
 )
+from conftest import CURVED_DATA_SPEC, bundled
 from reference import write_geometry_csv, write_solution_csv
 
 
@@ -167,15 +168,8 @@ def test_scenario_rejects_non_spd_matrix():
                        "matrix": [[1, 2, 0], [2, 1, 0], [0, 0, 1]]}))
 
 
-# the n = 3 flat-profile scenario of CI's console-script step; its checks take their defaults
-THREE_D_FLAT = {
-    "name": "capillary_flat_3d",
-    "integrand": {"kind": "capillary", "theta": 1.0471975511965976, "dim": 4},
-    "domain": {"n": 3, "depth": 1.0, "width": 0.5, "resolution": 0.125},
-    "dirichlet": {"type": "flat_profile"},
-    "solver": {"tol_residual": 1e-12},
-    "checks": [name for name in cli._CHECKS if name != "liouville"],
-}
+# the bundled n = 3 flat-profile scenario: every check but liouville, each at its defaults
+THREE_D_FLAT = bundled("capillary_flat_3d")
 
 
 def test_3d_flat_profile_is_reproduced_and_every_check_runs():
@@ -196,7 +190,8 @@ def test_3d_flat_profile_is_reproduced_and_every_check_runs():
 
 
 def test_3d_verify_console_run_exits_0(tmp_path):
-    path = write_scenario(tmp_path, THREE_D_FLAT)
+    assert THREE_D_FLAT["checks"] == [name for name in cli._CHECKS if name != "liouville"]
+    path = bundled_scenario_path("capillary_flat_3d")
     assert main(["verify", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
 
 
@@ -221,9 +216,8 @@ def test_3d_defaults_and_point_lengths():
 
 def test_1d_liouville_solves_on_intervals():
     # a 1d minimal graph with the free wall is the flat profile: no deviation at any size
-    raw = {"integrand": {"kind": "capillary", "theta": 1.2, "dim": 2},
-           "domain": {"n": 1, "depth": 1.0, "resolution": 1 / 16}, "checks": ["liouville"]}
-    sc = scenario_from_dict(raw)
+    raw = bundled("capillary_interval")
+    sc = scenario_from_dict({**raw, "checks": ["liouville"]})
     rep = run_scenario(sc).reports[0]
     assert rep.status == "pass" and max(rep.metadata["deviations"]) <= 1e-12
     # the scenario adds only its integrand and solver settings to the probe's defaults
@@ -243,6 +237,16 @@ BUNDLED = ["capillary_flat", "capillary_theta_sweep", "euclidean_freebdry_sine",
 @pytest.mark.parametrize("name", BUNDLED)
 def test_bundled_scenarios_load(name):
     assert load_scenario(bundled_scenario_path(name)).checks
+
+
+def test_every_bundled_scenario_loads_and_the_readme_lists_it():
+    paths = sorted(bundled_scenario_path("capillary_flat").parent.glob("*.json"))
+    for path in paths:
+        load_scenario(path)
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("Bundled scenarios live"))
+    items = takewhile(lambda line: line, lines[lines.index("", start) + 1:])
+    assert [re.match(r"\* `(\w+)` - ", line)[1] for line in items] == [p.stem for p in paths]
 
 
 # no key sets a pass bar: those are the fields of ``verify.CheckDefaults``
@@ -330,7 +334,7 @@ def test_python_probes_take_the_scenario_defaults():
 
 def sine_scenario_with(check, resolution=1 / 8):
     """``euclidean_freebdry_sine`` at a coarse resolution with one check."""
-    raw = json.loads(bundled_scenario_path("euclidean_freebdry_sine").read_text())
+    raw = bundled("euclidean_freebdry_sine")
     raw["domain"]["resolution"] = resolution
     raw["checks"] = [check]
     return raw
@@ -478,7 +482,7 @@ def edited(raw, edits):
     return raw
 
 
-SINE = {"type": "sine", "amplitude": 0.25, "kx": 2.0, "ky": math.pi, "phase": math.pi / 2}
+SINE = CURVED_DATA_SPEC  # the reference scenario's data
 
 
 @pytest.mark.parametrize("edits, key", [
@@ -532,7 +536,7 @@ SINE = {"type": "sine", "amplitude": 0.25, "kx": 2.0, "ky": math.pi, "phase": ma
                  "check 'liouville': the data overflow a float", id="overflowing-liouville-slope"),
 ])
 def test_malformed_scenario_exits_2_before_any_mesh(tmp_path, capsys, no_mesh, edits, key):
-    raw = json.loads(bundled_scenario_path("capillary_flat").read_text())
+    raw = bundled("capillary_flat")
     raw["domain"]["resolution"] = 1 / 8
     path = write_scenario(tmp_path, edited(raw, edits))
     out = tmp_path / "out"
@@ -658,10 +662,18 @@ def test_run_bundled_capillary_flat(tmp_path):
             assert rep["status"] == "pass"
 
 
-def test_run_exit_2_on_malformed_json(tmp_path):
+def test_run_exit_2_on_malformed_json(tmp_path, capsys):
+    # not JSON, not UTF-8, and nested past the parser's recursion limit
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert run(bad, tmp_path / "out") == 2
+    for content in [b"{not json", b"\xff\xfe{}", b"[" * 200_000]:
+        bad.write_bytes(content)
+        assert run(bad, tmp_path / "out") == 2
+        assert capsys.readouterr().err.startswith("config error: invalid JSON: ")
+    argv = ["sweep", "--config", str(bad), "--axis", "theta", "--values", "0.5",
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error: invalid JSON: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_exit_2_on_invalid_theta(tmp_path):
@@ -728,7 +740,7 @@ def test_run_exit_3_on_nonconvergence(tmp_path):
 
 def pnorm_reproducer(p, eps, amplitude):
     """``euclidean_freebdry_sine`` at h = 1/16 with no checks and a pnorm integrand."""
-    raw = json.loads(bundled_scenario_path("euclidean_freebdry_sine").read_text())
+    raw = bundled("euclidean_freebdry_sine")
     raw.update(integrand={"kind": "pnorm", "p": p, "eps": eps, "dim": 3}, checks=[])
     raw["domain"]["resolution"] = 1 / 16
     raw["dirichlet"]["amplitude"] = amplitude
@@ -916,7 +928,7 @@ def test_sweep_theta_on_non_capillary_exit_2(tmp_path):
 
 
 def test_sweep_malformed_dirichlet_spec_exits_2(tmp_path, capsys):
-    raw = json.loads(bundled_scenario_path("capillary_theta_sweep").read_text())
+    raw = bundled("capillary_theta_sweep")
     raw["domain"]["resolution"] = 1 / 8
     raw["dirichlet"] = {"type": "bump", "radius": -1}
     path = write_scenario(tmp_path, raw)

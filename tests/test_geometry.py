@@ -13,11 +13,11 @@ from anisograph import (
     compute_geometry,
     surface_gradient,
 )
-from anisograph.cli import bundled_scenario_path, run_scenario, scenario_from_dict
+from anisograph.cli import run_scenario, scenario_from_dict
 from anisograph.geometry import _fit_vertex_quadratics, _wall_frame
 from anisograph.verify import _hat_forms
 
-from conftest import solve_curved
+from conftest import bundled, solve_curved
 from reference import integrate_pl_power, wall_curve_fields, wall_nubar
 
 
@@ -343,7 +343,7 @@ def test_one_dimensional_geometry_capillary():
 def test_fits_do_not_depend_on_the_scale_of_the_domain():
     # the reference scenario shrunk by 1e-4 in x and u alike: no fit is singular, and
     # interior_minimality measures as many vertices as at scale 1
-    raw = json.loads(bundled_scenario_path("euclidean_freebdry_sine").read_text())
+    raw = bundled("euclidean_freebdry_sine")
     raw["checks"] = ["interior_minimality"]
     measured = []
     for scale in (1.0, 1e-4):

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from anisograph import EllipticIntegrand
 from anisograph.integrand import _as_points, sphere_points
+from anisograph.schema import ConfigError
 from reference import bisect_flat_slope, fd_gradient, fd_hessian
 
 
@@ -307,6 +308,15 @@ def test_descriptor_rejects_bad_theta():
         EllipticIntegrand.from_descriptor({"kind": "capillary", "theta": 4.0, "dim": 3})
     with pytest.raises(ValueError):
         EllipticIntegrand.capillary(0.0, 3)
+    # cos(theta) rounds to +-1, so F ranges over [0, 2] on the sphere: not uniformly
+    # elliptic; at 2e-8 from either end the range starts above 0
+    for theta, inner in [(1e-9, 2e-8), (math.pi - 1e-9, math.pi - 2e-8)]:
+        with pytest.raises(ValueError, match="not uniformly elliptic"):
+            EllipticIntegrand.capillary(theta, 3)
+        with pytest.raises(ConfigError, match="integrand 'capillary': not uniformly elliptic"):
+            EllipticIntegrand.from_descriptor({"kind": "capillary", "theta": theta, "dim": 3})
+        loaded = EllipticIntegrand.from_descriptor({"kind": "capillary", "theta": inner, "dim": 3})
+        assert loaded.analytic_sphere_range()[0] > 0.0
 
 
 def test_descriptor_rejects_non_spd_matrix():

@@ -7,18 +7,16 @@ them, and no residual beyond rounding.  The solve itself is reflected to roundin
 also where it eliminates the corner problems first.
 """
 
-import json
 import math
 
 import numpy as np
 import pytest
 
-from anisograph import EllipticIntegrand, HalfDomain, build_mesh, solve
-from anisograph.boundary_data import evaluate_data_spec
-from anisograph.cli import _CHECKS, bundled_scenario_path, run_scenario, scenario_from_dict
-from conftest import CURVED_DATA_SPEC
+from anisograph import EllipticIntegrand, solve
+from anisograph.cli import _CHECKS, run_scenario, scenario_from_dict
+from conftest import bundled, hard_case
 
-BASE = json.loads(bundled_scenario_path("capillary_theta_sweep").read_text())
+BASE = bundled("capillary_theta_sweep")
 THETA = BASE["integrand"]["theta"]
 SHIFT = 0.37
 
@@ -82,10 +80,10 @@ def test_vertical_shift(original):
 
 def test_capillary_reflection_with_corner_elimination():
     # corner-incompatible data at 1/64: every warm level has its corners eliminated first
-    mesh = build_mesh(HalfDomain(2, depth=1.0, width=0.5, resolution=1 / 64))
-    data = evaluate_data_spec(CURVED_DATA_SPEC, mesh.vertices)
-    u, rep = solve(EllipticIntegrand.capillary(0.5, 3), mesh, data)
-    reflected, rep_reflected = solve(EllipticIntegrand.capillary(math.pi - 0.5, 3), mesh, -data)
+    integrand, mesh, data = hard_case()
+    u, rep = solve(integrand, mesh, data)
+    reflected, rep_reflected = solve(EllipticIntegrand.capillary(math.pi - integrand.theta, 3),
+                                     mesh, -data)
     assert rep.converged and rep_reflected.converged
     assert rep.level_iterations == rep_reflected.level_iterations == [7, 4, 4]
     assert np.abs(reflected.values + u.values).max() <= 1e-14

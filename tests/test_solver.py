@@ -1,5 +1,4 @@
 import functools
-import json
 import math
 
 import numpy as np
@@ -19,7 +18,7 @@ from anisograph import (
     wall_flux_residuals,
 )
 from anisograph.boundary_data import evaluate_data_spec
-from anisograph.cli import bundled_scenario_path, run_scenario, scenario_from_dict
+from anisograph.cli import run_scenario, scenario_from_dict
 from anisograph.domain import _build
 from anisograph.solver import (
     _band_plan,
@@ -31,7 +30,7 @@ from anisograph.solver import (
     _newton_step,
     _prolong,
 )
-from conftest import CURVED_DATA_SPEC
+from conftest import CURVED_DATA_SPEC, bundled, hard_case
 from reference import (amse_residual, bisect_flat_slope, hessian_band_by_diagonals,
                        hessian_entries, newton_step_dense, raw_gradient_add_at, refine,
                        vertex_masses)
@@ -183,9 +182,7 @@ def test_hard_capillary_solve_stops_at_rounding_floor():
     # theta = 0.5 on corner-incompatible sine data, cold from zero: the energy
     # change reaches rounding level while the residual is still above
     # tol_residual; the trace records each accepted iterate's own energy
-    mesh = unit_mesh(1 / 64)
-    data = evaluate_data_spec(CURVED_DATA_SPEC, mesh.vertices)
-    integrand = EllipticIntegrand.capillary(0.5, 3)
+    integrand, mesh, data = hard_case()
     values, rep = solver._newton(integrand, mesh, data, SolveConfig(), None)
     assert rep.converged
     assert rep.iterations <= 12
@@ -267,12 +264,11 @@ def test_ladder_injects_the_data_of_each_coarse_mesh():
 
 @pytest.mark.parametrize(
     "integrand",
-    [EllipticIntegrand.euclidean(3), EllipticIntegrand.capillary(0.5, 3)],
+    [EllipticIntegrand.euclidean(3), hard_case()[0]],
     ids=["euclid", "cap50"],
 )
 def test_ladder_solve_matches_cold_solve(integrand):
-    mesh = unit_mesh(1 / 64)
-    data = evaluate_data_spec(CURVED_DATA_SPEC, mesh.vertices)
+    _, mesh, data = hard_case()
     u, rep = solve(integrand, mesh, data)
     cold, rep_cold = solver._newton(integrand, mesh, data, SolveConfig(), None)
     assert rep.converged and rep_cold.converged
@@ -314,7 +310,7 @@ def test_failed_middle_level_restarts_the_ladder_cold(monkeypatch):
 def test_theta_sweep_base_at_058_needs_few_fine_iterations():
     # cold from zero this solve took 30 Newton iterations, most of them damped
     # loaded at theta = 0.58, so that its flat_profile term takes that angle's slope
-    raw = json.loads(bundled_scenario_path("capillary_theta_sweep").read_text())
+    raw = bundled("capillary_theta_sweep")
     raw.update(checks=[], integrand={**raw["integrand"], "theta": 0.58},
                domain={**raw["domain"], "resolution": 1 / 64})
     rep = run_scenario(scenario_from_dict(raw), solve_only=True).solve_report
@@ -326,9 +322,8 @@ def test_theta_sweep_base_at_058_needs_few_fine_iterations():
                          ids=["h64", "h128"])
 def test_hard_capillary_ladder_fine_iterations(h, ladder):
     # the corners of every warm level are eliminated first: [7, 6, 9] and [7, 6, 9, 8] without
-    mesh = unit_mesh(h)
-    data = evaluate_data_spec(CURVED_DATA_SPEC, mesh.vertices)
-    _, rep = solve(EllipticIntegrand.capillary(0.5, 3), mesh, data)
+    integrand, mesh, data = hard_case(h)
+    _, rep = solve(integrand, mesh, data)
     assert rep.converged
     assert rep.level_iterations == ladder
 
@@ -353,9 +348,7 @@ def record_newton(monkeypatch):
 
 
 def test_corner_elimination_matches_the_plain_ladder(monkeypatch):
-    mesh = unit_mesh(1 / 64)
-    data = evaluate_data_spec(CURVED_DATA_SPEC, mesh.vertices)
-    integrand = EllipticIntegrand.capillary(0.5, 3)
+    integrand, mesh, data = hard_case()
     u, rep = solve(integrand, mesh, data)
     monkeypatch.setattr(solver, "_CORNER_GATE", math.inf)
     plain, rep_plain = solve(integrand, mesh, data)
@@ -367,15 +360,14 @@ def test_corner_elimination_matches_the_plain_ladder(monkeypatch):
 
 def test_corner_gate_fires_on_corner_incompatible_data_alone(monkeypatch):
     counts = record_newton(monkeypatch)
-    mesh = unit_mesh(1 / 128)
-    data = evaluate_data_spec(CURVED_DATA_SPEC, mesh.vertices)
-    assert solve(EllipticIntegrand.capillary(0.5, 3), mesh, data)[1].converged
+    integrand, mesh, data = hard_case(1 / 128)
+    assert solve(integrand, mesh, data)[1].converged
     assert counts == [0, 2, 2, 2]  # two local solves on each warm level
     counts.clear()
     assert solve(EllipticIntegrand.euclidean(3), mesh, data)[1].converged
     assert counts == [0, 0, 0, 0]
     counts.clear()
-    raw = json.loads(bundled_scenario_path("capillary_theta_sweep").read_text())
+    raw = bundled("capillary_theta_sweep")
     raw.update(checks=[], domain={**raw["domain"], "resolution": 1 / 64})
     assert run_scenario(scenario_from_dict(raw), solve_only=True).solve_report.converged
     assert counts == [0, 0, 0]
