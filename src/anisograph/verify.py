@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations, product
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -335,12 +335,14 @@ def _first_variation_fields(geom: GraphGeometry, margin: float) -> list[float]:
     normal_dchi = np.einsum("cqi,ci->cq", dchi_q, geom.cell_aniso_normal)
 
     per_field = []
+    weight = area * hf_cell * chi_q.mean(axis=1)
+    divF, term = np.empty_like(chi_q), np.empty_like(chi_q)  # reused for each field
     for k in range(mesh.n + 1):
-        divF = geom.cell_F_normal[:, None] * dchi_q[:, :, k] - geom.cell_normal[
-            :, k, None
-        ] * normal_dchi
+        np.multiply(geom.cell_F_normal[:, None], dchi_q[:, :, k], out=divF)
+        np.multiply(geom.cell_normal[:, k, None], normal_dchi, out=term)
+        np.subtract(divF, term, out=divF)
         lhs = float((area * divF.mean(axis=1)).sum())
-        mid = float((area * hf_cell * chi_q.mean(axis=1) * geom.cell_normal[:, k]).sum())
+        mid = float((weight * geom.cell_normal[:, k]).sum())
         bdry = float((geom.wall_measure * chi_w * geom.wall_mu_F[:, k]).sum())
         per_field.append(abs(lhs - mid - bdry))
     return per_field
@@ -638,15 +640,76 @@ class BoxFunction(NamedTuple):
     values: np.ndarray
 
 
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+def _hasher(const: int, mult: int):
+    """``SeedSequence``'s 32-bit hash whose constant advances by ``mult`` on each call."""
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * mult & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+    return hashmix
+
+
+def _mix(x: int, y: int) -> int:
+    """``SeedSequence``'s mix of a hashed word ``y`` into the pool word ``x``."""
+    r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+    return r ^ r >> 16
+
+
+class _PCG64:
+    """numpy's ``default_rng(seed)`` for an integer seed >= 0, draw for draw, in plain
+    integer arithmetic.  ``SeedSequence`` hashes the seed's 32-bit words into a pool of four
+    and draws the 128-bit state and increment from it; PCG64 steps its LCG before each
+    XSL-RR output (O'Neill 2014).  Only ``random`` and ``uniform`` are provided."""
+
+    _MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+    def __init__(self, seed: int):
+        words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+        hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+        pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+        for src, dst in permutations(range(4), 2):
+            pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+        for word, dst in product(words[4:], range(4)):  # the words past the pool's four
+            pool[dst] = _mix(pool[dst], hashmix(word))
+        draw = _hasher(0x8B51F9DD, 0x58F38DED)
+        half = [draw(pool[i % 4]) for i in range(8)]  # generate_state(4, uint64), low first
+        start, seq = (half[i] << 64 | half[i + 1] << 96 | half[i + 2] | half[i + 3] << 32
+                      for i in (0, 4))
+        self.state, self.inc = 0, (seq << 1 | 1) & _M128
+        self._next64()
+        self.state += start
+        self._next64()
+
+    def _next64(self) -> int:
+        self.state = s = (self.state * self._MULT + self.inc) & _M128
+        x, r = ((s >> 64) ^ s) & _M64, s >> 122
+        return (x >> r | x << (64 - r)) & _M64
+
+    def random(self) -> float:
+        return (self._next64() >> 11) * 2.0 ** -53
+
+    def uniform(self, low, high):
+        """A float for scalar bounds; for 1-d arrays of bounds, one draw per entry in order."""
+        if np.ndim(low) == np.ndim(high) == 0:
+            return low + (high - low) * self.random()
+        return np.array([lo + span * self.random() for lo, span in zip(low, high - low)])
+
+
 def test_function_bank(mesh: Mesh, seed: int, size: int) -> list[BoxFunction]:
     """Deterministic bank of compactly supported nonnegative vertex functions.
 
     Mixes smooth radial bumps and tensor hats, all vanishing on (and near)
     the DIRICHLET boundary; wall contact is allowed.  Each function is
     evaluated only on, and returned as, the box of grid vertices around its
-    support.
+    support.  The draws are numpy's ``default_rng(seed)`` stream, reproduced
+    by :class:`_PCG64`, so the bank does not depend on numpy's ``Generator``.
     """
-    rng = np.random.default_rng(seed)
+    rng = _PCG64(seed)
     dom = mesh.domain
     margin = 2.0 * mesh.h
     half = np.array(dom.half())

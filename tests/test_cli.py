@@ -783,17 +783,21 @@ def test_the_runtime_does_not_import_scipy():
     assert done.stdout.strip() == "[]"
 
 
-def test_verify_does_not_import_numpy_ma(tmp_path):
-    # numpy imports numpy.ma on the first plain np.unique, at about 13 ms
+def test_verify_imports_neither_numpy_ma_nor_numpy_random(tmp_path):
+    # numpy imports numpy.ma on the first plain np.unique, at about 13 ms, and numpy.random
+    # (with hashlib and secrets) on the first default_rng, at about 6 MiB; a fresh
+    # interpreter, since this one has imported both
+    raw = bundled("euclidean_freebdry_sine")
+    raw["domain"]["resolution"] = 1 / 16
+    assert "functional_inequalities" in raw["checks"]
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import sys, anisograph.cli as cli; "
             f"assert cli.main(['verify', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0; "
-            "print('numpy.ma' in sys.modules)")
+            "print(sorted({'numpy.ma', 'numpy.random', 'hashlib', 'secrets'} & set(sys.modules)))")
     done = subprocess.run(
-        [sys.executable, "-c", code, str(bundled_scenario_path("euclidean_freebdry_sine")),
-         str(tmp_path / "out")],
+        [sys.executable, "-c", code, str(write_scenario(tmp_path, raw)), str(tmp_path / "out")],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, check=True)
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("command", ["solve", "verify"])

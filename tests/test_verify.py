@@ -361,6 +361,24 @@ def test_bank_is_admissible_and_deterministic(curved_32):
         assert np.all(pa[mesh.vertex_tags == Tag.DIRICHLET] == 0.0)
 
 
+# 2**32 and up take SeedSequence's multi-word path, past four words from 2**128; the loader
+# accepts integer seeds up to the largest float
+@pytest.mark.parametrize("seed", [0, 1, 3, 9, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 1,
+                                  int(1e300)],
+                         ids=["0", "1", "3", "9", "2**32-1", "2**32", "2**64+5", "2**128+1",
+                              "1e300"])
+def test_bank_generator_matches_numpy_draw_for_draw(seed):
+    ours, ref = V._PCG64(seed), np.random.default_rng(seed)
+    room = np.array([0.3, 0.7, 1e-9])
+    low = -room * (np.arange(3) > 0)  # -0.0 first, as the bank's centre draws have
+    for _ in range(200):
+        assert ours.random() == ref.random()
+        a, b = ours.uniform(0.0625, 0.125), ref.uniform(0.0625, 0.125)
+        assert type(a) is float and a == b
+        a, b = ours.uniform(low, room), ref.uniform(low, room)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("domain", [
     HalfDomain(1, depth=1.0, resolution=1 / 32),
     HalfDomain(2, depth=1.0, width=0.5, resolution=1 / 32),
@@ -370,7 +388,7 @@ def test_bank_is_admissible_and_deterministic(curved_32):
 ], ids=["1d", "2d", "2d_dx_ne_dy", "2d_wide", "3d"])
 def test_bank_matches_the_full_grid_reference(domain):
     mesh = build_mesh(domain)
-    for seed in (0, 3, 9):
+    for seed in (0, 3, 9, 2**64 + 5):
         got = V.test_function_bank(mesh, seed, 60)
         ref = full_grid_function_bank(mesh, seed, 60)
         assert len(got) == len(ref)
