@@ -56,7 +56,6 @@ class GraphGeometry:
     cell_F_normal: np.ndarray      # F(normal)
     cell_Wf: np.ndarray            # f(Du) = F(normal) * W
     cell_hess_f: np.ndarray        # D^2 f(Du)
-    cell_AF: np.ndarray            # ambient D^2 F(normal)
     cell_log_Wf: np.ndarray        # log(Wf / sphere minimum of F)
 
     # per vertex (quadratic two-ring fit)
@@ -187,10 +186,10 @@ def compute_geometry(integrand: EllipticIntegrand, u: GraphFunction) -> GraphGeo
     normal = lifted[0] / w[:, None]
     wf, hess_f = integrand.F(lifted), integrand.D2f(lifted)
     at_normal = integrand.points(normal)
-    nu_f, f_normal, af = integrand.DF(at_normal), integrand.F(at_normal), integrand.D2F(at_normal)
+    nu_f, f_normal = integrand.DF(at_normal), integrand.F(at_normal)
     del lifted, at_normal
 
-    f_min = integrand.sphere_range()[0]
+    f_min = integrand.sphere_range[0]
     cell_log_wf = np.log(wf / f_min)
 
     grad_v, hess_v = _fit_vertex_quadratics(mesh, u.values)
@@ -246,7 +245,6 @@ def compute_geometry(integrand: EllipticIntegrand, u: GraphFunction) -> GraphGeo
         cell_F_normal=f_normal,
         cell_Wf=wf,
         cell_hess_f=hess_f,
-        cell_AF=af,
         cell_log_Wf=cell_log_wf,
         vertex_gradient=grad_v,
         fit_ok=np.ones(mesh.num_vertices, dtype=bool),
@@ -269,7 +267,8 @@ def surface_gradient(geom: GraphGeometry, phi: np.ndarray) -> tuple[np.ndarray, 
     """Per-cell surface gradient of a PL vertex field and its A_F image.
 
     Returns ambient (n+1)-vectors ``(grad, grad_F)``, both tangent to the
-    graph; ``grad_F`` applies the integrand Hessian at the cell normal.
+    graph; ``grad_F`` applies A_F = D^2 F(nu), the integrand Hessian at the
+    cell normal, formed here from ``cell_normal``.
     """
     phi = np.asarray(phi, dtype=float)
     mesh = geom.mesh
@@ -280,6 +279,7 @@ def surface_gradient(geom: GraphGeometry, phi: np.ndarray) -> tuple[np.ndarray, 
     coef = np.einsum("ci,ci->c", du, dphi) / geom.cell_W ** 2
     q = dphi - du * coef[:, None]
     grad = np.concatenate([q, np.einsum("ci,ci->c", du, q)[:, None]], axis=1)
-    grad_f = np.einsum("cij,cj->ci", geom.cell_AF, grad)
+    a_f = geom.integrand.D2F(geom.integrand.points(geom.cell_normal))
+    grad_f = np.einsum("cij,cj->ci", a_f, grad)
     return grad, grad_f
 

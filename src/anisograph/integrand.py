@@ -3,12 +3,14 @@
 An integrand ``F`` is a positive, one-homogeneous ``C^2`` function on
 ``R^d \\ {0}`` whose unit ball is uniformly convex.  Minimizing the surface
 energy of a graph ``x -> (x, u(x))`` reduces to minimizing the convex bulk
-Lagrangian ``f(y) = F(-y, 1)`` of the gradient, so every integrand here
-exposes both the ambient calculus (``eval_F``/``grad_F``/``hess_F``) and the
-pulled-back one (``eval_f``/``grad_f``/``hess_f``).  Each also takes its
-points already checked and normed, by ``points`` for ``F``/``DF``/``D2F`` and
-by ``lift`` for ``F``/``Df``/``D2f`` (``f`` is ``F`` on the lift), so several
-quantities at the same points share one lift and one pass of norms.
+Lagrangian ``f(y) = F(-y, 1)`` of the gradient.  The calculus is five kernels on
+points checked and normed once: ``F``, ``DF`` and ``D2F`` on ``points(z)`` for
+the ambient integrand, and ``F`` (which is ``f`` there), ``Df`` and ``D2f`` on
+``lift(y)`` for the Lagrangian, as in ``I.F(I.points(z))`` or
+``I.Df(I.lift(y))``.  So several quantities at the same points share one lift
+and one pass of norms.  The sphere range ``m <= F <= M`` that uniform
+ellipticity asks for is ``sphere_range``, validated and cached once per
+integrand.
 
 Built-in families:
 
@@ -32,44 +34,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .schema import ConfigError, _any, _integer, _list, _named, _real, _section, _variant
 
-__all__ = [
-    "EllipticIntegrand",
-    "IntegrandBounds",
-    "sphere_points",
-]
+__all__ = ["EllipticIntegrand"]
 
 _GOLDEN_FRAC = (math.sqrt(5.0) - 1.0) / 2.0
 # Sphere samples for kinds with no closed-form sphere range.
 _SPHERE_SAMPLES = 2 ** 14
-
-
-@dataclass(frozen=True)
-class IntegrandBounds:
-    """Sampled range of F on the unit sphere and of its tangential Hessian.
-
-    ``f_min``/``f_max`` bound the sphere values of F (and of ``|DF|``, which
-    shares the same exact range); ``hess_min``/``hess_max`` are the extreme
-    Rayleigh quotients of the Hessian over directions tangent to the sphere.
-    Estimates are inner approximations: more samples can only move ``f_min``
-    down and ``f_max`` up, never the reverse.
-    """
-
-    f_min: float
-    f_max: float
-    hess_min: float
-    hess_max: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.f_min <= self.f_max):
-            raise ValueError("need 0 < f_min <= f_max")
-        if not (0.0 < self.hess_min <= self.hess_max):
-            raise ValueError("need 0 < hess_min <= hess_max")
 
 
 def _van_der_corput(k: np.ndarray) -> np.ndarray:
@@ -195,20 +171,8 @@ class EllipticIntegrand:
         ``DF`` and ``D2F``; rejects zero vectors."""
         return _as_points(z, self.dim)
 
-    def eval_F(self, z: np.ndarray) -> np.ndarray:
-        """Value of F at ``z`` (last axis = dim); rejects zero vectors."""
-        return self.F(self.points(z))
-
-    def grad_F(self, z: np.ndarray) -> np.ndarray:
-        """Ambient gradient of F; zero-homogeneous in ``z``."""
-        return self.DF(self.points(z))
-
-    def hess_F(self, z: np.ndarray) -> np.ndarray:
-        """Ambient Hessian of F; annihilates ``z`` and scales like 1/|z|."""
-        return self.D2F(self.points(z))
-
     def F(self, points: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        """``eval_F`` on ``points(z)``."""
+        """Value of F on ``points(z)``, or of ``f`` on ``lift(y)``."""
         pts, norms = points
         if self.kind == "ellipsoid":
             # z^T A z term by term, row-major: einsum's order for a batch but not for a point
@@ -221,7 +185,7 @@ class EllipticIntegrand:
         return norms - self._tilt * pts[..., 0]
 
     def DF(self, points: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        """``grad_F`` on ``points(z)``."""
+        """Ambient gradient of F on ``points(z)``; zero-homogeneous in ``z``."""
         return self._grad_block(points, self.dim)
 
     def _grad_block(self, points: tuple[np.ndarray, np.ndarray], k: int) -> np.ndarray:
@@ -242,7 +206,7 @@ class EllipticIntegrand:
         return g
 
     def D2F(self, points: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        """``hess_F`` on ``points(z)``."""
+        """Ambient Hessian of F on ``points(z)``; annihilates ``z`` and scales like 1/|z|."""
         return self._hess_block(points, self.dim)
 
     def _hess_block(self, points: tuple[np.ndarray, np.ndarray], k: int) -> np.ndarray:
@@ -314,34 +278,25 @@ class EllipticIntegrand:
         z[..., -1] = 1.0
         return self.points(z)
 
-    def eval_f(self, y: np.ndarray) -> np.ndarray:
-        """Graph Lagrangian ``f(y) = F(-y, 1)``."""
-        return self.F(self.lift(y))
-
-    def grad_f(self, y: np.ndarray) -> np.ndarray:
-        """Gradient of the graph Lagrangian: ``Df(y)_i = -d_i F(-y, 1)``."""
-        return self.Df(self.lift(y))
-
-    def hess_f(self, y: np.ndarray) -> np.ndarray:
-        """Hessian of the graph Lagrangian (SPD for bounded gradients)."""
-        return self.D2f(self.lift(y))
-
     def Df(self, lifted: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        """``grad_f`` on ``lift(y)``."""
+        """Gradient of the graph Lagrangian on ``lift(y)``: ``Df(y)_i = -d_i F(-y, 1)``."""
         return -self._grad_block(lifted, self.dim - 1)
 
     def D2f(self, lifted: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        """``hess_f`` on ``lift(y)``."""
+        """Hessian of the graph Lagrangian on ``lift(y)`` (SPD for bounded gradients)."""
         return self._hess_block(lifted, self.dim - 1)
 
-    # -- sphere bounds -------------------------------------------------------
+    # -- sphere range ---------------------------------------------------------
 
-    def estimate_bounds(self, n_samples: int) -> IntegrandBounds:
-        """Sampled sphere range of F and of its tangential Hessian.
+    def _sample_sphere(self, n_samples: int) -> tuple[float, float, float, float]:
+        """``(f_min, f_max, hess_min, hess_max)`` over ``n_samples`` sphere points.
 
         Both the values of F and the norms of its gradient are folded into
-        the range (their exact sphere ranges coincide, and this keeps the
-        reported interval consistent with every sampled point).
+        ``f_min``/``f_max`` (their exact sphere ranges coincide, and this keeps
+        the range consistent with every sampled point); ``hess_min``/``hess_max``
+        are the extreme Rayleigh quotients of the Hessian over directions tangent
+        to the sphere.  Estimates are inner approximations: more samples can only
+        move the minima down and the maxima up, never the reverse.
         """
         if n_samples < 100:
             raise ValueError("need at least 100 sphere samples")
@@ -366,7 +321,7 @@ class EllipticIntegrand:
             half = 0.5 * (a11 + a22)
             disc = np.sqrt(np.maximum(0.0, (0.5 * (a11 - a22)) ** 2 + a12 * a12))
             hess_min, hess_max = float((half - disc).min()), float((half + disc).max())
-        return IntegrandBounds(f_min, f_max, hess_min, hess_max)
+        return f_min, f_max, hess_min, hess_max
 
     def analytic_sphere_range(self) -> Optional[tuple[float, float]]:
         """Exact sphere range of F when it has a closed form, else None."""
@@ -378,17 +333,28 @@ class EllipticIntegrand:
         else:
             c = abs(self._tilt)
             lo, hi = 1.0 - c, 1.0 + c
-        if not 0.0 < lo <= hi:  # as ``IntegrandBounds`` requires of a sampled range
+        if not 0.0 < lo <= hi:  # as ``sphere_range`` requires of a sampled range
             raise ValueError(f"not uniformly elliptic: F ranges over [{lo!r}, {hi!r}] on "
                              f"the unit sphere; need 0 < min <= max")
         return lo, hi
 
+    @cached_property
     def sphere_range(self) -> tuple[float, float]:
+        """The range ``(m, M)`` of F on the unit sphere, computed once per integrand.
+
+        The closed form where one exists; otherwise ``_SPHERE_SAMPLES`` points
+        sample F and its tangential Hessian, and a ValueError names the
+        integrand not uniformly elliptic unless both sampled ranges are positive.
+        """
         rng = self.analytic_sphere_range()
         if rng is not None:
             return rng
-        b = self.estimate_bounds(_SPHERE_SAMPLES)
-        return b.f_min, b.f_max
+        f_min, f_max, hess_min, hess_max = self._sample_sphere(_SPHERE_SAMPLES)
+        if not (0.0 < f_min <= f_max and 0.0 < hess_min <= hess_max):
+            raise ValueError(f"not uniformly elliptic: F ranges over [{f_min!r}, {f_max!r}] "
+                             f"and its tangential Hessian over [{hess_min!r}, {hess_max!r}] "
+                             f"on the unit sphere; need 0 < min <= max for both")
+        return f_min, f_max
 
     def flat_slope(self) -> float:
         """Wall-compatible affine slope: the a1 with d/da1 f(a1, 0, ...) = 0.
@@ -405,7 +371,7 @@ class EllipticIntegrand:
         def dfda(a: float) -> float:
             y = np.zeros(nres)
             y[0] = a
-            return float(self.grad_f(y)[0])
+            return float(self.Df(self.lift(y))[0])
 
         if dfda(0.0) == 0.0:
             return 0.0
@@ -435,18 +401,15 @@ class EllipticIntegrand:
     def from_descriptor(desc: dict, dim: Optional[int] = None) -> "EllipticIntegrand":
         """Parse a JSON descriptor; a malformed one, one whose dim is not ``dim`` (if given),
         one with no closed-form sphere range in a dim the sampler lacks, or one not uniformly
-        elliptic as sampled (checked last) is a ConfigError."""
+        elliptic (checked last, by ``sphere_range``) is a ConfigError."""
         kind, (make, keys, required) = _variant(desc, "kind", _KINDS, "integrand")
         where = f"integrand {kind!r}"
         integrand = _section(desc, {**_SHARED_KEYS, **keys}, where, required=required,
                              make=lambda kind, **params: make(**params))
         if dim not in (None, integrand.dim):
             raise ConfigError(f"integrand dim {integrand.dim} does not match domain n+1={dim}")
-        if integrand.analytic_sphere_range() is None:
-            with _named(f"{where}:"):
-                sphere_points(integrand.dim, 1)  # the sampler's dim limit, apart from ellipticity
-        with _named(f"{where}: not uniformly elliptic:"):
-            integrand.sphere_range()  # samples F and its Hessian where no closed form exists
+        with _named(f"{where}:"):
+            integrand.sphere_range  # cached for the geometry and the checks to read
         return integrand
 
 

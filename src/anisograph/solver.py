@@ -297,7 +297,7 @@ def wall_flux_residuals(integrand: EllipticIntegrand, u: GraphFunction) -> np.nd
     """
     mesh = u.mesh
     grads = u.cell_gradients()[mesh.wall_cells]
-    return integrand.grad_f(grads)[:, 0]
+    return integrand.Df(integrand.lift(grads))[:, 0]
 
 
 # largest P1 interpolation defect of the injected Dirichlet data, relative to

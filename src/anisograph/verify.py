@@ -212,7 +212,7 @@ def check_area_element_identity(geom: GraphGeometry) -> CheckReport:
     ratio = geom.cell_Wf / geom.cell_W
     if rng is None:
         # no closed-form sphere range: report the sampled one without a verdict
-        lo, hi = geom.integrand.sphere_range()
+        lo, hi = geom.integrand.sphere_range
         meta.update(sampled_range=[lo, hi], ratio_range=[float(ratio.min()), float(ratio.max())])
         return _report("area_element_identity", identity, None, **meta)
     lo, hi = rng

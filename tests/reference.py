@@ -142,7 +142,7 @@ def bisect_flat_slope(integrand, lo: float = -50.0, hi: float = 50.0, iters: int
     def dfda(a):
         y = np.zeros(integrand.dim - 1)
         y[0] = a
-        return integrand.grad_f(y)[0]
+        return integrand.Df(integrand.lift(y))[0]
 
     assert dfda(lo) < 0.0 < dfda(hi)
     for _ in range(iters):
@@ -248,7 +248,7 @@ def hessian_entries(integrand, mesh, values: np.ndarray,
 
     ``free_pos`` maps each vertex to its free index, or -1 for a Dirichlet vertex.
     """
-    d2f = integrand.hess_f(cell_gradients_gather(mesh, values))
+    d2f = integrand.D2f(integrand.lift(cell_gradients_gather(mesh, values)))
     grad_lambda = cell_hat_gradients(mesh)
     hc = np.einsum("c,cim,cmn,cjn->cij", cell_measures(mesh), grad_lambda, d2f, grad_lambda)
     m = mesh.n + 1
@@ -276,7 +276,7 @@ def newton_step_dense(integrand, mesh, values: np.ndarray, free_pos: np.ndarray,
 
 def raw_gradient_add_at(integrand, mesh, values: np.ndarray) -> np.ndarray:
     """Energy gradient at every vertex, scattered with ``np.add.at``."""
-    df = integrand.grad_f(cell_gradients_gather(mesh, values))
+    df = integrand.Df(integrand.lift(cell_gradients_gather(mesh, values)))
     contrib = np.einsum("c,cn,cin->ci", cell_measures(mesh), df, cell_hat_gradients(mesh))
     out = np.zeros(mesh.num_vertices)
     np.add.at(out, mesh.cells, contrib)

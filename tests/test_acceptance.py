@@ -97,14 +97,13 @@ def test_criterion_01_integrand_algebra():
     t0 = time.perf_counter()
     worst = 0.0
     for integrand in integrands:
-        vals = integrand.eval_F(z)
-        grads = integrand.grad_F(z)
-        hess = integrand.hess_F(z)
+        at = integrand.points(z)
+        vals, grads, hess = integrand.F(at), integrand.DF(at), integrand.D2F(at)
         norms = np.linalg.norm(z, axis=1)
         euler = np.abs(np.einsum("ki,ki->k", grads, z) - vals) / norms
         worst = max(worst, euler.max())
         for t in (0.5, 2.0, 10.0):
-            hom = np.abs(integrand.eval_F(t * z) - t * vals) / (t * norms)
+            hom = np.abs(integrand.F(integrand.points(t * z)) - t * vals) / (t * norms)
             worst = max(worst, hom.max())
         hz = np.abs(np.einsum("kij,kj->ki", hess, z)).max(axis=1) / norms
         worst = max(worst, hz.max())
@@ -152,7 +151,7 @@ def test_criterion_03_one_dimensional_oracle():
 
     def oracle(integrand, lo=-50.0, hi=50.0):
         def dfda(a):
-            return integrand.grad_f(np.array([a]))[0]
+            return integrand.Df(integrand.lift(np.array([a])))[0]
 
         for _ in range(200):
             mid = 0.5 * (lo + hi)

@@ -21,6 +21,23 @@ from conftest import bundled, solve_curved
 from reference import integrate_pl_power, wall_curve_fields, wall_nubar
 
 
+# integrands whose D^2 F(nu) is not the Euclidean Hessian
+ANISOTROPIC = [
+    EllipticIntegrand.ellipsoid(np.array([[2, 0.3, 0.5], [0.3, 1, 0.3], [0.5, 0.3, 1.5]])),
+    EllipticIntegrand.pnorm(3.0, 3, eps=0.3),
+]
+
+
+@pytest.fixture(scope="module")
+def anisotropic_curved_32():
+    """The reference curved solve at 1/32 under each ``ANISOTROPIC`` integrand."""
+    out = []
+    for integrand in ANISOTROPIC:
+        _, mesh, u, _ = solve_curved(1 / 32, integrand)
+        out.append((integrand, mesh, u, compute_geometry(integrand, u)))
+    return out
+
+
 def unit_mesh(resolution=1 / 16):
     return build_mesh(HalfDomain(2, depth=1.0, width=0.5, resolution=resolution))
 
@@ -203,7 +220,7 @@ def test_mean_curvature_matches_divergence_form_oracle():
     geom = compute_geometry(integrand, GraphFunction(mesh, vals))
     mask = mesh.vertex_tags == Tag.INTERIOR
     du = x[mask] @ hess + grad0
-    expect = np.einsum("vij,vji->v", integrand.hess_f(du),
+    expect = np.einsum("vij,vji->v", integrand.D2f(integrand.lift(du)),
                        np.broadcast_to(hess, (mask.sum(), 2, 2)))
     assert np.abs(geom.mean_curvature_aniso[mask] - expect).max() <= 1e-7
 
@@ -238,34 +255,42 @@ def test_surface_gradient_flat_equals_data_gradient():
     assert np.abs(grad[:, :2] - np.array([0.7, -0.3])).max() <= 1e-13
     np.testing.assert_allclose(grad[:, 2], 0.0, atol=1e-13)
     np.testing.assert_allclose(grad_f, grad, atol=1e-13)
+    # anisotropic: grad_F = D^2F(e_3) grad, whose graph block is D^2f(0) and last row is 0
+    for integrand in ANISOTROPIC:
+        geom = compute_geometry(integrand, GraphFunction(mesh, np.zeros(mesh.num_vertices)))
+        grad, grad_f = surface_gradient(geom, phi)
+        assert np.abs(grad[:, :2] - np.array([0.7, -0.3])).max() <= 1e-13
+        d2f = integrand.D2f(integrand.lift(np.zeros(2)))
+        np.testing.assert_allclose(grad_f[:, :2] - d2f @ np.array([0.7, -0.3]), 0.0, atol=1e-13)
+        np.testing.assert_allclose(grad_f[:, 2], 0.0, atol=1e-13)
 
 
-def test_surface_gradient_constant_is_zero(curved_32):
-    integrand, mesh, u, geom = curved_32
-    grad, grad_f = surface_gradient(geom, np.full(mesh.num_vertices, 3.3))
-    assert np.abs(grad).max() <= 1e-12
-    assert np.abs(grad_f).max() <= 1e-12
+def test_surface_gradient_constant_is_zero(curved_32, anisotropic_curved_32):
+    for integrand, mesh, u, geom in [curved_32, *anisotropic_curved_32]:
+        grad, grad_f = surface_gradient(geom, np.full(mesh.num_vertices, 3.3))
+        assert np.abs(grad).max() <= 1e-12
+        assert np.abs(grad_f).max() <= 1e-12
 
 
-def test_surface_gradient_pullback_identity(curved_32):
+def test_surface_gradient_pullback_identity(curved_32, anisotropic_curved_32):
     # |grad phi|^2 = |Dphi|^2 - W^-2 <Du, Dphi>^2, and phi = u gives |Du|^2/W^2
-    integrand, mesh, u, geom = curved_32
-    rng = np.random.default_rng(0)
-    phi = rng.normal(size=mesh.num_vertices)
-    grad, _ = surface_gradient(geom, phi)
-    dphi = mesh.cell_gradients(phi)
-    du = geom.cell_gradient
-    expect = np.einsum("ci,ci->c", dphi, dphi) - (
-        np.einsum("ci,ci->c", du, dphi) / geom.cell_W
-    ) ** 2
-    np.testing.assert_allclose(np.einsum("ci,ci->c", grad, grad), expect, atol=1e-12)
+    for integrand, mesh, u, geom in [curved_32, *anisotropic_curved_32]:
+        rng = np.random.default_rng(0)
+        phi = rng.normal(size=mesh.num_vertices)
+        grad, _ = surface_gradient(geom, phi)
+        dphi = mesh.cell_gradients(phi)
+        du = geom.cell_gradient
+        expect = np.einsum("ci,ci->c", dphi, dphi) - (
+            np.einsum("ci,ci->c", du, dphi) / geom.cell_W
+        ) ** 2
+        np.testing.assert_allclose(np.einsum("ci,ci->c", grad, grad), expect, atol=1e-12)
 
-    grad_u, _ = surface_gradient(geom, u.values)
-    expect_u = np.einsum("ci,ci->c", du, du) / geom.cell_W ** 2
-    np.testing.assert_allclose(np.einsum("ci,ci->c", grad_u, grad_u), expect_u, atol=1e-12)
+        grad_u, _ = surface_gradient(geom, u.values)
+        expect_u = np.einsum("ci,ci->c", du, du) / geom.cell_W ** 2
+        np.testing.assert_allclose(np.einsum("ci,ci->c", grad_u, grad_u), expect_u, atol=1e-12)
 
 
-def test_surface_gradient_elliptic_sandwich(curved_32):
+def test_surface_gradient_elliptic_sandwich(curved_32, anisotropic_curved_32):
     integrand, mesh, u, geom = curved_32
     lam = big = 1.0  # closed form for the euclidean integrand
     rng = np.random.default_rng(1)
@@ -275,6 +300,19 @@ def test_surface_gradient_elliptic_sandwich(curved_32):
     dphi_sq = np.einsum("ci,ci->c", mesh.cell_gradients(phi), mesh.cell_gradients(phi))
     assert np.all(pairing <= big * dphi_sq + 1e-12)
     assert np.all(pairing >= lam * dphi_sq / geom.cell_W ** 2 - 1e-12)
+    # anisotropic: the sandwich by the sampled tangential Hessian range, and the pairing
+    # g(grad phi, A_F grad phi) = W Dphi^T D^2f(Du) Dphi, with A_F = D^2F(nu)
+    for integrand, mesh, u, geom in anisotropic_curved_32:
+        _, _, lam, big = integrand._sample_sphere(2 ** 14)
+        phi = rng.normal(size=mesh.num_vertices)
+        grad, grad_f = surface_gradient(geom, phi)
+        pairing = np.einsum("ci,ci->c", grad, grad_f)
+        dphi = mesh.cell_gradients(phi)
+        dphi_sq = np.einsum("ci,ci->c", dphi, dphi)
+        assert np.all(pairing <= big * dphi_sq + 1e-12), integrand.kind
+        assert np.all(pairing >= lam * dphi_sq / geom.cell_W ** 2 - 1e-12), integrand.kind
+        expect = geom.cell_W * np.einsum("ci,cij,cj->c", dphi, geom.cell_hess_f, dphi)
+        assert np.abs(pairing - expect).max() <= 1e-12 * np.abs(expect).max(), integrand.kind
 
 
 # -- weighted weak form ----------------------------------------------------------------

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from anisograph import EllipticIntegrand
+from anisograph.cli import run_scenario, scenario_from_dict
 from anisograph.integrand import _as_points, sphere_points
 from anisograph.schema import ConfigError
+from conftest import bundled
 from reference import bisect_flat_slope, fd_gradient, fd_hessian
 
 
@@ -36,21 +38,21 @@ def _unit(seed):
 
 def test_euclidean_unit_vector():
     I = EllipticIntegrand.euclidean(3)
-    assert I.eval_F(np.array([0.0, 0.0, 1.0])) == pytest.approx(1.0, abs=1e-15)
+    assert I.F(I.points(np.array([0.0, 0.0, 1.0]))) == pytest.approx(1.0, abs=1e-15)
     np.testing.assert_allclose(
-        I.grad_F(np.array([0.0, 0.0, 1.0])), [0.0, 0.0, 1.0], atol=1e-15
+        I.DF(I.points(np.array([0.0, 0.0, 1.0]))), [0.0, 0.0, 1.0], atol=1e-15
     )
 
 
 def test_capillary_frozen_value():
     # direct substitution: |z| - cos(pi/3) z_1 at z = e1 gives 1 - 1/2
     I = EllipticIntegrand.capillary(math.pi / 3, 3)
-    assert I.eval_F(np.array([1.0, 0.0, 0.0])) == pytest.approx(0.5, abs=1e-12)
+    assert I.F(I.points(np.array([1.0, 0.0, 0.0]))) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_ellipsoid_identity_reduces_to_norm():
     I = EllipticIntegrand.ellipsoid(np.eye(3))
-    assert I.eval_F(np.array([3.0, 4.0, 0.0])) == pytest.approx(5.0, abs=1e-12)
+    assert I.F(I.points(np.array([3.0, 4.0, 0.0]))) == pytest.approx(5.0, abs=1e-12)
 
 
 def test_capillary_gradient_closed_form():
@@ -59,7 +61,7 @@ def test_capillary_gradient_closed_form():
     rng = np.random.default_rng(3)
     z = rng.normal(size=3)
     expected = z / np.linalg.norm(z) - math.cos(theta) * np.array([1.0, 0.0, 0.0])
-    np.testing.assert_allclose(I.grad_F(z), expected, atol=1e-14)
+    np.testing.assert_allclose(I.DF(I.points(z)), expected, atol=1e-14)
 
 
 def test_ellipsoid_gradient_euler_residual():
@@ -67,14 +69,14 @@ def test_ellipsoid_gradient_euler_residual():
     I = EllipticIntegrand.ellipsoid(a)
     rng = np.random.default_rng(4)
     z = rng.normal(size=(100, 3))
-    g = I.grad_F(z)
-    np.testing.assert_allclose(np.einsum("ki,ki->k", g, z), I.eval_F(z), atol=1e-12)
+    g = I.DF(I.points(z))
+    np.testing.assert_allclose(np.einsum("ki,ki->k", g, z), I.F(I.points(z)), atol=1e-12)
 
 
 def test_euclidean_hessian_is_projector():
     I = EllipticIntegrand.euclidean(3)
     e3 = np.array([0.0, 0.0, 1.0])
-    np.testing.assert_allclose(I.hess_F(e3), np.eye(3) - np.outer(e3, e3), atol=1e-14)
+    np.testing.assert_allclose(I.D2F(I.points(e3)), np.eye(3) - np.outer(e3, e3), atol=1e-14)
 
 
 def test_capillary_hessian_equals_euclidean():
@@ -82,18 +84,19 @@ def test_capillary_hessian_equals_euclidean():
     z = rng.normal(size=(50, 3))
     cap = EllipticIntegrand.capillary(0.7, 3)
     euc = EllipticIntegrand.euclidean(3)
-    np.testing.assert_array_equal(cap.hess_F(z), euc.hess_F(z))
+    np.testing.assert_array_equal(cap.D2F(cap.points(z)), euc.D2F(euc.points(z)))
 
 
 def test_lagrangian_frozen_values():
     # f(y) = sqrt(1 + |y|^2) + cos(theta) y_1; theta = pi/2 is the isotropic case
-    assert EllipticIntegrand.euclidean(3).eval_f(np.array([3.0, 4.0])) == pytest.approx(
+    euclidean = EllipticIntegrand.euclidean(3)
+    assert euclidean.F(euclidean.lift(np.array([3.0, 4.0]))) == pytest.approx(
         math.sqrt(26.0), abs=1e-14
     )
     I = EllipticIntegrand.capillary(math.pi / 3, 3)
     y0 = np.zeros(2)
-    assert I.eval_f(y0) == pytest.approx(1.0, abs=1e-15)
-    np.testing.assert_allclose(I.grad_f(y0), [math.cos(math.pi / 3), 0.0], atol=1e-15)
+    assert I.F(I.lift(y0)) == pytest.approx(1.0, abs=1e-15)
+    np.testing.assert_allclose(I.Df(I.lift(y0)), [math.cos(math.pi / 3), 0.0], atol=1e-15)
 
 
 # -- algebraic invariants -------------------------------------------------------
@@ -104,13 +107,14 @@ def test_euler_identity_and_homogeneity(integrand):
     rng = np.random.default_rng(11)
     z = rng.normal(size=(2000, 3))
     z = z[np.linalg.norm(z, axis=1) > 1e-3]
-    vals = integrand.eval_F(z)
-    grads = integrand.grad_F(z)
+    vals = integrand.F(integrand.points(z))
+    grads = integrand.DF(integrand.points(z))
     norms = np.linalg.norm(z, axis=1)
     euler = np.abs(np.einsum("ki,ki->k", grads, z) - vals)
     assert euler.max() <= 1e-9 * norms.max()
     for t in (0.5, 2.0, 10.0):
-        assert np.abs(integrand.eval_F(t * z) - t * vals).max() <= 1e-9 * t * norms.max()
+        scaled = integrand.F(integrand.points(t * z))
+        assert np.abs(scaled - t * vals).max() <= 1e-9 * t * norms.max()
 
 
 @pytest.mark.parametrize("integrand", builtin_integrands(), ids=lambda i: i.kind)
@@ -118,7 +122,7 @@ def test_hessian_annihilates_argument(integrand):
     rng = np.random.default_rng(12)
     z = rng.normal(size=(500, 3))
     z /= np.linalg.norm(z, axis=1, keepdims=True)
-    hz = np.einsum("kij,kj->ki", integrand.hess_F(z), z)
+    hz = np.einsum("kij,kj->ki", integrand.D2F(integrand.points(z)), z)
     assert np.abs(hz).max() <= 1e-10
 
 
@@ -126,13 +130,14 @@ def test_hessian_annihilates_argument(integrand):
 def test_gradient_zero_homogeneous(integrand):
     rng = np.random.default_rng(13)
     z = rng.normal(size=(50, 3))
-    np.testing.assert_allclose(integrand.grad_F(3.7 * z), integrand.grad_F(z), atol=1e-11)
+    np.testing.assert_allclose(integrand.DF(integrand.points(3.7 * z)),
+                               integrand.DF(integrand.points(z)), atol=1e-11)
 
 
 @given(unit_vectors)
 def test_euler_identity_property(z):
     I = EllipticIntegrand.pnorm(2.5, 3, eps=0.02)
-    assert abs(I.grad_F(z) @ z - I.eval_F(z)) <= 1e-10
+    assert abs(I.DF(I.points(z)) @ z - I.F(I.points(z))) <= 1e-10
 
 
 @pytest.mark.parametrize("integrand", builtin_integrands(), ids=lambda i: i.kind)
@@ -140,10 +145,10 @@ def test_grad_f_matches_finite_differences_with_order_two(integrand):
     # halving the step shrinks the centered-difference error by ~4
     rng = np.random.default_rng(14)
     y = rng.normal(size=2)
-    g = integrand.grad_f(y)
+    g = integrand.Df(integrand.lift(y))
     err = {}
     for step in (1e-3, 5e-4):
-        fd = fd_gradient(lambda x: integrand.eval_f(x), y, step=step)
+        fd = fd_gradient(lambda x: integrand.F(integrand.lift(x)), y, step=step)
         err[step] = np.linalg.norm(fd - g)
     ratio = err[1e-3] / max(err[5e-4], 1e-300)
     assert 2.5 <= ratio <= 6.0 or err[1e-3] < 1e-12
@@ -154,8 +159,8 @@ def test_hess_f_matches_finite_differences(integrand):
     rng = np.random.default_rng(15)
     for _ in range(5):
         y = rng.normal(size=2)
-        fd = fd_hessian(lambda x: integrand.eval_f(x), y)
-        np.testing.assert_allclose(integrand.hess_f(y), fd, atol=5e-5)
+        fd = fd_hessian(lambda x: integrand.F(integrand.lift(x)), y)
+        np.testing.assert_allclose(integrand.D2f(integrand.lift(y)), fd, atol=5e-5)
 
 
 def test_hess_f_eigenvalue_window():
@@ -166,7 +171,7 @@ def test_hess_f_eigenvalue_window():
         rng = np.random.default_rng(16)
         y = rng.uniform(-10, 10, size=(300, 2))
         y = y[np.linalg.norm(y, axis=1) <= 10.0]
-        eigs = np.linalg.eigvalsh(integrand.hess_f(y))
+        eigs = np.linalg.eigvalsh(integrand.D2f(integrand.lift(y)))
         c2 = np.linalg.norm(y, axis=1) ** 2
         lower = lam / (1.0 + c2) ** 2
         upper = (1.0 + c2) * big
@@ -178,7 +183,7 @@ def test_hess_f_eigenvalue_window():
 def test_hess_f_positive_definite(integrand):
     rng = np.random.default_rng(17)
     y = rng.uniform(-10, 10, size=(200, 2))
-    eigs = np.linalg.eigvalsh(integrand.hess_f(y))
+    eigs = np.linalg.eigvalsh(integrand.D2f(integrand.lift(y)))
     assert eigs.min() > 0.0
 
 
@@ -188,7 +193,7 @@ def test_capillary_euclidean_gradient_shift():
     euc = EllipticIntegrand.euclidean(3)
     rng = np.random.default_rng(18)
     y = rng.normal(size=(100, 2))
-    shift = cap.grad_f(y) - euc.grad_f(y)
+    shift = cap.Df(cap.lift(y)) - euc.Df(euc.lift(y))
     np.testing.assert_allclose(shift[:, 0], math.cos(theta), atol=1e-15)
     np.testing.assert_allclose(shift[:, 1], 0.0, atol=1e-15)
 
@@ -197,50 +202,75 @@ def test_capillary_euclidean_gradient_shift():
 
 
 def test_bounds_euclidean_exact():
-    b = EllipticIntegrand.euclidean(3).estimate_bounds(2000)
-    assert b.f_min == pytest.approx(1.0, abs=1e-9)
-    assert b.f_max == pytest.approx(1.0, abs=1e-9)
-    assert b.hess_min == pytest.approx(1.0, abs=1e-9)
-    assert b.hess_max == pytest.approx(1.0, abs=1e-9)
+    f_min, f_max, hess_min, hess_max = EllipticIntegrand.euclidean(3)._sample_sphere(2000)
+    assert f_min == pytest.approx(1.0, abs=1e-9)
+    assert f_max == pytest.approx(1.0, abs=1e-9)
+    assert hess_min == pytest.approx(1.0, abs=1e-9)
+    assert hess_max == pytest.approx(1.0, abs=1e-9)
 
 
 def test_bounds_capillary_sampled():
-    b = EllipticIntegrand.capillary(math.pi / 3, 3).estimate_bounds(2 ** 14)
-    assert b.f_min == pytest.approx(0.5, abs=1e-3)
-    assert b.f_max == pytest.approx(1.5, abs=1e-3)
+    f_min, f_max, _, _ = EllipticIntegrand.capillary(math.pi / 3, 3)._sample_sphere(2 ** 14)
+    assert f_min == pytest.approx(0.5, abs=1e-3)
+    assert f_max == pytest.approx(1.5, abs=1e-3)
 
 
 def test_bounds_ellipsoid_sampled():
-    b = EllipticIntegrand.ellipsoid(np.diag([4.0, 1.0, 1.0])).estimate_bounds(2 ** 14)
-    assert b.f_min == pytest.approx(1.0, abs=1e-3)
-    assert b.f_max == pytest.approx(2.0, abs=1e-3)
+    I = EllipticIntegrand.ellipsoid(np.diag([4.0, 1.0, 1.0]))
+    f_min, f_max, _, _ = I._sample_sphere(2 ** 14)
+    assert f_min == pytest.approx(1.0, abs=1e-3)
+    assert f_max == pytest.approx(2.0, abs=1e-3)
 
 
 def test_bounds_cover_sampled_gradient_norms():
     I = EllipticIntegrand.capillary(1.2, 3)
     n = 3000
-    b = I.estimate_bounds(n)
+    f_min, f_max, _, _ = I._sample_sphere(n)
     pts = sphere_points(3, n)
-    gn = np.linalg.norm(I.grad_F(pts), axis=1)
-    assert gn.min() >= b.f_min - 1e-12
-    assert gn.max() <= b.f_max + 1e-12
-    fv = I.eval_F(pts)
-    assert fv.min() >= b.f_min - 1e-12 and fv.max() <= b.f_max + 1e-12
+    gn = np.linalg.norm(I.DF(I.points(pts)), axis=1)
+    assert gn.min() >= f_min - 1e-12
+    assert gn.max() <= f_max + 1e-12
+    fv = I.F(I.points(pts))
+    assert fv.min() >= f_min - 1e-12 and fv.max() <= f_max + 1e-12
 
 
 def test_bounds_monotone_refinement():
     I = EllipticIntegrand.ellipsoid(np.array([[3.0, 0.4, 0.0], [0.4, 1.0, 0.0], [0.0, 0.0, 2.0]]))
-    coarse = I.estimate_bounds(500)
-    fine = I.estimate_bounds(4000)
-    assert fine.f_min <= coarse.f_min
-    assert fine.f_max >= coarse.f_max
-    assert fine.hess_min <= coarse.hess_min
-    assert fine.hess_max >= coarse.hess_max
+    coarse = I._sample_sphere(500)
+    fine = I._sample_sphere(4000)
+    assert fine[0] <= coarse[0]  # f_min
+    assert fine[1] >= coarse[1]  # f_max
+    assert fine[2] <= coarse[2]  # hess_min
+    assert fine[3] >= coarse[3]  # hess_max
 
 
 def test_bounds_require_enough_samples():
     with pytest.raises(ValueError):
-        EllipticIntegrand.euclidean(3).estimate_bounds(50)
+        EllipticIntegrand.euclidean(3)._sample_sphere(50)
+
+
+def test_sphere_range_is_sampled_once_per_integrand(monkeypatch):
+    # the loader, the geometry and area_element_identity all read one cached sample
+    calls, sample = [], EllipticIntegrand._sample_sphere
+
+    def counted(self, n_samples):
+        calls.append(n_samples)
+        return sample(self, n_samples)
+
+    monkeypatch.setattr(EllipticIntegrand, "_sample_sphere", counted)
+    raw = {**bundled("euclidean_freebdry_sine"),
+           "integrand": {"kind": "pnorm", "dim": 3, "p": 3.0, "eps": 0.3}}
+    raw["domain"]["resolution"] = 1 / 16
+    scenario = scenario_from_dict(raw)
+    result = run_scenario(scenario)
+    assert calls == [2 ** 14]
+    identity = next(r for r in result.reports if r.check_name == "area_element_identity")
+    assert identity.metadata["sampled_range"] == list(scenario.integrand.sphere_range)
+
+
+def test_sphere_range_names_a_non_elliptic_sample():
+    with pytest.raises(ValueError, match="not uniformly elliptic"):
+        EllipticIntegrand.pnorm(20, 3, 1e-12).sphere_range
 
 
 def test_flat_slope_capillary():
@@ -275,16 +305,16 @@ def test_hess_f_is_the_graph_block_of_hess_F(dim):
     lift = np.concatenate([-y, np.ones((200, 1))], axis=1)
     matrix = np.diag([2.0, 1.0, 1.5][:dim]) + 0.2 * (1 - np.eye(dim))
     for I in [*builtin_integrands(dim), EllipticIntegrand.ellipsoid(matrix)]:
-        block = I.hess_F(lift)[..., : dim - 1, : dim - 1]
-        assert np.array_equal(I.hess_f(y), block), I.kind
+        block = I.D2F(I.points(lift))[..., : dim - 1, : dim - 1]
+        assert np.array_equal(I.D2f(I.lift(y)), block), I.kind
         # a single point takes the batch's path: it gets exactly its row's values
-        for method, points in [(I.eval_F, z), (I.grad_F, z), (I.hess_F, z),
-                               (I.eval_f, y), (I.grad_f, y), (I.hess_f, y)]:
-            batch = method(points[:20])
+        for kernel, at, points in [(I.F, I.points, z), (I.DF, I.points, z), (I.D2F, I.points, z),
+                                   (I.F, I.lift, y), (I.Df, I.lift, y), (I.D2f, I.lift, y)]:
+            batch = kernel(at(points[:20]))
             for row, point in enumerate(points[:20]):
-                single = method(point)
-                assert single.shape == batch.shape[1:], (I.kind, method.__name__)
-                assert np.array_equal(single, batch[row]), (I.kind, method.__name__, row)
+                single = kernel(at(point))
+                assert single.shape == batch.shape[1:], (I.kind, kernel.__name__)
+                assert np.array_equal(single, batch[row]), (I.kind, kernel.__name__, row)
 
 
 # -- descriptors and validation ---------------------------------------------------
@@ -298,7 +328,7 @@ def test_descriptor_roundtrip():
         J = EllipticIntegrand.from_descriptor(desc)
         assert J.to_descriptor() == desc, I.kind
         z = np.array([0.3, -0.2, 0.9])
-        assert J.eval_F(z) == I.eval_F(z), I.kind
+        assert J.F(J.points(z)) == I.F(I.points(z)), I.kind
     assert off_diagonal.to_descriptor()["matrix"] == [2.0, 0.5, 0.1, 0.5, 1.0, 0.2,
                                                       0.1, 0.2, 1.5]
 
@@ -331,7 +361,7 @@ def test_descriptor_rejects_non_spd_matrix():
 def test_descriptor_accepts_row_major_flat_matrix():
     flat = [4.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]
     I = EllipticIntegrand.from_descriptor({"kind": "ellipsoid", "matrix": flat, "dim": 3})
-    assert I.eval_F(np.array([1.0, 0.0, 0.0])) == pytest.approx(2.0)
+    assert I.F(I.points(np.array([1.0, 0.0, 0.0]))) == pytest.approx(2.0)
 
 
 def test_pnorm_validation():
@@ -339,7 +369,7 @@ def test_pnorm_validation():
         EllipticIntegrand.pnorm(1.0, 3)
     with pytest.raises(ValueError):
         EllipticIntegrand.pnorm(3.0, 3, eps=-0.1)
-    # eps = 0 leaves hess_f NaN at y = 0 for p < 4: not uniformly elliptic
+    # eps = 0 leaves D2f NaN at y = 0 for p < 4: not uniformly elliptic
     with pytest.raises(ValueError):
         EllipticIntegrand.pnorm(3.0, 3, eps=0.0)
     with pytest.raises(ValueError):
@@ -350,7 +380,8 @@ def test_zero_vector_rejected():
     batch = np.random.default_rng(19).normal(size=(5, 3))
     batch[2] = 0.0
     for I in builtin_integrands():
-        for op in (I.eval_F, I.grad_F, I.hess_F, I.points):
+        for op in (lambda z: I.F(I.points(z)), lambda z: I.DF(I.points(z)),
+                   lambda z: I.D2F(I.points(z)), I.points):
             for z in (np.zeros(3), batch):
                 with pytest.raises(ValueError, match="zero vector"):
                     op(z)
@@ -371,7 +402,7 @@ def test_point_norms_are_the_linalg_norms_bit_for_bit(dim, magnitude):
     np.testing.assert_allclose(norms[lost], [math.hypot(*row) for row in z[lost]], rtol=1e-15)
     assert _as_points(z[0], dim)[1] == pytest.approx(math.sqrt(dim) * 1e-163, rel=1e-15)
     euclidean = EllipticIntegrand.euclidean(dim)
-    assert euclidean.eval_F(z[0]) == pytest.approx(math.sqrt(dim) * 1e-163, rel=1e-15)
+    assert euclidean.F(euclidean.points(z[0])) == pytest.approx(math.sqrt(dim) * 1e-163, rel=1e-15)
     for point in z[~lost][:100]:  # numpy reduces a single point by another loop
         assert np.array_equal(_as_points(point, dim)[1], np.linalg.norm(point, axis=-1))
 
@@ -387,8 +418,8 @@ def test_capillary_entries_are_the_batched_formulas_bit_for_bit(dim):
         grad = unit.copy()
         grad[..., 0] -= I._tilt
         hess = (np.eye(dim) - np.einsum("...i,...j->...ij", unit, unit)) / norms[..., None, None]
-        assert np.array_equal(I.grad_F(z), grad)
-        assert np.array_equal(I.hess_F(z), hess)
+        assert np.array_equal(I.DF(I.points(z)), grad)
+        assert np.array_equal(I.D2F(I.points(z)), hess)
 
 
 @pytest.mark.parametrize("kind", range(4), ids=["euclidean", "capillary", "ellipsoid", "pnorm"])
@@ -402,14 +433,14 @@ def test_shared_lift_kernels_are_the_public_methods_bit_for_bit(kind):
             lifted, points = I.lift(ys), I.points(z)
             f, df, d2f = I.F(lifted), I.Df(lifted), I.D2f(lifted)
             assert np.array_equal(lifted[0], z) and np.array_equal(lifted[1], points[1])
-            assert np.array_equal(f, I.eval_f(ys)) and np.array_equal(f, I.eval_F(z))
-            assert np.array_equal(df, I.grad_f(ys))
-            assert np.array_equal(df, -I.grad_F(z)[..., :-1])
-            assert np.array_equal(d2f, I.hess_f(ys))
-            assert np.array_equal(d2f, I.hess_F(z)[..., :-1, :-1])
-            assert np.array_equal(I.F(points), I.eval_F(z))
-            assert np.array_equal(I.DF(points), I.grad_F(z))
-            assert np.array_equal(I.D2F(points), I.hess_F(z))
+            assert np.array_equal(f, I.F(I.lift(ys))) and np.array_equal(f, I.F(I.points(z)))
+            assert np.array_equal(df, I.Df(I.lift(ys)))
+            assert np.array_equal(df, -I.DF(I.points(z))[..., :-1])
+            assert np.array_equal(d2f, I.D2f(I.lift(ys)))
+            assert np.array_equal(d2f, I.D2F(I.points(z))[..., :-1, :-1])
+            assert np.array_equal(I.F(points), I.F(I.points(z)))
+            assert np.array_equal(I.DF(points), I.DF(I.points(z)))
+            assert np.array_equal(I.D2F(points), I.D2F(I.points(z)))
 
 
 def _spd_matrix(seed, shift):
@@ -437,7 +468,7 @@ bounded_gradients = st.one_of(
 
 @given(every_constructor, bounded_gradients)
 def test_hess_f_finite_and_spd_on_bounded_gradients(integrand, y):
-    hess = integrand.hess_f(np.array(y))
+    hess = integrand.D2f(integrand.lift(np.array(y)))
     assert np.all(np.isfinite(hess))
     np.testing.assert_allclose(hess, hess.T, rtol=1e-12, atol=1e-12)
     assert np.linalg.eigvalsh(hess).min() > 0.0

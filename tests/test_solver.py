@@ -476,7 +476,7 @@ def random_newton_system(domain):
 
 
 def grid_band(integrand, mesh, values):
-    d2f = integrand.hess_f(mesh.cell_gradients(values))
+    d2f = integrand.D2f(integrand.lift(mesh.cell_gradients(values)))
     free = _free_box(mesh, mesh.vertex_tags == Tag.DIRICHLET)
     return _hessian_band(_band_plan(mesh, free), d2f)
 
@@ -517,7 +517,7 @@ def test_fixed_pattern_hessian_matches_coo_assembly(domain):
 def test_planned_band_is_the_band_summed_by_diagonals(domain):
     # the same sums in the same order, so the same bits
     integrand, mesh, values, _ = random_newton_system(domain)
-    d2f = integrand.hess_f(mesh.cell_gradients(values))
+    d2f = integrand.D2f(integrand.lift(mesh.cell_gradients(values)))
     free = _free_box(mesh, mesh.vertex_tags == Tag.DIRICHLET)
     band = _hessian_band(_band_plan(mesh, free), d2f)
     assert np.array_equal(band, hessian_band_by_diagonals(mesh, d2f, free))
@@ -535,7 +535,7 @@ def test_banded_newton_step_matches_dense_solve(domain):
 @GRID_DOMAINS
 def test_float32_band_is_the_float64_band_rounded(domain):
     integrand, mesh, values, _ = random_newton_system(domain)
-    d2f = integrand.hess_f(mesh.cell_gradients(values))
+    d2f = integrand.D2f(integrand.lift(mesh.cell_gradients(values)))
     plan = _band_plan(mesh, _free_box(mesh, mesh.vertex_tags == Tag.DIRICHLET))
     band, single = _hessian_band(plan, d2f), _hessian_band(plan, d2f, np.float32)
     assert single.dtype == np.float32 and single.flags.f_contiguous and single.shape == band.shape
@@ -549,7 +549,7 @@ def test_float32_band_is_the_float64_band_rounded(domain):
 def test_float32_preconditioned_step_matches_dense_solve(domain):
     integrand, mesh, values, free_pos = random_newton_system(domain)
     res = gradient(integrand, mesh, values)[free_pos >= 0]
-    d2f = integrand.hess_f(mesh.cell_gradients(values))
+    d2f = integrand.D2f(integrand.lift(mesh.cell_gradients(values)))
     plan = _band_plan(mesh, _free_box(mesh, mesh.vertex_tags == Tag.DIRICHLET))
     times = functools.partial(_hessian_times, mesh, d2f, np.flatnonzero(free_pos >= 0))
     got = _newton_step(_hessian_band(plan, d2f, np.float32), res, times)
