@@ -8,8 +8,10 @@ The wall ``{x_1 = 0}`` carries the FREE tag and is left unconstrained by the
 solver; the remaining, artificial truncation boundary is DIRICHLET.  Meshes
 are structured: every box of a grid is cut into cells the same way, and that
 cut (``Mesh.split``) gives the cells, the wall facets, the one-rings and the
-one scatter, shifted sums over the vertex grid.  A mesh is immutable after
-construction and safe for shared reads.
+one scatter, shifted sums over the vertex grid.  Each mesh plans those grid
+kernels once (``Mesh.plan``): the slices of every cell type's vertices, the
+nonzero hat-gradient terms and the flux weights, so that a call only runs them.
+A mesh is immutable after construction and safe for shared reads.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Optional
+from functools import cached_property
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -32,9 +35,6 @@ __all__ = [
 # the largest mesh, by its Newton band, bounded by 8 (kd + 1) bytes per vertex for the
 # band's half-bandwidth kd: 1/512 on the unit reference box needs 1.0 GiB, 1/1024 8.0 GiB
 _MAX_BAND_BYTES = 2 << 30
-# the contraction order of ``Mesh.scatter_flux``: ``optimize=True``'s for two operands,
-# given so that no call searches for it
-_FLUX_PATH = ["einsum_path", (0, 1)]
 
 
 class Tag(IntEnum):
@@ -132,6 +132,21 @@ def band_rows(split: BoxSplit, shape) -> dict[tuple[int, ...], float]:
             for d in diffs.tolist() if d >= [0] * len(d)}
 
 
+class GridPlan(NamedTuple):
+    """What the grid kernels of a mesh read of its split, whatever the values.
+
+    ``at[t][i]`` is the vertex-grid slice tuple picking each box's vertex ``i`` of a
+    type-``t`` cell; ``terms[t][k]`` lists the ``(hat gradient, slices)`` of that cell's
+    vertices with a nonzero ``k``-th gradient component; ``flux`` is ``split.measure *
+    split.grad_lambda`` as ``(types, n, n + 1)``, the right factor of the flux's matmul.
+    """
+
+    shape: tuple[int, ...]  # the vertex grid
+    at: tuple
+    terms: tuple
+    flux: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class Mesh:
     """Structured simplicial mesh of a HalfDomain with tagged boundary.
@@ -175,26 +190,39 @@ class Mesh:
     def num_cells(self) -> int:
         return self.cells.shape[0]
 
+    @cached_property
+    def plan(self) -> GridPlan:
+        """The grid kernels' slices and weights, planned once per mesh (``GridPlan``)."""
+        split = self.split
+        at = tuple(tuple(self.offset_slices(o) for o in offsets) for offsets in split.offsets)
+        terms = tuple(tuple(tuple((float(g), a) for a, g in zip(slices, grads[:, k]) if g)
+                            for k in range(self.n))
+                      for slices, grads in zip(at, split.grad_lambda))
+        flux = (split.measure * split.grad_lambda).transpose(0, 2, 1).copy()
+        return GridPlan(tuple(d + 1 for d in self.divisions), at, terms, flux)
+
     def scatter(self, contrib: np.ndarray) -> np.ndarray:
         """Per-vertex sums of per-cell vertex contributions ``(ncells, n + 1)``, summed
-        on the vertex grid: each cell type's column ``i`` shifted to its vertex ``i``."""
-        split = self.split
-        contrib = contrib.reshape(self.divisions + split.offsets.shape[:2])
-        out = np.zeros(tuple(d + 1 for d in self.divisions))
-        for t, i in np.ndindex(split.offsets.shape[:2]):
-            out[self.offset_slices(split.offsets[t, i])] += contrib[..., t, i]
+        on the vertex grid: each cell type's column ``i`` shifted to its vertex ``i``,
+        through the slices of ``plan``."""
+        plan = self.plan
+        contrib = contrib.reshape(self.divisions + self.split.offsets.shape[:2])
+        out = np.zeros(plan.shape)
+        for t, slices in enumerate(plan.at):
+            for i, at in enumerate(slices):
+                out[at] += contrib[..., t, i]
         return out.ravel()
 
     def scatter_flux(self, q: np.ndarray) -> np.ndarray:
         """Per-vertex sums of ``|c| q_c . grad lambda`` over the cells around each vertex.
 
         ``q`` holds one vector per cell, in cell order: ``Df(Du)`` gives the
-        energy gradient, ``D^2 f(Du) Dv`` the Hessian applied to ``v``.
+        energy gradient, ``D^2 f(Du) Dv`` the Hessian applied to ``v``.  Each
+        cell type's contraction is one matmul with ``plan.flux``, the one that
+        numpy's optimized einsum ``"ctk,tik->cti"`` performs, bit for bit.
         """
-        split = self.split
-        q = q.reshape(-1, len(split.offsets), self.n)
-        return self.scatter(np.einsum("ctk,tik->cti", q, split.measure * split.grad_lambda,
-                                      optimize=_FLUX_PATH))
+        q = q.reshape(-1, len(self.split.offsets), self.n)
+        return self.scatter(np.matmul(q.transpose(1, 0, 2), self.plan.flux).transpose(1, 0, 2))
 
     def offset_slices(self, offset: np.ndarray) -> tuple[slice, ...]:
         """Vertex-grid slices picking each box's vertex at ``offset`` from its lowest corner."""
@@ -203,15 +231,17 @@ class Mesh:
     def cell_gradients(self, values: np.ndarray) -> np.ndarray:
         """Per-cell constant gradient of the piecewise-linear interpolant.
 
-        Computed on the vertex grid as shifted differences, in cell order.
+        Computed on the vertex grid as shifted differences (``plan.terms``), in cell order.
         """
-        split, at = self.split, self.offset_slices
-        grid = np.asarray(values, dtype=float).reshape(tuple(d + 1 for d in self.divisions))
-        out = np.empty(self.divisions + split.offsets.shape[:1] + (self.n,))
-        for t, (offsets, grads) in enumerate(zip(split.offsets, split.grad_lambda)):
-            for k in range(self.n):
-                terms = [g * grid[at(o)] for o, g in zip(offsets, grads[:, k]) if g]
-                out[..., t, k] = sum(terms[1:], terms[0])
+        plan = self.plan
+        grid = np.asarray(values, dtype=float).reshape(plan.shape)
+        out = np.empty(self.divisions + (len(plan.terms), self.n))
+        for t, axes in enumerate(plan.terms):
+            for k, ((g, at), *rest) in enumerate(axes):
+                total = g * grid[at]
+                for g, at in rest:
+                    total += g * grid[at]
+                out[..., t, k] = total
         return out.reshape(-1, self.n)
 
     def cell_means(self, values: np.ndarray) -> np.ndarray:
@@ -220,11 +250,11 @@ class Mesh:
         Summed on the vertex grid in the cell's vertex order, then divided by
         the vertex count: the same operations as ``values[cells].mean(axis=1)``.
         """
-        split = self.split
-        grid = values.reshape(tuple(d + 1 for d in self.divisions) + values.shape[1:])
-        out = np.empty(self.divisions + split.offsets.shape[:1] + values.shape[1:])
-        for t, offsets in enumerate(split.offsets):
-            at = [grid[self.offset_slices(o)] for o in offsets]
+        plan = self.plan
+        grid = values.reshape(plan.shape + values.shape[1:])
+        out = np.empty(self.divisions + (len(plan.at),) + values.shape[1:])
+        for t, slices in enumerate(plan.at):
+            at = [grid[a] for a in slices]
             out[(slice(None),) * self.n + (t,)] = sum(at[1:], at[0]) / len(at)
         return out.reshape((self.num_cells,) + values.shape[1:])
 

@@ -21,8 +21,8 @@ grid values, the energy gradient (and the Hessian applied to a vector) is a
 flux summed back by the mesh's one scatter (``Mesh.scatter_flux``), and each
 iterate's cell gradients are computed and lifted (``EllipticIntegrand.lift``)
 once and feed its energy, residual and Hessian; the accepted line-search
-trial's lift is the next iterate's.  The free vertices, numbered row by row,
-fill a box of the grid.
+trial's lift is the next iterate's, and no name holds a lift once its ``D^2 f``
+is formed.  The free vertices, numbered row by row, fill a box of the grid.
 Each nonzero diagonal of the Hessian's ``(kd + 1, nfree)`` lower band holds
 the vertex pairs of one edge offset of the split, in the row that
 ``domain.band_rows`` gives it (``kd`` for ``(1, ..., 1)``: 1 in one dimension,
@@ -449,6 +449,7 @@ def _newton(integrand: EllipticIntegrand, mesh: Mesh, dirichlet: np.ndarray, con
     res_norm = float(np.linalg.norm(res))
     if (eliminate and start is not None and mesh.n == 2 and res_norm > config.tol_residual
             and _corner_share(res, free, mesh.divisions) > _CORNER_GATE):
+        del lifted  # the start's lift, stale once the corner solves have run
         _eliminate_corners(integrand, mesh, values, config)
         lifted = integrand.lift(mesh.cell_gradients(values))
         res = _gradient(integrand, mesh, lifted)[free_idx]
@@ -510,6 +511,7 @@ def _newton(integrand: EllipticIntegrand, mesh: Mesh, dirichlet: np.ndarray, con
             # rounding floor: no step can lower the energy any further
             break
         values, lifted = trial, trial_lifted
+        del trial_lifted  # else it holds this lift through the next step's band
         e_cur = e_trial
         trace.append(e_cur)
         iterations += 1

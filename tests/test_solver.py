@@ -1,5 +1,6 @@
 import functools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -409,6 +410,28 @@ def test_converged_warm_start_is_not_eliminated(monkeypatch):
     assert rep.converged and rep.level_iterations[1:] == [0, 0]
     assert min(levels) > solver._CORNER_GATE
     assert counts == [0, 0, 0]
+
+
+def test_every_earlier_lift_is_freed_before_a_newton_step(monkeypatch):
+    # a lift is used up once D^2 f is formed: neither the accepted trial's name nor a start
+    # that the corner solves replaced may hold one through the band and its factorization
+    lifts, steps, lift, step = [], [], EllipticIntegrand.lift, solver._newton_step
+
+    def recorded_lift(self, y):
+        lifted = lift(self, y)
+        lifts.extend(weakref.ref(a) for a in lifted)
+        return lifted
+
+    def checked_step(*args):
+        steps.append(sum(ref() is not None for ref in lifts))
+        return step(*args)
+
+    monkeypatch.setattr(EllipticIntegrand, "lift", recorded_lift)
+    monkeypatch.setattr(solver, "_newton_step", checked_step)
+    counts = record_newton(monkeypatch)
+    _, rep = solve(*hard_case())
+    assert rep.converged and counts == [0, 2, 2]  # the corner solves ran
+    assert len(steps) > sum(rep.level_iterations) and not any(steps)
 
 
 def test_unresolved_data_skips_the_ladder():
