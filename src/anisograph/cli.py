@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import inspect
 import json
 import math
@@ -236,76 +237,216 @@ def run_scenario(scenario: Scenario, solve_only: bool = False) -> RunResult:
     return result
 
 
-# -- output writers -------------------------------------------------------------
+# -- output writers: each value as '%.17g', its text laid out in a fixed-width slot of
+# bytes with zero padding, a block of rows at a time, and written as the block's nonzero
+# bytes --------------------------------------------------------------------------------
+
+_BLOCK_ROWS = 4096  # rows laid out at a time, which bounds the writers' temporaries
+# a value's slot: ',', the sign and the '0.000' before a small fixed-form value's digits;
+# the 17 digits with room for the point; 'e', the exponent's sign and 3 digits
+_SLOT = 30
+_CRLF = np.frombuffer(b"\r\n", dtype=np.uint8)
+_ASCII = np.frombuffer(b"0123456789", dtype=np.uint8)  # each digit's byte
+_FAST = (1e-280, 1e280)  # the |x| whose digits the double-double product below certifies
+_EXPONENTS = 300  # the |X| that the exponent tables cover: all of _FAST's
+# a rounding is certified when the scaled value's fraction is this far from 1/2; the
+# product's error is under 5e-15 (see ``_decimal``)
+_TIE_BAND = 1e-9
 
 
 def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
+def _split(x: np.ndarray) -> tuple:
+    """Dekker's split of doubles into two halves of at most 26 significant bits each."""
+    c = 134217729.0 * x  # 2^27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+@functools.cache
+def _power(k: int) -> tuple:
+    """10^k = H + L, H and L each correctly rounded from Python integers."""
+    num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+    h = num / den  # int / int rounds correctly
+    p, q = h.as_integer_ratio()
+    return h, (num * q - p * den) / (den * q)
+
+
+@functools.cache
+def _tables() -> tuple:
+    """The text of ``_slots``: ``quads[r, g]``, digit r of the four digits of g = 0 to
+    9999; by sign s and exponent X, the word ``starts[s, X]`` whose bytes begin a slot;
+    by X, the word ``ends[X]`` whose bytes end it."""
+    quads = _ASCII.take(np.arange(10000) // np.array([[1000], [100], [10], [1]]) % 10)
+    zero = _EXPONENTS  # the row of X = 0
+    ends = np.zeros((2 * zero + 1, 8), dtype=np.uint8)
+    ends[:, 0], ends[:, 1], ends[:zero, 1] = ord("e"), ord("+"), ord("-")
+    e = np.concatenate([np.arange(zero, 0, -1), np.arange(zero + 1)])  # |X|
+    ends[:, 2:5] = _ASCII.take(e[:, None] // np.array([100, 10, 1]) % 10)
+    ends[zero - 99:zero + 100, 2] = 0  # two exponent digits under 100
+    ends[zero - 4:zero + 17] = 0  # fixed notation for X = -4 to 16
+    starts = np.zeros((2, 2 * zero + 1, 8), dtype=np.uint8)
+    starts[:, :, 0], starts[1, :, 1] = ord(","), ord("-")
+    for k in range(1, 5):  # X = -k: '0.' and k - 1 zeros before the digits
+        starts[:, zero - k, 2:3 + k] = np.frombuffer(b"0.000"[:k + 1], dtype=np.uint8)
+    return quads, starts.view(np.uint64)[..., 0], ends.view(np.uint64)[:, 0]
+
+
+def _decimal(v: np.ndarray) -> tuple:
+    """|v| rounded half-even to 17 significant digits, as the integer N in [10^16, 10^17)
+    and the exponent X with |v| ~ N 10^(X - 16), and where that rounding is certified.
+
+    N is |v| 10^(16 - X) rounded: the product with 10^k = H + L (``_power``) is |v| H
+    exactly, by Dekker's product, plus |v| L in floating point, and its error is under
+    5e-15.  A fraction within ``_TIE_BAND`` of 1/2 is not certified unless L = 0, where
+    the product is exact and an exact tie rounds to even; nor are 0, nan, inf and |v|
+    outside ``_FAST``, whose N and X are 10^16 and 0."""
+    a = np.abs(v)
+    ok = (a >= _FAST[0]) & (a <= _FAST[1])
+    a = np.where(ok, a, 1.0)
+    a_hi, a_lo = _split(a)
+    x = np.floor(np.log10(a)).astype(np.int64)
+    first = 15 - int(x.max(initial=0))  # the k of the table's first power
+    h, low = np.array([_power(k) for k in range(first, 18 - int(x.min(initial=0)))]).T
+    h_hi, h_lo = _split(h)
+    for _ in range(2):  # log10 can be one off next to a power of ten
+        k = 16 - first - x
+        hh, hl, lo = h_hi.take(k), h_lo.take(k), low.take(k)
+        p = a * (hh + hl)
+        t = ((a_hi * hh - p) + a_hi * hl + a_lo * hh) + a_lo * hl + a * lo
+        whole = np.floor(t)
+        n = p.astype(np.int64) + whole.astype(np.int64)  # p is an integer above 2^53
+        small, big = n < 10 ** 16, n >= 10 ** 17
+        if not (small.any() or big.any()):
+            break
+        x += big.astype(np.int64) - small
+    frac = t - whole
+    ok &= ~(small | big) & ((lo == 0) | (np.abs(frac - 0.5) > _TIE_BAND))
+    n += (frac > 0.5) | ((frac == 0.5) & (n % 2 == 1))
+    carry = n == 10 ** 17
+    return np.where(carry, 10 ** 16, n), x + carry, ok
+
+
+def _slots(values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Each value's ',' and '%.17g' text in ``_SLOT`` bytes, zero padded, written into
+    ``out`` (of shape ``values.shape + (_SLOT,)``) and returned.
+
+    The text is %g's: fixed notation for exponents -4 to 16, else d.ddd e±XX, with the
+    zeros that end a fraction dropped; 0 is '0' or '-0'.  A slot is 7 bytes of
+    ``starts``, the digits with room for the point, and 5 bytes of ``ends``.  The digits
+    are laid out a byte position at a time, each over every value, as uint8 arithmetic.
+    A value whose digits ``_decimal`` does not certify is formatted by '%.17g' itself."""
+    quads, starts, ends = _tables()
+    v = np.asarray(values, dtype=float)
+    out = np.empty(v.shape + (_SLOT,), dtype=np.uint8) if out is None else out
+    n, x, ok = _decimal(v)
+    zero = v == 0
+    high, low = np.divmod(n, 10 ** 8)
+    digits = np.zeros((19,) + v.shape, dtype=np.uint8)  # the 17 digits between zero bytes
+    digits[1] = _ASCII.take(np.where(zero, 0, high // 10 ** 8))
+    for at, group in zip(range(2, 18, 4), (high // 10 ** 4 % 10 ** 4, high % 10 ** 4,
+                                         low // 10 ** 4, low % 10 ** 4)):
+        digits[at:at + 4] = np.take(quads, group, axis=1)
+    index = np.arange(19, dtype=np.uint8).reshape((19,) + (1,) * v.ndim)  # digit index + 1
+    last = ((digits[2:18] != ord("0")) * index[1:17]).max(axis=0)  # the last nonzero digit
+    fixed = (x >= -4) & (x <= 16)
+    keep = np.where(fixed, np.maximum(last, x), last)  # the last digit written
+    digits *= index <= keep.astype(np.uint8) + np.uint8(1)
+    # the point's byte: after digit ``point`` where a kept digit follows it, else none (18)
+    point = np.where(fixed, x, 0)
+    point = np.where((point >= 0) & (point < keep), point + 1, 18).astype(np.uint8)
+    j = index[:18]
+    dot = (j == point) * np.uint8(ord("."))
+    text = digits[1:] * (j < point) + digits[:-1] * (j > point) + dot
+    out[..., 7:25] = np.moveaxis(text, 0, -1)
+    sign = np.signbit(v).view(np.uint8)
+    out[..., :7] = starts[sign, x + _EXPONENTS][..., None].view(np.uint8)[..., :7]
+    out[..., 25:] = ends[x + _EXPONENTS][..., None].view(np.uint8)[..., :5]
+    for i in zip(*np.nonzero(~ok & ~zero)):
+        line = b"%.17g" % v[i]
+        out[i][1:] = 0
+        out[i][1:1 + len(line)] = np.frombuffer(line, dtype=np.uint8)
+    return out
+
+
+def _integers(lo: int, hi: int) -> np.ndarray:
+    """The decimal text of lo, ..., hi - 1 as zero-padded uint8 rows."""
+    i = np.arange(lo, hi)
+    powers = np.array([10 ** k for k in range(len(str(max(hi - 1, 0))) - 1, -1, -1)])[:, None]
+    return (_ASCII.take(i // powers % 10) * ((i >= powers) | (powers == 1))).T
+
+
 def _write_tables(tables: list, rows: int, prefix: Callable) -> None:
-    """CSVs whose rows share their leading text, written in step a block of rows at a time.
+    """CSVs whose rows run on from one another, written in step ``_BLOCK_ROWS`` rows at a
+    time.
 
-    ``tables`` holds each file's path, header and float columns, and
-    ``prefix(lo, hi)`` the shared text of rows ``lo`` to ``hi - 1``.  A row is
-    its prefix, then its columns, each '%.17g' (the same C formatting as
-    ``_fmt``, NaN and -0.0 included), and ends in CRLF, as csv.writer's rows
-    do.  Each block is written as one string, and no whole-column list or
-    whole-file string is built.
+    ``tables`` holds each file's path, header and float columns, and ``prefix(lo, hi)``
+    the leading text of rows ``lo`` to ``hi - 1`` as zero-padded uint8 rows.  The first
+    file's row is that text, then its columns, each ',' and '%.17g' (``_slots``), and
+    ends in CRLF, as csv.writer's rows do; each later file's row is the one before it
+    without its CRLF, then its own columns and CRLF.  A block's rows are laid out once,
+    and each file writes the nonzero bytes of its leading columns, so no whole-column or
+    whole-file text is built.
     """
-    block = 1024
     with contextlib.ExitStack() as stack:
-        files = [stack.enter_context(open(path, "w", newline="")) for path, _, _ in tables]
+        files = [stack.enter_context(open(path, "wb")) for path, _, _ in tables]
         for fh, (_, header, _) in zip(files, tables):
-            fh.write(",".join(header) + "\r\n")
-        formats = ["%s" + ",%.17g" * len(columns) + "\r\n" for _, _, columns in tables]
-        for lo in range(0, rows, block):
-            hi = min(lo + block, rows)
+            fh.write(",".join(header).encode() + b"\r\n")
+        for lo in range(0, rows, _BLOCK_ROWS):
+            hi = min(lo + _BLOCK_ROWS, rows)
             head = prefix(lo, hi)
-            for fh, row, (_, _, columns) in zip(files, formats, tables):
-                values = (c[lo:hi].tolist() for c in columns)
-                fh.write("".join(map(row.__mod__, zip(head, *values))))
+            ends = np.cumsum([head.shape[1]] + [_SLOT * len(c) + 2 for _, _, c in tables])
+            block = np.empty((hi - lo, ends[-1]), dtype=np.uint8)
+            block[:, :ends[0]] = head
+            for at, end, (_, _, columns) in zip(ends, ends[1:], tables):
+                _slots(np.stack([c[lo:hi] for c in columns]),
+                       block[:, at:end - 2].reshape(hi - lo, len(columns), _SLOT).swapaxes(0, 1))
+                block[:, end - 2:end] = _CRLF
+            for fh, end in zip(files, ends[1:]):
+                fh.write(block[:, :end].tobytes().translate(None, b"\0"))
+                block[:, end - 2:end] = 0  # the next file's row runs on
 
 
-def _vertex_prefix(mesh: Mesh, u: np.ndarray) -> Callable:
-    """``prefix`` of the vertex tables: each vertex's id, coordinates and u.  Every
+def _vertex_prefix(mesh: Mesh) -> Callable:
+    """``prefix`` of the vertex tables: each vertex's id and coordinates.  Every
     coordinate is a grid line's, so each line is formatted once."""
     counts = tuple(d + 1 for d in mesh.divisions)
-    lines = [np.array(["%.17g" % x for x in line.tolist()], dtype=object)
-             for line in mesh.grid_lines()]
-    row = "%d" + ",%s" * mesh.n + ",%.17g"
+    lines = [_slots(line) for line in mesh.grid_lines()]
 
-    def prefix(lo: int, hi: int) -> list:
+    def prefix(lo: int, hi: int) -> np.ndarray:
         at = np.unravel_index(np.arange(lo, hi), counts)
-        coords = (line[i].tolist() for line, i in zip(lines, at))
-        return list(map(row.__mod__, zip(range(lo, hi), *coords, u[lo:hi].tolist())))
+        return np.concatenate([_integers(lo, hi),
+                               *(np.take(line, i, axis=0) for line, i in zip(lines, at))], axis=1)
     return prefix
 
 
 def _write_csvs(out_dir: Path, result: RunResult) -> None:
-    """``solution.csv``; with a geometry also ``geometry.csv``, whose rows start with the
-    same id, coordinates and u and are written in step with it, and ``geometry_wall.csv``."""
+    """``solution.csv``; with a geometry also ``geometry.csv``, whose rows run on from
+    ``solution.csv``'s and are written in step with them, and ``geometry_wall.csv``."""
     mesh, geom = result.solution.mesh, result.geometry
     header = ["id", *(f"x{i + 1}" for i in range(mesh.n)), "u"]
-    tables = [(out_dir / "solution.csv", header, [])]
+    tables = [(out_dir / "solution.csv", header, [result.solution.values])]
     if geom is not None:
         tables.append((out_dir / "geometry.csv", header + ["W", "W_f", "H_F", "h_sq"],
                        [geom.vertex_W, geom.vertex_Wf, geom.mean_curvature_aniso, geom.h_sq]))
-    _write_tables(tables, mesh.num_vertices, _vertex_prefix(mesh, result.solution.values))
+    _write_tables(tables, mesh.num_vertices, _vertex_prefix(mesh))
     if geom is not None:
         _write_tables([(out_dir / "geometry_wall.csv", ["facet", "nuF_e1", "muF_e1", "measure"],
                         [geom.wall_nuF_e1, geom.wall_muF_e1, geom.wall_measure])],
-                      len(mesh.wall_cells), range)
+                      len(mesh.wall_cells), _integers)
 
 
 def _write_reports(out_dir: Path, result: RunResult) -> None:
     with open(out_dir / "report.jsonl", "w") as fh:
         for rep in result.reports:
             fh.write(json.dumps(rep.to_json_dict(), sort_keys=True) + "\n")
-    prefixes = [f"{rep.check_name},{rep.status}" for rep in result.reports]
+    prefixes = np.array([f"{rep.check_name},{rep.status}".encode() for rep in result.reports],
+                        dtype=bytes)  # zero padded to the longest
     residuals = np.array([rep.worst_residual for rep in result.reports], dtype=float)
     _write_tables([(out_dir / "summary.csv", ["check", "status", "residual"], [residuals])],
-                  len(prefixes), lambda lo, hi: prefixes[lo:hi])
+                  prefixes.size, lambda lo, hi: prefixes[lo:hi, None].view(np.uint8))
 
 
 def run(scenario_path, out_dir, solve_only: bool = False) -> int:

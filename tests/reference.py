@@ -15,6 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from anisograph.cli import _slots
 from anisograph.domain import BoxSplit, Tag, _build, band_rows
 from anisograph.geometry import _fit_vertex_quadratics
 from anisograph.verify import BoxFunction, _pl_power_cellwise
@@ -136,12 +137,16 @@ def fd_hessian(fn: Callable[[np.ndarray], float], z: np.ndarray, step: Optional[
     return out
 
 
-def bisect_flat_slope(integrand, lo: float = -50.0, hi: float = 50.0, iters: int = 200) -> float:
-    """Independent oracle of ``flat_slope``: a fixed number of bisection steps."""
+def bisect_flat_slope(integrand, lo: float = -50.0, hi: float = 50.0, iters: int = 200,
+                      b: float = 0.0) -> float:
+    """Independent oracle of ``flat_slope``: a fixed number of bisection steps.  With a
+    tangential slope ``b`` along x2 (n >= 2), the normal slope a of the plane with
+    gradient (a, b, 0, ...) that meets the wall condition ∂1 f = 0."""
 
     def dfda(a):
         y = np.zeros(integrand.dim - 1)
         y[0] = a
+        y[1:2] = b
         return integrand.Df(integrand.lift(y))[0]
 
     assert dfda(lo) < 0.0 < dfda(hi)
@@ -288,6 +293,14 @@ def raw_gradient_add_at(integrand, mesh, values: np.ndarray) -> np.ndarray:
 
 def _fmt(x) -> str:
     return f"{float(x):.17g}"
+
+
+def formatter_mismatches(values: np.ndarray) -> list[tuple[float, bytes]]:
+    """Each value whose text from the writers' block formatter is not its '%.17g', with
+    that text."""
+    values = np.asarray(values, dtype=float).ravel()
+    texts = _slots(values).tobytes().translate(None, b"\0").split(b",")[1:]
+    return [(x, t) for x, t in zip(values.tolist(), texts) if t != b"%.17g" % x]
 
 
 def write_solution_csv(path, result) -> None:

@@ -33,7 +33,7 @@ from anisograph.cli import (
     sweep,
 )
 from conftest import CURVED_DATA_SPEC, bundled
-from reference import write_geometry_csv, write_solution_csv
+from reference import formatter_mismatches, write_geometry_csv, write_solution_csv
 
 
 def minimal_scenario(**overrides):
@@ -785,15 +785,17 @@ def test_the_runtime_does_not_import_scipy():
 
 def test_verify_imports_neither_numpy_ma_nor_numpy_random(tmp_path):
     # numpy imports numpy.ma on the first plain np.unique, at about 13 ms, and numpy.random
-    # (with hashlib and secrets) on the first default_rng, at about 6 MiB; a fresh
-    # interpreter, since this one has imported both
+    # (with hashlib and secrets) on the first default_rng, at about 6 MiB; the writers'
+    # powers of ten come from Python integers, not fractions or decimal; a fresh
+    # interpreter, since this one has imported all of them
     raw = bundled("euclidean_freebdry_sine")
     raw["domain"]["resolution"] = 1 / 16
     assert "functional_inequalities" in raw["checks"]
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import sys, anisograph.cli as cli; "
             f"assert cli.main(['verify', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0; "
-            "print(sorted({'numpy.ma', 'numpy.random', 'hashlib', 'secrets'} & set(sys.modules)))")
+            "print(sorted({'numpy.ma', 'numpy.random', 'hashlib', 'secrets', 'fractions',"
+            " 'decimal'} & set(sys.modules)))")
     done = subprocess.run(
         [sys.executable, "-c", code, str(write_scenario(tmp_path, raw)), str(tmp_path / "out")],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, check=True)
@@ -1079,12 +1081,44 @@ def test_sweep_malformed_scenario_exits_2(tmp_path, capsys, payload, axis):
 # -- report writers -------------------------------------------------------------
 
 
+def test_block_formatter_matches_percent_format():
+    rng = np.random.default_rng(2026)
+    powers = np.array([float(f"1e{k}") for k in range(-300, 301)])
+    # every power of ten and the 8 doubles on either side of it
+    near = (powers.view(np.int64)[:, None] + np.arange(-8, 9)).view(np.float64)
+    # exact ties at the 17th digit: m 10^k / 2^(k+1) = N + 1/2 for odd m, X = 16 - k
+    odd = [range(-(-2 * 10 ** 16 // 5 ** k) | 1, 2 * 10 ** 17 // 5 ** k, 2) for k in range(25)]
+    ties = np.array([m / 2 ** (k + 1) for k, ms in enumerate(odd)
+                     for m in ms[::max(1, len(ms) // 20)] if m < 2 ** 53])
+    # where 10^k is a double (X >= -6) the product is exact and decides the tie; below,
+    # the few ties (X = -7, -8) are too close to 1/2 to certify and fall back
+    exact = ties >= 1e-6
+    assert exact.sum() > 50 and cli._decimal(ties[exact])[2].all()
+    assert 0 < (~exact).sum() and not cli._decimal(ties[~exact])[2].any()
+    # a log10 one off next to a power of ten is corrected, not left to '%.17g'
+    fast = near[(near >= 1e-280) & (near <= 1e280)]
+    assert cli._decimal(fast)[2].mean() >= 0.999
+    special = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -1e-310,
+                        2.2250738585072014e-308, np.nextafter(2.2250738585072014e-308, 0),
+                        1.7976931348623157e308, 1e-280, 1e280, 1e-5, 9.999999999999999e-5,
+                        1e16, 1e17, 99999999999999999.0, 0.5, 100.0, 1 / 3])
+    subnormal = rng.integers(1, 2 ** 52, 1000).view(np.float64)
+    bits = rng.integers(0, 2 ** 64, 10 ** 5, dtype=np.uint64).view(np.float64)
+    for values in (near, ties, special, subnormal, bits):
+        for signed in (values, -values):
+            assert formatter_mismatches(signed) == []
+    # a formatter that left every value to '%.17g' would pass the above
+    normal = rng.standard_normal(10 ** 5) * 10.0 ** rng.integers(-20, 21, 10 ** 5)
+    assert cli._decimal(normal)[2].mean() >= 0.99
+
+
 WRITER_DOMAINS = {
     "1d": HalfDomain(1, depth=1.0, resolution=1 / 7),
     "2d_dx_ne_dy": HalfDomain(2, depth=1.0, width=0.6, resolution=1 / 4),
     "2d_1.3x0.55": HalfDomain(2, depth=1.3, width=0.55, resolution=1 / 40),
-    # 41 x 50 vertices: more than one block of rows
-    "2d_dx_ne_dy_large": HalfDomain(2, depth=1.0, width=0.61, resolution=1 / 40),
+    # d + 1 by round(1.22 d) + 1 vertices: more than one block of rows
+    "2d_dx_ne_dy_large": HalfDomain(
+        2, depth=1.0, width=0.61, resolution=1 / math.ceil(math.sqrt(cli._BLOCK_ROWS / 1.22))),
 }
 
 
@@ -1104,6 +1138,7 @@ def test_table_writers_match_csv_writer(tmp_path, name):
         return col
 
     nv, nw = mesh.num_vertices, mesh.wall_cells.size
+    assert nv > cli._BLOCK_ROWS or not name.startswith("2d_dx_ne_dy_large")
     h_sq = column(nv, 4)
     h_sq[1::3] = np.nan
     geom = SimpleNamespace(

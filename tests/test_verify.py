@@ -14,9 +14,10 @@ from anisograph import (
     Tag,
     build_mesh,
     compute_geometry,
+    solve,
 )
 from conftest import solve_capillary_flat, solve_curved
-from reference import (first_variation_per_field, full_grid_function_bank,
+from reference import (bisect_flat_slope, first_variation_per_field, full_grid_function_bank,
                        functional_inequality_ratios, support_box)
 
 
@@ -43,6 +44,41 @@ def test_flat_solution_residuals_at_rounding_level():
         assert report.worst_residual <= 1e-10, report.check_name
     identity = V.check_area_element_identity(geom)
     assert identity.status == "pass" and identity.worst_residual <= 1e-12
+
+
+# tilted ellipsoids by ambient dimension: the dim-3 one couples e1 to both wall tangents
+TILTED = {2: [[2.0, 0.3], [0.3, 1.0]],
+          3: [[2.0, 0.3, 0.5], [0.3, 1.0, 0.3], [0.5, 0.3, 1.5]],
+          4: [[2.0, 0.3, 0.5, 0.2], [0.3, 1.0, 0.3, 0.1], [0.5, 0.3, 1.5, 0.2],
+              [0.2, 0.1, 0.2, 1.2]]}
+PLANE_KINDS = {
+    "euclidean": EllipticIntegrand.euclidean,
+    "capillary": lambda dim: EllipticIntegrand.capillary(0.5, dim),
+    "ellipsoid": lambda dim: EllipticIntegrand.ellipsoid(np.array(TILTED[dim])),
+    "pnorm": lambda dim: EllipticIntegrand.pnorm(3.0, dim, eps=0.3),
+}
+
+
+@pytest.mark.parametrize("n, kind, b", [
+    (n, kind, b) for n in (1, 2, 3) for kind in PLANE_KINDS if kind != "pnorm" or n <= 2
+    for b in ((0.0, 0.4) if n > 1 else (0.0,))])
+def test_wall_compatible_planes_are_exact(n, kind, b):
+    # the plane with tangential slope b along x2 and the normal slope a(b) that meets the wall
+    # condition d1 f = 0 is an exact discrete solution of every integrand.  Measured: the
+    # solve returns it to 3.3e-13 and the curvature checks read at most 2.4e-13 (at most
+    # 2.7e-10 with the default tol_residual, which leaves the 1d capillary 1.5e-10 away)
+    integrand = PLANE_KINDS[kind](n + 1)
+    resolution = {1: 1 / 32, 2: 1 / 16, 3: 1 / 6}[n]
+    mesh = build_mesh(HalfDomain(n, depth=1.0, width=0.5, resolution=resolution))
+    slope = np.zeros(n)
+    slope[0], slope[1:2] = bisect_flat_slope(integrand, b=b), b
+    plane = mesh.vertices @ slope
+    u, rep = solve(integrand, mesh, plane, SolveConfig(tol_residual=1e-12))
+    assert rep.converged and np.abs(u.values - plane).max() <= 1e-10
+    geom = compute_geometry(integrand, u)
+    for check in FLAT_CHECKS:
+        report = check(geom)
+        assert report.status != "fail" and report.worst_residual <= 1e-8, report.check_name
 
 
 def test_check_report_invariant():
