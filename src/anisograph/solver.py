@@ -45,8 +45,7 @@ alone decides which solves fail and why.
 A Hessian that is not numerically positive definite, a non-finite step or a
 step whose relative linear residual exceeds 1e-8 (checked against ``D^2 f`` and
 the step's own gradients by ``_hessian_times``, not the band) ends the solve
-with ``converged=False`` and a ``failure`` reason.  Solves on different meshes
-are independent.
+with ``converged=False`` and a ``failure`` reason.
 
 Every solve is a nested iteration over the levels that ``_ladder`` lists: a
 level whose divisions are all even and at least 32 is halved, unless the
@@ -54,6 +53,20 @@ half-resolution boundary misses its Dirichlet data by more than
 ``_DATA_DEFECT`` of the data's range (the coarse problem would then not
 approximate the fine one).  Each level starts from the P1 interpolant of the
 solution one level down, or cold from zero after a level that did not converge.
+
+For one integrand, box and ``SolveConfig``, the levels below a level depend only on
+its divisions and its Dirichlet data, so a finer solve of the same problem repeats
+a coarser solve as its own coarse levels (h, then h/2 and h/4 in a refinement study).  The module therefore keeps one entry,
+``_finest``: the finest level of the last converged solve, as its key, its values
+and its ``level_iterations`` record.  The key is the integrand's descriptor, ``n``
+and the extents (not the resolution), the ``SolveConfig``, the level's divisions
+and the raw bytes of its data at its Dirichlet vertices.  A solve whose ladder
+holds that key below its own finest level resumes there, with the entry's values
+as the level's solution: a hit returns what a miss would compute, bit for bit.  A
+solve's finest level is never taken from the entry, so everything a solve writes
+is recomputed by it.  The entry is replaced by one rebinding, so solves in
+threads may hit or miss but never read half an entry; it holds the solve's own
+values, which the returned ``GraphFunction`` sees read-only.
 
 A 2d warm start is first corrected at the wall corners by nonlinear elimination
 (Lanzkron, Rose and Wilkes, SIAM J. Sci. Comput. 17, 1996; Cai and Li, SIAM
@@ -385,6 +398,21 @@ def _ladder(mesh: Mesh, dirichlet: np.ndarray) -> list[tuple[tuple[int, ...], np
     return levels[::-1]
 
 
+def _level_key(integrand: EllipticIntegrand, mesh: Mesh, config: SolveConfig,
+               divisions: tuple[int, ...], data: np.ndarray) -> tuple:
+    """The key of the ladder level of ``mesh`` with ``divisions`` and ``data`` (module notes).
+    Its Dirichlet mask is the even-vertex injection of ``mesh``'s, as in ``_ladder``."""
+    counts = tuple(d + 1 for d in mesh.divisions)
+    every = (slice(None, None, mesh.divisions[0] // divisions[0]),) * mesh.n
+    is_dir = (mesh.vertex_tags == Tag.DIRICHLET).reshape(counts)[every].ravel()
+    return (repr(integrand.to_descriptor()), mesh.n, mesh.domain.extents(), config, divisions,
+            data[is_dir].tobytes())
+
+
+# the finest level of the last converged solve, as (key, values, level record), or None
+_finest: Optional[tuple] = None
+
+
 def _corner_boxes(divisions: tuple[int, ...]) -> list[tuple[slice, ...]]:
     """The vertex-grid boxes of a 2d mesh's two wall corners, ``k`` cells along each axis
     from the wall and from the side: ``ceil(_CORNER_BOX * divisions)``, but at least 2 and at
@@ -545,8 +573,17 @@ def solve(
     if not np.all(np.isfinite(dirichlet[mesh.vertex_tags == Tag.DIRICHLET])):
         raise ValueError("dirichlet data must be finite")
 
+    global _finest
+    levels = _ladder(mesh, dirichlet)
     coarse, record = None, []  # a converged level's values; the levels since the last cold start
-    for divisions, data in _ladder(mesh, dirichlet):
+    entry = _finest  # read once: another thread may rebind it
+    for k, (divisions, data) in enumerate(levels[:-1]):
+        if entry is not None and entry[0] == _level_key(integrand, mesh, config, divisions, data):
+            levels, coarse, record = levels[k + 1:], entry[1], list(entry[2])
+            if _malloc_trim is not None:
+                _malloc_trim(0)
+            break
+    for divisions, data in levels:
         level = mesh if divisions == mesh.divisions else _build(mesh.domain, divisions)
         start = None if coarse is None else _prolong(coarse, tuple(d + 1 for d in divisions))
         coarse = values = None  # the coarser level's values go before this level's Newton loop
@@ -557,6 +594,11 @@ def solve(
         if _malloc_trim is not None:  # the freed heap of this level's Newton loop and mesh
             _malloc_trim(0)
 
+    if report.converged:
+        _finest = (_level_key(integrand, mesh, config, mesh.divisions, dirichlet), values,
+                   tuple(record))
+    values = values.view()
+    values.flags.writeable = False  # the entry's values, if it took them
     solution = GraphFunction(mesh, values)
     report.free_bc_residual = float(np.abs(wall_flux_residuals(integrand, solution)).max())
     report.level_iterations = record

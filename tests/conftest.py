@@ -12,6 +12,7 @@ from anisograph import (
     build_mesh,
     compute_geometry,
     solve,
+    solver,
 )
 from anisograph.boundary_data import evaluate_data_spec
 from anisograph.cli import bundled_scenario_path, scenario_from_dict
@@ -22,6 +23,13 @@ settings.load_profile("numerics")
 
 warnings.filterwarnings("ignore", message="no vertices within radius")
 warnings.filterwarnings("ignore", message="radius .* leaves the truncated domain")
+
+
+@pytest.fixture(autouse=True)
+def no_finest_level():
+    """Each test starts with no solve's finest level kept: an earlier test's entry would let
+    a solve skip the coarse levels that a test counts or spoils."""
+    solver._finest = None
 
 
 def bundled(name: str) -> dict:

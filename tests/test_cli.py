@@ -786,18 +786,24 @@ def test_the_runtime_does_not_import_scipy():
 def test_verify_imports_neither_numpy_ma_nor_numpy_random(tmp_path):
     # numpy imports numpy.ma on the first plain np.unique, at about 13 ms, and numpy.random
     # (with hashlib and secrets) on the first default_rng, at about 6 MiB; the writers'
-    # powers of ten come from Python integers, not fractions or decimal; a fresh
-    # interpreter, since this one has imported all of them
+    # powers of ten come from Python integers, not fractions or decimal; the solver keys
+    # the last finest level on raw bytes, since hashlib maps OpenSSL; a 1/32 solve after
+    # the 1/16 verify resumes from that level; a fresh interpreter, since this one has
+    # imported all of them
     raw = bundled("euclidean_freebdry_sine")
     raw["domain"]["resolution"] = 1 / 16
     assert "functional_inequalities" in raw["checks"]
     src = Path(__file__).resolve().parents[1] / "src"
+    finer = copy.deepcopy(raw)
+    finer["domain"]["resolution"] = 1 / 32
     code = ("import sys, anisograph.cli as cli; "
             f"assert cli.main(['verify', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0; "
+            f"assert cli.main(['solve', '--config', sys.argv[3], '--out', sys.argv[4]]) == 0; "
             "print(sorted({'numpy.ma', 'numpy.random', 'hashlib', 'secrets', 'fractions',"
             " 'decimal'} & set(sys.modules)))")
     done = subprocess.run(
-        [sys.executable, "-c", code, str(write_scenario(tmp_path, raw)), str(tmp_path / "out")],
+        [sys.executable, "-c", code, str(write_scenario(tmp_path, raw)), str(tmp_path / "out"),
+         str(write_scenario(tmp_path, finer, "finer.json")), str(tmp_path / "finer")],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, check=True)
     assert done.stdout.strip() == "[]"
 
@@ -949,6 +955,20 @@ def test_sweep_respects_thread_cap(tmp_path, monkeypatch):
     assert sweep(path, "theta", [0.8, 1.2], tmp_path / "out") == 0
     monkeypatch.setenv("ANISO_THREADS", "not-a-number")
     assert sweep(path, "theta", [0.8], tmp_path / "out2") == 2
+
+
+def test_resolution_sweep_bytes_do_not_depend_on_the_threads(tmp_path, monkeypatch):
+    # the README's refinement sweep: each finer row can resume from the last solve's finest
+    # level, and the pool's completion order decides which rows do; the bytes stay the same
+    path = bundled_scenario_path("euclidean_freebdry_sine")
+    written = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("ANISO_THREADS", threads)
+        solver._finest = None
+        assert sweep(path, "resolution", [0.03125, 0.015625, 0.0078125],
+                     tmp_path / threads) == 0
+        written.append((tmp_path / threads / "sweep.csv").read_bytes())
+    assert written[0] == written[1]
 
 
 def test_main_sweep_value_parsing(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import functools
 import math
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -327,6 +328,93 @@ def test_hard_capillary_ladder_fine_iterations(h, ladder):
     _, rep = solve(integrand, mesh, data)
     assert rep.converged
     assert rep.level_iterations == ladder
+
+
+# -- the finest level of the last solve --------------------------------------------------
+
+
+def curved_problem(integrand, domain):
+    """A problem builder for ``domain`` at a resolution, on the reference curved data."""
+    def problem(h):
+        mesh = build_mesh(replace(domain, resolution=h))
+        return integrand, mesh, evaluate_data_spec(CURVED_DATA_SPEC, mesh.vertices)
+    return problem
+
+
+RESUMED = pytest.mark.parametrize("problem, coarse, fine, counts", [
+    (lambda h: hard_case(h), 1 / 64, 1 / 128, [2]),  # the 128 level and its two corner boxes
+    # the 128 level lies above the float32 crossover, the 64 level below it
+    (curved_problem(EllipticIntegrand.euclidean(3), HalfDomain(2, 1.0, 0.5)), 1 / 64, 1 / 128,
+     [0]),
+    (curved_problem(EllipticIntegrand.capillary(0.5, 2), HalfDomain(1, 1.0)), 1 / 32, 1 / 64,
+     [0]),
+    # a 3d ladder needs 32^3 cells, too many here: the one level is the finest, and a rerun
+    # solves it again
+    (curved_problem(EllipticIntegrand.capillary(0.5, 4), HalfDomain(3, 1.0, 0.5)), 1 / 8, 1 / 8,
+     [0]),
+], ids=["cap50_2d", "euclid_float32", "cap50_1d", "cap50_3d"])
+
+
+@RESUMED
+def test_finer_solve_resumes_from_the_last_finest_level(monkeypatch, problem, coarse, fine,
+                                                         counts):
+    cold, cold_report = solve(*problem(fine))
+    solver._finest = None
+    assert solve(*problem(coarse))[1].converged and solver._finest is not None
+    calls = record_newton(monkeypatch)
+    u, report = solve(*problem(fine))
+    assert calls == counts
+    assert np.array_equal(u.values, cold.values)
+    assert report.converged
+    assert report == cold_report  # energy_trace, level_iterations, free_bc_residual, failure
+
+
+def test_resuming_needs_the_same_problem(monkeypatch):
+    # a 1/32 solve's finest level is the 32 level of a 1/64 solve only when the integrand,
+    # extents, config and Dirichlet data agree to the bit; the rest of the data does not count
+    integrand, mesh, data = hard_case(1 / 64)
+    is_dir = mesh.vertex_tags == Tag.DIRICHLET
+    corner = np.flatnonzero(is_dir)[-1]  # (64, 64): on every level of the ladder
+    bumped, interior = data.copy(), data.copy()
+    bumped[corner] = np.nextafter(bumped[corner], np.inf)
+    interior[~is_dir] = 7.0
+    wider = build_mesh(replace(mesh.domain, width=0.501))
+    assert wider.divisions == mesh.divisions
+    cases = [
+        ((integrand, mesh, bumped), 3),
+        ((EllipticIntegrand.capillary(0.6, 3), mesh, data), 3),
+        ((integrand, wider, data), 3),
+        ((integrand, mesh, data, SolveConfig(tol_residual=2e-10)), 3),
+        ((integrand, mesh, interior), 1),
+    ]
+    calls = record_newton(monkeypatch)
+    for args, levels in cases:
+        solver._finest = None
+        solve(*hard_case(1 / 32))
+        calls.clear()
+        u, report = solve(*args)
+        assert report.converged and len(calls) == levels
+    assert np.array_equal(u.values, solve(*hard_case(1 / 64))[0].values)
+
+
+def test_unconverged_or_failed_solve_keeps_no_level(monkeypatch):
+    mesh = unit_mesh(1 / 64)
+    data = evaluate_data_spec(CURVED_DATA_SPEC, mesh.vertices)
+    assert not solve(EllipticIntegrand.euclidean(3), mesh, data, SolveConfig(max_iter=1))[
+        1].converged
+    assert solver._finest is None
+    spoil_first_pivot(monkeypatch, -1.0)
+    assert solve(EllipticIntegrand.euclidean(3), mesh, data)[1].failure
+    assert solver._finest is None
+
+
+def test_returned_values_are_read_only():
+    mesh = unit_mesh(1 / 64)
+    u, report = solve(EllipticIntegrand.euclidean(3), mesh,
+                      evaluate_data_spec(CURVED_DATA_SPEC, mesh.vertices))
+    assert report.converged and solver._finest[1] is u.values.base
+    with pytest.raises(ValueError, match="read-only"):
+        u.values[0] = 1.0
 
 
 # -- corner elimination ----------------------------------------------------------------
