@@ -16,7 +16,6 @@ from .domain import (
 from .geometry import (
     GraphGeometry,
     compute_geometry,
-    surface_gradient,
 )
 from .integrand import EllipticIntegrand
 from .solver import (

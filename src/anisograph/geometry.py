@@ -11,7 +11,8 @@ Two coordinate identities do most of the work here.  Writing ``B`` for the
 Lagrangian Hessian ``D^2 f(Du)`` and ``G = I + Du Du^T``:
 
 * the tangential pairing of surface gradients reduces to
-  ``g(grad_S psi, A_F grad_S phi) = W * Dpsi^T B Dphi``;
+  ``g(grad_S psi, A_F grad_S phi) = W * Dpsi^T B Dphi``, which
+  ``verify.check_boundary_tangency`` evaluates on the wall cells;
 * the anisotropic shape form in graph coordinates is ``(D^2 u) B G``, whose
   G-trace is ``tr(D^2 u * B)`` -- exactly the divergence-form equation
   residual, so anisotropic minimality means this trace vanishes.
@@ -34,7 +35,6 @@ from .solver import GraphFunction
 __all__ = [
     "GraphGeometry",
     "compute_geometry",
-    "surface_gradient",
 ]
 
 
@@ -261,25 +261,4 @@ def compute_geometry(integrand: EllipticIntegrand, u: GraphFunction) -> GraphGeo
         wall_measure=wall_measure,
         wall_hF_mu_tau=hf_mu_tau,
     )
-
-
-def surface_gradient(geom: GraphGeometry, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell surface gradient of a PL vertex field and its A_F image.
-
-    Returns ambient (n+1)-vectors ``(grad, grad_F)``, both tangent to the
-    graph; ``grad_F`` applies A_F = D^2 F(nu), the integrand Hessian at the
-    cell normal, formed here from ``cell_normal``.
-    """
-    phi = np.asarray(phi, dtype=float)
-    mesh = geom.mesh
-    if phi.shape != (mesh.num_vertices,):
-        raise ValueError("phi must be a per-vertex field")
-    dphi = mesh.cell_gradients(phi)
-    du = geom.cell_gradient
-    coef = np.einsum("ci,ci->c", du, dphi) / geom.cell_W ** 2
-    q = dphi - du * coef[:, None]
-    grad = np.concatenate([q, np.einsum("ci,ci->c", du, q)[:, None]], axis=1)
-    a_f = geom.integrand.D2F(geom.integrand.points(geom.cell_normal))
-    grad_f = np.einsum("cij,cj->ci", a_f, grad)
-    return grad, grad_f
 

@@ -379,12 +379,12 @@ def _prolong(coarse: np.ndarray, counts: tuple[int, ...]) -> np.ndarray:
     return fine.ravel()
 
 
-def _ladder(mesh: Mesh, dirichlet: np.ndarray) -> list[tuple[tuple[int, ...], np.ndarray]]:
-    """The levels of the nested iteration as ``(divisions, data)``, coarsest first and ``mesh``'s
-    last (module notes).  A halved level's data and Dirichlet mask are the even-vertex injection
-    of the finer level's, so no coarse mesh is built to decide the ladder."""
+def _ladder(mesh: Mesh, dirichlet: np.ndarray) -> list[tuple]:
+    """The levels of the nested iteration as ``(divisions, data, Dirichlet mask)``, coarsest
+    first and ``mesh``'s last (module notes).  A halved level's data and mask are the even-vertex
+    injection of the finer level's, so no coarse mesh is built to decide the ladder."""
     divisions, data, is_dir = mesh.divisions, dirichlet, mesh.vertex_tags == Tag.DIRICHLET
-    levels = [(divisions, data)]
+    levels = [(divisions, data, is_dir)]
     while all(d % 2 == 0 and d >= 32 for d in divisions):
         counts = tuple(d + 1 for d in divisions)
         even = (slice(None, None, 2),) * mesh.n
@@ -394,17 +394,14 @@ def _ladder(mesh: Mesh, dirichlet: np.ndarray) -> list[tuple[tuple[int, ...], np
             break
         divisions, data = tuple(d // 2 for d in divisions), coarse_data
         is_dir = is_dir.reshape(counts)[even].ravel()
-        levels.append((divisions, data))
+        levels.append((divisions, data, is_dir))
     return levels[::-1]
 
 
 def _level_key(integrand: EllipticIntegrand, mesh: Mesh, config: SolveConfig,
-               divisions: tuple[int, ...], data: np.ndarray) -> tuple:
-    """The key of the ladder level of ``mesh`` with ``divisions`` and ``data`` (module notes).
-    Its Dirichlet mask is the even-vertex injection of ``mesh``'s, as in ``_ladder``."""
-    counts = tuple(d + 1 for d in mesh.divisions)
-    every = (slice(None, None, mesh.divisions[0] // divisions[0]),) * mesh.n
-    is_dir = (mesh.vertex_tags == Tag.DIRICHLET).reshape(counts)[every].ravel()
+               level: tuple) -> tuple:
+    """The key of a ``_ladder`` level of ``mesh`` (module notes): its data on its Dirichlet mask."""
+    divisions, data, is_dir = level
     return (repr(integrand.to_descriptor()), mesh.n, mesh.domain.extents(), config, divisions,
             data[is_dir].tobytes())
 
@@ -577,13 +574,13 @@ def solve(
     levels = _ladder(mesh, dirichlet)
     coarse, record = None, []  # a converged level's values; the levels since the last cold start
     entry = _finest  # read once: another thread may rebind it
-    for k, (divisions, data) in enumerate(levels[:-1]):
-        if entry is not None and entry[0] == _level_key(integrand, mesh, config, divisions, data):
+    for k in range(len(levels) - 1):
+        if entry is not None and entry[0] == _level_key(integrand, mesh, config, levels[k]):
             levels, coarse, record = levels[k + 1:], entry[1], list(entry[2])
             if _malloc_trim is not None:
                 _malloc_trim(0)
             break
-    for divisions, data in levels:
+    for divisions, data, _ in levels:
         level = mesh if divisions == mesh.divisions else _build(mesh.domain, divisions)
         start = None if coarse is None else _prolong(coarse, tuple(d + 1 for d in divisions))
         coarse = values = None  # the coarser level's values go before this level's Newton loop
@@ -595,8 +592,7 @@ def solve(
             _malloc_trim(0)
 
     if report.converged:
-        _finest = (_level_key(integrand, mesh, config, mesh.divisions, dirichlet), values,
-                   tuple(record))
+        _finest = (_level_key(integrand, mesh, config, levels[-1]), values, tuple(record))
     values = values.view()
     values.flags.writeable = False  # the entry's values, if it took them
     solution = GraphFunction(mesh, values)

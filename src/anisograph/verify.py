@@ -25,7 +25,7 @@ import numpy as np
 
 from .boundary_data import check_finite, evaluate_data_spec
 from .domain import HalfDomain, Mesh, Tag, build_mesh
-from .geometry import GraphGeometry, surface_gradient
+from .geometry import GraphGeometry
 from .integrand import EllipticIntegrand
 from .solver import SolveConfig, solve
 
@@ -151,15 +151,21 @@ DEFAULTS = CheckDefaults()
 def check_boundary_tangency(geom: GraphGeometry) -> CheckReport:
     """Tangency of the anisotropic surface gradient of W_f along the wall.
 
-    Measures max over wall facets of |g(grad_F W_f, mu)|; exactly zero for
-    flat solutions (constant W_f) and O(h) on curved ones.
+    Measures max over wall facets of |<A_F grad_S W_f, mu>|, A_F = D^2 F(nu), on the owning
+    cells by the pairing identity of ``geometry``: mu, tangent to the graph, is the surface
+    gradient of a field with gradient G mu' (mu' its first n components, G = I + Du Du^T),
+    so the pairing is W (G mu')^T D^2 f(Du) DW_f.  Exactly zero for flat solutions
+    (constant W_f) and O(h) on curved ones.
     """
-    _, grad_f = surface_gradient(geom, geom.vertex_Wf)
-    vals = np.einsum("fi,fi->f", grad_f[geom.mesh.wall_cells], geom.wall_mu)
+    mesh, cells = geom.mesh, geom.mesh.wall_cells
+    du, mu = geom.cell_gradient[cells], geom.wall_mu[:, :mesh.n]
+    g_mu = mu + du * np.einsum("fi,fi->f", du, mu)[:, None]
+    dwf = mesh.cell_gradients(geom.vertex_Wf)[cells]
+    vals = geom.cell_W[cells] * np.einsum("fi,fij,fj->f", g_mu, geom.cell_hess_f[cells], dwf)
     residual = float(np.abs(vals).max()) if vals.size else 0.0
     return _report(
-        "boundary_tangency", residual, DEFAULTS.boundary_tangency_coef * geom.mesh.h,
-        h=geom.mesh.h, integrand=geom.integrand.to_descriptor(),
+        "boundary_tangency", residual, DEFAULTS.boundary_tangency_coef * mesh.h,
+        h=mesh.h, integrand=geom.integrand.to_descriptor(),
     )
 
 
@@ -319,29 +325,31 @@ def _first_variation_fields(geom: GraphGeometry, margin: float) -> list[float]:
     wall_mid = mesh.vertices[mesh.wall_facets].mean(axis=1)
     chi_w, _ = cutoff([ramp(wall_mid[:, k], k) for k in range(mesh.n)])
 
-    # chi and its gradient at each quadrature point, box by box, then in cell order
-    chi_q = np.zeros(mesh.divisions + edge.shape[:2])
-    dchi_q = np.zeros(mesh.divisions + edge.shape[:2] + (mesh.n + 1,))
+    # per cell, chi and each field's F(nu) d_k chi - nu_k <grad chi, nu_F> summed over its
+    # quadrature points in order, box by box; chi has no vertical gradient
+    shape = mesh.divisions + edge.shape[:1]
+    f_nu = geom.cell_F_normal.reshape(shape)
+    nu = geom.cell_normal.reshape(shape + (mesh.n + 1,))
+    nu_f = geom.cell_aniso_normal.reshape(shape + (mesh.n + 1,))
+    chi_sum, div_sum = np.zeros(shape), np.zeros((mesh.n + 1,) + shape)
+    dchi = np.zeros(mesh.divisions + (mesh.n + 1,))  # grad chi at one point of each box
     for t, j in np.ndindex(edge.shape[:2]):
         at = []  # each axis's factors over the boxes, shaped to broadcast along its axis
         for k, (axis, e, d) in enumerate(zip(factors, edge[t, j], mesh.divisions)):
             at.append(tuple(f[e::2][:d].reshape((1,) * k + (d,) + (1,) * (mesh.n - 1 - k))
                             for f in axis))
-        chi_q[..., t, j], grads = cutoff(at)
+        chi, grads = cutoff(at)
+        chi_sum[..., t] += chi
         for k, g in enumerate(grads):
-            dchi_q[..., t, j, k] = g
-    chi_q = chi_q.reshape(mesh.num_cells, nq)
-    dchi_q = dchi_q.reshape(mesh.num_cells, nq, mesh.n + 1)
-    normal_dchi = np.einsum("cqi,ci->cq", dchi_q, geom.cell_aniso_normal)
+            dchi[..., k] = g
+        normal_dchi = np.einsum("...i,...i->...", dchi, nu_f[..., t, :])
+        for k in range(mesh.n + 1):
+            div_sum[k, ..., t] += f_nu[..., t] * dchi[..., k] - nu[..., t, k] * normal_dchi
 
     per_field = []
-    weight = area * hf_cell * chi_q.mean(axis=1)
-    divF, term = np.empty_like(chi_q), np.empty_like(chi_q)  # reused for each field
+    weight = area * hf_cell * (chi_sum.ravel() / nq)
     for k in range(mesh.n + 1):
-        np.multiply(geom.cell_F_normal[:, None], dchi_q[:, :, k], out=divF)
-        np.multiply(geom.cell_normal[:, k, None], normal_dchi, out=term)
-        np.subtract(divF, term, out=divF)
-        lhs = float((area * divF.mean(axis=1)).sum())
+        lhs = float((area * (div_sum[k].ravel() / nq)).sum())
         mid = float((weight * geom.cell_normal[:, k]).sum())
         bdry = float((geom.wall_measure * chi_w * geom.wall_mu_F[:, k]).sum())
         per_field.append(abs(lhs - mid - bdry))

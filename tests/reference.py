@@ -49,6 +49,27 @@ def integrate_pl_power(mesh, phi: np.ndarray, k: int, cell_weight: Optional[np.n
     return float(per_cell.sum())
 
 
+def surface_gradient(geom, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cell surface gradient of a PL vertex field and its A_F image.
+
+    Returns ambient (n+1)-vectors ``(grad, grad_F)``, both tangent to the
+    graph; ``grad_F`` applies A_F = D^2 F(nu), the integrand Hessian at the
+    cell normal, formed here from ``cell_normal``.
+    """
+    phi = np.asarray(phi, dtype=float)
+    mesh = geom.mesh
+    if phi.shape != (mesh.num_vertices,):
+        raise ValueError("phi must be a per-vertex field")
+    dphi = mesh.cell_gradients(phi)
+    du = geom.cell_gradient
+    coef = np.einsum("ci,ci->c", du, dphi) / geom.cell_W ** 2
+    q = dphi - du * coef[:, None]
+    grad = np.concatenate([q, np.einsum("ci,ci->c", du, q)[:, None]], axis=1)
+    a_f = geom.integrand.D2F(geom.integrand.points(geom.cell_normal))
+    grad_f = np.einsum("cij,cj->ci", a_f, grad)
+    return grad, grad_f
+
+
 def wall_nubar(geom) -> np.ndarray:
     """Unit normal of the boundary curve inside the wall {x1 = 0}, per wall facet (2d)."""
     facets = geom.mesh.wall_facets

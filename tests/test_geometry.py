@@ -11,14 +11,13 @@ from anisograph import (
     Tag,
     build_mesh,
     compute_geometry,
-    surface_gradient,
 )
 from anisograph.cli import run_scenario, scenario_from_dict
 from anisograph.geometry import _fit_vertex_quadratics, _wall_frame
-from anisograph.verify import _hat_forms
+from anisograph.verify import _hat_forms, check_boundary_tangency
 
 from conftest import bundled, solve_curved
-from reference import integrate_pl_power, wall_curve_fields, wall_nubar
+from reference import integrate_pl_power, surface_gradient, wall_curve_fields, wall_nubar
 
 
 # integrands whose D^2 F(nu) is not the Euclidean Hessian
@@ -313,6 +312,30 @@ def test_surface_gradient_elliptic_sandwich(curved_32, anisotropic_curved_32):
         assert np.all(pairing >= lam * dphi_sq / geom.cell_W ** 2 - 1e-12), integrand.kind
         expect = geom.cell_W * np.einsum("ci,cij,cj->c", dphi, geom.cell_hess_f, dphi)
         assert np.abs(pairing - expect).max() <= 1e-12 * np.abs(expect).max(), integrand.kind
+
+
+def test_boundary_tangency_is_the_ambient_pairing(curved_32, anisotropic_curved_32):
+    # the check pairs on the wall cells in graph coordinates, W (G mu')^T D^2f(Du) DW_f;
+    # the ambient <A_F grad_S W_f, mu> of the full surface gradient must give the same worst
+    # facet: in 1d (pnorm), 2d (Euclidean, tilted ellipsoid, pnorm) and 3d (tilted ellipsoid)
+    geoms = [geom for *_, geom in [curved_32, *anisotropic_curved_32]]
+    for domain, integrand in [
+        (HalfDomain(1, depth=1.0, resolution=1 / 32), EllipticIntegrand.pnorm(3.0, 2, eps=0.3)),
+        (HalfDomain(3, depth=1.0, width=0.5, resolution=1 / 8), EllipticIntegrand.ellipsoid(
+            np.array([[2, 0.3, 0.5, 0.1], [0.3, 1, 0.3, 0.2], [0.5, 0.3, 1.5, 0.4],
+                      [0.1, 0.2, 0.4, 1.2]]))),
+    ]:
+        mesh = build_mesh(domain)
+        x = mesh.vertices
+        vals = 0.3 * np.sin(3.0 * x[:, 0] + 0.2) + 0.2 * np.cos(2.0 * x[:, -1])
+        geoms.append(compute_geometry(integrand, GraphFunction(mesh, vals)))
+    for geom in geoms:
+        _, grad_f = surface_gradient(geom, geom.vertex_Wf)
+        ambient = np.einsum("fi,fi->f", grad_f[geom.mesh.wall_cells], geom.wall_mu)
+        expect = np.abs(ambient).max()
+        got = check_boundary_tangency(geom).worst_residual
+        assert expect > 0 and abs(got - expect) <= 1e-13 * expect, \
+            (geom.mesh.n, geom.integrand.kind)
 
 
 # -- weighted weak form ----------------------------------------------------------------

@@ -252,12 +252,12 @@ def test_ladder_injects_the_data_of_each_coarse_mesh():
     ]:
         mesh = build_mesh(domain)
         levels = solver._ladder(mesh, evaluate_data_spec(CURVED_DATA_SPEC, mesh.vertices))
-        assert [divisions for divisions, _ in levels] == ladder
-        is_dir, even = mesh.vertex_tags == Tag.DIRICHLET, (slice(None, None, 2),) * mesh.n
-        for (divisions, data), (_, finer) in zip(levels[-2::-1], levels[::-1]):
+        assert [divisions for divisions, _, _ in levels] == ladder
+        assert np.array_equal(levels[-1][2], mesh.vertex_tags == Tag.DIRICHLET)
+        even = (slice(None, None, 2),) * mesh.n
+        for (divisions, data, is_dir), (_, finer, _) in zip(levels[-2::-1], levels[::-1]):
             counts = tuple(2 * d + 1 for d in divisions)
             coarse = _build(domain, divisions)
-            is_dir = is_dir.reshape(counts)[even].ravel()
             assert np.array_equal(is_dir, coarse.vertex_tags == Tag.DIRICHLET)
             assert np.array_equal(data, finer.reshape(counts)[even].ravel())
             assert np.abs(data - evaluate_data_spec(CURVED_DATA_SPEC, coarse.vertices)).max() \
@@ -528,7 +528,7 @@ def test_unresolved_data_skips_the_ladder():
     mesh = build_mesh(HalfDomain(2, depth=8.0, width=8.0, resolution=0.25))  # 32 x 64
     data = evaluate_data_spec(
         {"type": "bump", "center": [8.0, 0.0], "radius": 1.0, "height": 1.0}, mesh.vertices)
-    assert [divisions for divisions, _ in solver._ladder(mesh, data)] == [(32, 64)]
+    assert [divisions for divisions, _, _ in solver._ladder(mesh, data)] == [(32, 64)]
     u, rep = solve(EllipticIntegrand.euclidean(3), mesh, data)
     cold, _ = solver._newton(EllipticIntegrand.euclidean(3), mesh, data, SolveConfig(), None)
     assert rep.converged and rep.level_iterations == [rep.iterations]

@@ -146,15 +146,38 @@ def test_curved_checks_shrink_under_refinement(curved_32, curved_64):
 ], ids=["1d", "1d_odd", "2d", "2d_1.3x0.55", "2d_dx_ne_dy", "2d_odd", "3d", "3d_dx_ne_dy"])
 @pytest.mark.parametrize("margin", [None, 0.07, 0.2])
 def test_first_variation_matches_the_pointwise_cutoff(domain, margin):
+    # bit for bit, also under a tilted ellipsoid, whose nu_F is not the normal
     mesh = build_mesh(domain)
     x = mesh.vertices
     vals = 0.3 * np.sin(3.0 * x[:, 0] + 0.2) + 0.2 * np.cos(2.0 * x[:, -1])
-    geom = compute_geometry(EllipticIntegrand.euclidean(mesh.n + 1), GraphFunction(mesh, vals))
-    if margin is None:  # the probe's own margin
-        per_field = V.check_first_variation(geom).metadata["per_field"]
-    else:
-        per_field = V._first_variation_fields(geom, margin)
-    assert per_field == first_variation_per_field(geom, margin)
+    tilted = np.array([[2, 0.3, 0.5, 0.1], [0.3, 1, 0.3, 0.2], [0.5, 0.3, 1.5, 0.4],
+                       [0.1, 0.2, 0.4, 1.2]])[: mesh.n + 1, : mesh.n + 1]
+    for integrand in (EllipticIntegrand.euclidean(mesh.n + 1), EllipticIntegrand.ellipsoid(tilted)):
+        geom = compute_geometry(integrand, GraphFunction(mesh, vals))
+        if margin is None:  # the probe's own margin
+            per_field = V.check_first_variation(geom).metadata["per_field"]
+        else:
+            per_field = V._first_variation_fields(geom, margin)
+        assert per_field == first_variation_per_field(geom, margin), integrand.kind
+
+
+@pytest.mark.parametrize("check, bound_mib", [(V.check_boundary_tangency, 0.4),
+                                              (V.check_first_variation, 1.0)])
+def test_wall_checks_allocate_little(curved_64, check, bound_mib):
+    # 8192 cells at 1/64: the wall cells' pairing reads 0.22 MiB and the per-cell running
+    # sums 0.80 MiB, while the ambient surface gradient of every cell, with D^2 F at each
+    # normal, takes 1.31 MiB and a per-point cutoff gradient 1.70 MiB
+    import tracemalloc
+
+    geom = curved_64[3]
+    check(geom)  # any first-call caches of the mesh
+    tracemalloc.start()
+    try:
+        check(geom)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mib * 2 ** 20
 
 
 def test_wall_principal_direction_skips_a_1d_graph():
